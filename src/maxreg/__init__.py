@@ -23,14 +23,18 @@ from .maximal import (
     maximal_at,
     maximal_profile,
     maximal_profile_fast,
+    window_maxima,
 )
 from .regularity import (
     MINUS,
     PLUS,
+    Analysis,
     AnalyzedFunction,
     Chain,
     DecompositionReport,
     RatioRecord,
+    Violation,
+    analyze,
     boundaries,
     chain_sum_check,
     chains,
@@ -54,7 +58,6 @@ from .search import (
     GeneralRatioRecord,
     SearchSummary,
     TruncatedScan,
-    Violation,
     exhaustive,
     higher_derivative_scan,
     random_functions,
@@ -74,12 +77,16 @@ __all__ = [
     "maximal_at",
     "maximal_profile",
     "maximal_profile_fast",
+    "window_maxima",
     "PLUS",
     "MINUS",
+    "Analysis",
     "AnalyzedFunction",
     "Chain",
     "DecompositionReport",
     "RatioRecord",
+    "Violation",
+    "analyze",
     "classify",
     "boundaries",
     "chains",
@@ -99,7 +106,6 @@ __all__ = [
     "GeneralRatioRecord",
     "SearchSummary",
     "TruncatedScan",
-    "Violation",
     "exhaustive",
     "higher_derivative_scan",
     "random_functions",

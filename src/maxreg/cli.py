@@ -14,14 +14,15 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from ._version import __version__
+from .regularity import analyze
 from .reporting import (
     SCHEMA_VERSION,
+    Report,
     SetLiteralError,
-    build_report,
+    analysis_csv,
     canonical_set_literal,
     frac_str,
     parse_set_literal,
-    render_report_csv,
     render_report_json,
     render_report_text,
 )
@@ -154,16 +155,19 @@ def _progress(stream):
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    a = parse_set_literal(args.set)
+    analysis = analyze(parse_set_literal(args.set), fast=args.fast)
     if args.format == "csv":
-        sys.stdout.write(render_report_csv(a, fast=args.fast))
-        return EXIT_OK
-    report = build_report(a, fast=args.fast)
-    if args.format == "json":
-        print(render_report_json(report))
+        sys.stdout.write(analysis_csv(analysis))
+    elif args.format == "json":
+        print(render_report_json(Report.from_analysis(analysis)))
     else:
-        print(render_report_text(report, paper_accounting=args.paper_accounting))
-    return EXIT_OK if report.lemma1_ok and report.ratio <= 3 else EXIT_VIOLATION
+        print(render_report_text(Report.from_analysis(analysis),
+                                 paper_accounting=args.paper_accounting))
+    violated = [v.kind for v in analysis.violations()]
+    if violated:
+        print(f"contract violated: {', '.join(violated)}", file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 def _summary_out(summary: SearchSummary, fmt: str) -> int:

@@ -22,12 +22,15 @@ by :class:`MaximalProfile`.
 
 Internally all comparisons clear denominators and run on integers; results
 are returned as `Fraction` in lowest terms, so the naive and the fast path
-are bit-identical.
+are bit-identical.  Two paths compute a whole profile: :func:`maximal_profile`
+enumerates windows point by point and is the permanent oracle, and
+:func:`maximal_profile_fast` runs the O(m^2) kernel :func:`window_maxima`.
+Per-set analysis (:func:`maxreg.regularity.analyze`) reads the kernel's
+integer (numerator, window length) pairs directly, without `Fraction`s.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -41,6 +44,7 @@ __all__ = [
     "MaximalProfile",
     "maximal_profile",
     "maximal_profile_fast",
+    "window_maxima",
 ]
 
 
@@ -139,43 +143,51 @@ def maximal_profile(f: LatticeFunction) -> MaximalProfile:
     return MaximalProfile(f, (a, b), (a - 1, b + 1), values, True)
 
 
-def maximal_profile_fast(f: LatticeFunction) -> MaximalProfile:
-    """Bit-identical to :func:`maximal_profile`, by maximum-density segments.
+def window_maxima(u: list[int]) -> tuple[list[int], list[int]]:
+    """Best window average at every position of a nonnegative integer block.
 
-    Over prefix sums P of the (denominator-cleared) |f| padded with one zero
-    on each side, M f at position t is the max slope (P_j - P_i)/(j - i) over
-    i <= t < j.  Grouping candidate segments by length d and taking a sliding
-    maximum of the length-d window sums with a monotone deque costs O(1)
-    amortized per (t, d) pair: O(m^2) in total for window width m, against
-    the cubic cost of enumerating every window at every point.
+    Returns (numerators, window lengths): position t of ``u`` gets the
+    largest sum(u[i..j]) / (j - i + 1) over windows i <= t <= j inside the
+    block.  For each window end j, a running best over starts i <= t is
+    folded into position t while t runs from 0 to j: O(m^2) integer steps
+    for a block of length m.  Ties keep the first pair found, so only the
+    ratio, not the pair, is determined.
+    """
+    m = len(u)
+    prefix = [0] * (m + 1)
+    for i, v in enumerate(u):
+        prefix[i + 1] = prefix[i] + v
+    best_num = [0] * m
+    best_den = [1] * m
+    for j in range(m):
+        pj = prefix[j + 1]
+        bn, bd = 0, 1
+        den = j + 1                         # length of the window [t, j]
+        for t in range(j + 1):
+            num = pj - prefix[t]
+            if num * bd > bn * den:
+                bn, bd = num, den
+            den -= 1
+            if bn * best_den[t] > best_num[t] * bd:
+                best_num[t] = bn
+                best_den[t] = bd
+    return best_num, best_den
+
+
+def maximal_profile_fast(f: LatticeFunction) -> MaximalProfile:
+    """Bit-identical to :func:`maximal_profile`, by :func:`window_maxima`.
+
+    The denominator-cleared |f| is padded with one zero on each side, so the
+    block covers the window [a-1, b+1]; by the dilution argument every
+    maximizing window at those points lies inside it.  O(m^2) in the window
+    width m, against the cubic cost of enumerating every window at every
+    point.
     """
     if f.is_zero():
         raise ValueError("maximal profile of the zero function is undefined")
     a = f.support_min()
     b = f.support_max()
     c, u = _cleared(f)
-    padded = [0] + u + [0]                  # positions a-1 .. b+1
-    m = len(padded)
-    prefix = [0] * (m + 1)
-    for i, v in enumerate(padded):
-        prefix[i + 1] = prefix[i] + v
-
-    best_num = [0] * m
-    best_den = [1] * m
-    for d in range(1, m + 1):
-        last_start = m - d
-        dq: deque[tuple[int, int]] = deque()    # (start index, window sum), sums decreasing
-        for t in range(m):
-            if t <= last_start:
-                s = prefix[t + d] - prefix[t]
-                while dq and dq[-1][1] <= s:
-                    dq.pop()
-                dq.append((t, s))
-            while dq[0][0] < t - d + 1:
-                dq.popleft()
-            s = dq[0][1]
-            if s * best_den[t] > best_num[t] * d:
-                best_num[t], best_den[t] = s, d
-
+    best_num, best_den = window_maxima([0] + u + [0])
     values = tuple(Fraction(bn, bd * c) for bn, bd in zip(best_num, best_den))
     return MaximalProfile(f, (a, b), (a - 1, b + 1), values, True)

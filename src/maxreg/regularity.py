@@ -30,21 +30,24 @@ referred to by number throughout the API and reports:
   indicator is at most three times that of the indicator itself.
 * Lemma 1: the maximal function of an indicator is concave only at points
   of the set.
+
+Both are checked on index sets through :func:`analyze`, which computes the
+profile, classes, boundaries, norms and contract quantities of one set in a
+single pass over integers scaled to a common denominator.  The sweeps, the
+per-set report and the headline functions below all read that one
+:class:`Analysis`; the `Fraction` functions on :class:`AnalyzedFunction`
+serve general functions and cross-check it in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
-from .lattice import (
-    IndexSet,
-    LatticeFunction,
-    central_second_difference,
-    forward_difference,
-    lp_norm,
-)
-from .maximal import MaximalProfile, maximal_profile, maximal_profile_fast
+from .lattice import IndexSet, LatticeFunction, central_second_difference
+from .maximal import MaximalProfile, maximal_profile, window_maxima
 
 PLUS = "plus"
 MINUS = "minus"
@@ -56,6 +59,9 @@ __all__ = [
     "Chain",
     "DecompositionReport",
     "RatioRecord",
+    "Violation",
+    "Analysis",
+    "analyze",
     "classify",
     "boundaries",
     "chains",
@@ -293,9 +299,175 @@ class RatioRecord:
     ratio: Fraction
 
 
-def _profile_of(a: IndexSet, fast: bool) -> MaximalProfile:
-    chi = LatticeFunction.from_set(a)
-    return maximal_profile_fast(chi) if fast else maximal_profile(chi)
+@dataclass(frozen=True)
+class Violation:
+    """A failed contract, with the instance serialized in full."""
+
+    kind: str
+    subject: dict
+    details: dict
+
+
+class Analysis(NamedTuple):
+    """Everything the checks read about M chi_A, computed once, in integers.
+
+    The window is [lo, hi] = [min A - 1, max A + 1].  M chi_A there is
+    ``numerators[i] / denominators[i]`` at lo + i, the pairs the profile
+    kernel returns; ``denominator`` D is the lcm of the denominators and
+    ``scaled`` holds the values D * M chi_A(n).  Fields marked "over D" are
+    integers standing for themselves divided by D, so every sum and every
+    contract comparison runs on `int`.  The indicator norms are exact
+    counts of the maximal runs ("blocks") of A: ||chi''||_1 = 4 * blocks
+    and ||chi'||_1 = 2 * blocks.  `Fraction`s are built only by the
+    methods, for records, reports and violation details.
+
+    A named tuple rather than a frozen dataclass: sweeps build one per set,
+    and a tuple is several times cheaper to construct.
+    """
+
+    set: IndexSet
+    lo: int
+    hi: int
+    numerators: tuple[int, ...]
+    denominators: tuple[int, ...]
+    denominator: int
+    scaled: tuple[int, ...]
+    second: tuple[int, ...]             # over D: c2 at lo+1 .. hi-1
+    s_minus: tuple[int, ...]
+    left_boundary: tuple[int, ...]
+    right_boundary: tuple[int, ...]
+    lemma1_violations: tuple[int, ...]  # concave points outside A
+    chi_second_norm: int
+    chi_first_norm: int
+    left_tail: int                      # over D: sum of |c2| over n <= lo
+    right_tail: int                     # over D: sum of |c2| over n >= hi
+    second_norm: int                    # over D: ||(M chi)''||_1, tails included
+    boundary_bound: int                 # over D: funeq_rhs of the profile
+    variation: int                      # over D: ||(M chi)'||_1
+
+    def fraction(self, over_d: int) -> Fraction:
+        """The rational number an over-D integer stands for."""
+        return Fraction(over_d, self.denominator)
+
+    def profile_values(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.numerators, self.denominators))
+
+    def chains(self) -> tuple[Chain, ...]:
+        """Maximal same-class runs covering [lo, hi]; both edges are convex."""
+        minus = set(self.s_minus)
+        out: list[Chain] = []
+        start, kind = self.lo, PLUS
+        for n in range(self.lo + 1, self.hi + 1):
+            k = MINUS if n in minus else PLUS
+            if k != kind:
+                out.append(Chain(kind, start, n - 1))
+                start, kind = n, k
+        out.append(Chain(kind, start, self.hi))
+        return tuple(out)
+
+    def ratio_record(self) -> RatioRecord:
+        d = self.denominator
+        return RatioRecord(self.set, Fraction(self.chi_second_norm),
+                           Fraction(self.second_norm, d),
+                           Fraction(self.second_norm, d * self.chi_second_norm))
+
+    def violations(self) -> list[Violation]:
+        """The set-level contract battery, in a fixed order; empty if all hold.
+
+        Theorem 1 ratio <= 3, ||chi''||_1 >= 2, Lemma 1, the boundary bound
+        dominating the second norm, and the variation of M chi_A not
+        exceeding ||chi'||_1.
+        """
+        d = self.denominator
+        subject = {"set": list(self.set.elements)}
+        out: list[Violation] = []
+        if self.second_norm > 3 * self.chi_second_norm * d:
+            record = self.ratio_record()
+            out.append(Violation("theorem1_ratio", subject, {
+                "chi_second_norm": str(record.chi_second_norm),
+                "max_second_norm": str(record.max_second_norm),
+                "ratio": str(record.ratio),
+            }))
+        if self.chi_second_norm < 2:
+            out.append(Violation("chi_second_norm_lower_bound", subject, {
+                "chi_second_norm": str(self.chi_second_norm),
+            }))
+        if self.lemma1_violations:
+            out.append(Violation("lemma1_concavity", subject, {
+                "concave_points_outside_set": list(self.lemma1_violations),
+                "profile_values": [str(v) for v in self.profile_values()],
+            }))
+        if self.boundary_bound < self.second_norm:
+            out.append(Violation("boundary_bound", subject, {
+                "funeq_rhs": str(self.fraction(self.boundary_bound)),
+                "second_norm": str(self.fraction(self.second_norm)),
+            }))
+        if self.variation > self.chi_first_norm * d:
+            out.append(Violation("first_derivative_bound", subject, {
+                "chi_first_norm": str(self.chi_first_norm),
+                "max_first_variation": str(self.fraction(self.variation)),
+            }))
+        return out
+
+
+def analyze(a: IndexSet, fast: bool = True) -> Analysis:
+    """Analyze the maximal function of the indicator of ``a`` in one pass.
+
+    ``fast`` selects where the profile comes from: the O(m^2) kernel
+    :func:`~maxreg.maximal.window_maxima`, or the naive oracle
+    :func:`~maxreg.maximal.maximal_profile`.  Everything after the profile
+    is the same integer code.  The norms follow the closed forms of
+    :func:`second_norm`, :func:`funeq_rhs` and :func:`first_derivative_norms`.
+    """
+    if not a:
+        raise ValueError("analysis needs a nonempty set")
+    lo, hi = a.min() - 1, a.max() + 1
+    m = hi - lo + 1
+    chi = [0] * m
+    for x in a.elements:
+        chi[x - lo] = 1
+    if fast:
+        nums, dens = window_maxima(chi)
+    else:
+        values = maximal_profile(LatticeFunction.from_set(a)).values
+        nums = [v.numerator for v in values]
+        dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    v = [num * (d // den) for num, den in zip(nums, dens)]
+
+    second = [v[i - 1] + v[i + 1] - 2 * v[i] for i in range(1, m - 1)]
+    concave = [False] + [c < 0 for c in second] + [False]
+    minus = [i for i in range(1, m - 1) if concave[i]]
+    left = [i for i in minus if not concave[i - 1]]
+    right = [i for i in minus if not concave[i + 1]]
+
+    left_tail = v[1] - v[0]
+    right_tail = v[m - 2] - v[m - 1]
+    if left_tail < 0 or right_tail < 0:
+        raise RuntimeError("outside-class guarantee violated: negative tail sum")
+    blocks = sum([chi[i] > chi[i - 1] for i in range(1, m - 1)])    # block starts
+    return Analysis(
+        set=a,
+        lo=lo,
+        hi=hi,
+        numerators=tuple(nums),
+        denominators=tuple(dens),
+        denominator=d,
+        scaled=tuple(v),
+        second=tuple(second),
+        s_minus=tuple(lo + i for i in minus),
+        left_boundary=tuple(lo + i for i in left),
+        right_boundary=tuple(lo + i for i in right),
+        lemma1_violations=tuple(lo + i for i in minus if not chi[i]),
+        chi_second_norm=4 * blocks,
+        chi_first_norm=2 * blocks,
+        left_tail=left_tail,
+        right_tail=right_tail,
+        second_norm=sum(map(abs, second)) + left_tail + right_tail,
+        boundary_bound=2 * (sum(v[i] - v[i - 1] for i in left)
+                            + sum(v[i] - v[i + 1] for i in right)),
+        variation=v[1] + sum([abs(v[i + 1] - v[i]) for i in range(1, m - 2)]) + v[m - 2],
+    )
 
 
 def theorem1_report(a: IndexSet, fast: bool = False) -> RatioRecord:
@@ -303,12 +475,7 @@ def theorem1_report(a: IndexSet, fast: bool = False) -> RatioRecord:
 
     Contract: ratio <= 3, exactly.
     """
-    if not a:
-        raise ValueError("Theorem 1 report needs a nonempty set")
-    chi = LatticeFunction.from_set(a)
-    chi_norm = lp_norm(forward_difference(chi, 2), 1)
-    max_norm = second_norm(AnalyzedFunction.from_profile(_profile_of(a, fast)))
-    return RatioRecord(a, chi_norm, max_norm, max_norm / chi_norm)
+    return analyze(a, fast).ratio_record()
 
 
 def lemma1_violations(a: IndexSet, fast: bool = False) -> IndexSet:
@@ -317,12 +484,7 @@ def lemma1_violations(a: IndexSet, fast: bool = False) -> IndexSet:
     Contract (Lemma 1): always empty.  The scan window is finite because
     the hyperbola tails force convexity outside the support hull.
     """
-    if not a:
-        raise ValueError("Lemma 1 check needs a nonempty set")
-    g = AnalyzedFunction.from_profile(_profile_of(a, fast))
-    bad = tuple(n for n in range(g.lo + 1, g.hi)
-                if classify(g, n) == MINUS and n not in a)
-    return IndexSet(bad)
+    return IndexSet(analyze(a, fast).lemma1_violations)
 
 
 def first_derivative_norms(a: IndexSet, fast: bool = False) -> tuple[Fraction, Fraction]:
@@ -332,13 +494,5 @@ def first_derivative_norms(a: IndexSet, fast: bool = False) -> tuple[Fraction, F
     The variation tails are monotone with limits 0, so they telescope to the
     hull-edge values: total = M(a) + sum_{[a, b)} |D| + M(b).
     """
-    if not a:
-        raise ValueError("first-derivative norms need a nonempty set")
-    chi = LatticeFunction.from_set(a)
-    chi_norm = lp_norm(forward_difference(chi, 1), 1)
-    p = _profile_of(a, fast)
-    lo_hull, hi_hull = p.hull
-    variation = sum((abs(p.value_at(n + 1) - p.value_at(n))
-                     for n in range(lo_hull, hi_hull)), Fraction(0))
-    total = p.value_at(lo_hull) + variation + p.value_at(hi_hull)
-    return chi_norm, total
+    an = analyze(a, fast)
+    return Fraction(an.chi_first_norm), an.fraction(an.variation)

@@ -15,16 +15,8 @@ from fractions import Fraction
 
 from ._version import __version__
 from .lattice import IndexSet, LatticeFunction
-from .maximal import maximal_at, maximal_profile, maximal_profile_fast
-from .regularity import (
-    PLUS,
-    MINUS,
-    AnalyzedFunction,
-    Chain,
-    decompose,
-    first_derivative_norms,
-    theorem1_report,
-)
+from .maximal import maximal_at
+from .regularity import PLUS, MINUS, Analysis, Chain, analyze
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +31,7 @@ __all__ = [
     "render_report_text",
     "render_report_json",
     "render_report_csv",
+    "analysis_csv",
     "frac_str",
 ]
 
@@ -136,36 +129,35 @@ class Report:
     window: tuple[int, int]
     profile_values: tuple[Fraction, ...]
 
+    @classmethod
+    def from_analysis(cls, an: Analysis) -> "Report":
+        """The `Fraction` view of an analysis, for the text and JSON renderers."""
+        record = an.ratio_record()
+        funeq = an.fraction(an.boundary_bound)
+        return cls(
+            input_literal=canonical_set_literal(an.set),
+            input_set=an.set,
+            chi_second_norm=record.chi_second_norm,
+            max_second_norm=record.max_second_norm,
+            ratio=record.ratio,
+            s_minus=IndexSet(an.s_minus),
+            left_boundary=IndexSet(an.left_boundary),
+            right_boundary=IndexSet(an.right_boundary),
+            chains=an.chains(),
+            funeq_rhs=funeq,
+            funeq_rhs_limit_bounded=funeq + 2,
+            lemma1_ok=not an.lemma1_violations,
+            lemma1_violations=IndexSet(an.lemma1_violations),
+            chi_first_norm=Fraction(an.chi_first_norm),
+            max_first_variation=an.fraction(an.variation),
+            window=(an.lo, an.hi),
+            profile_values=an.profile_values(),
+        )
+
 
 def build_report(a: IndexSet, fast: bool = False) -> Report:
-    if not a:
-        raise ValueError("report needs a nonempty set")
-    chi = LatticeFunction.from_set(a)
-    profile = maximal_profile_fast(chi) if fast else maximal_profile(chi)
-    g = AnalyzedFunction.from_profile(profile)
-    dec = decompose(g)
-    record = theorem1_report(a, fast=fast)
-    chi_first, max_first = first_derivative_norms(a, fast=fast)
-    bad = IndexSet(tuple(n for n in dec.s_minus if n not in a))
-    return Report(
-        input_literal=canonical_set_literal(a),
-        input_set=a,
-        chi_second_norm=record.chi_second_norm,
-        max_second_norm=record.max_second_norm,
-        ratio=record.ratio,
-        s_minus=dec.s_minus,
-        left_boundary=dec.left_boundary,
-        right_boundary=dec.right_boundary,
-        chains=dec.chains,
-        funeq_rhs=dec.funeq_rhs_value,
-        funeq_rhs_limit_bounded=dec.funeq_rhs_value + 2,
-        lemma1_ok=not bad,
-        lemma1_violations=bad,
-        chi_first_norm=chi_first,
-        max_first_variation=max_first,
-        window=(g.lo, g.hi),
-        profile_values=profile.values,
-    )
+    """The :class:`Report` of the analysis of ``a``."""
+    return Report.from_analysis(analyze(a, fast))
 
 
 def report_to_dict(report: Report) -> dict:
@@ -221,26 +213,25 @@ def render_report_text(report: Report, paper_accounting: bool = False) -> str:
 
 
 def render_report_csv(a: IndexSet, fast: bool = False) -> str:
+    """:func:`analysis_csv` of the analysis of ``a``."""
+    return analysis_csv(analyze(a, fast))
+
+
+def analysis_csv(an: Analysis) -> str:
     """Per-point rows over the analysis window: n, value, second diff, class.
 
-    The second difference at the window edges is evaluated exactly through
-    the one-sided tail formula, so the CSV is self-contained for plotting.
+    The second difference at the two window edges needs M chi_A one point
+    beyond them, evaluated exactly by :func:`maximal_at`, so the CSV is
+    self-contained for plotting.
     """
-    if not a:
-        raise ValueError("report needs a nonempty set")
-    chi = LatticeFunction.from_set(a)
-    profile = maximal_profile_fast(chi) if fast else maximal_profile(chi)
-    lo, hi = profile.window
-
-    def m(n: int) -> Fraction:
-        if lo <= n <= hi:
-            return profile.value_at(n)
-        return maximal_at(chi, n)
-
+    chi = LatticeFunction.from_set(an.set)
+    values = an.profile_values()
+    seconds = [values[1] + maximal_at(chi, an.lo - 1) - 2 * values[0]]
+    seconds += [an.fraction(c) for c in an.second]
+    seconds.append(values[-2] + maximal_at(chi, an.hi + 1) - 2 * values[-1])
     rows = ["n,value,second_difference,class"]
-    for n in range(lo, hi + 1):
-        c2 = m(n + 1) + m(n - 1) - 2 * m(n)
-        rows.append(f"{n},{frac_str(m(n))},{frac_str(c2)},"
+    for n, value, c2 in zip(range(an.lo, an.hi + 1), values, seconds):
+        rows.append(f"{n},{frac_str(value)},{frac_str(c2)},"
                     f"{PLUS if c2 >= 0 else MINUS}")
     return "\n".join(rows) + "\n"
 

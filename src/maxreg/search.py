@@ -16,11 +16,13 @@ Three probes of how far the second-difference bound might extend:
   bound, giving  remainder <= 2^(k-2) * (edge difference)  on each side.
   No exactness is claimed for k >= 3.
 
-Every checked instance runs the full contract battery (Theorem 1 ratio,
-Lemma 1 emptiness, boundary-bound domination, first-derivative domination,
-indicator norm lower bound).  Any failure halts the sweep and is serialized
-in full: a violation is either an artifact bug or a finding, never noise to
-skip.  Sweeps are chunked with a fixed chunk size, and chunk results are
+Every checked set runs the full contract battery of its
+:class:`~maxreg.regularity.Analysis` (Theorem 1 ratio, Lemma 1 emptiness,
+boundary-bound domination, first-derivative domination, indicator norm
+lower bound).  On the fast path every 512th set is also re-profiled by the
+naive oracle, and a mismatch is a ``fast_path_divergence`` violation.  Any
+failure halts the sweep and is serialized in full: a violation is either an
+artifact bug or a finding, never noise to skip.  Sweeps are chunked with a fixed chunk size, and chunk results are
 reduced in submission order with a smallest-bitmask tie-break, so summaries
 are identical for any worker count.
 """
@@ -38,6 +40,8 @@ from .maximal import maximal_at, maximal_profile, maximal_profile_fast
 from .regularity import (
     AnalyzedFunction,
     RatioRecord,
+    Violation,
+    analyze,
     funeq_rhs,
     second_norm,
 )
@@ -62,15 +66,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Result containers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Violation:
-    """A failed contract, with the instance serialized in full."""
-
-    kind: str
-    subject: dict
-    details: dict
-
 
 @dataclass(frozen=True)
 class GeneralRatioRecord:
@@ -116,59 +111,22 @@ class TruncatedScan:
 
 def _check_set_instance(a: IndexSet, fast: bool, spot_check: bool,
                         ) -> tuple[RatioRecord, list[Violation]]:
-    """Run every set-level contract on one set, sharing a single profile."""
-    chi = LatticeFunction.from_set(a)
-    profile = maximal_profile_fast(chi) if fast else maximal_profile(chi)
-    if fast and spot_check and profile != maximal_profile(chi):
-        raise RuntimeError(f"fast maximal path diverged from the oracle on {a.elements}")
-    g = AnalyzedFunction.from_profile(profile)
+    """Run every set-level contract on one set, from a single analysis.
 
-    chi_norm = lp_norm(forward_difference(chi, 2), 1)
-    max_norm = second_norm(g)
-    record = RatioRecord(a, chi_norm, max_norm, max_norm / chi_norm)
-
-    subject = {"set": list(a.elements)}
-    violations: list[Violation] = []
-
-    if record.ratio > 3:
-        violations.append(Violation("theorem1_ratio", subject, {
-            "chi_second_norm": str(chi_norm),
-            "max_second_norm": str(max_norm),
-            "ratio": str(record.ratio),
-        }))
-    if chi_norm < 2:
-        violations.append(Violation("chi_second_norm_lower_bound", subject, {
-            "chi_second_norm": str(chi_norm),
-        }))
-
-    elements = set(a.elements)
-    concave_outside = [n for n in range(g.lo + 1, g.hi)
-                       if g.second_difference(n) < 0 and n not in elements]
-    if concave_outside:
-        violations.append(Violation("lemma1_concavity", subject, {
-            "concave_points_outside_set": concave_outside,
-            "profile_values": [str(v) for v in profile.values],
-        }))
-
-    rhs = funeq_rhs(g)
-    if rhs < max_norm:
-        violations.append(Violation("boundary_bound", subject, {
-            "funeq_rhs": str(rhs),
-            "second_norm": str(max_norm),
-        }))
-
-    chi_first = lp_norm(forward_difference(chi, 1), 1)
-    lo_hull, hi_hull = profile.hull
-    variation = sum((abs(profile.value_at(n + 1) - profile.value_at(n))
-                     for n in range(lo_hull, hi_hull)), Fraction(0))
-    max_first = profile.value_at(lo_hull) + variation + profile.value_at(hi_hull)
-    if max_first > chi_first:
-        violations.append(Violation("first_derivative_bound", subject, {
-            "chi_first_norm": str(chi_first),
-            "max_first_variation": str(max_first),
-        }))
-
-    return record, violations
+    With ``spot_check`` the profile is recomputed by the naive oracle, and a
+    mismatch is reported as a ``fast_path_divergence`` violation.
+    """
+    analysis = analyze(a, fast)
+    violations = analysis.violations()
+    if spot_check:
+        values = analysis.profile_values()
+        oracle = maximal_profile(LatticeFunction.from_set(a)).values
+        if values != oracle:
+            violations.insert(0, Violation(
+                "fast_path_divergence", {"set": list(a.elements)},
+                {"fast_profile": [str(v) for v in values],
+                 "oracle_profile": [str(v) for v in oracle]}))
+    return analysis.ratio_record(), violations
 
 
 def _better(old: RatioRecord | None, new: RatioRecord) -> RatioRecord:
@@ -227,7 +185,7 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
             progress(merged.count, total)
         return bool(res.violations)
 
-    if workers <= 1:
+    if workers == 1:
         for args in chunk_args:
             if fold(_check_mask_chunk(args)):
                 break
@@ -253,6 +211,8 @@ def exhaustive(length: int, workers: int = 1, fast: bool = False,
     """
     if not 1 <= length <= 24:
         raise ValueError("length must be in [1, 24]")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     masks = range(1, 1 << length, 2)
     total = len(masks)
     chunk_args = [(masks[i:i + _CHUNK], fast, i) for i in range(0, total, _CHUNK)]
@@ -284,6 +244,8 @@ def random_sets(trials: int, length: int, density, seed: int,
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     density = Fraction(density)
     if not 0 < density < 1:
         raise ValueError("density must lie strictly between 0 and 1")

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import maxreg.regularity as regularity
 from maxreg import IndexSet, LatticeFunction
 
 
@@ -80,6 +81,22 @@ def integer_function_corpus(seed: int, count: int, max_len: int,
 def random_index_set(rng: random.Random, length: int) -> IndexSet:
     mask = rng.randint(1, (1 << length) - 1)
     return IndexSet.from_mask(mask)
+
+
+# ---------------------------------------------------------------------------
+# Fault injection
+# ---------------------------------------------------------------------------
+
+def corrupt_singleton_kernel(monkeypatch):
+    """Make the fast profile kernel return 1/2 instead of 1 at the point of {0}."""
+    real = regularity.window_maxima
+
+    def corrupted(u):
+        if u == [0, 1, 0]:
+            return [1, 1, 1], [2, 2, 2]
+        return real(u)
+
+    monkeypatch.setattr(regularity, "window_maxima", corrupted)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,112 @@
+"""The integer analysis against the Fraction path it replaces.
+
+``analyze`` computes every per-set quantity over one common denominator.
+Each one is checked here against the `Fraction` functions on
+``AnalyzedFunction`` fed by the naive oracle profile, which share no code
+with it after the profile.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxreg import (
+    AnalyzedFunction,
+    IndexSet,
+    LatticeFunction,
+    analyze,
+    block_count,
+    decompose,
+    forward_difference,
+    funeq_rhs,
+    lp_norm,
+    maximal_profile,
+    second_norm,
+)
+
+
+def assert_matches_fraction_path(a: IndexSet) -> None:
+    an = analyze(a)
+    chi = LatticeFunction.from_set(a)
+    profile = maximal_profile(chi)
+    g = AnalyzedFunction.from_profile(profile)
+    dec = decompose(g)
+
+    assert an.profile_values() == profile.values
+    assert (an.lo, an.hi) == profile.window == (g.lo, g.hi)
+    assert [an.fraction(v) for v in an.scaled] == list(profile.values)
+    assert [an.fraction(c) for c in an.second] == \
+        [g.second_difference(n) for n in range(g.lo + 1, g.hi)]
+    assert an.fraction(an.left_tail) == g.value_at(g.lo + 1) - g.value_at(g.lo)
+    assert an.fraction(an.right_tail) == g.value_at(g.hi - 1) - g.value_at(g.hi)
+    assert an.fraction(an.second_norm) == second_norm(g) == dec.second_norm
+    assert an.fraction(an.boundary_bound) == funeq_rhs(g) == dec.funeq_rhs_value
+    assert an.s_minus == dec.s_minus.elements
+    assert an.left_boundary == dec.left_boundary.elements
+    assert an.right_boundary == dec.right_boundary.elements
+    assert an.chains() == dec.chains
+    assert an.lemma1_violations == tuple(n for n in dec.s_minus if n not in a)
+
+    assert an.chi_second_norm == lp_norm(forward_difference(chi, 2), 1)
+    assert an.chi_first_norm == lp_norm(forward_difference(chi, 1), 1)
+    a_lo, b_hi = profile.hull
+    variation = sum((abs(profile.value_at(n + 1) - profile.value_at(n))
+                     for n in range(a_lo, b_hi)), Fraction(0))
+    assert an.fraction(an.variation) == \
+        profile.value_at(a_lo) + variation + profile.value_at(b_hi)
+
+    oracle = analyze(a, fast=False)
+    assert oracle.ratio_record() == an.ratio_record()
+    assert oracle.violations() == an.violations() == []
+
+
+def test_analysis_matches_fraction_path_exhaustive():
+    # every nonempty subset of [0, 10), so every set of hull width <= 10
+    for mask in range(1, 1 << 10):
+        assert_matches_fraction_path(IndexSet.from_mask(mask))
+
+
+@st.composite
+def index_sets(draw, max_width: int = 64):
+    """Sets of hull width <= max_width, anywhere in [-100, 100 + max_width)."""
+    base = draw(st.integers(-100, 100))
+    width = draw(st.integers(1, max_width))
+    inner = draw(st.integers(0, (1 << max(width - 2, 0)) - 1))
+    return IndexSet.from_mask((1 | inner << 1 | 1 << (width - 1)), base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_sets())
+def test_analysis_matches_fraction_path_property(a):
+    assert_matches_fraction_path(a)
+    an = analyze(a)
+    assert an.chi_second_norm == 4 * block_count(a)
+    assert an.chi_first_norm == 2 * block_count(a)
+    mirror = analyze(a.reflect())
+    assert mirror.fraction(mirror.second_norm) == an.fraction(an.second_norm)
+    assert mirror.fraction(mirror.variation) == an.fraction(an.variation)
+    assert mirror.chi_second_norm == an.chi_second_norm
+
+
+def test_analysis_rejects_empty_set():
+    with pytest.raises(ValueError):
+        analyze(IndexSet(()))
+
+
+def test_violations_name_each_broken_contract():
+    an = analyze(IndexSet.from_iterable([0, 2]))
+    d = an.denominator
+    broken = an._replace(second_norm=25 * d, boundary_bound=0,
+                     variation=5 * d, lemma1_violations=(1,))
+    kinds = [v.kind for v in broken.violations()]
+    assert kinds == ["theorem1_ratio", "lemma1_concavity", "boundary_bound",
+                     "first_derivative_bound"]
+    assert all(v.subject == {"set": [0, 2]} for v in broken.violations())
+    assert broken.violations()[0].details["ratio"] == "25/8"
+    singleton = analyze(IndexSet.from_iterable([0]))
+    assert [v.kind for v in singleton._replace(chi_second_norm=1).violations()] == \
+        ["chi_second_norm_lower_bound"]

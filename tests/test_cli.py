@@ -4,11 +4,12 @@ import re
 
 import pytest
 
+import maxreg.cli as cli
 import maxreg.search as search
 from maxreg import IndexSet, SetLiteralError, Violation, canonical_set_literal, parse_set_literal
 from maxreg.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
-from conftest import random_index_set
+from conftest import corrupt_singleton_kernel, random_index_set
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,31 @@ def test_report_csv_layout(capsys):
         assert re.fullmatch(r"-?\d+(/\d+)?", value)
         assert re.fullmatch(r"-?\d+(/\d+)?", second)
     assert lines[2].startswith("0,1,") and lines[2].endswith(",minus")
+
+
+def test_report_csv_agrees_with_json(capsys):
+    rng = random.Random(409)
+    for _ in range(20):
+        literal = canonical_set_literal(random_index_set(rng, 12).translate(rng.randint(-9, 9)))
+        assert main(["report", "--format", "json", "--", literal]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert main(["report", "--format", "csv", "--", literal]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.split("\n")[1:-1]]
+        assert [int(r[0]) for r in rows] == list(range(data["window"][0], data["window"][1] + 1))
+        assert [r[1] for r in rows] == data["profile_values"]
+        assert [int(r[0]) for r in rows if r[3] == "minus"] == data["s_minus"]
+
+
+def test_report_exit_code_from_every_contract(capsys, monkeypatch):
+    real = cli.analyze
+
+    def broken_boundary_bound(a, fast):
+        return real(a, fast)._replace(boundary_bound=0)
+
+    monkeypatch.setattr(cli, "analyze", broken_boundary_bound)
+    for fmt in ("text", "json", "csv"):
+        assert main(["report", "0,2", "--format", fmt]) == EXIT_VIOLATION
+        assert "contract violated: boundary_bound" in capsys.readouterr().err
 
 
 def test_report_paper_accounting_flag(capsys):
@@ -189,6 +215,19 @@ def test_violation_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "VIOLATIONS" in out
     assert "theorem1_ratio" in out
+
+
+def test_fast_path_divergence_exit_code(capsys, monkeypatch):
+    corrupt_singleton_kernel(monkeypatch)
+    assert main(["exhaust", "3", "--fast", "--format", "json"]) == EXIT_VIOLATION
+    data = json.loads(capsys.readouterr().out)
+    assert [v["kind"] for v in data["violations"]] == ["fast_path_divergence"]
+
+
+def test_nonpositive_workers_is_a_usage_error(capsys):
+    assert main(["exhaust", "3", "--workers", "0"]) == EXIT_USAGE
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert main(["random", "5", "8", "1/2", "1", "--workers", "-2"]) == EXIT_USAGE
 
 
 def test_usage_exit_code_from_argparse():

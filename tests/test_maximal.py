@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxreg import (
     IndexSet,
@@ -156,6 +158,16 @@ def test_fast_equals_naive_on_rational_values():
         f = LatticeFunction.make(rng.randint(-4, 4), vals)
         if f.is_zero():
             continue
+        assert maximal_profile_fast(f) == maximal_profile(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-30, 30),
+       st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                min_size=1, max_size=24))
+def test_fast_equals_naive_property(offset, values):
+    f = LatticeFunction.make(offset, values)
+    if not f.is_zero():
         assert maximal_profile_fast(f) == maximal_profile(f)
 
 

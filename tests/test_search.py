@@ -15,7 +15,7 @@ from maxreg import (
     theorem1_report,
 )
 
-from conftest import random_index_set
+from conftest import corrupt_singleton_kernel, random_index_set
 
 
 def result_fields(summary):
@@ -48,6 +48,14 @@ def test_exhaustive_rejects_bad_length():
     for length in (0, -1, 25):
         with pytest.raises(ValueError):
             exhaustive(length)
+
+
+def test_sweeps_reject_nonpositive_workers():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            exhaustive(3, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            random_sets(5, 8, Fraction(1, 2), 1, workers=workers)
 
 
 def test_exhaustive_worker_count_is_irrelevant():
@@ -201,6 +209,17 @@ def test_violation_halts_sweep(monkeypatch):
     assert s.violations[0].subject == {"set": [0, 2]}
     # the sweep stopped at the offending instance
     assert s.instances_checked < 32
+
+
+def test_fast_path_divergence_is_a_violation(monkeypatch):
+    corrupt_singleton_kernel(monkeypatch)
+    s = exhaustive(3, fast=True)       # mask 1 = {0} is spot-checked first
+    assert s.instances_checked == 1
+    assert [v.kind for v in s.violations] == ["fast_path_divergence"]
+    assert s.violations[0].subject == {"set": [0]}
+    assert s.violations[0].details == {"fast_profile": ["1/2", "1/2", "1/2"],
+                                       "oracle_profile": ["1/2", "1", "1/2"]}
+    assert not exhaustive(3, fast=False).violations     # the oracle path is untouched
 
 
 # ---------------------------------------------------------------------------
