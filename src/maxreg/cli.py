@@ -129,7 +129,7 @@ def scan_to_dict(scan: TruncatedScan) -> dict:
         "order": scan.order,
         "truncation": scan.truncation,
         "value": frac_str(scan.value),
-        "remainder_bound": frac_str(scan.remainder_bound),
+        "truncated_value": frac_str(scan.truncated_value),
     }
 
 
@@ -138,9 +138,9 @@ def scan_text(scan: TruncatedScan) -> str:
         f"set              {{{canonical_set_literal(scan.set)}}}",
         f"order            {scan.order}",
         f"truncation       {scan.truncation}",
-        f"truncated value  {frac_str(scan.value)}",
-        f"remainder bound  {frac_str(scan.remainder_bound)}",
-        "true value lies in [value, value + remainder bound]",
+        f"value            {frac_str(scan.value)}",
+        f"truncated value  {frac_str(scan.truncated_value)}",
+        "value sums over all of Z, truncated value over [-T, T]",
     ])
 
 
@@ -240,10 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("scan", parents=[common],
-                       help="truncated higher-order difference sum with remainder bound")
+                       help="exact l1 norm of the order-k difference of M chi_A, "
+                            "with its truncation to [-T, T]")
     p.add_argument("set", help="set literal")
     p.add_argument("order", type=int, help="difference order k >= 3")
-    p.add_argument("truncation", type=int, help="half-width T of the scan range")
+    p.add_argument("truncation", type=int, help="half-width T of the truncated sum")
     p.set_defaults(func=_cmd_scan)
     return parser
 

@@ -220,25 +220,13 @@ def central_second_difference(f: LatticeFunction, n: int) -> Fraction:
 
 
 def lp_norm(f: LatticeFunction, p) -> Fraction:
-    """l^p norm of ``f``.
+    """l^p norm of ``f`` for p = 1 or p = infinity, exactly (Fraction).
 
-    p = 1 and p = infinity are exact (Fraction).  Any other positive p is
-    returned as a 50-digit mpmath approximation: those values are inherently
-    irrational and must never feed an exact comparison.
+    Any other p raises ValueError: such norms are irrational in general,
+    and nothing here may feed an inexact value into an exact comparison.
     """
     if p == math.inf:
         return max((abs(v) for v in f.values), default=Fraction(0))
-    p = Fraction(p)
-    if p <= 0:
-        raise ValueError("norm exponent p must be positive")
     if p == 1:
         return sum((abs(v) for v in f.values), Fraction(0))
-    import mpmath
-
-    with mpmath.workdps(50):
-        exponent = mpmath.mpf(p.numerator) / p.denominator
-        total = mpmath.mpf(0)
-        for v in f.values:
-            av = abs(v)
-            total += mpmath.power(mpmath.mpf(av.numerator) / av.denominator, exponent)
-        return mpmath.power(total, 1 / exponent)
+    raise ValueError("norm exponent p must be 1 or infinity")

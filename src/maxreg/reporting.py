@@ -18,7 +18,7 @@ from .lattice import IndexSet, LatticeFunction
 from .maximal import maximal_at
 from .regularity import PLUS, MINUS, Analysis, Chain, analyze
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -9,12 +9,12 @@ Three probes of how far the second-difference bound might extend:
   sweeps; the generator is Python's Mersenne Twister (``random.Random``),
   which is stable across platforms for a fixed integer seed, and its
   identity is echoed in every summary;
-* :func:`higher_derivative_scan` - truncated l1 sums of order-k differences
-  (k >= 3) of a maximal function, with an explicit remainder bound instead
-  of an exact tail: beyond the hull the second difference of the profile is
-  one-signed and telescopes, and each order above two at worst doubles the
-  bound, giving  remainder <= 2^(k-2) * (edge difference)  on each side.
-  No exactness is claimed for k >= 3.
+* :func:`higher_derivative_scan` - the l1 norm over Z of the order-k
+  differences (k >= 3) of the maximal function of an indicator, exactly,
+  with its truncation to [-T, T].  Beyond the hull the maximal function is
+  a chain of hyperbolas c / (n + 1 - i), whose order-k differences have a
+  fixed sign and telescope on each piece, so only the starts near the hull
+  and near the piece boundaries are summed one by one.
 
 Every checked set runs the full contract battery of its
 :class:`~maxreg.regularity.Analysis` (Theorem 1 ratio, Lemma 1 emptiness,
@@ -22,21 +22,23 @@ boundary-bound domination, first-derivative domination, indicator norm
 lower bound).  On the fast path every 512th set is also re-profiled by the
 naive oracle, and a mismatch is a ``fast_path_divergence`` violation.  Any
 failure halts the sweep and is serialized in full: a violation is either an
-artifact bug or a finding, never noise to skip.  Sweeps are chunked with a fixed chunk size, and chunk results are
-reduced in submission order with a smallest-bitmask tie-break, so summaries
-are identical for any worker count.
+artifact bug or a finding, never noise to skip.  Sweeps are chunked with a
+fixed chunk size, and chunk results are reduced in submission order with a
+smallest-bitmask tie-break, so summaries are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial, lcm, prod
 from typing import Callable, Sequence
 
 from .lattice import IndexSet, LatticeFunction, forward_difference, lp_norm
-from .maximal import maximal_at, maximal_profile, maximal_profile_fast
+from .maximal import maximal_profile, maximal_profile_fast, window_maxima
 from .regularity import (
     AnalyzedFunction,
     RatioRecord,
@@ -93,13 +95,15 @@ class SearchSummary:
 
 @dataclass(frozen=True)
 class TruncatedScan:
-    """Truncated order-k difference sum with a rigorous remainder bound.
+    """Order-k difference norm of M chi_A over Z and its truncation.
 
-    The untruncated value lies in [value, value + remainder_bound].
+    ``value`` is the sum over all n in Z of |order-k forward difference of
+    M chi_A at n|, exactly; ``truncated_value`` is the same sum over
+    |n| <= ``truncation``.
     """
 
     value: Fraction
-    remainder_bound: Fraction
+    truncated_value: Fraction
     truncation: int
     order: int
     set: IndexSet
@@ -381,50 +385,142 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Higher-order truncated scans
+# Exact order-k scans
 # ---------------------------------------------------------------------------
 
-def _forward_diff_values(values: list[Fraction], k: int) -> list[Fraction]:
-    out = values
+def _tail_chain(elements: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """M chi_A right of b = max(A) as hyperbola pieces: (starts, [(i, c)]).
+
+    For n > b, M chi_A(n) = max over i in A of c_i / (n + 1 - i) with
+    c_i = |A n [i, b]| (module docstring of :mod:`maxreg.maximal`).  That
+    is minus the slope from (n + 1, 0) to the point (i, c_i), so the
+    maximiser is the upper-hull vertex the tangent from (n + 1, 0) touches,
+    and it moves left as n grows.  A vertex (i, c) with right neighbour
+    (i', c') wins strictly once n + 1 > (c i' - c' i) / (c - c'), where the
+    line through the two meets zero.  Piece t is c / (n + 1 - i) on
+    [starts[t], starts[t + 1]); the last one, i = min(A), has no end.
+    """
+    count = len(elements)
+    hull: list[tuple[int, int]] = []        # upper hull of (i, c_i), left to right
+    for j, i in enumerate(elements):
+        c = count - j
+        while len(hull) >= 2:
+            (i0, c0), (i1, c1) = hull[-2], hull[-1]
+            if (c1 - c0) * (i - i0) > (c - c0) * (i1 - i0):
+                break
+            hull.pop()                      # on or below the chord: never needed
+        hull.append((i, c))
+    starts, pieces = [elements[-1] + 1], [hull[-1]]
+    for (i, c), (i1, c1) in zip(reversed(hull[:-1]), reversed(hull[1:])):
+        start = max(starts[0], (c * i1 - c1 * i) // (c - c1))
+        if start == starts[-1]:             # the previous piece holds no integer point
+            pieces[-1] = (i, c)
+        else:
+            starts.append(start)
+            pieces.append((i, c))
+    return starts, pieces
+
+
+def _tail_points(tail, first: int, last: int) -> tuple[list[int], list[int]]:
+    """(numerators, denominators) of the tail at first .. last."""
+    starts, pieces = tail
+    nums, dens = [], []
+    for n in range(first, last + 1):
+        i, c = pieces[bisect_right(starts, n) - 1]
+        nums.append(c)
+        dens.append(n + 1 - i)
+    return nums, dens
+
+
+def _run_sum(nums: Sequence[int], dens: Sequence[int], k: int) -> Fraction:
+    """Sum of |order-k forward difference| over every start of a run of points."""
+    d = lcm(*dens)
+    v = [num * (d // den) for num, den in zip(nums, dens)]
     for _ in range(k):
-        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
-    return out
+        v = [y - x for x, y in zip(v, v[1:])]
+    return Fraction(sum(map(abs, v)), d)
+
+
+def _tail_sum(tail, k: int, hi: int | None) -> Fraction:
+    """Sum of |order-k forward difference| of a tail over starts in [starts[0], hi].
+
+    ``hi`` None sums to infinity.  Where n .. n+k lie on one piece c / x,
+    x = n + 1 - i, the difference is c k! / (x (x+1) ... (x+k)) in absolute
+    value, and over x in [p, q] it telescopes to c (k-1)! (1/R(p) - 1/R(q+1))
+    with R(x) = x (x+1) ... (x+k-1).  The k starts before each piece
+    boundary are summed one by one.
+    """
+    starts, pieces = tail
+    scale = factorial(k - 1)
+    total = Fraction(0)
+    for t, (i, c) in enumerate(pieces):
+        p = starts[t]
+        if hi is not None and p > hi:
+            break
+        end = starts[t + 1] if t + 1 < len(starts) else None
+        q = None if end is None else end - k - 1    # last start with n+k on this piece
+        if hi is not None:
+            q = hi if q is None else min(q, hi)
+        if q is None:
+            total += Fraction(scale * c, prod(range(p + 1 - i, p + 1 - i + k)))
+        elif p <= q:
+            rp = prod(range(p + 1 - i, p + 1 - i + k))
+            rq = prod(range(q + 2 - i, q + 2 - i + k))
+            total += Fraction(scale * c * (rq - rp), rp * rq)
+        if end is not None:
+            first = max(p, end - k)
+            last = end - 1 if hi is None else min(hi, end - 1)
+            if first <= last:
+                total += _run_sum(*_tail_points(tail, first, last + k), k)
+    return total
+
+
+def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fraction]:
+    """Sums of |order-k forward difference of M chi_A| over Z and over [-T, T].
+
+    Pre: k >= 1, and [-T, T] covers the hull [a, b] with a k margin.
+    Starts n in [a-k, b] touch the hull window and are summed one by one:
+    the window [a-1, b+1] comes from :func:`~maxreg.maximal.window_maxima`,
+    the k-1 points beyond it on each side from the tails.  Starts n > b lie
+    on the right tail.  Starts n < a-k lie on the left tail, which is the
+    right tail of the reflected set: M chi_A(n) = M chi_{-A}(-n), so the
+    difference at n is +-the one of that tail at -n-k.
+    """
+    lo, hi = a.min(), a.max()
+    right = _tail_chain(a.elements)
+    left = _tail_chain([-x for x in reversed(a.elements)])
+    chi = [0] * (hi - lo + 3)
+    for x in a.elements:
+        chi[x - lo + 1] = 1
+    nums, dens = window_maxima(chi)
+    left_nums, left_dens = _tail_points(left, -lo + 2, -lo + k)
+    right_nums, right_dens = _tail_points(right, hi + 2, hi + k)
+    middle = _run_sum(left_nums[::-1] + nums + right_nums,
+                      left_dens[::-1] + dens + right_dens, k)
+    value = middle + _tail_sum(right, k, None) + _tail_sum(left, k, None)
+    truncated = (middle + _tail_sum(right, k, truncation)
+                 + _tail_sum(left, k, truncation - k))
+    return value, truncated
 
 
 def higher_derivative_scan(a: IndexSet, k: int, truncation: int) -> TruncatedScan:
-    """Truncated sum over |n| <= T of |order-k forward difference of M chi_A|.
+    """sum over n in Z of |order-k forward difference of M chi_A|, exactly,
+    together with the same sum over |n| <= T.
 
-    Pre: k >= 3 and T large enough that [-T, T] covers the support hull with
-    a k-point margin, so both tails start where the profile is a convex
-    hyperbola envelope.  The remainder bound doubles per order above two
-    (module docstring); it is strictly positive, never an exactness claim.
+    Pre: k >= 3 (order 2 is :func:`~maxreg.regularity.analyze`'s
+    ``second_norm``) and T large enough that [-T, T] covers the support
+    hull with a k-point margin.  Beyond the hull M chi_A is read off two
+    chains of hyperbola pieces, and each piece's run of starts is summed in
+    closed form (module docstring).
     """
     if not a:
         raise ValueError("scan needs a nonempty set")
     if k < 3:
-        raise ValueError("scan order k must be at least 3 (lower orders are exact)")
+        raise ValueError("scan order k must be at least 3 (order 2 is the report's "
+                         "second-difference norm)")
     lo_hull, hi_hull = a.min(), a.max()
     t = truncation
     if t < hi_hull - lo_hull + k or t < max(abs(lo_hull), abs(hi_hull)) + k:
         raise ValueError("truncation too small: [-T, T] must cover the hull with a k margin")
-
-    chi = LatticeFunction.from_set(a)
-    values = [maximal_at(chi, n) for n in range(-t, t + k + 1)]
-    diffs = _forward_diff_values(values, k)          # order-k difference at -T .. T
-    value = sum((abs(d) for d in diffs), Fraction(0))
-
-    def m(n: int) -> Fraction:
-        return maximal_at(chi, n)
-
-    def bound_right(order: int, start: int) -> Fraction:
-        if order == 2:
-            return m(start) - m(start + 1)
-        return bound_right(order - 1, start + 1) + bound_right(order - 1, start)
-
-    def bound_left(order: int, start: int) -> Fraction:
-        if order == 2:
-            return m(start + 2) - m(start + 1)
-        return bound_left(order - 1, start + 1) + bound_left(order - 1, start)
-
-    remainder = bound_right(k, t + 1) + bound_left(k, -t - 1)
-    return TruncatedScan(value, remainder, t, k, a)
+    value, truncated = _order_norms(a, k, t)
+    return TruncatedScan(value, truncated, t, k, a)

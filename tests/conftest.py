@@ -2,7 +2,9 @@
 
 The oracles here are deliberately independent of the library: dict-based
 window enumeration for the maximal function, direct summation for norms.
-They are the reference every exact claim is checked against.
+They are the reference every exact claim is checked against.  The one
+exception is the order-k scan bracket, which sums ``maximal_at`` (itself
+checked against ``oracle_maximal_at``) point by point.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import maxreg.regularity as regularity
-from maxreg import IndexSet, LatticeFunction
+from maxreg import IndexSet, LatticeFunction, maximal_at
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +57,38 @@ def oracle_second_norm_truncated(m, t: int) -> Fraction:
                Fraction(0))
 
 
+def oracle_scan_bracket(a: IndexSet, k: int, t: int) -> tuple[Fraction, Fraction]:
+    """[low, high] holding sum over n in Z of |order-k forward difference of M chi_A|.
+
+    ``low`` is the sum over |n| <= t, from ``maximal_at`` at every point of
+    [-t, t + k].  Pre: k >= 3 and [-t, t] covers the hull with a k margin.
+    Beyond the hull the second difference of the profile is one-signed and
+    telescopes, and each order above two at worst doubles the bound, so the
+    rest is at most 2^(k-2) times an edge difference on each side.
+    """
+    chi = LatticeFunction.from_set(a)
+
+    def m(n: int) -> Fraction:
+        return maximal_at(chi, n)
+
+    diffs = [m(n) for n in range(-t, t + k + 1)]
+    for _ in range(k):
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    low = sum(map(abs, diffs), Fraction(0))
+
+    def bound_right(order: int, start: int) -> Fraction:
+        if order == 2:
+            return m(start) - m(start + 1)
+        return bound_right(order - 1, start + 1) + bound_right(order - 1, start)
+
+    def bound_left(order: int, start: int) -> Fraction:
+        if order == 2:
+            return m(start + 2) - m(start + 1)
+        return bound_left(order - 1, start + 1) + bound_left(order - 1, start)
+
+    return low, low + bound_right(k, t + 1) + bound_left(k, -t - 1)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic corpora
 # ---------------------------------------------------------------------------
@@ -81,6 +116,15 @@ def integer_function_corpus(seed: int, count: int, max_len: int,
 def random_index_set(rng: random.Random, length: int) -> IndexSet:
     mask = rng.randint(1, (1 << length) - 1)
     return IndexSet.from_mask(mask)
+
+
+@st.composite
+def index_sets(draw, max_width: int = 64):
+    """Sets of hull width <= max_width, anywhere in [-100, 100 + max_width)."""
+    base = draw(st.integers(-100, 100))
+    width = draw(st.integers(1, max_width))
+    inner = draw(st.integers(0, (1 << max(width - 2, 0)) - 1))
+    return IndexSet.from_mask((1 | inner << 1 | 1 << (width - 1)), base)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from maxreg import (
     AnalyzedFunction,
@@ -27,6 +26,8 @@ from maxreg import (
     maximal_profile,
     second_norm,
 )
+
+from conftest import index_sets
 
 
 def assert_matches_fraction_path(a: IndexSet) -> None:
@@ -68,15 +69,6 @@ def test_analysis_matches_fraction_path_exhaustive():
     # every nonempty subset of [0, 10), so every set of hull width <= 10
     for mask in range(1, 1 << 10):
         assert_matches_fraction_path(IndexSet.from_mask(mask))
-
-
-@st.composite
-def index_sets(draw, max_width: int = 64):
-    """Sets of hull width <= max_width, anywhere in [-100, 100 + max_width)."""
-    base = draw(st.integers(-100, 100))
-    width = draw(st.integers(1, max_width))
-    inner = draw(st.integers(0, (1 << max(width - 2, 0)) - 1))
-    return IndexSet.from_mask((1 | inner << 1 | 1 << (width - 1)), base)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -72,7 +73,7 @@ def test_report_text_gap_pair(capsys):
 def test_report_json_fields(capsys):
     assert main(["report", "0,2,5-9", "--format", "json", "--fast"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
-    assert data["schema_version"] == 1
+    assert data["schema_version"] == 2
     assert data["input"] == "0,2,5-9"
     assert data["lemma1"] == "ok"
     assert data["funeq_rhs_limit_bounded"] != data["funeq_rhs"]
@@ -188,11 +189,16 @@ def test_csv_only_for_report(capsys):
 def test_scan_text_and_json(capsys):
     assert main(["scan", "0,1", "3", "50"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert "remainder bound" in out
+    assert "value            4/3" in out
+    assert "truncated value" in out and "remainder" not in out
     assert main(["scan", "0,1", "3", "50", "--format", "json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
+    assert data["schema_version"] == 2
     assert data["order"] == 3 and data["truncation"] == 50
-    assert re.fullmatch(r"\d+(/\d+)?", data["value"])
+    assert "remainder_bound" not in data
+    assert data["value"] == "4/3"
+    assert re.fullmatch(r"\d+/\d+", data["truncated_value"])
+    assert Fraction(data["truncated_value"]) < Fraction(data["value"])
 
 
 def test_scan_usage_error(capsys):

@@ -155,10 +155,11 @@ def test_lp_norm_rejects_nonpositive():
             lp_norm(chi(0), p)
 
 
-def test_lp_norm_general_p_is_inexact_approximation():
-    value = lp_norm(chi(0, 1), 2)
-    assert not isinstance(value, Fraction)
-    assert abs(float(value) - math.sqrt(2)) < 1e-12
+def test_lp_norm_general_p_raises():
+    # only p = 1 and p = infinity have exact values in general
+    for p in (2, Fraction(3, 2), 3.0):
+        with pytest.raises(ValueError):
+            lp_norm(chi(0, 1), p)
 
 
 # ---------------------------------------------------------------------------

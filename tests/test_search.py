@@ -2,20 +2,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxreg.search as search
 from maxreg import (
     GENERATOR_ID,
     IndexSet,
+    LatticeFunction,
     Violation,
+    analyze,
     exhaustive,
     higher_derivative_scan,
+    maximal_at,
     random_functions,
     random_sets,
     theorem1_report,
 )
 
-from conftest import corrupt_singleton_kernel, random_index_set
+from conftest import (
+    corrupt_singleton_kernel,
+    index_sets,
+    oracle_scan_bracket,
+    random_index_set,
+)
 
 
 def result_fields(summary):
@@ -223,7 +233,7 @@ def test_fast_path_divergence_is_a_violation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# higher-order truncated scans
+# higher-order scans
 # ---------------------------------------------------------------------------
 
 def test_scan_validation():
@@ -239,36 +249,85 @@ def test_scan_validation():
 
 
 def test_scan_bracket_is_self_consistent():
-    # The T=1000 value must land inside the bracket reported at T=100.
+    # The exact value lies inside the oracle's bracket at T=100 and T=1000.
     for elements in ((0,), (0, 1)):
         a = IndexSet.from_iterable(elements)
-        small = higher_derivative_scan(a, 3, 100)
-        big = higher_derivative_scan(a, 3, 1000)
-        assert small.value <= big.value <= small.value + small.remainder_bound
-        assert big.remainder_bound < small.remainder_bound
+        for t in (100, 1000):
+            low, high = oracle_scan_bracket(a, 3, t)
+            scan = higher_derivative_scan(a, 3, t)
+            assert low == scan.truncated_value < scan.value <= high
 
 
 def test_scan_bracket_against_deep_truncation():
+    # The value is the sum over Z, so it does not depend on the truncation.
     a = IndexSet.from_iterable([0])
-    small = higher_derivative_scan(a, 3, 100)
-    deep = higher_derivative_scan(a, 3, 10_000)
-    assert small.value <= deep.value <= small.value + small.remainder_bound
+    scans = [higher_derivative_scan(a, 3, t) for t in (100, 1000, 10_000)]
+    assert len({scan.value for scan in scans}) == 1
+    low, high = oracle_scan_bracket(a, 3, 10_000)
+    assert low == scans[-1].truncated_value < scans[0].value <= high
+    for elements, k in (((0, 1), 4), ((-7, -5, -4, 2), 5)):
+        a = IndexSet.from_iterable(elements)
+        assert len({higher_derivative_scan(a, k, t).value for t in (40, 41, 400)}) == 1
 
 
 def test_scan_remainder_never_zero():
+    # Every tail carries mass: the sum over Z exceeds the truncated sum.
     rng = random.Random(313)
     for _ in range(10):
         a = random_index_set(rng, 6)
         for k in (3, 4, 5):
             scan = higher_derivative_scan(a, k, 64)
-            assert scan.remainder_bound > 0
+            assert scan.value > scan.truncated_value > 0
             assert scan.order == k and scan.truncation == 64
 
 
 def test_scan_value_monotone_in_truncation():
     a = IndexSet.from_iterable([0, 3])
-    values = [higher_derivative_scan(a, 4, t).value for t in (20, 40, 80, 160)]
-    assert values == sorted(values)
+    scans = [higher_derivative_scan(a, 4, t) for t in (20, 40, 80, 160)]
+    truncated = [scan.truncated_value for scan in scans]
+    assert truncated == sorted(set(truncated))
+    assert truncated == [oracle_scan_bracket(a, 4, t)[0] for t in (20, 40, 80, 160)]
+    assert truncated[-1] < scans[-1].value
+
+
+def test_order_two_norm_is_the_analysis_second_norm_exhaustive():
+    # every nonempty subset of [0, 10), as is and shifted by -57
+    for mask in range(1, 1 << 10):
+        for base in (0, -57):
+            a = IndexSet.from_mask(mask, base)
+            an = analyze(a)
+            value, _ = search._order_norms(a, 2, 100)
+            assert value == an.fraction(an.second_norm)
+
+
+def test_tail_pieces_match_maximal_at():
+    rng = random.Random(2027)
+    sets = [IndexSet.from_iterable(e) for e in ((0,), (0, 1), (0, 5), (-3, -2, 4, 9))]
+    sets += [random_index_set(rng, 40).translate(rng.randint(-60, 60)) for _ in range(12)]
+    for a in sets:
+        chi = LatticeFunction.from_set(a)
+        lo, hi = a.min(), a.max()
+        nums, dens = search._tail_points(search._tail_chain(a.elements), hi + 1, hi + 300)
+        assert list(map(Fraction, nums, dens)) == \
+            [maximal_at(chi, n) for n in range(hi + 1, hi + 301)]
+        mirror = search._tail_chain(a.reflect().elements)
+        nums, dens = search._tail_points(mirror, -lo + 1, -lo + 300)
+        assert list(map(Fraction, nums, dens)) == \
+            [maximal_at(chi, -n) for n in range(-lo + 1, -lo + 301)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_sets(), st.integers(3, 5), st.integers(-100, 100))
+def test_scan_invariance_and_oracle_bracket_property(a, k, shift):
+    def cover(s):
+        return max(s.max() - s.min(), abs(s.min()), abs(s.max())) + k
+
+    scan = higher_derivative_scan(a, k, cover(a))
+    moved = a.translate(shift)
+    assert higher_derivative_scan(moved, k, cover(moved)).value == scan.value
+    assert higher_derivative_scan(a.reflect(), k, cover(a)).value == scan.value
+    low, high = oracle_scan_bracket(a, k, cover(a))
+    assert low == scan.truncated_value < scan.value <= high
 
 
 # ---------------------------------------------------------------------------
