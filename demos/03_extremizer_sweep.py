@@ -22,7 +22,7 @@ def main() -> None:
     print(f"Exhaustive ratio sweep over subsets of [0, {LENGTH})")
     print("=" * 60)
     t0 = time.perf_counter()
-    summary = exhaustive(LENGTH, workers=2, fast=True,
+    summary = exhaustive(LENGTH, workers=2,
                          progress=lambda done, total: print(
                              f"  ...{done}/{total}", file=sys.stderr, flush=True))
     elapsed = time.perf_counter() - t0
@@ -42,7 +42,7 @@ def main() -> None:
           f"{summary.stats['min_chi_second_norm']} (lower bound 2)")
 
     print("\nRandomized spot check at width 64 (same contracts):")
-    rnd = random_sets(500, 64, "1/2", seed=42, workers=2, fast=True)
+    rnd = random_sets(500, 64, "1/2", seed=42, workers=2)
     print(f"  {rnd.instances_checked} random sets, "
           f"max ratio {rnd.max_record.ratio}, violations {len(rnd.violations)}")
 

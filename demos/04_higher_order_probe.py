@@ -50,7 +50,7 @@ def main() -> None:
 
     print("\nGeneral integer-valued functions, second-order ratios")
     print("(exploration only; no bound is asserted for general f):")
-    summary = random_functions(1000, 16, 4, seed=7, fast=True)
+    summary = random_functions(1000, 16, 4, seed=7)
     q = summary.stats["ratio_quantiles"]
     print(f"  {summary.instances_checked} functions, violations "
           f"{len(summary.violations)}")

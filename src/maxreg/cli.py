@@ -155,7 +155,7 @@ def _progress(stream):
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    analysis = analyze(parse_set_literal(args.set), fast=args.fast)
+    analysis = analyze(parse_set_literal(args.set))
     if args.format == "csv":
         sys.stdout.write(analysis_csv(analysis))
     elif args.format == "json":
@@ -179,15 +179,14 @@ def _summary_out(summary: SearchSummary, fmt: str) -> int:
 
 
 def _cmd_exhaust(args: argparse.Namespace) -> int:
-    summary = exhaustive(args.length, workers=args.workers, fast=args.fast,
+    summary = exhaustive(args.length, workers=args.workers,
                          progress=_progress(sys.stderr))
     return _summary_out(summary, args.format)
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
     summary = random_sets(args.trials, args.length, args.density, args.seed,
-                          workers=args.workers, fast=args.fast,
-                          progress=_progress(sys.stderr))
+                          workers=args.workers, progress=_progress(sys.stderr))
     return _summary_out(summary, args.format)
 
 
@@ -207,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (csv is per-point data, report only)")
     common.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker processes for sweeps")
-    common.add_argument("--fast", action="store_true",
-                        help="use the optimized maximal path (with oracle spot checks in sweeps)")
     common.add_argument("--paper-accounting", action="store_true",
                         help="also show the boundary bound with each limit term bounded by 1")
 

@@ -21,12 +21,12 @@ mirror statement holds on (-inf, a].  This is the ``tail_guarantee`` carried
 by :class:`MaximalProfile`.
 
 Internally all comparisons clear denominators and run on integers; results
-are returned as `Fraction` in lowest terms, so the naive and the fast path
-are bit-identical.  Two paths compute a whole profile: :func:`maximal_profile`
-enumerates windows point by point and is the permanent oracle, and
-:func:`maximal_profile_fast` runs the O(m^2) kernel :func:`window_maxima`.
-Per-set analysis (:func:`maxreg.regularity.analyze`) reads the kernel's
-integer (numerator, window length) pairs directly, without `Fraction`s.
+are returned as `Fraction` in lowest terms, so the two profile paths are
+bit-identical.  The O(m^2) kernel :func:`window_maxima` is the production
+path: :func:`maxreg.regularity.analyze` reads its integer pairs directly and
+:func:`maximal_profile_fast` wraps it for general functions.
+:func:`maximal_profile` enumerates windows point by point and is only the
+oracle that the tests and the sweeps' spot checks compare the kernel against.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .lattice import IndexSet, LatticeFunction, central_second_difference
-from .maximal import MaximalProfile, maximal_profile, window_maxima
+from .maximal import MaximalProfile, window_maxima
 
 PLUS = "plus"
 MINUS = "minus"
@@ -311,15 +311,14 @@ class Violation:
 class Analysis(NamedTuple):
     """Everything the checks read about M chi_A, computed once, in integers.
 
-    The window is [lo, hi] = [min A - 1, max A + 1].  M chi_A there is
-    ``numerators[i] / denominators[i]`` at lo + i, the pairs the profile
-    kernel returns; ``denominator`` D is the lcm of the denominators and
-    ``scaled`` holds the values D * M chi_A(n).  Fields marked "over D" are
-    integers standing for themselves divided by D, so every sum and every
-    contract comparison runs on `int`.  The indicator norms are exact
-    counts of the maximal runs ("blocks") of A: ||chi''||_1 = 4 * blocks
-    and ||chi'||_1 = 2 * blocks.  `Fraction`s are built only by the
-    methods, for records, reports and violation details.
+    The window is [lo, hi] = [min A - 1, max A + 1].  ``denominator`` D is
+    the lcm of the denominators of M chi_A there, and ``scaled[i]`` is
+    D * M chi_A(lo + i).  Fields marked "over D" are integers standing for
+    themselves divided by D, so every sum and every contract comparison
+    runs on `int`.  The indicator norms are exact counts of the maximal
+    runs ("blocks") of A: ||chi''||_1 = 4 * blocks and ||chi'||_1 =
+    2 * blocks.  `Fraction`s are built only by the methods, for records,
+    reports and violation details.
 
     A named tuple rather than a frozen dataclass: sweeps build one per set,
     and a tuple is several times cheaper to construct.
@@ -328,8 +327,6 @@ class Analysis(NamedTuple):
     set: IndexSet
     lo: int
     hi: int
-    numerators: tuple[int, ...]
-    denominators: tuple[int, ...]
     denominator: int
     scaled: tuple[int, ...]
     second: tuple[int, ...]             # over D: c2 at lo+1 .. hi-1
@@ -350,7 +347,7 @@ class Analysis(NamedTuple):
         return Fraction(over_d, self.denominator)
 
     def profile_values(self) -> tuple[Fraction, ...]:
-        return tuple(map(Fraction, self.numerators, self.denominators))
+        return tuple([Fraction(v, self.denominator) for v in self.scaled])
 
     def chains(self) -> tuple[Chain, ...]:
         """Maximal same-class runs covering [lo, hi]; both edges are convex."""
@@ -410,13 +407,13 @@ class Analysis(NamedTuple):
         return out
 
 
-def analyze(a: IndexSet, fast: bool = True) -> Analysis:
+def analyze(a: IndexSet) -> Analysis:
     """Analyze the maximal function of the indicator of ``a`` in one pass.
 
-    ``fast`` selects where the profile comes from: the O(m^2) kernel
-    :func:`~maxreg.maximal.window_maxima`, or the naive oracle
-    :func:`~maxreg.maximal.maximal_profile`.  Everything after the profile
-    is the same integer code.  The norms follow the closed forms of
+    The profile comes from the O(m^2) kernel
+    :func:`~maxreg.maximal.window_maxima`; the naive oracle
+    :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
+    checks and in the tests.  The norms follow the closed forms of
     :func:`second_norm`, :func:`funeq_rhs` and :func:`first_derivative_norms`.
     """
     if not a:
@@ -426,12 +423,7 @@ def analyze(a: IndexSet, fast: bool = True) -> Analysis:
     chi = [0] * m
     for x in a.elements:
         chi[x - lo] = 1
-    if fast:
-        nums, dens = window_maxima(chi)
-    else:
-        values = maximal_profile(LatticeFunction.from_set(a)).values
-        nums = [v.numerator for v in values]
-        dens = [v.denominator for v in values]
+    nums, dens = window_maxima(chi)
     d = lcm(*dens)
     v = [num * (d // den) for num, den in zip(nums, dens)]
 
@@ -450,8 +442,6 @@ def analyze(a: IndexSet, fast: bool = True) -> Analysis:
         set=a,
         lo=lo,
         hi=hi,
-        numerators=tuple(nums),
-        denominators=tuple(dens),
         denominator=d,
         scaled=tuple(v),
         second=tuple(second),
@@ -470,29 +460,29 @@ def analyze(a: IndexSet, fast: bool = True) -> Analysis:
     )
 
 
-def theorem1_report(a: IndexSet, fast: bool = False) -> RatioRecord:
+def theorem1_report(a: IndexSet) -> RatioRecord:
     """Norms and ratio for Theorem 1 on one finite nonempty set.
 
     Contract: ratio <= 3, exactly.
     """
-    return analyze(a, fast).ratio_record()
+    return analyze(a).ratio_record()
 
 
-def lemma1_violations(a: IndexSet, fast: bool = False) -> IndexSet:
+def lemma1_violations(a: IndexSet) -> IndexSet:
     """Concave points of the maximal function lying outside the set.
 
     Contract (Lemma 1): always empty.  The scan window is finite because
     the hyperbola tails force convexity outside the support hull.
     """
-    return IndexSet(analyze(a, fast).lemma1_violations)
+    return IndexSet(analyze(a).lemma1_violations)
 
 
-def first_derivative_norms(a: IndexSet, fast: bool = False) -> tuple[Fraction, Fraction]:
+def first_derivative_norms(a: IndexSet) -> tuple[Fraction, Fraction]:
     """(first-difference l1 norm of the indicator, total variation of its
     maximal function); contract: the second never exceeds the first.
 
     The variation tails are monotone with limits 0, so they telescope to the
     hull-edge values: total = M(a) + sum_{[a, b)} |D| + M(b).
     """
-    an = analyze(a, fast)
+    an = analyze(a)
     return Fraction(an.chi_first_norm), an.fraction(an.variation)

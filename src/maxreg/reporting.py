@@ -18,7 +18,7 @@ from .lattice import IndexSet, LatticeFunction
 from .maximal import maximal_at
 from .regularity import PLUS, MINUS, Analysis, Chain, analyze
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -155,9 +155,9 @@ class Report:
         )
 
 
-def build_report(a: IndexSet, fast: bool = False) -> Report:
+def build_report(a: IndexSet) -> Report:
     """The :class:`Report` of the analysis of ``a``."""
-    return Report.from_analysis(analyze(a, fast))
+    return Report.from_analysis(analyze(a))
 
 
 def report_to_dict(report: Report) -> dict:
@@ -212,9 +212,9 @@ def render_report_text(report: Report, paper_accounting: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_report_csv(a: IndexSet, fast: bool = False) -> str:
+def render_report_csv(a: IndexSet) -> str:
     """:func:`analysis_csv` of the analysis of ``a``."""
-    return analysis_csv(analyze(a, fast))
+    return analysis_csv(analyze(a))
 
 
 def analysis_csv(an: Analysis) -> str:

@@ -19,8 +19,9 @@ Three probes of how far the second-difference bound might extend:
 Every checked set runs the full contract battery of its
 :class:`~maxreg.regularity.Analysis` (Theorem 1 ratio, Lemma 1 emptiness,
 boundary-bound domination, first-derivative domination, indicator norm
-lower bound).  On the fast path every 512th set is also re-profiled by the
-naive oracle, and a mismatch is a ``fast_path_divergence`` violation.  Any
+lower bound).  Every 512th instance of every sweep, set or function, is
+also re-profiled by the naive oracle :func:`~maxreg.maximal.maximal_profile`,
+and a mismatch is a ``fast_path_divergence`` violation.  Any
 failure halts the sweep and is serialized in full: a violation is either an
 artifact bug or a finding, never noise to skip.  Sweeps are chunked with a
 fixed chunk size, and chunk results are reduced in submission order with a
@@ -37,7 +38,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Callable, Sequence
 
-from .lattice import IndexSet, LatticeFunction, forward_difference, lp_norm
+from .lattice import IndexSet, LatticeFunction
 from .maximal import maximal_profile, maximal_profile_fast, window_maxima
 from .regularity import (
     AnalyzedFunction,
@@ -50,7 +51,7 @@ from .regularity import (
 
 GENERATOR_ID = "python-random-mt19937"
 _CHUNK = 2048
-_SPOT_EVERY = 512           # fast-path instances re-checked against the naive oracle
+_SPOT_EVERY = 512           # every sweep re-profiles each 512th instance by the oracle
 
 __all__ = [
     "Violation",
@@ -113,23 +114,31 @@ class TruncatedScan:
 # Per-instance contract battery
 # ---------------------------------------------------------------------------
 
-def _check_set_instance(a: IndexSet, fast: bool, spot_check: bool,
+def _spot_check(f: LatticeFunction, values: tuple[Fraction, ...],
+                subject: dict) -> list[Violation]:
+    """``[fast_path_divergence]`` if ``values`` is not the naive oracle's
+    profile of ``f``, else ``[]``."""
+    oracle = maximal_profile(f).values
+    if values == oracle:
+        return []
+    return [Violation("fast_path_divergence", subject,
+                      {"fast_profile": [str(v) for v in values],
+                       "oracle_profile": [str(v) for v in oracle]})]
+
+
+def _check_set_instance(a: IndexSet, spot_check: bool,
                         ) -> tuple[RatioRecord, list[Violation]]:
     """Run every set-level contract on one set, from a single analysis.
 
-    With ``spot_check`` the profile is recomputed by the naive oracle, and a
-    mismatch is reported as a ``fast_path_divergence`` violation.
+    With ``spot_check`` the profile is also checked against the oracle
+    (:func:`_spot_check`); a divergence comes first.
     """
-    analysis = analyze(a, fast)
+    analysis = analyze(a)
     violations = analysis.violations()
     if spot_check:
-        values = analysis.profile_values()
-        oracle = maximal_profile(LatticeFunction.from_set(a)).values
-        if values != oracle:
-            violations.insert(0, Violation(
-                "fast_path_divergence", {"set": list(a.elements)},
-                {"fast_profile": [str(v) for v in values],
-                 "oracle_profile": [str(v) for v in oracle]}))
+        violations[:0] = _spot_check(LatticeFunction.from_set(a),
+                                     analysis.profile_values(),
+                                     {"set": list(a.elements)})
     return analysis.ratio_record(), violations
 
 
@@ -150,12 +159,12 @@ class _ChunkResult:
 
 
 def _check_mask_chunk(args: tuple) -> _ChunkResult:
-    masks, fast, base_index = args
+    masks, base_index = args
     out = _ChunkResult()
     for i, mask in enumerate(masks):
         a = IndexSet.from_mask(mask)
-        spot = fast and (base_index + i) % _SPOT_EVERY == 0
-        record, violations = _check_set_instance(a, fast, spot)
+        spot = (base_index + i) % _SPOT_EVERY == 0
+        record, violations = _check_set_instance(a, spot)
         out.count += 1
         out.best = _better(out.best, record)
         span = a.max() - a.min()
@@ -205,7 +214,7 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def exhaustive(length: int, workers: int = 1, fast: bool = False,
+def exhaustive(length: int, workers: int = 1,
                progress: Callable[[int, int], None] | None = None) -> SearchSummary:
     """Check every translation class of nonempty subsets of [0, length).
 
@@ -219,7 +228,7 @@ def exhaustive(length: int, workers: int = 1, fast: bool = False,
         raise ValueError("workers must be at least 1")
     masks = range(1, 1 << length, 2)
     total = len(masks)
-    chunk_args = [(masks[i:i + _CHUNK], fast, i) for i in range(0, total, _CHUNK)]
+    chunk_args = [(masks[i:i + _CHUNK], i) for i in range(0, total, _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, total)
     return SearchSummary(
         instances_checked=merged.count,
@@ -229,7 +238,7 @@ def exhaustive(length: int, workers: int = 1, fast: bool = False,
             "mode": "exhaustive",
             "length": length,
             "workers": workers,
-            "fast": fast,
+            "oracle_spot_check_every": _SPOT_EVERY,
             "canonicalization": "translation (sets containing 0)",
             "raw_set_count": (1 << length) - 1,
         },
@@ -239,7 +248,7 @@ def exhaustive(length: int, workers: int = 1, fast: bool = False,
 
 
 def random_sets(trials: int, length: int, density, seed: int,
-                workers: int = 1, fast: bool = False,
+                workers: int = 1,
                 progress: Callable[[int, int], None] | None = None) -> SearchSummary:
     """Check ``trials`` random subsets of [0, length), empty draws skipped.
 
@@ -263,8 +272,7 @@ def random_sets(trials: int, length: int, density, seed: int,
                 mask |= 1 << i
         if mask:
             masks.append(mask)
-    chunk_args = [(tuple(masks[i:i + _CHUNK]), fast, i)
-                  for i in range(0, len(masks), _CHUNK)]
+    chunk_args = [(tuple(masks[i:i + _CHUNK]), i) for i in range(0, len(masks), _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, len(masks))
     return SearchSummary(
         instances_checked=merged.count,
@@ -278,7 +286,7 @@ def random_sets(trials: int, length: int, density, seed: int,
             "seed": seed,
             "generator": GENERATOR_ID,
             "workers": workers,
-            "fast": fast,
+            "oracle_spot_check_every": _SPOT_EVERY,
         },
         stats={"empty_draws_skipped": trials - len(masks),
                "max_by_span": dict(sorted(merged.max_by_span.items())),
@@ -286,36 +294,39 @@ def random_sets(trials: int, length: int, density, seed: int,
     )
 
 
-def _check_function_instance(values: tuple[int, ...], fast: bool,
+def _check_function_instance(values: tuple[int, ...], spot_check: bool,
                              ) -> tuple[GeneralRatioRecord | None, list[Violation]]:
     """Boundary-bound checks and the norm ratio for one integer-valued draw.
 
     The ratio is recorded for exploration only: no analogue of the indicator
-    bound is asserted for general functions.
+    bound is asserted for general functions.  With ``spot_check`` the
+    profile is also checked against the oracle; a divergence comes first.
     """
     f = LatticeFunction.make(0, values)
-    if f.is_zero():
-        return None, []
-    source_norm = lp_norm(forward_difference(f, 2), 1)
+    gf = AnalyzedFunction.from_lattice(f)
+    source_norm = second_norm(gf)
     if source_norm == 0:
         return None, []
 
     subject = {"offset": f.offset, "values": [str(v) for v in f.values]}
     violations: list[Violation] = []
 
-    gf = AnalyzedFunction.from_lattice(f)
-    if funeq_rhs(gf) < second_norm(gf):
+    source_rhs = funeq_rhs(gf)
+    if source_rhs < source_norm:
         violations.append(Violation("boundary_bound_source", subject, {
-            "funeq_rhs": str(funeq_rhs(gf)),
-            "second_norm": str(second_norm(gf)),
+            "funeq_rhs": str(source_rhs),
+            "second_norm": str(source_norm),
         }))
 
-    profile = maximal_profile_fast(f) if fast else maximal_profile(f)
+    profile = maximal_profile_fast(f)
+    if spot_check:
+        violations[:0] = _spot_check(f, profile.values, subject)
     gm = AnalyzedFunction.from_profile(profile)
     max_norm = second_norm(gm)
-    if funeq_rhs(gm) < max_norm:
+    max_rhs = funeq_rhs(gm)
+    if max_rhs < max_norm:
         violations.append(Violation("boundary_bound_maximal", subject, {
-            "funeq_rhs": str(funeq_rhs(gm)),
+            "funeq_rhs": str(max_rhs),
             "second_norm": str(max_norm),
         }))
 
@@ -325,7 +336,6 @@ def _check_function_instance(values: tuple[int, ...], fast: bool,
 
 
 def random_functions(trials: int, length: int, value_bound: int, seed: int,
-                     fast: bool = False,
                      progress: Callable[[int, int], None] | None = None) -> SearchSummary:
     """Ratio exploration over random integer-valued functions on [0, length).
 
@@ -344,7 +354,7 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     checked = 0
     for t in range(trials):
         values = tuple(rng.randint(-value_bound, value_bound) for _ in range(length))
-        record, found = _check_function_instance(values, fast)
+        record, found = _check_function_instance(values, checked % _SPOT_EVERY == 0)
         if record is None:
             continue
         checked += 1
@@ -378,7 +388,7 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
             "value_bound": value_bound,
             "seed": seed,
             "generator": GENERATOR_ID,
-            "fast": fast,
+            "oracle_spot_check_every": _SPOT_EVERY,
         },
         stats={"ratio_quantiles": quantiles},
     )
@@ -520,7 +530,7 @@ def higher_derivative_scan(a: IndexSet, k: int, truncation: int) -> TruncatedSca
                          "second-difference norm)")
     lo_hull, hi_hull = a.min(), a.max()
     t = truncation
-    if t < hi_hull - lo_hull + k or t < max(abs(lo_hull), abs(hi_hull)) + k:
+    if t < max(abs(lo_hull), abs(hi_hull)) + k:
         raise ValueError("truncation too small: [-T, T] must cover the hull with a k margin")
     value, truncated = _order_norms(a, k, t)
     return TruncatedScan(value, truncated, t, k, a)

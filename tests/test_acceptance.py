@@ -42,7 +42,7 @@ WORKERS = min(8, os.cpu_count() or 1)
 @pytest.fixture(scope="module")
 def sweep():
     t0 = time.perf_counter()
-    s = exhaustive(SWEEP_LENGTH, workers=WORKERS, fast=True)
+    s = exhaustive(SWEEP_LENGTH, workers=WORKERS)
     elapsed = time.perf_counter() - t0
     print(f"\n[sweep] L={SWEEP_LENGTH}: {s.instances_checked} translation classes "
           f"({s.parameters['raw_set_count']} raw sets) in {elapsed:.1f}s, "
@@ -209,7 +209,7 @@ def test_criterion_10_sharpness_probe(sweep):
     for length, rec in table:
         print(f"L={length:<2d} max ratio {rec.ratio} at {set(rec.set.elements)}")
     for length in range(1, 7):
-        direct = exhaustive(length, fast=True)
+        direct = exhaustive(length)
         assert direct.max_record.ratio == table[length - 1][1].ratio
     print(f"criterion 10: sharpness probe max {ratios[-1]} (constant 3 "
           f"not approached; report only)")

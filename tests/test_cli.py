@@ -71,9 +71,9 @@ def test_report_text_gap_pair(capsys):
 
 
 def test_report_json_fields(capsys):
-    assert main(["report", "0,2,5-9", "--format", "json", "--fast"]) == EXIT_OK
+    assert main(["report", "0,2,5-9", "--format", "json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert data["input"] == "0,2,5-9"
     assert data["lemma1"] == "ok"
     assert data["funeq_rhs_limit_bounded"] != data["funeq_rhs"]
@@ -114,8 +114,8 @@ def test_report_csv_agrees_with_json(capsys):
 def test_report_exit_code_from_every_contract(capsys, monkeypatch):
     real = cli.analyze
 
-    def broken_boundary_bound(a, fast):
-        return real(a, fast)._replace(boundary_bound=0)
+    def broken_boundary_bound(a):
+        return real(a)._replace(boundary_bound=0)
 
     monkeypatch.setattr(cli, "analyze", broken_boundary_bound)
     for fmt in ("text", "json", "csv"):
@@ -150,7 +150,7 @@ def test_exhaust_text(capsys):
 
 
 def test_exhaust_json(capsys):
-    assert main(["exhaust", "5", "--format", "json", "--fast"]) == EXIT_OK
+    assert main(["exhaust", "5", "--format", "json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["instances_checked"] == 16
     assert data["max_record"]["ratio"] == "1/2"
@@ -193,7 +193,7 @@ def test_scan_text_and_json(capsys):
     assert "truncated value" in out and "remainder" not in out
     assert main(["scan", "0,1", "3", "50", "--format", "json"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
-    assert data["schema_version"] == 2
+    assert data["schema_version"] == 3
     assert data["order"] == 3 and data["truncation"] == 50
     assert "remainder_bound" not in data
     assert data["value"] == "4/3"
@@ -204,13 +204,14 @@ def test_scan_text_and_json(capsys):
 def test_scan_usage_error(capsys):
     assert main(["scan", "0,1", "2", "50"]) == EXIT_USAGE
     assert main(["scan", "0,1", "3", "2"]) == EXIT_USAGE
+    assert main(["scan", "--", "-10,10", "3", "12"]) == EXIT_USAGE     # 12 < |-10| + 3
 
 
 def test_violation_exit_code(capsys, monkeypatch):
     real = search._check_set_instance
 
-    def fake(a, fast, spot):
-        record, violations = real(a, fast, spot)
+    def fake(a, spot):
+        record, violations = real(a, spot)
         if a.elements == (0, 1):
             violations = [Violation("theorem1_ratio",
                                     {"set": list(a.elements)}, {"ratio": "7/2"})]
@@ -225,7 +226,7 @@ def test_violation_exit_code(capsys, monkeypatch):
 
 def test_fast_path_divergence_exit_code(capsys, monkeypatch):
     corrupt_singleton_kernel(monkeypatch)
-    assert main(["exhaust", "3", "--fast", "--format", "json"]) == EXIT_VIOLATION
+    assert main(["exhaust", "3", "--format", "json"]) == EXIT_VIOLATION
     data = json.loads(capsys.readouterr().out)
     assert [v["kind"] for v in data["violations"]] == ["fast_path_divergence"]
 
@@ -239,4 +240,7 @@ def test_nonpositive_workers_is_a_usage_error(capsys):
 def test_usage_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["exhaust"])          # missing required argument
+    assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["exhaust", "3", "--fast"])     # the removed flag is unknown
     assert exc.value.code == EXIT_USAGE

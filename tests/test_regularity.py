@@ -322,15 +322,21 @@ def test_theorem1_examples():
 
 
 def test_theorem1_fast_flag_is_equivalent():
+    # the kernel-based report against the Fraction path on the oracle profile
     rng = random.Random(251)
     for _ in range(40):
         a = random_index_set(rng, 10)
-        assert theorem1_report(a, fast=True) == theorem1_report(a, fast=False)
+        f = LatticeFunction.from_set(a)
+        chi_norm = lp_norm(forward_difference(f, 2), 1)
+        max_norm = second_norm(AnalyzedFunction.from_profile(maximal_profile(f)))
+        r = theorem1_report(a)
+        assert (r.chi_second_norm, r.max_second_norm, r.ratio) == \
+            (chi_norm, max_norm, max_norm / chi_norm)
 
 
 def test_theorem1_sweep_small():
     for mask in range(1, 1 << 10):
-        r = theorem1_report(IndexSet.from_mask(mask), fast=True)
+        r = theorem1_report(IndexSet.from_mask(mask))
         assert r.ratio <= 3
         assert r.chi_second_norm >= 2
 
@@ -349,7 +355,7 @@ def test_first_derivative_examples():
 
 def test_first_derivative_bound_sweep():
     for mask in range(1, 1 << 10):
-        chi_norm, max_norm = first_derivative_norms(IndexSet.from_mask(mask), fast=True)
+        chi_norm, max_norm = first_derivative_norms(IndexSet.from_mask(mask))
         assert max_norm <= chi_norm
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxreg.maximal as maximal
 import maxreg.search as search
 from maxreg import (
     GENERATOR_ID,
@@ -69,15 +70,33 @@ def test_sweeps_reject_nonpositive_workers():
 
 
 def test_exhaustive_worker_count_is_irrelevant():
-    s1 = exhaustive(9, workers=1, fast=True)
-    s2 = exhaustive(9, workers=2, fast=True)
+    s1 = exhaustive(9, workers=1)
+    s2 = exhaustive(9, workers=2)
     assert result_fields(s1) == result_fields(s2)
 
 
-def test_exhaustive_fast_equals_naive():
-    s1 = exhaustive(8, fast=False)
-    s2 = exhaustive(8, fast=True)
+def test_exhaustive_fast_equals_naive(monkeypatch):
+    s1 = exhaustive(8)
+    real, oracle_sets = search.maximal_profile, []
+
+    def counted(f):
+        oracle_sets.append(f)
+        return real(f)
+
+    monkeypatch.setattr(search, "maximal_profile", counted)
+    monkeypatch.setattr(search, "_SPOT_EVERY", 1)   # every set against the oracle
+    s2 = exhaustive(8)
+    assert len(oracle_sets) == s2.instances_checked == 128
+    assert s2.parameters["oracle_spot_check_every"] == 1
+    assert not s2.violations
     assert result_fields(s1) == result_fields(s2)
+
+
+def test_sweeps_echo_the_spot_check_period():
+    for s in (exhaustive(3), random_sets(5, 8, Fraction(1, 2), 1),
+              random_functions(5, 8, 2, 1)):
+        assert s.parameters["oracle_spot_check_every"] == 512
+        assert "fast" not in s.parameters
 
 
 def test_exhaustive_clean_and_monotone_in_length():
@@ -160,19 +179,19 @@ def test_random_sets_clean_sweep():
 
 
 def test_random_sets_large_clean_sweep():
-    s = random_sets(10_000, 64, Fraction(1, 2), 42, workers=2, fast=True)
+    s = random_sets(10_000, 64, Fraction(1, 2), 42, workers=2)
     assert s.instances_checked == 10_000     # empty draws are essentially impossible
     assert not s.violations
     assert s.max_record.ratio <= 3
 
 
 def test_random_functions_consistent_with_set_path():
-    record, violations = search._check_function_instance((1,), fast=False)
+    record, violations = search._check_function_instance((1,), spot_check=True)
     assert not violations
     expected = theorem1_report(IndexSet.from_iterable([0]))
     assert record.ratio == expected.ratio == Fraction(1, 2)
     # ratio is invariant under scaling
-    record2, _ = search._check_function_instance((2,), fast=False)
+    record2, _ = search._check_function_instance((2,), spot_check=True)
     assert record2.ratio == Fraction(1, 2)
 
 
@@ -185,7 +204,7 @@ def test_random_functions_sweep():
 
 
 def test_random_functions_thousand_trials_clean():
-    s = random_functions(1000, 16, 4, 7, fast=True)
+    s = random_functions(1000, 16, 4, 7)
     assert not s.violations
     assert s.instances_checked == 1000
 
@@ -205,8 +224,8 @@ def test_violation_halts_sweep(monkeypatch):
     real = search._check_set_instance
     tripwire = IndexSet.from_mask(0b101)   # {0, 2}
 
-    def fake(a, fast, spot):
-        record, violations = real(a, fast, spot)
+    def fake(a, spot):
+        record, violations = real(a, spot)
         if a == tripwire:
             violations = [Violation("theorem1_ratio", {"set": list(a.elements)},
                                     {"ratio": "4"})]
@@ -223,13 +242,31 @@ def test_violation_halts_sweep(monkeypatch):
 
 def test_fast_path_divergence_is_a_violation(monkeypatch):
     corrupt_singleton_kernel(monkeypatch)
-    s = exhaustive(3, fast=True)       # mask 1 = {0} is spot-checked first
+    s = exhaustive(3)                  # mask 1 = {0} is spot-checked first
     assert s.instances_checked == 1
     assert [v.kind for v in s.violations] == ["fast_path_divergence"]
     assert s.violations[0].subject == {"set": [0]}
     assert s.violations[0].details == {"fast_profile": ["1/2", "1/2", "1/2"],
                                        "oracle_profile": ["1/2", "1", "1/2"]}
-    assert not exhaustive(3, fast=False).violations     # the oracle path is untouched
+
+
+def test_function_sweep_divergence_is_a_violation(monkeypatch):
+    real = maximal.window_maxima
+
+    def doubled(u):
+        nums, dens = real(u)
+        return [2 * n for n in nums], dens
+
+    monkeypatch.setattr(maximal, "window_maxima", doubled)
+    s = random_functions(50, 8, 3, 5)          # the first instance is spot-checked
+    assert s.instances_checked == 1
+    v = s.violations[0]
+    assert v.kind == "fast_path_divergence"
+    assert v.subject == {"offset": s.max_record.offset,
+                         "values": [str(x) for x in s.max_record.function_values]}
+    assert set(v.details) == {"fast_profile", "oracle_profile"}
+    assert [Fraction(x) for x in v.details["fast_profile"]] == \
+        [2 * Fraction(x) for x in v.details["oracle_profile"]]
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +283,18 @@ def test_scan_validation():
         higher_derivative_scan(a, 3, 3)           # margin too small
     with pytest.raises(ValueError):
         higher_derivative_scan(IndexSet.from_iterable([50, 51]), 3, 10)
+
+
+def test_scan_accepts_the_smallest_covering_truncation():
+    # [-13, 13] covers the hull [-10, 10] with a 3-point margin on each side,
+    # though it is narrower than the hull width plus 3.
+    a = IndexSet.from_iterable([-10, 10])
+    scan = higher_derivative_scan(a, 3, 13)
+    low, high = oracle_scan_bracket(a, 3, 13)
+    assert low == scan.truncated_value < scan.value <= high
+    assert scan.value == higher_derivative_scan(a, 3, 1000).value
+    with pytest.raises(ValueError, match="truncation too small"):
+        higher_derivative_scan(a, 3, 12)
 
 
 def test_scan_bracket_is_self_consistent():
@@ -319,8 +368,8 @@ def test_tail_pieces_match_maximal_at():
 @settings(max_examples=60, deadline=None)
 @given(index_sets(), st.integers(3, 5), st.integers(-100, 100))
 def test_scan_invariance_and_oracle_bracket_property(a, k, shift):
-    def cover(s):
-        return max(s.max() - s.min(), abs(s.min()), abs(s.max())) + k
+    def cover(s):                   # the smallest accepted truncation
+        return max(abs(s.min()), abs(s.max())) + k
 
     scan = higher_derivative_scan(a, k, cover(a))
     moved = a.translate(shift)
