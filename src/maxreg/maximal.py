@@ -22,17 +22,22 @@ by :class:`MaximalProfile`.
 
 Internally all comparisons clear denominators and run on integers; results
 are returned as `Fraction` in lowest terms, so the two profile paths are
-bit-identical.  The O(m^2) kernel :func:`window_maxima` is the production
-path: :func:`maxreg.regularity.analyze` reads its integer pairs directly and
-:func:`maximal_profile_fast` wraps it for general functions.
-:func:`maximal_profile` enumerates windows point by point and is only the
-oracle that the tests and the sweeps' spot checks compare the kernel against.
+bit-identical.  :func:`window_maxima` is the production path:
+:func:`maxreg.regularity.analyze` reads its integer pairs directly and
+:func:`maximal_profile_fast` wraps it for general functions.  It picks one
+of two kernels by block length alone: an O(m^2) loop over window ends for
+short blocks, and for longer ones a near-linear walk to the bridge between
+the lower hull of the prefix sums left of each point and the upper hull of
+those right of it.  :func:`maximal_profile` enumerates windows point by
+point and is only the oracle that the tests and the sweeps' spot checks
+compare the kernels against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterator
 
@@ -143,20 +148,35 @@ def maximal_profile(f: LatticeFunction) -> MaximalProfile:
     return MaximalProfile(f, (a, b), (a - 1, b + 1), values, True)
 
 
+# Block length from which the hull-bridge kernel beats the window-end loop;
+# both kernels cost about the same at 18-22 on CPython 3.11 (2-vCPU x86-64).
+_HULL_MIN_LENGTH = 20
+
+
 def window_maxima(u: list[int]) -> tuple[list[int], list[int]]:
     """Best window average at every position of a nonnegative integer block.
 
     Returns (numerators, window lengths): position t of ``u`` gets the
     largest sum(u[i..j]) / (j - i + 1) over windows i <= t <= j inside the
-    block.  For each window end j, a running best over starts i <= t is
-    folded into position t while t runs from 0 to j: O(m^2) integer steps
-    for a block of length m.  Ties keep the first pair found, so only the
-    ratio, not the pair, is determined.
+    block.  Blocks shorter than ``_HULL_MIN_LENGTH`` go to the O(m^2)
+    window-end loop :func:`_window_end_maxima`, longer ones to the
+    near-linear :func:`_hull_bridge_maxima`; the choice depends on the
+    length alone.  On ties the kernels may return different windows, so
+    only the ratio, not the (numerator, length) pair, is determined.
+    """
+    if len(u) < _HULL_MIN_LENGTH:
+        return _window_end_maxima(u)
+    return _hull_bridge_maxima(u)
+
+
+def _window_end_maxima(u: list[int]) -> tuple[list[int], list[int]]:
+    """:func:`window_maxima` in O(m^2) integer steps for a block of length m.
+
+    For each window end j, a running best over starts i <= t is folded into
+    position t while t runs from 0 to j.  Ties keep the first pair found.
     """
     m = len(u)
-    prefix = [0] * (m + 1)
-    for i, v in enumerate(u):
-        prefix[i + 1] = prefix[i] + v
+    prefix = list(accumulate(u, initial=0))
     best_num = [0] * m
     best_den = [1] * m
     for j in range(m):
@@ -174,14 +194,116 @@ def window_maxima(u: list[int]) -> tuple[list[int], list[int]]:
     return best_num, best_den
 
 
+def _hull_bridge_maxima(u: list[int]) -> tuple[list[int], list[int]]:
+    """:func:`window_maxima` by bridges between prefix-sum hulls.
+
+    With P the prefix sums, the best window at t is the steepest segment
+    from a point (i, P_i), i <= t, to a point (j, P_j), j >= t + 1.  Such a
+    segment is the bridge between the lower hull of the left points and the
+    upper hull of the right points: the line through it has every left
+    point on or above it and every right point on or below it, and a pair
+    with that property is optimal.  One monotone-chain pass each way
+    records, for every i, its left neighbour on the lower hull of points
+    0..i (``pred``) and, for every j, its right neighbour on the upper hull
+    of points j..m (``succ``); following these links walks any prefix or
+    suffix hull.  For each t the walk starts at (t, t + 1) and moves p along
+    its hull (left, or back right over the vertices it passed, which are
+    exactly the hull vertices right of it) and q along its hull while the
+    slope strictly increases.  Slope along a convex chain seen from a point
+    beyond it is unimodal, so when neither end can move both are tangent,
+    which is the bridge.  All comparisons are integer cross-multiplications.
+    Each walk is bounded by the hull sizes and is short in practice: on
+    CPython 3.11 (2-vCPU x86-64) a 514-point 0/1 block takes about 1 ms
+    against 17 ms for the loop, and 1026-point ramps, hills, squares and
+    alternating blocks about 2 ms against 80-120 ms.
+    """
+    m = len(u)
+    prefix = list(accumulate(u, initial=0))
+    pred = [-1] * (m + 1)
+    hull: list[int] = []
+    for i in range(m + 1):
+        y = prefix[i]
+        while len(hull) >= 2:
+            i1, i0 = hull[-1], hull[-2]
+            if (prefix[i1] - prefix[i0]) * (i - i1) < (y - prefix[i1]) * (i1 - i0):
+                break
+            hull.pop()                      # on or above the chord: not a vertex
+        if hull:
+            pred[i] = hull[-1]
+        hull.append(i)
+    succ = [-1] * (m + 1)
+    hull = []
+    for j in range(m, -1, -1):
+        y = prefix[j]
+        while len(hull) >= 2:
+            j1, j0 = hull[-1], hull[-2]
+            if (prefix[j1] - y) * (j0 - j1) > (prefix[j0] - prefix[j1]) * (j1 - j):
+                break
+            hull.pop()                      # on or below the chord: not a vertex
+        if hull:
+            succ[j] = hull[-1]
+        hull.append(j)
+
+    best_num = [0] * m
+    best_den = [1] * m
+    for t in range(m):
+        p, q = t, t + 1
+        yq = prefix[q]
+        num, den = yq - prefix[p], 1
+        passed_p: list[int] = []            # hull vertices right of p
+        passed_q: list[int] = []            # hull vertices left of q
+        first = True
+        while True:
+            moved = False
+            a = pred[p]
+            while a >= 0 and (yq - prefix[a]) * den > num * (q - a):
+                passed_p.append(p)
+                p, num, den = a, yq - prefix[a], q - a
+                a = pred[a]
+                moved = True
+            if not moved:
+                while passed_p:
+                    a = passed_p[-1]
+                    if (yq - prefix[a]) * den <= num * (q - a):
+                        break
+                    passed_p.pop()
+                    p, num, den = a, yq - prefix[a], q - a
+                    moved = True
+            if not (moved or first):
+                break                       # q was tangent already, now p is too
+            first = False
+            yp = prefix[p]
+            moved = False
+            b = succ[q]
+            while b >= 0 and (prefix[b] - yp) * den > num * (b - p):
+                passed_q.append(q)
+                q, num, den = b, prefix[b] - yp, b - p
+                b = succ[b]
+                moved = True
+            if not moved:
+                while passed_q:
+                    b = passed_q[-1]
+                    if (prefix[b] - yp) * den <= num * (b - p):
+                        break
+                    passed_q.pop()
+                    q, num, den = b, prefix[b] - yp, b - p
+                    moved = True
+            if not moved:
+                break                       # p was tangent already, now q is too
+            yq = prefix[q]
+        best_num[t] = num
+        best_den[t] = den
+    return best_num, best_den
+
+
 def maximal_profile_fast(f: LatticeFunction) -> MaximalProfile:
     """Bit-identical to :func:`maximal_profile`, by :func:`window_maxima`.
 
     The denominator-cleared |f| is padded with one zero on each side, so the
     block covers the window [a-1, b+1]; by the dilution argument every
-    maximizing window at those points lies inside it.  O(m^2) in the window
-    width m, against the cubic cost of enumerating every window at every
-    point.
+    maximizing window at those points lies inside it.  Near-linear in the
+    window width m for wide windows, against the cubic cost of enumerating
+    every window at every point.
     """
     if f.is_zero():
         raise ValueError("maximal profile of the zero function is undefined")

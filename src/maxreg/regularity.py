@@ -47,7 +47,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .lattice import IndexSet, LatticeFunction, central_second_difference
-from .maximal import MaximalProfile, window_maxima
+from .maximal import MaximalProfile, maximal_profile, window_maxima
 
 PLUS = "plus"
 MINUS = "minus"
@@ -62,6 +62,7 @@ __all__ = [
     "Violation",
     "Analysis",
     "analyze",
+    "audit_profile",
     "classify",
     "boundaries",
     "chains",
@@ -308,11 +309,32 @@ class Violation:
     details: dict
 
 
+def audit_profile(values: tuple[Fraction, ...], oracle: tuple[Fraction, ...],
+                  subject: dict) -> list[Violation]:
+    """Check a kernel profile on [a-1, b+1] against the oracle's profile.
+
+    ``[fast_path_divergence]`` carrying both profiles if they differ;
+    otherwise ``[tail_guarantee]`` if an edge value exceeds its inner
+    neighbour, which the hyperbola tails of :mod:`maxreg.maximal` rule out;
+    otherwise ``[]``.  Callers put the result first in their violations.
+    """
+    if values != oracle:
+        return [Violation("fast_path_divergence", subject,
+                          {"fast_profile": [str(v) for v in values],
+                           "oracle_profile": [str(v) for v in oracle]})]
+    if values[1] < values[0] or values[-2] < values[-1]:
+        return [Violation("tail_guarantee", subject,
+                          {"profile_values": [str(v) for v in values]})]
+    return []
+
+
 class Analysis(NamedTuple):
     """Everything the checks read about M chi_A, computed once, in integers.
 
     The window is [lo, hi] = [min A - 1, max A + 1].  ``denominator`` D is
-    the lcm of the denominators of M chi_A there, and ``scaled[i]`` is
+    a common denominator of M chi_A there, the lcm of the window lengths
+    the profile kernel returned; it depends on how the kernel breaks ties,
+    so only the rationals it scales are fixed.  ``scaled[i]`` is
     D * M chi_A(lo + i).  Fields marked "over D" are integers standing for
     themselves divided by D, so every sum and every contract comparison
     runs on `int`.  The indicator norms are exact counts of the maximal
@@ -368,16 +390,24 @@ class Analysis(NamedTuple):
                            Fraction(self.second_norm, d),
                            Fraction(self.second_norm, d * self.chi_second_norm))
 
-    def violations(self) -> list[Violation]:
+    def violations(self, oracle: tuple[Fraction, ...] | None = None,
+                   ) -> list[Violation]:
         """The set-level contract battery, in a fixed order; empty if all hold.
 
-        Theorem 1 ratio <= 3, ||chi''||_1 >= 2, Lemma 1, the boundary bound
-        dominating the second norm, and the variation of M chi_A not
-        exceeding ||chi'||_1.
+        First the profile audit (:func:`audit_profile`) against ``oracle``,
+        the naive profile, if given.  A negative tail term cannot come from
+        a correct kernel, so it runs the audit with the oracle computed
+        here.  Then Theorem 1 ratio <= 3, ||chi''||_1 >= 2, Lemma 1, the
+        boundary bound dominating the second norm, and the variation of
+        M chi_A not exceeding ||chi'||_1.
         """
         d = self.denominator
         subject = {"set": list(self.set.elements)}
+        if oracle is None and (self.left_tail < 0 or self.right_tail < 0):
+            oracle = maximal_profile(LatticeFunction.from_set(self.set)).values
         out: list[Violation] = []
+        if oracle is not None:
+            out = audit_profile(self.profile_values(), oracle, subject)
         if self.second_norm > 3 * self.chi_second_norm * d:
             record = self.ratio_record()
             out.append(Violation("theorem1_ratio", subject, {
@@ -410,10 +440,10 @@ class Analysis(NamedTuple):
 def analyze(a: IndexSet) -> Analysis:
     """Analyze the maximal function of the indicator of ``a`` in one pass.
 
-    The profile comes from the O(m^2) kernel
-    :func:`~maxreg.maximal.window_maxima`; the naive oracle
-    :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
-    checks and in the tests.  The norms follow the closed forms of
+    The profile comes from :func:`~maxreg.maximal.window_maxima`; the naive
+    oracle :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps'
+    spot checks, in the tests, and wherever a tail term comes out negative
+    (:meth:`Analysis.violations`).  The norms follow the closed forms of
     :func:`second_norm`, :func:`funeq_rhs` and :func:`first_derivative_norms`.
     """
     if not a:
@@ -435,8 +465,6 @@ def analyze(a: IndexSet) -> Analysis:
 
     left_tail = v[1] - v[0]
     right_tail = v[m - 2] - v[m - 1]
-    if left_tail < 0 or right_tail < 0:
-        raise RuntimeError("outside-class guarantee violated: negative tail sum")
     blocks = sum([chi[i] > chi[i - 1] for i in range(1, m - 1)])    # block starts
     return Analysis(
         set=a,

@@ -21,7 +21,8 @@ Every checked set runs the full contract battery of its
 boundary-bound domination, first-derivative domination, indicator norm
 lower bound).  Every 512th instance of every sweep, set or function, is
 also re-profiled by the naive oracle :func:`~maxreg.maximal.maximal_profile`,
-and a mismatch is a ``fast_path_divergence`` violation.  Any
+and so is every instance whose profile has a negative tail term; a mismatch
+is a ``fast_path_divergence`` violation, ahead of all others.  Any
 failure halts the sweep and is serialized in full: a violation is either an
 artifact bug or a finding, never noise to skip.  Sweeps are chunked with a
 fixed chunk size, and chunk results are reduced in submission order with a
@@ -45,6 +46,7 @@ from .regularity import (
     RatioRecord,
     Violation,
     analyze,
+    audit_profile,
     funeq_rhs,
     second_norm,
 )
@@ -114,32 +116,16 @@ class TruncatedScan:
 # Per-instance contract battery
 # ---------------------------------------------------------------------------
 
-def _spot_check(f: LatticeFunction, values: tuple[Fraction, ...],
-                subject: dict) -> list[Violation]:
-    """``[fast_path_divergence]`` if ``values`` is not the naive oracle's
-    profile of ``f``, else ``[]``."""
-    oracle = maximal_profile(f).values
-    if values == oracle:
-        return []
-    return [Violation("fast_path_divergence", subject,
-                      {"fast_profile": [str(v) for v in values],
-                       "oracle_profile": [str(v) for v in oracle]})]
-
-
 def _check_set_instance(a: IndexSet, spot_check: bool,
                         ) -> tuple[RatioRecord, list[Violation]]:
     """Run every set-level contract on one set, from a single analysis.
 
-    With ``spot_check`` the profile is also checked against the oracle
-    (:func:`_spot_check`); a divergence comes first.
+    With ``spot_check`` the profile is also audited against the oracle
+    (:func:`~maxreg.regularity.audit_profile`); a divergence comes first.
     """
     analysis = analyze(a)
-    violations = analysis.violations()
-    if spot_check:
-        violations[:0] = _spot_check(LatticeFunction.from_set(a),
-                                     analysis.profile_values(),
-                                     {"set": list(a.elements)})
-    return analysis.ratio_record(), violations
+    oracle = maximal_profile(LatticeFunction.from_set(a)).values if spot_check else None
+    return analysis.ratio_record(), analysis.violations(oracle)
 
 
 def _better(old: RatioRecord | None, new: RatioRecord) -> RatioRecord:
@@ -299,8 +285,11 @@ def _check_function_instance(values: tuple[int, ...], spot_check: bool,
     """Boundary-bound checks and the norm ratio for one integer-valued draw.
 
     The ratio is recorded for exploration only: no analogue of the indicator
-    bound is asserted for general functions.  With ``spot_check`` the
-    profile is also checked against the oracle; a divergence comes first.
+    bound is asserted for general functions.  With ``spot_check``, or when
+    a tail term of the profile is negative, the profile is also audited
+    against the oracle (:func:`~maxreg.regularity.audit_profile`) and the
+    result comes first.  A negative tail leaves the maximal norms without
+    their tail guarantee, so no record is returned for it.
     """
     f = LatticeFunction.make(0, values)
     gf = AnalyzedFunction.from_lattice(f)
@@ -319,8 +308,12 @@ def _check_function_instance(values: tuple[int, ...], spot_check: bool,
         }))
 
     profile = maximal_profile_fast(f)
-    if spot_check:
-        violations[:0] = _spot_check(f, profile.values, subject)
+    v = profile.values
+    negative_tail = v[1] < v[0] or v[-2] < v[-1]
+    if spot_check or negative_tail:
+        violations[:0] = audit_profile(v, maximal_profile(f).values, subject)
+    if negative_tail:
+        return None, violations
     gm = AnalyzedFunction.from_profile(profile)
     max_norm = second_norm(gm)
     max_rhs = funeq_rhs(gm)
@@ -355,12 +348,13 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     for t in range(trials):
         values = tuple(rng.randint(-value_bound, value_bound) for _ in range(length))
         record, found = _check_function_instance(values, checked % _SPOT_EVERY == 0)
-        if record is None:
+        if record is None and not found:
             continue
         checked += 1
-        ratios.append(record.ratio)
-        if best is None or record.ratio > best.ratio:
-            best = record
+        if record is not None:
+            ratios.append(record.ratio)
+            if best is None or record.ratio > best.ratio:
+                best = record
         if found:
             violations = tuple(found)
             break

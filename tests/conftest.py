@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+import maxreg.maximal as maximal
 import maxreg.regularity as regularity
 from maxreg import IndexSet, LatticeFunction, maximal_at
 
@@ -141,6 +142,24 @@ def corrupt_singleton_kernel(monkeypatch):
         return real(u)
 
     monkeypatch.setattr(regularity, "window_maxima", corrupted)
+
+
+def lift_first_value(monkeypatch, skip: int = 0):
+    """Make every profile kernel call after the first ``skip`` add 1 to its
+    first value, which lifts the left edge above its neighbour."""
+    real = maximal.window_maxima
+    calls = 0
+
+    def lifted(u):
+        nonlocal calls
+        nums, dens = real(u)
+        calls += 1
+        if calls > skip:
+            nums = [nums[0] + dens[0]] + nums[1:]
+        return nums, dens
+
+    monkeypatch.setattr(regularity, "window_maxima", lifted)
+    monkeypatch.setattr(maximal, "window_maxima", lifted)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import maxreg.search as search
 from maxreg import IndexSet, SetLiteralError, Violation, canonical_set_literal, parse_set_literal
 from maxreg.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
-from conftest import corrupt_singleton_kernel, random_index_set
+from conftest import corrupt_singleton_kernel, lift_first_value, random_index_set
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +229,29 @@ def test_fast_path_divergence_exit_code(capsys, monkeypatch):
     assert main(["exhaust", "3", "--format", "json"]) == EXIT_VIOLATION
     data = json.loads(capsys.readouterr().out)
     assert [v["kind"] for v in data["violations"]] == ["fast_path_divergence"]
+
+
+def test_negative_tail_in_a_sweep_is_a_divergence(capsys, monkeypatch):
+    # {0} is spot-checked and clean; {0, 1} is not spot-checked, and its
+    # lifted edge gives a negative tail term, which calls in the oracle.
+    lift_first_value(monkeypatch, skip=1)
+    assert main(["exhaust", "3", "--format", "json"]) == EXIT_VIOLATION
+    data = json.loads(capsys.readouterr().out)
+    assert data["instances_checked"] == 2
+    first = data["violations"][0]
+    assert first["kind"] == "fast_path_divergence"
+    assert first["subject"] == {"set": [0, 1]}
+    assert first["details"]["fast_profile"][0] == "5/3"
+    assert first["details"]["oracle_profile"][0] == "2/3"
+
+
+def test_negative_tail_in_a_report_is_a_divergence(capsys, monkeypatch):
+    lift_first_value(monkeypatch)
+    assert main(["report", "0,2", "--format", "json"]) == EXIT_VIOLATION
+    assert json.loads(capsys.readouterr().out)["profile_values"][0] == "3/2"
+    assert main(["report", "0,2"]) == EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert err.startswith("contract violated: fast_path_divergence")
 
 
 def test_nonpositive_workers_is_a_usage_error(capsys):

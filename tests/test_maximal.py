@@ -12,7 +12,9 @@ from maxreg import (
     maximal_at,
     maximal_profile,
     maximal_profile_fast,
+    window_maxima,
 )
+from maxreg.maximal import _HULL_MIN_LENGTH, _hull_bridge_maxima, _window_end_maxima
 
 from conftest import as_dict, oracle_maximal_at, random_function, random_index_set
 
@@ -143,7 +145,7 @@ def test_fast_equals_naive_on_examples():
 def test_fast_equals_naive_randomized():
     rng = random.Random(109)
     for _ in range(150):
-        f = random_function(rng, 24, 8, offset_range=5)
+        f = random_function(rng, 48, 8, offset_range=5)
         if f.is_zero():
             continue
         assert maximal_profile_fast(f) == maximal_profile(f)
@@ -152,7 +154,7 @@ def test_fast_equals_naive_randomized():
 def test_fast_equals_naive_on_rational_values():
     rng = random.Random(113)
     for _ in range(80):
-        length = rng.randint(1, 16)
+        length = rng.randint(1, 48)
         vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                 for _ in range(length)]
         f = LatticeFunction.make(rng.randint(-4, 4), vals)
@@ -164,11 +166,85 @@ def test_fast_equals_naive_on_rational_values():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(-30, 30),
        st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
-                min_size=1, max_size=24))
+                min_size=1, max_size=48))
 def test_fast_equals_naive_property(offset, values):
     f = LatticeFunction.make(offset, values)
     if not f.is_zero():
         assert maximal_profile_fast(f) == maximal_profile(f)
+
+
+# ---------------------------------------------------------------------------
+# profile kernels on both sides of the length switch
+# ---------------------------------------------------------------------------
+
+def same_ratios(got, want) -> bool:
+    """Equal window averages at every position; the windows may differ on ties."""
+    (nums, dens), (want_nums, want_dens) = got, want
+    return len(nums) == len(dens) == len(want_nums) and all(
+        n * wd == wn * d for n, d, wn, wd in zip(nums, dens, want_nums, want_dens))
+
+
+def test_window_maxima_switches_kernel_on_length_alone():
+    assert 8 < _HULL_MIN_LENGTH < 64
+    short = [0, 1, 0, 1, 1, 0]
+    long = short * 20
+    assert window_maxima(short) == _window_end_maxima(short)
+    assert window_maxima(long) == _hull_bridge_maxima(long)
+
+
+def test_kernels_agree_on_every_binary_block():
+    for length in range(1, 15):
+        for mask in range(1 << length):
+            u = [(mask >> i) & 1 for i in range(length)]
+            reference = _window_end_maxima(u)
+            assert same_ratios(_hull_bridge_maxima(u), reference), u
+
+
+@st.composite
+def plateau_blocks(draw, max_width: int = 300):
+    """Nonnegative integer blocks built from runs: plateaus, spikes and ties."""
+    level = st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 1000))
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 40)), min_size=1, max_size=40))
+    return [v for v, n in runs for _ in range(n)][:max_width]
+
+
+@settings(max_examples=150, deadline=None)
+@given(plateau_blocks())
+def test_kernels_match_the_loop_and_the_oracle(u):
+    reference = _window_end_maxima(u)
+    for kernel in (_hull_bridge_maxima, window_maxima):
+        assert same_ratios(kernel(u), reference)
+    f = LatticeFunction.make(0, u)
+    if len(u) <= 64 and not f.is_zero():
+        # Zeros beyond the block only dilute, so the block's window maxima
+        # are M f itself wherever the oracle's window meets the block.
+        nums, dens = reference
+        for n, v in maximal_profile(f).points():
+            if 0 <= n < len(u):
+                assert Fraction(nums[n], dens[n]) == v
+
+
+def adversarial_blocks(m: int = 1024) -> dict[str, list[int]]:
+    half = m // 2
+    shapes = {
+        "ramp_up": list(range(m)),
+        "ramp_down": list(range(m, 0, -1)),
+        "hill": [min(i, m - i) for i in range(m)],
+        "valley": [abs(i - half) for i in range(m)],
+        "all_ones": [1] * m,
+        "alternating": [i % 2 for i in range(m)],
+        "squares": [i * i for i in range(m)],
+        "squares_down": [(m - i) ** 2 for i in range(m)],
+        "spikes": [1000 if i % 97 == 0 else i % 3 for i in range(m)],
+    }
+    return {name: [0] + u + [0] for name, u in shapes.items()}
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_blocks()))
+def test_hull_kernel_on_adversarial_shapes(name):
+    u = adversarial_blocks()[name]
+    assert len(u) == 1026
+    assert same_ratios(_hull_bridge_maxima(u), _window_end_maxima(u))
 
 
 # ---------------------------------------------------------------------------

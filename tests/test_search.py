@@ -24,6 +24,7 @@ from maxreg import (
 from conftest import (
     corrupt_singleton_kernel,
     index_sets,
+    lift_first_value,
     oracle_scan_bracket,
     random_index_set,
 )
@@ -267,6 +268,28 @@ def test_function_sweep_divergence_is_a_violation(monkeypatch):
     assert set(v.details) == {"fast_profile", "oracle_profile"}
     assert [Fraction(x) for x in v.details["fast_profile"]] == \
         [2 * Fraction(x) for x in v.details["oracle_profile"]]
+
+
+def test_function_sweep_negative_tail_is_a_divergence(monkeypatch):
+    # The first draw is spot-checked and clean; the second is not, and its
+    # lifted edge gives a negative tail term, which calls in the oracle.
+    lift_first_value(monkeypatch, skip=1)
+    s = random_functions(3, 6, 3, 1)
+    assert s.instances_checked == 2
+    assert [v.kind for v in s.violations] == ["fast_path_divergence"]
+    fast, oracle = (s.violations[0].details[k] for k in ("fast_profile", "oracle_profile"))
+    assert Fraction(fast[0]) == Fraction(oracle[0]) + 1
+    assert fast[1:] == oracle[1:]
+
+
+def test_negative_tail_without_divergence_is_a_violation(monkeypatch):
+    # If the oracle agreed with a negative tail, the hyperbola-tail
+    # guarantee itself would be false: that too is a violation, not a pass.
+    lift_first_value(monkeypatch)
+    an = analyze(IndexSet.from_iterable([0, 2]))
+    lifted = an.profile_values()
+    kinds = [v.kind for v in an.violations(oracle=lifted)]
+    assert kinds[0] == "tail_guarantee"
 
 
 # ---------------------------------------------------------------------------
