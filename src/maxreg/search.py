@@ -3,8 +3,9 @@
 Three probes of how far the second-difference bound might extend:
 
 * :func:`exhaustive` - every nonempty subset of [0, L), canonicalized by
-  translation to sets containing 0 (the maximal operator commutes with
-  translation, so one representative per class suffices);
+  translation to sets containing 0 and by reflection to one set per mirror
+  pair (the maximal operator commutes with both, so one representative per
+  class suffices);
 * :func:`random_sets` / :func:`random_functions` - seeded pseudorandom
   sweeps; the generator is Python's Mersenne Twister (``random.Random``),
   which is stable across platforms for a fixed integer seed, and its
@@ -22,11 +23,15 @@ boundary-bound domination, first-derivative domination, indicator norm
 lower bound).  Every 512th instance of every sweep, set or function, is
 also re-profiled by the naive oracle :func:`~maxreg.maximal.maximal_profile`,
 and so is every instance whose profile has a negative tail term; a mismatch
-is a ``fast_path_divergence`` violation, ahead of all others.  Any
-failure halts the sweep and is serialized in full: a violation is either an
-artifact bug or a finding, never noise to skip.  Sweeps are chunked with a
-fixed chunk size, and chunk results are reduced in submission order with a
-smallest-bitmask tie-break, so summaries are identical for any worker count.
+is a ``fast_path_divergence`` violation, ahead of all others.  In
+:func:`exhaustive` an instance is a translation class, checked or not: a
+class skipped for its mirror is audited through the mirror's profile read
+backwards.  Any failure halts the sweep and is serialized in full: a
+violation is either an artifact bug or a finding, never noise to skip.
+Sweeps are chunked with a fixed chunk size, folded in integers (ratios
+compared by cross-multiplying), and chunk results are reduced in
+submission order with a smallest-bitmask tie-break, so summaries are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from typing import Callable, Sequence
 from .lattice import IndexSet, LatticeFunction
 from .maximal import maximal_profile, maximal_profile_fast, window_maxima
 from .regularity import (
+    Analysis,
     AnalyzedFunction,
     RatioRecord,
     Violation,
@@ -117,7 +123,7 @@ class TruncatedScan:
 # ---------------------------------------------------------------------------
 
 def _check_set_instance(a: IndexSet, spot_check: bool,
-                        ) -> tuple[RatioRecord, list[Violation]]:
+                        ) -> tuple[Analysis, list[Violation]]:
     """Run every set-level contract on one set, from a single analysis.
 
     With ``spot_check`` the profile is also audited against the oracle
@@ -125,7 +131,25 @@ def _check_set_instance(a: IndexSet, spot_check: bool,
     """
     analysis = analyze(a)
     oracle = maximal_profile(LatticeFunction.from_set(a)).values if spot_check else None
-    return analysis.ratio_record(), analysis.violations(oracle)
+    return analysis, analysis.violations(oracle)
+
+
+def _mirror(mask: int) -> int:
+    """Bitmask of the reflected set of an odd mask: bit i goes to bit span - i."""
+    return int(f"{mask:b}"[::-1], 2)
+
+
+def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
+    """Oracle audit of the set of ``mask``, which the sweep skips for ``mirror``.
+
+    The kernel profile of the mirror set, read backwards, must equal the
+    oracle profile of the set itself; this also audits the reflection
+    shortcut.
+    """
+    a = IndexSet.from_mask(mask)
+    values = analyze(IndexSet.from_mask(mirror)).profile_values()[::-1]
+    oracle = maximal_profile(LatticeFunction.from_set(a)).values
+    return audit_profile(values, oracle, {"set": list(a.elements)})
 
 
 def _better(old: RatioRecord | None, new: RatioRecord) -> RatioRecord:
@@ -135,32 +159,63 @@ def _better(old: RatioRecord | None, new: RatioRecord) -> RatioRecord:
     return old
 
 
+def _beats(new: tuple, old: tuple | None) -> bool:
+    """Integer form of :func:`_better` on (norm over D, D * ||chi''||_1, analysis):
+    the ratio is the first over the second, compared by cross-multiplying."""
+    return old is None or new[0] * old[1] > old[0] * new[1]
+
+
 @dataclass
 class _ChunkResult:
-    count: int = 0
+    count: int = 0                      # translation classes covered
+    evaluated: int = 0                  # sets analysed
     best: RatioRecord | None = None
     max_by_span: dict = field(default_factory=dict)
-    min_chi_norm: Fraction | None = None
+    min_chi_norm: int | None = None
     violations: tuple[Violation, ...] = ()
 
 
 def _check_mask_chunk(args: tuple) -> _ChunkResult:
-    masks, base_index = args
+    """Check a chunk of masks in order and fold it in integers.
+
+    ``mirrored`` chunks hold odd masks and skip each mask whose mirror is
+    smaller, auditing it if due (:func:`exhaustive`).  Records are built
+    once, for the winners left at the end of the chunk.
+    """
+    masks, base_index, mirrored = args
     out = _ChunkResult()
+    best = None
+    by_span: dict[int, tuple] = {}
     for i, mask in enumerate(masks):
-        a = IndexSet.from_mask(mask)
         spot = (base_index + i) % _SPOT_EVERY == 0
-        record, violations = _check_set_instance(a, spot)
-        out.count += 1
-        out.best = _better(out.best, record)
-        span = a.max() - a.min()
-        prev = out.max_by_span.get(span)
-        out.max_by_span[span] = _better(prev, record)
-        if out.min_chi_norm is None or record.chi_second_norm < out.min_chi_norm:
-            out.min_chi_norm = record.chi_second_norm
+        classes = 1
+        if mirrored:
+            mirror = _mirror(mask)
+            if mirror < mask:
+                if spot:
+                    out.violations = tuple(_audit_mirror(mask, mirror))
+                    if out.violations:
+                        break
+                continue
+            classes = 1 if mirror == mask else 2
+        analysis, violations = _check_set_instance(IndexSet.from_mask(mask), spot)
+        out.count += classes
+        out.evaluated += 1
+        chi = analysis.chi_second_norm
+        entry = (analysis.second_norm, analysis.denominator * chi, analysis)
+        if _beats(entry, best):
+            best = entry
+        span = mask.bit_length() - (mask & -mask).bit_length()
+        if _beats(entry, by_span.get(span)):
+            by_span[span] = entry
+        if out.min_chi_norm is None or chi < out.min_chi_norm:
+            out.min_chi_norm = chi
         if violations:
             out.violations = tuple(violations)
             break
+    if best is not None:
+        out.best = best[2].ratio_record()
+    out.max_by_span = {span: entry[2].ratio_record() for span, entry in by_span.items()}
     return out
 
 
@@ -172,6 +227,7 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
 
     def fold(res: _ChunkResult) -> bool:
         merged.count += res.count
+        merged.evaluated += res.evaluated
         if res.best is not None:
             merged.best = _better(merged.best, res.best)
         for span, rec in res.max_by_span.items():
@@ -196,6 +252,12 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
     return merged
 
 
+def _set_stats(merged: _ChunkResult) -> dict:
+    norm = merged.min_chi_norm
+    return {"max_by_span": dict(sorted(merged.max_by_span.items())),
+            "min_chi_second_norm": None if norm is None else Fraction(norm)}
+
+
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -206,7 +268,17 @@ def exhaustive(length: int, workers: int = 1,
 
     Only sets containing 0 are enumerated (odd bitmasks): every nonempty
     subset of [0, L) is the translate of exactly one of them, and all checked
-    quantities are translation invariant.
+    quantities are translation invariant.  They are reflection invariant
+    too, and the reflected set of an odd mask is the odd mask with its bits
+    reversed, so only the smaller mask of each mirror pair is analysed
+    (``stats["sets_evaluated"]``, 8,383 at L = 15).  It counts for two
+    classes, or for one if it is a palindrome, so ``instances_checked`` is
+    still 2^(L-1).  Masks are visited in ascending order and the larger
+    mask of a pair never beats the smaller, so the records, the tie-breaks
+    and the first violation are those of a sweep over every class.  The
+    oracle audits the classes ``mask >> 1`` = 0 mod 512 whether analysed
+    or skipped; a skipped one is compared with its mirror's kernel profile,
+    reversed.
     """
     if not 1 <= length <= 24:
         raise ValueError("length must be in [1, 24]")
@@ -214,7 +286,7 @@ def exhaustive(length: int, workers: int = 1,
         raise ValueError("workers must be at least 1")
     masks = range(1, 1 << length, 2)
     total = len(masks)
-    chunk_args = [(masks[i:i + _CHUNK], i) for i in range(0, total, _CHUNK)]
+    chunk_args = [(masks[i:i + _CHUNK], i, True) for i in range(0, total, _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, total)
     return SearchSummary(
         instances_checked=merged.count,
@@ -225,11 +297,11 @@ def exhaustive(length: int, workers: int = 1,
             "length": length,
             "workers": workers,
             "oracle_spot_check_every": _SPOT_EVERY,
-            "canonicalization": "translation (sets containing 0)",
+            "canonicalization": "translation and reflection (sets containing 0, "
+                                "the smaller mask of each mirror pair)",
             "raw_set_count": (1 << length) - 1,
         },
-        stats={"max_by_span": dict(sorted(merged.max_by_span.items())),
-               "min_chi_second_norm": merged.min_chi_norm},
+        stats={**_set_stats(merged), "sets_evaluated": merged.evaluated},
     )
 
 
@@ -243,6 +315,8 @@ def random_sets(trials: int, length: int, density, seed: int,
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if length < 1:
+        raise ValueError("length must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     density = Fraction(density)
@@ -258,7 +332,8 @@ def random_sets(trials: int, length: int, density, seed: int,
                 mask |= 1 << i
         if mask:
             masks.append(mask)
-    chunk_args = [(tuple(masks[i:i + _CHUNK]), i) for i in range(0, len(masks), _CHUNK)]
+    chunk_args = [(tuple(masks[i:i + _CHUNK]), i, False)
+                  for i in range(0, len(masks), _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, len(masks))
     return SearchSummary(
         instances_checked=merged.count,
@@ -274,9 +349,7 @@ def random_sets(trials: int, length: int, density, seed: int,
             "workers": workers,
             "oracle_spot_check_every": _SPOT_EVERY,
         },
-        stats={"empty_draws_skipped": trials - len(masks),
-               "max_by_span": dict(sorted(merged.max_by_span.items())),
-               "min_chi_second_norm": merged.min_chi_norm},
+        stats={"empty_draws_skipped": trials - len(masks), **_set_stats(merged)},
     )
 
 
@@ -338,6 +411,8 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if length < 1:
+        raise ValueError("length must be at least 1")
     if value_bound < 1:
         raise ValueError("value_bound must be a positive integer")
     rng = random.Random(seed)

@@ -260,6 +260,12 @@ def test_nonpositive_workers_is_a_usage_error(capsys):
     assert main(["random", "5", "8", "1/2", "1", "--workers", "-2"]) == EXIT_USAGE
 
 
+def test_nonpositive_random_length_is_a_usage_error(capsys):
+    for length in ("0", "-3"):
+        assert main(["random", "5", length, "1/2", "1"]) == EXIT_USAGE
+        assert "length must be at least 1" in capsys.readouterr().err
+
+
 def test_usage_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["exhaust"])          # missing required argument

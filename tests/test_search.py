@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxreg.maximal as maximal
+import maxreg.regularity as regularity
 import maxreg.search as search
 from maxreg import (
     GENERATOR_ID,
@@ -22,6 +23,7 @@ from maxreg import (
 )
 
 from conftest import (
+    as_dict,
     corrupt_singleton_kernel,
     index_sets,
     lift_first_value,
@@ -74,6 +76,50 @@ def test_exhaustive_worker_count_is_irrelevant():
     s1 = exhaustive(9, workers=1)
     s2 = exhaustive(9, workers=2)
     assert result_fields(s1) == result_fields(s2)
+    # four chunks: the ordered reduction across chunks, and mirror pairs
+    # whose two masks fall in different chunks
+    s1 = exhaustive(14, workers=1)
+    s2 = exhaustive(14, workers=2)
+    assert s1.instances_checked > 2 * search._CHUNK
+    assert result_fields(s1) == result_fields(s2)
+
+
+def test_exhaustive_oracle_audits_the_same_classes(monkeypatch):
+    real, audited = search.maximal_profile, []
+
+    def counted(f):
+        audited.append(IndexSet.from_iterable(as_dict(f)))
+        return real(f)
+
+    monkeypatch.setattr(search, "maximal_profile", counted)
+    s = exhaustive(15)
+    assert not s.violations
+    assert s.stats["sets_evaluated"] == 8383
+    # the classes mask >> 1 = 0 mod 512, half of them skipped for their mirror
+    assert audited == [IndexSet.from_mask(2 * i + 1) for i in range(0, 1 << 14, 512)]
+    assert sum(search._mirror(a.bits) < a.bits for a in audited) > 0
+
+
+def test_mirror_audit_reads_the_checked_profile_backwards(monkeypatch):
+    # Lower M(2) of {0, 1, 3} from 3/4 to 2/3: the battery of {0, 1, 3}
+    # still passes, and only the audit of its skipped mirror {0, 2, 3}
+    # (mask 13, class 6) sees the corrupted kernel output.
+    real = regularity.window_maxima
+
+    def corrupted(u):
+        nums, dens = real(u)
+        if u == [0, 1, 1, 0, 1, 0]:
+            nums, dens = nums[:3] + [2] + nums[4:], dens[:3] + [3] + dens[4:]
+        return nums, dens
+
+    monkeypatch.setattr(regularity, "window_maxima", corrupted)
+    monkeypatch.setattr(search, "_SPOT_EVERY", 6)    # classes 0 and 6
+    assert not exhaustive(3).violations
+    s = exhaustive(4)
+    assert [v.kind for v in s.violations] == ["fast_path_divergence"]
+    assert s.violations[0].subject == {"set": [0, 2, 3]}
+    assert s.violations[0].details["fast_profile"][2] == "2/3"
+    assert s.violations[0].details["oracle_profile"][2] == "3/4"
 
 
 def test_exhaustive_fast_equals_naive(monkeypatch):
@@ -88,6 +134,8 @@ def test_exhaustive_fast_equals_naive(monkeypatch):
     monkeypatch.setattr(search, "_SPOT_EVERY", 1)   # every set against the oracle
     s2 = exhaustive(8)
     assert len(oracle_sets) == s2.instances_checked == 128
+    assert {f.support_min() for f in oracle_sets} == {0}
+    assert len({f.values for f in oracle_sets}) == 128     # each class once
     assert s2.parameters["oracle_spot_check_every"] == 1
     assert not s2.violations
     assert result_fields(s1) == result_fields(s2)
@@ -107,6 +155,32 @@ def test_exhaustive_clean_and_monotone_in_length():
         assert not s.violations
         assert s.max_record.ratio >= best
         best = s.max_record.ratio
+
+
+def translation_class_sweep(length):
+    """Every odd mask through ``analyze``, folded with Fractions."""
+    best, by_span, min_chi = None, {}, None
+    for mask in range(1, 1 << length, 2):
+        record = analyze(IndexSet.from_mask(mask)).ratio_record()
+        if best is None or record.ratio > best.ratio:
+            best = record
+        span = mask.bit_length() - 1
+        if span not in by_span or record.ratio > by_span[span].ratio:
+            by_span[span] = record
+        if min_chi is None or record.chi_second_norm < min_chi:
+            min_chi = record.chi_second_norm
+    return 1 << (length - 1), best, dict(sorted(by_span.items())), min_chi
+
+
+def test_exhaustive_mirror_pairs_equal_a_translation_class_sweep():
+    for length in range(1, 12):
+        s = exhaustive(length)
+        assert (s.instances_checked, s.max_record, s.stats["max_by_span"],
+                s.stats["min_chi_second_norm"]) == translation_class_sweep(length)
+        palindromes = sum(f"{m:b}" == f"{m:b}"[::-1] for m in range(1, 1 << length, 2))
+        assert s.stats["sets_evaluated"] == (s.instances_checked + palindromes) // 2
+    assert exhaustive(4).parameters["canonicalization"].startswith(
+        "translation and reflection")
 
 
 def test_exhaustive_max_by_span_consistent():
@@ -162,6 +236,10 @@ def test_random_sets_worker_count_is_irrelevant():
     s1 = random_sets(80, 10, Fraction(1, 2), 9, workers=1)
     s2 = random_sets(80, 10, Fraction(1, 2), 9, workers=2)
     assert result_fields(s1) == result_fields(s2)
+    s1 = random_sets(4500, 10, Fraction(1, 2), 9, workers=1)
+    s2 = random_sets(4500, 10, Fraction(1, 2), 9, workers=2)
+    assert s1.instances_checked > 2 * search._CHUNK        # three chunks
+    assert result_fields(s1) == result_fields(s2)
 
 
 def test_random_sets_validation():
@@ -171,6 +249,9 @@ def test_random_sets_validation():
         random_sets(10, 8, Fraction(1), 1)
     with pytest.raises(ValueError):
         random_sets(-1, 8, Fraction(1, 2), 1)
+    for length in (0, -3):
+        with pytest.raises(ValueError, match="length"):
+            random_sets(5, length, Fraction(1, 2), 1)
 
 
 def test_random_sets_clean_sweep():
@@ -215,6 +296,9 @@ def test_random_functions_validation():
         random_functions(10, 8, 0, 1)
     with pytest.raises(ValueError):
         random_functions(-2, 8, 2, 1)
+    for length in (0, -3):
+        with pytest.raises(ValueError, match="length"):
+            random_functions(5, length, 2, 1)
 
 
 # ---------------------------------------------------------------------------
