@@ -8,6 +8,7 @@ is a major finding or an artifact bug and must not look like success).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -18,10 +19,8 @@ from .regularity import analyze
 from .reporting import (
     SCHEMA_VERSION,
     Report,
-    SetLiteralError,
     analysis_csv,
     canonical_set_literal,
-    frac_str,
     parse_set_literal,
     render_report_json,
     render_report_text,
@@ -50,27 +49,19 @@ def _record_dict(record) -> dict | None:
     if record is None:
         return None
     if isinstance(record, GeneralRatioRecord):
-        return {
-            "offset": record.offset,
-            "values": list(record.function_values),
-            "source_second_norm": frac_str(record.source_second_norm),
-            "max_second_norm": frac_str(record.max_second_norm),
-            "ratio": frac_str(record.ratio),
-        }
-    return {
-        "set": list(record.set.elements),
-        "chi_second_norm": frac_str(record.chi_second_norm),
-        "max_second_norm": frac_str(record.max_second_norm),
-        "ratio": frac_str(record.ratio),
-    }
+        head = {"offset": record.offset, "values": list(record.function_values),
+                "source_second_norm": str(record.source_second_norm)}
+    else:
+        head = {"set": list(record.set.elements),
+                "chi_second_norm": str(record.chi_second_norm)}
+    return {**head, "max_second_norm": str(record.max_second_norm),
+            "ratio": str(record.ratio)}
 
 
 def _stat_value(key: str, value):
     if key == "max_by_span":
         return {str(span): _record_dict(rec) for span, rec in value.items()}
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    return value
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def summary_to_dict(summary: SearchSummary) -> dict:
@@ -92,31 +83,25 @@ def summary_text(summary: SearchSummary) -> str:
     if record is None:
         lines.append("max record         none (no instances)")
     elif isinstance(record, GeneralRatioRecord):
-        lines.append(f"max ratio          {frac_str(record.ratio)} "
+        lines.append(f"max ratio          {record.ratio} "
                      f"at f={list(record.function_values)} (offset {record.offset})")
     else:
-        lines.append(f"max ratio          {frac_str(record.ratio)} "
+        lines.append(f"max ratio          {record.ratio} "
                      f"at {{{canonical_set_literal(record.set)}}}")
     by_span = summary.stats.get("max_by_span")
     if by_span and summary.parameters.get("mode") == "exhaustive":
         best = None
         for length in range(1, summary.parameters["length"] + 1):
-            for span, rec in by_span.items():
-                if span <= length - 1:
-                    best = rec if best is None or rec.ratio > best.ratio else best
+            rec = by_span.get(length - 1)       # the one span that length adds
+            best = rec if best is None or (rec and rec.ratio > best.ratio) else best
             if best is not None:
-                lines.append(f"  L={length:<2d} max ratio {frac_str(best.ratio)} "
+                lines.append(f"  L={length:<2d} max ratio {best.ratio} "
                              f"at {{{canonical_set_literal(best.set)}}}")
-    for key, value in summary.stats.items():
-        if key in ("max_by_span",):
-            continue
-        lines.append(f"{key:<18} {value}")
-    if summary.violations:
-        lines.append(f"VIOLATIONS         {len(summary.violations)}")
-        for v in summary.violations:
-            lines.append(f"  {v.kind}: {json.dumps(v.subject)} {json.dumps(v.details)}")
-    else:
-        lines.append("violations         none")
+    lines += [f"{key:<18} {value}" for key, value in summary.stats.items()
+              if key != "max_by_span"]
+    violations = summary.violations
+    lines.append(f"VIOLATIONS         {len(violations)}" if violations else "violations         none")
+    lines += [f"  {v.kind}: {json.dumps(v.subject)} {json.dumps(v.details)}" for v in violations]
     lines.append(f"parameters         {json.dumps(summary.parameters)}")
     return "\n".join(lines)
 
@@ -128,8 +113,8 @@ def scan_to_dict(scan: TruncatedScan) -> dict:
         "set": list(scan.set.elements),
         "order": scan.order,
         "truncation": scan.truncation,
-        "value": frac_str(scan.value),
-        "truncated_value": frac_str(scan.truncated_value),
+        "value": str(scan.value),
+        "truncated_value": str(scan.truncated_value),
     }
 
 
@@ -138,8 +123,8 @@ def scan_text(scan: TruncatedScan) -> str:
         f"set              {{{canonical_set_literal(scan.set)}}}",
         f"order            {scan.order}",
         f"truncation       {scan.truncation}",
-        f"value            {frac_str(scan.value)}",
-        f"truncated value  {frac_str(scan.truncated_value)}",
+        f"value            {scan.value}",
+        f"truncated value  {scan.truncated_value}",
         "value sums over all of Z, truncated value over [-T, T]",
     ])
 
@@ -159,10 +144,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(analysis_csv(analysis))
     elif args.format == "json":
-        print(render_report_json(Report.from_analysis(analysis)))
+        print(render_report_json(Report(analysis)))
     else:
-        print(render_report_text(Report.from_analysis(analysis),
-                                 paper_accounting=args.paper_accounting))
+        print(render_report_text(Report(analysis), paper_accounting=args.paper_accounting))
     violated = [v.kind for v in analysis.violations()]
     if violated:
         print(f"contract violated: {', '.join(violated)}", file=sys.stderr)
@@ -191,8 +175,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    a = parse_set_literal(args.set)
-    scan = higher_derivative_scan(a, args.order, args.truncation)
+    scan = higher_derivative_scan(parse_set_literal(args.set), args.order, args.truncation)
     if args.format == "json":
         print(json.dumps(scan_to_dict(scan), indent=2))
     else:
@@ -200,7 +183,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``maxreg`` parser, built on first use and shared by later calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text",
                         help="output format (csv is per-point data, report only)")
@@ -220,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common],
                        help="full decomposition report for one set")
-    p.add_argument("set", help="set literal, e.g. '0,2,5-9'")
+    p.add_argument("set", help="set literal, e.g. '0,2,5-9'; put one that starts "
+                               "with '-' after '--', e.g. '-- -7,-3,0,2'")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("exhaust", parents=[common],
@@ -239,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common],
                        help="exact l1 norm of the order-k difference of M chi_A, "
                             "with its truncation to [-T, T]")
-    p.add_argument("set", help="set literal")
+    p.add_argument("set", help="set literal; put one that starts with '-' after "
+                               "'--', e.g. '-- -10,10 3 13'")
     p.add_argument("order", type=int, help="difference order k >= 3")
     p.add_argument("truncation", type=int, help="half-width T of the truncated sum")
     p.set_defaults(func=_cmd_scan)
@@ -247,17 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.format == "csv" and args.command != "report":
         print("error: csv format is only available for 'report'", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)
-    except SetLiteralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:           # SetLiteralError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,44 +1,34 @@
-"""Set literals, structured reports, and stable serialization.
+"""Set literals, per-set reports, and stable serialization.
 
 Every numeric field in machine output is an exact rational rendered as a
 ``p/q`` string (plain integer when q = 1); floats never appear.  The JSON
 schema is versioned via ``schema_version`` so downstream plotting can pin
-itself to a layout.
+itself to a layout, which :func:`report_to_dict` defines.  The writers
+read the integers of the :class:`~maxreg.regularity.Analysis` and build no
+`Fraction` per point; :class:`Report` is a view of one analysis.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
+from typing import NamedTuple
 
 from ._version import __version__
-from .lattice import IndexSet, LatticeFunction
-from .maximal import maximal_at
-from .regularity import PLUS, MINUS, Analysis, Chain, analyze
+from .lattice import IndexSet
+from .regularity import PLUS, MINUS, Analysis, analyze
 
 SCHEMA_VERSION = 3
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "SetLiteralError",
-    "parse_set_literal",
-    "canonical_set_literal",
-    "Report",
-    "build_report",
-    "report_to_dict",
-    "render_report_text",
-    "render_report_json",
-    "render_report_csv",
+    "SCHEMA_VERSION", "SetLiteralError", "parse_set_literal",
+    "canonical_set_literal", "Report", "build_report", "report_to_dict",
+    "render_report_text", "render_report_json", "render_report_csv",
     "analysis_csv",
-    "frac_str",
 ]
-
-
-def frac_str(x: Fraction) -> str:
-    """Exact decimal-free rendering: '4', '-2/3'."""
-    return str(Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -70,25 +60,20 @@ def parse_set_literal(text: str) -> IndexSet:
     for piece in text.split(","):
         item = piece.strip()
         offset = pos + piece.index(item) if item else pos
-        if not item:
-            raise SetLiteralError("empty item", offset)
         m = _ITEM.match(item)
         if m is None:
-            raise SetLiteralError(f"malformed item {item!r}", offset)
-        lo = int(m.group(1))
-        if m.group(2) is None:
-            elements.add(lo)
-        else:
-            hi = int(m.group(2))
-            if lo > hi:
-                raise SetLiteralError(f"inverted range {item!r}", offset)
-            elements.update(range(lo, hi + 1))
+            raise SetLiteralError(f"malformed item {item!r}" if item else "empty item", offset)
+        lo = int(m[1])
+        hi = int(m[2]) if m[2] else lo
+        if lo > hi:
+            raise SetLiteralError(f"inverted range {item!r}", offset)
+        elements.update(range(lo, hi + 1))
         pos += len(piece) + 1
     return IndexSet.from_iterable(elements)
 
 
-def canonical_set_literal(a: IndexSet) -> str:
-    """Shortest run-merged literal; re-parses to the same set."""
+def canonical_set_literal(a: Iterable[int]) -> str:
+    """Shortest run-merged literal of increasing integers; re-parses to them."""
     runs: list[tuple[int, int]] = []
     for x in a:
         if runs and x == runs[-1][1] + 1:
@@ -102,111 +87,111 @@ def canonical_set_literal(a: IndexSet) -> str:
 # Full per-set report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Report:
-    """Everything the per-set verification produces, in one structure.
-
-    ``funeq_rhs_limit_bounded`` is the boundary bound with each of the two
-    (exactly vanishing) limit terms replaced by its crude bound 1, kept for
-    side-by-side display with the exact accounting.
+class Report(NamedTuple):
+    """The per-set report: a view of one :class:`Analysis`, whose attributes
+    are computed when read.  ``funeq_rhs_limit_bounded`` is the boundary
+    bound with each of the two (exactly vanishing) limit terms replaced by
+    its crude bound 1, kept for display beside the exact accounting.
     """
 
-    input_literal: str
-    input_set: IndexSet
-    chi_second_norm: Fraction
-    max_second_norm: Fraction
-    ratio: Fraction
-    s_minus: IndexSet
-    left_boundary: IndexSet
-    right_boundary: IndexSet
-    chains: tuple[Chain, ...]
-    funeq_rhs: Fraction
-    funeq_rhs_limit_bounded: Fraction
-    lemma1_ok: bool
-    lemma1_violations: IndexSet
-    chi_first_norm: Fraction
-    max_first_variation: Fraction
-    window: tuple[int, int]
-    profile_values: tuple[Fraction, ...]
+    analysis: Analysis
 
-    @classmethod
-    def from_analysis(cls, an: Analysis) -> "Report":
-        """The `Fraction` view of an analysis, for the text and JSON renderers."""
-        record = an.ratio_record()
-        funeq = an.fraction(an.boundary_bound)
-        return cls(
-            input_literal=canonical_set_literal(an.set),
-            input_set=an.set,
-            chi_second_norm=record.chi_second_norm,
-            max_second_norm=record.max_second_norm,
-            ratio=record.ratio,
-            s_minus=IndexSet(an.s_minus),
-            left_boundary=IndexSet(an.left_boundary),
-            right_boundary=IndexSet(an.right_boundary),
-            chains=an.chains(),
-            funeq_rhs=funeq,
-            funeq_rhs_limit_bounded=funeq + 2,
-            lemma1_ok=not an.lemma1_violations,
-            lemma1_violations=IndexSet(an.lemma1_violations),
-            chi_first_norm=Fraction(an.chi_first_norm),
-            max_first_variation=an.fraction(an.variation),
-            window=(an.lo, an.hi),
-            profile_values=an.profile_values(),
-        )
+    input_literal = property(lambda r: canonical_set_literal(r.analysis.set))
+    input_set = property(lambda r: r.analysis.set)
+    chi_second_norm = property(lambda r: Fraction(r.analysis.chi_second_norm))
+    max_second_norm = property(lambda r: r.analysis.fraction(r.analysis.second_norm))
+    ratio = property(lambda r: r.analysis.ratio_record().ratio)
+    s_minus = property(lambda r: IndexSet(r.analysis.s_minus))
+    left_boundary = property(lambda r: IndexSet(r.analysis.left_boundary))
+    right_boundary = property(lambda r: IndexSet(r.analysis.right_boundary))
+    chains = property(lambda r: r.analysis.chains())
+    funeq_rhs = property(lambda r: r.analysis.fraction(r.analysis.boundary_bound))
+    funeq_rhs_limit_bounded = property(lambda r: r.funeq_rhs + 2)
+    lemma1_ok = property(lambda r: not r.analysis.lemma1_violations)
+    lemma1_violations = property(lambda r: IndexSet(r.analysis.lemma1_violations))
+    chi_first_norm = property(lambda r: Fraction(r.analysis.chi_first_norm))
+    max_first_variation = property(lambda r: r.analysis.fraction(r.analysis.variation))
+    window = property(lambda r: (r.analysis.lo, r.analysis.hi))
+    profile_values = property(lambda r: r.analysis.profile_values())
 
 
 def build_report(a: IndexSet) -> Report:
     """The :class:`Report` of the analysis of ``a``."""
-    return Report.from_analysis(analyze(a))
+    return Report(analyze(a))
+
+
+def _over(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for q > 0, without building the `Fraction`."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _over_each(values: tuple[int, ...], d: int) -> list[str]:
+    """``_over(v, d)`` for each v; a profile repeats few distinct values."""
+    text = {v: _over(v, d) for v in set(values)}
+    return list(map(text.__getitem__, values))
+
+
+def _chains(an: Analysis):
+    """(kind, start, end) of :meth:`Analysis.chains`, walking the boundaries
+    (a concave run goes from a left to a right one), not every point."""
+    start = an.lo
+    for left, right in zip(an.left_boundary, an.right_boundary):
+        yield PLUS, start, left - 1
+        yield MINUS, left, right
+        start = right + 1
+    yield PLUS, start, an.hi
 
 
 def report_to_dict(report: Report) -> dict:
+    an, d = report.analysis, report.analysis.denominator
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "input": report.input_literal,
-        "set": list(report.input_set.elements),
-        "chi_second_norm": frac_str(report.chi_second_norm),
-        "max_second_norm": frac_str(report.max_second_norm),
-        "ratio": frac_str(report.ratio),
-        "s_minus": list(report.s_minus.elements),
-        "left_boundary": list(report.left_boundary.elements),
-        "right_boundary": list(report.right_boundary.elements),
-        "chains": [{"kind": c.kind, "start": c.start, "end": c.end}
-                   for c in report.chains],
-        "funeq_rhs": frac_str(report.funeq_rhs),
-        "funeq_rhs_limit_bounded": frac_str(report.funeq_rhs_limit_bounded),
-        "lemma1": "ok" if report.lemma1_ok else "violated",
-        "lemma1_violations": list(report.lemma1_violations.elements),
-        "chi_first_norm": frac_str(report.chi_first_norm),
-        "max_first_variation": frac_str(report.max_first_variation),
-        "window": list(report.window),
-        "profile_values": [frac_str(v) for v in report.profile_values],
+        "set": list(an.set.elements),
+        "chi_second_norm": str(an.chi_second_norm),
+        "max_second_norm": _over(an.second_norm, d),
+        "ratio": _over(an.second_norm, d * an.chi_second_norm),
+        "s_minus": list(an.s_minus),
+        "left_boundary": list(an.left_boundary),
+        "right_boundary": list(an.right_boundary),
+        "chains": [{"kind": kind, "start": start, "end": end}
+                   for kind, start, end in _chains(an)],
+        "funeq_rhs": _over(an.boundary_bound, d),
+        "funeq_rhs_limit_bounded": _over(an.boundary_bound + 2 * d, d),
+        "lemma1": "violated" if an.lemma1_violations else "ok",
+        "lemma1_violations": list(an.lemma1_violations),
+        "chi_first_norm": str(an.chi_first_norm),
+        "max_first_variation": _over(an.variation, d),
+        "window": [an.lo, an.hi],
+        "profile_values": _over_each(an.scaled, d),
     }
 
 
 def render_report_text(report: Report, paper_accounting: bool = False) -> str:
+    an, d = report.analysis, report.analysis.denominator
     lines = [
         f"set               {report.input_literal}",
-        f"window            [{report.window[0]}, {report.window[1]}]",
-        f"||chi''||_1       {frac_str(report.chi_second_norm)}",
-        f"||(M chi)''||_1   {frac_str(report.max_second_norm)}",
-        f"ratio             {frac_str(report.ratio)}",
-        f"S_minus           {{{canonical_set_literal(report.s_minus) if report.s_minus else ''}}}",
-        f"left boundary     {{{canonical_set_literal(report.left_boundary) if report.left_boundary else ''}}}",
-        f"right boundary    {{{canonical_set_literal(report.right_boundary) if report.right_boundary else ''}}}",
+        f"window            [{an.lo}, {an.hi}]",
+        f"||chi''||_1       {an.chi_second_norm}",
+        f"||(M chi)''||_1   {_over(an.second_norm, d)}",
+        f"ratio             {_over(an.second_norm, d * an.chi_second_norm)}",
+        f"S_minus           {{{canonical_set_literal(an.s_minus)}}}",
+        f"left boundary     {{{canonical_set_literal(an.left_boundary)}}}",
+        f"right boundary    {{{canonical_set_literal(an.right_boundary)}}}",
         "chains            " + " ".join(
-            f"{c.kind}[{c.start},{c.end}]" for c in report.chains),
-        f"boundary bound    {frac_str(report.funeq_rhs)}",
+            f"{kind}[{start},{end}]" for kind, start, end in _chains(an)),
+        f"boundary bound    {_over(an.boundary_bound, d)}",
     ]
     if paper_accounting:
         lines.append(
             f"boundary bound with limit terms bounded by 1 each: "
-            f"{frac_str(report.funeq_rhs_limit_bounded)}")
+            f"{_over(an.boundary_bound + 2 * d, d)}")
     lines += [
-        f"lemma 1           {'ok' if report.lemma1_ok else 'VIOLATED at ' + canonical_set_literal(report.lemma1_violations)}",
-        f"||chi'||_1        {frac_str(report.chi_first_norm)}",
-        f"var M chi         {frac_str(report.max_first_variation)}",
+        f"lemma 1           {'VIOLATED at ' + canonical_set_literal(an.lemma1_violations) if an.lemma1_violations else 'ok'}",
+        f"||chi'||_1        {an.chi_first_norm}",
+        f"var M chi         {_over(an.variation, d)}",
         f"tool version      {__version__}",
     ]
     return "\n".join(lines)
@@ -217,24 +202,56 @@ def render_report_csv(a: IndexSet) -> str:
     return analysis_csv(analyze(a))
 
 
+def _best_average(windows) -> Fraction:
+    """The largest count / length over (count, length) pairs."""
+    p, q = 0, 1
+    for count, length in windows:
+        if count * q > p * length:
+            p, q = count, length
+    return Fraction(p, q)
+
+
 def analysis_csv(an: Analysis) -> str:
     """Per-point rows over the analysis window: n, value, second diff, class.
 
-    The second difference at the two window edges needs M chi_A one point
-    beyond them, evaluated exactly by :func:`maximal_at`, so the CSV is
-    self-contained for plotting.
+    Each edge row needs M chi_A one point beyond the window.  Outside the
+    hull [a, b] the best window at n has n as one end and an element of A as
+    the other, so M(a-2) and M(b+2) are maxima over A alone.
     """
-    chi = LatticeFunction.from_set(an.set)
-    values = an.profile_values()
-    seconds = [values[1] + maximal_at(chi, an.lo - 1) - 2 * values[0]]
-    seconds += [an.fraction(c) for c in an.second]
-    seconds.append(values[-2] + maximal_at(chi, an.hi + 1) - 2 * values[-1])
+    d, v, elements = an.denominator, an.scaled, an.set.elements
+    left = _best_average((j + 1, x - an.lo + 2) for j, x in enumerate(elements))
+    right = _best_average((len(elements) - j, an.hi + 2 - x) for j, x in enumerate(elements))
+    seconds = [str(Fraction(v[1] - 2 * v[0], d) + left),
+               *_over_each(an.second, d),
+               str(Fraction(v[-2] - 2 * v[-1], d) + right)]
     rows = ["n,value,second_difference,class"]
-    for n, value, c2 in zip(range(an.lo, an.hi + 1), values, seconds):
-        rows.append(f"{n},{frac_str(value)},{frac_str(c2)},"
-                    f"{PLUS if c2 >= 0 else MINUS}")
+    for n, value, c2 in zip(range(an.lo, an.hi + 1), _over_each(v, d), seconds):
+        # a rational prints with a leading '-' exactly when it is negative
+        rows.append(f"{n},{value},{c2},{MINUS if c2[0] == '-' else PLUS}")
     return "\n".join(rows) + "\n"
 
 
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the str and int values of a report
+    and the dicts and lists of them (each list of one type)."""
+    scalar = _SCALARS.get(type(value))
+    if scalar:
+        return scalar(value)
+    if not value:
+        return "{}" if type(value) is dict else "[]"
+    inner = indent + "  "
+    if type(value) is dict:
+        items = [f"{_json(k)}: {_json(v, inner)}" for k, v in value.items()]
+        opening, closing = "{}"
+    else:
+        items = map(_SCALARS.get(type(value[0])) or (lambda v: _json(v, inner)), value)
+        opening, closing = "[]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def render_report_json(report: Report) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte."""
+    return _json(report_to_dict(report))

@@ -273,3 +273,48 @@ def test_usage_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["exhaust", "3", "--fast"])     # the removed flag is unknown
     assert exc.value.code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _outcome(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ["report", "0,2", "--format", "json"],
+        ["exhaust", "3", "--fast"],                       # usage error
+        ["scan", "--format", "json", "--", "-10,10", "3", "13"],
+        ["report", "0,2", "--format", "csv"],
+        ["--version"],
+        ["report", "0,2", "--format", "json"],
+    ]
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(_outcome(argv, capsys))
+    cli.build_parser.cache_clear()
+    assert [_outcome(argv, capsys) for argv in calls] == first
+    assert [rc for rc, _, _ in first] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, 0, EXIT_OK]
+    assert first[4][1].startswith("maxreg ")
+
+
+def test_negative_literals_go_after_double_dash(capsys):
+    with pytest.raises(SystemExit):
+        main(["report", "-7,-3"])
+    assert "the following arguments are required: set" in capsys.readouterr().err
+    for verb in ("report", "scan"):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        assert "after '--'" in " ".join(capsys.readouterr().out.split())
+    assert main(["report", "--format", "json", "--", "-7,-3,0,2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["set"] == [-7, -3, 0, 2]
