@@ -19,6 +19,7 @@ from .regularity import analyze
 from .reporting import (
     SCHEMA_VERSION,
     Report,
+    _json,
     analysis_csv,
     canonical_set_literal,
     parse_set_literal,
@@ -176,10 +177,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     scan = higher_derivative_scan(parse_set_literal(args.set), args.order, args.truncation)
-    if args.format == "json":
-        print(json.dumps(scan_to_dict(scan), indent=2))
-    else:
-        print(scan_text(scan))
+    print(_json(scan_to_dict(scan)) if args.format == "json" else scan_text(scan))
     return EXIT_OK
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .lattice import IndexSet, LatticeFunction, central_second_difference
 from .maximal import MaximalProfile, maximal_profile, window_maxima
@@ -371,18 +371,19 @@ class Analysis(NamedTuple):
     def profile_values(self) -> tuple[Fraction, ...]:
         return tuple([Fraction(v, self.denominator) for v in self.scaled])
 
+    def chain_bounds(self) -> Iterator[tuple[str, int, int]]:
+        """(kind, start, end) of the maximal same-class runs covering [lo, hi]:
+        both edges are convex, and a concave run goes from a left boundary to a right one."""
+        start = self.lo
+        for left, right in zip(self.left_boundary, self.right_boundary):
+            yield PLUS, start, left - 1
+            yield MINUS, left, right
+            start = right + 1
+        yield PLUS, start, self.hi
+
     def chains(self) -> tuple[Chain, ...]:
-        """Maximal same-class runs covering [lo, hi]; both edges are convex."""
-        minus = set(self.s_minus)
-        out: list[Chain] = []
-        start, kind = self.lo, PLUS
-        for n in range(self.lo + 1, self.hi + 1):
-            k = MINUS if n in minus else PLUS
-            if k != kind:
-                out.append(Chain(kind, start, n - 1))
-                start, kind = n, k
-        out.append(Chain(kind, start, self.hi))
-        return tuple(out)
+        """The runs of :meth:`chain_bounds`, as :class:`Chain` objects."""
+        return tuple([Chain(*bounds) for bounds in self.chain_bounds()])
 
     def ratio_record(self) -> RatioRecord:
         d = self.denominator

@@ -132,17 +132,6 @@ def _over_each(values: tuple[int, ...], d: int) -> list[str]:
     return list(map(text.__getitem__, values))
 
 
-def _chains(an: Analysis):
-    """(kind, start, end) of :meth:`Analysis.chains`, walking the boundaries
-    (a concave run goes from a left to a right one), not every point."""
-    start = an.lo
-    for left, right in zip(an.left_boundary, an.right_boundary):
-        yield PLUS, start, left - 1
-        yield MINUS, left, right
-        start = right + 1
-    yield PLUS, start, an.hi
-
-
 def report_to_dict(report: Report) -> dict:
     an, d = report.analysis, report.analysis.denominator
     return {
@@ -157,7 +146,7 @@ def report_to_dict(report: Report) -> dict:
         "left_boundary": list(an.left_boundary),
         "right_boundary": list(an.right_boundary),
         "chains": [{"kind": kind, "start": start, "end": end}
-                   for kind, start, end in _chains(an)],
+                   for kind, start, end in an.chain_bounds()],
         "funeq_rhs": _over(an.boundary_bound, d),
         "funeq_rhs_limit_bounded": _over(an.boundary_bound + 2 * d, d),
         "lemma1": "violated" if an.lemma1_violations else "ok",
@@ -181,7 +170,7 @@ def render_report_text(report: Report, paper_accounting: bool = False) -> str:
         f"left boundary     {{{canonical_set_literal(an.left_boundary)}}}",
         f"right boundary    {{{canonical_set_literal(an.right_boundary)}}}",
         "chains            " + " ".join(
-            f"{kind}[{start},{end}]" for kind, start, end in _chains(an)),
+            f"{kind}[{start},{end}]" for kind, start, end in an.chain_bounds()),
         f"boundary bound    {_over(an.boundary_bound, d)}",
     ]
     if paper_accounting:

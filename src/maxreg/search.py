@@ -15,7 +15,9 @@ Three probes of how far the second-difference bound might extend:
   with its truncation to [-T, T].  Beyond the hull the maximal function is
   a chain of hyperbolas c / (n + 1 - i), whose order-k differences have a
   fixed sign and telescope on each piece, so only the starts near the hull
-  and near the piece boundaries are summed one by one.
+  and near the piece boundaries are summed one by one.  Each tail is walked
+  once into integer terms, added over one common denominator, and the
+  truncated sum is the total minus the part past T.
 
 Every checked set runs the full contract battery of its
 :class:`~maxreg.regularity.Analysis` (Theorem 1 ratio, Lemma 1 emptiness,
@@ -41,7 +43,9 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm, prod
+from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
 from .lattice import IndexSet, LatticeFunction
@@ -319,7 +323,10 @@ def random_sets(trials: int, length: int, density, seed: int,
         raise ValueError("length must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    density = Fraction(density)
+    try:
+        density = Fraction(density)
+    except ZeroDivisionError:
+        raise ValueError(f"density {density!r} has a zero denominator") from None
     if not 0 < density < 1:
         raise ValueError("density must lie strictly between 0 and 1")
     rng = random.Random(seed)
@@ -482,6 +489,8 @@ def _tail_chain(elements: Sequence[int]) -> tuple[list[int], list[tuple[int, int
     count = len(elements)
     hull: list[tuple[int, int]] = []        # upper hull of (i, c_i), left to right
     for j, i in enumerate(elements):
+        if j and elements[j - 1] == i - 1 and j + 1 < count:
+            continue                        # slope -1 in from i - 1, the steepest: not a vertex
         c = count - j
         while len(hull) >= 2:
             (i0, c0), (i1, c1) = hull[-2], hull[-1]
@@ -511,59 +520,54 @@ def _tail_points(tail, first: int, last: int) -> tuple[list[int], list[int]]:
     return nums, dens
 
 
-def _run_sum(nums: Sequence[int], dens: Sequence[int], k: int) -> Fraction:
-    """Sum of |order-k forward difference| over every start of a run of points."""
+def _run_differences(nums: Sequence[int], dens: Sequence[int], k: int) -> tuple[list[int], int]:
+    """Order-k forward differences of a run of points, as integers over their lcm."""
     d = lcm(*dens)
-    v = [num * (d // den) for num, den in zip(nums, dens)]
+    v = list(map(mul, nums, map(floordiv, repeat(d), dens)))
     for _ in range(k):
-        v = [y - x for x, y in zip(v, v[1:])]
-    return Fraction(sum(map(abs, v)), d)
+        v = list(map(sub, v[1:], v))
+    return v, d
 
 
-def _tail_sum(tail, k: int, hi: int | None) -> Fraction:
-    """Sum of |order-k forward difference| of a tail over starts in [starts[0], hi].
+def _tail_terms(tail, k: int, hi: int, whole: list, beyond: list) -> None:
+    """Walk each piece of a tail once, and append the sum of |order-k forward
+    difference| over every start to ``whole``, and over the starts past ``hi``
+    to ``beyond``, as (numerator, denominator) terms.
 
-    ``hi`` None sums to infinity.  Where n .. n+k lie on one piece c / x,
-    x = n + 1 - i, the difference is c k! / (x (x+1) ... (x+k)) in absolute
-    value, and over x in [p, q] it telescopes to c (k-1)! (1/R(p) - 1/R(q+1))
-    with R(x) = x (x+1) ... (x+k-1).  The k starts before each piece
-    boundary are summed one by one.
+    Where n .. n+k lie on one piece c / x, x = n + 1 - i, the difference is
+    c k! / (x (x+1) ... (x+k)) in absolute value, and over x in [p, q] it
+    telescopes to c (k-1)! (1/R(p) - 1/R(q+1)) with R(x) = x (x+1) ... (x+k-1);
+    past ``hi`` it restarts at max(p, hi + 1).  The k starts before a piece
+    boundary are differenced once, then summed in full and past ``hi``.
     """
     starts, pieces = tail
-    scale = factorial(k - 1)
-    total = Fraction(0)
-    for t, (i, c) in enumerate(pieces):
-        p = starts[t]
-        if hi is not None and p > hi:
-            break
-        end = starts[t + 1] if t + 1 < len(starts) else None
+    for p, end, (i, c) in zip(starts, starts[1:] + [None], pieces):
         q = None if end is None else end - k - 1    # last start with n+k on this piece
-        if hi is not None:
-            q = hi if q is None else min(q, hi)
-        if q is None:
-            total += Fraction(scale * c, prod(range(p + 1 - i, p + 1 - i + k)))
-        elif p <= q:
-            rp = prod(range(p + 1 - i, p + 1 - i + k))
-            rq = prod(range(q + 2 - i, q + 2 - i + k))
-            total += Fraction(scale * c * (rq - rp), rp * rq)
+        scale = c * factorial(k - 1)
+        for first, terms in ((p, whole), (max(p, hi + 1), beyond)):
+            if q is None or first <= q:
+                terms.append((scale, prod(range(first + 1 - i, first + 1 - i + k))))
+                if q is not None:
+                    terms.append((-scale, prod(range(q + 2 - i, q + 2 - i + k))))
         if end is not None:
             first = max(p, end - k)
-            last = end - 1 if hi is None else min(hi, end - 1)
-            if first <= last:
-                total += _run_sum(*_tail_points(tail, first, last + k), k)
-    return total
+            diffs, d = _run_differences(*_tail_points(tail, first, end - 1 + k), k)
+            whole.append((sum(map(abs, diffs)), d))
+            beyond.append((sum(map(abs, diffs[max(0, hi + 1 - first):])), d))
 
 
 def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fraction]:
     """Sums of |order-k forward difference of M chi_A| over Z and over [-T, T].
 
     Pre: k >= 1, and [-T, T] covers the hull [a, b] with a k margin.
-    Starts n in [a-k, b] touch the hull window and are summed one by one:
-    the window [a-1, b+1] comes from :func:`~maxreg.maximal.window_maxima`,
+    Starts n in [a-k, b] touch the hull window and are differenced one by
+    one: the window [a-1, b+1] comes from :func:`~maxreg.maximal.window_maxima`,
     the k-1 points beyond it on each side from the tails.  Starts n > b lie
     on the right tail.  Starts n < a-k lie on the left tail, which is the
     right tail of the reflected set: M chi_A(n) = M chi_{-A}(-n), so the
-    difference at n is +-the one of that tail at -n-k.
+    difference at n is +-the one of that tail at -n-k.  Each tail is walked
+    once (:func:`_tail_terms`) into integer terms over one common denominator;
+    the truncated sum is the total minus the part past T (T - k when reflected).
     """
     lo, hi = a.min(), a.max()
     right = _tail_chain(a.elements)
@@ -574,12 +578,15 @@ def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fracti
     nums, dens = window_maxima(chi)
     left_nums, left_dens = _tail_points(left, -lo + 2, -lo + k)
     right_nums, right_dens = _tail_points(right, hi + 2, hi + k)
-    middle = _run_sum(left_nums[::-1] + nums + right_nums,
-                      left_dens[::-1] + dens + right_dens, k)
-    value = middle + _tail_sum(right, k, None) + _tail_sum(left, k, None)
-    truncated = (middle + _tail_sum(right, k, truncation)
-                 + _tail_sum(left, k, truncation - k))
-    return value, truncated
+    middle, d = _run_differences(left_nums[::-1] + nums + right_nums,
+                                 left_dens[::-1] + dens + right_dens, k)
+    whole, beyond = [(sum(map(abs, middle)), d)], []
+    _tail_terms(right, k, truncation, whole, beyond)
+    _tail_terms(left, k, truncation - k, whole, beyond)
+    common = lcm(*[den for _, den in whole + beyond])
+    value = sum([num * (common // den) for num, den in whole])
+    past = sum([num * (common // den) for num, den in beyond])
+    return Fraction(value, common), Fraction(value - past, common)
 
 
 def higher_derivative_scan(a: IndexSet, k: int, truncation: int) -> TruncatedScan:

@@ -180,6 +180,9 @@ def test_random_json_echoes_parameters(capsys):
 def test_random_usage_error_on_bad_density(capsys):
     assert main(["random", "5", "8", "2", "1"]) == EXIT_USAGE
     assert main(["random", "5", "8", "zzz", "1"]) == EXIT_USAGE
+    for density in ("nan", "inf", "1/0"):
+        assert main(["random", "5", "3", density, "1"]) == EXIT_USAGE
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_csv_only_for_report(capsys):

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 
 from maxreg import IndexSet, LatticeFunction, maximal_at
 from maxreg._version import __version__
-from maxreg.cli import EXIT_OK, main
+from maxreg.cli import EXIT_OK, main, scan_to_dict
 from maxreg.maximal import MaximalProfile, maximal_profile, maximal_profile_fast
 from maxreg.regularity import (AnalyzedFunction, Chain, analyze, decompose,
                                second_norm)
 from maxreg.reporting import (SCHEMA_VERSION, Report, _json, canonical_set_literal,
                               render_report_json, render_report_text,
                               report_to_dict)
+from maxreg.search import higher_derivative_scan
 
 from conftest import index_sets
 
@@ -168,6 +169,8 @@ def test_json_writer_on_empty_lists_and_a_single_chain():
 
 
 def test_json_writer_is_json_dumps_with_indent_2():
+    scans = [scan_to_dict(higher_derivative_scan(IndexSet.from_iterable(e), k, t))
+             for e, k, t in (((0,), 3, 3), ((-10, 10), 3, 13), ((0, 100, 101), 5, 2000))]
     for value in ({}, [], {"a": {}, "b": [], "c": [{"x": [], "y": -3}, {"z": {"w": "\u00e9\"\n"}}]},
-                  {"s": ["1/2", "-3"], "n": [0, -1, 10 ** 40], "m": [[1, 2], []]}):
+                  {"s": ["1/2", "-3"], "n": [0, -1, 10 ** 40], "m": [[1, 2], []]}, *scans):
         assert _json(value) == json.dumps(value, indent=2)

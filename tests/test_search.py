@@ -249,6 +249,8 @@ def test_random_sets_validation():
         random_sets(10, 8, Fraction(1), 1)
     with pytest.raises(ValueError):
         random_sets(-1, 8, Fraction(1, 2), 1)
+    with pytest.raises(ValueError, match="zero denominator"):
+        random_sets(10, 8, "1/0", 1)
     for length in (0, -3):
         with pytest.raises(ValueError, match="length"):
             random_sets(5, length, Fraction(1, 2), 1)
@@ -444,6 +446,37 @@ def test_scan_value_monotone_in_truncation():
     assert truncated == sorted(set(truncated))
     assert truncated == [oracle_scan_bracket(a, 4, t)[0] for t in (20, 40, 80, 160)]
     assert truncated[-1] < scans[-1].value
+
+
+def test_truncation_split_where_t_cuts_a_tail():
+    # {0} u [100, 110] has right-tail pieces from 111 and from 1200, so T
+    # cuts a tail for every T from the smallest accepted one to past 1200;
+    # the reflection cuts the left tail, and the translate moves the cut.
+    # Every T in that range falls inside a closed-form run or inside a
+    # boundary run (the k starts before a piece boundary).  The oracle's low
+    # end, the sum over [-T, T], is prefix-summed from one pass of maximal_at.
+    base = IndexSet.from_iterable([0, *range(100, 111)])
+    top = 1212
+    for a in (base, base.reflect(), base.translate(-50)):
+        right = search._tail_chain(a.elements)[0]
+        left = search._tail_chain(a.reflect().elements)[0]
+        chi = LatticeFunction.from_set(a)
+        values = [maximal_at(chi, n) for n in range(-top, top + 6)]
+        for k in (3, 4, 5):
+            diffs = values[:2 * top + 1 + k]
+            for _ in range(k):
+                diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+            prefix = [Fraction(0)]              # prefix[j]: sum of |diffs| at n < j - top
+            for d in diffs:
+                prefix.append(prefix[-1] + abs(d))
+            smallest = max(abs(a.min()), abs(a.max())) + k
+            assert smallest < max(right[-1], left[-1] + k) < top     # T from the left tail is T - k
+            values_over_z = set()
+            for t in range(smallest, top + 1):
+                scan = higher_derivative_scan(a, k, t)
+                assert scan.truncated_value == prefix[top + t + 1] - prefix[top - t], (a, k, t)
+                values_over_z.add(scan.value)
+            assert len(values_over_z) == 1 and scan.truncated_value < scan.value
 
 
 def test_order_two_norm_is_the_analysis_second_norm_exhaustive():
