@@ -5,7 +5,9 @@ concave otherwise.  Maximal runs of one class form chains; on each chain the
 sum of |second difference| telescopes to the four values flanking the run.
 Summing chains shows the whole second-difference norm is controlled by the
 concave boundary alone: that boundary bound is computed here next to the
-exact norm, for an indicator and for its maximal function.
+exact norm of the maximal function of an indicator, all read from one
+``analyze`` of the set.  Of the indicator itself only the second
+differences and their norm are shown.
 
 The punchline pair of facts (Theorem 1 / Lemma 1 in the API):
 
@@ -13,48 +15,43 @@ The punchline pair of facts (Theorem 1 / Lemma 1 in the API):
 * M chi_A is concave only at points of A.
 """
 
-from maxreg import (
-    AnalyzedFunction,
-    IndexSet,
-    LatticeFunction,
-    chain_sum_check,
-    decompose,
-    lemma1_violations,
-    maximal_profile,
-    theorem1_report,
-)
+from maxreg import MINUS, IndexSet, analyze
 
 
 def walk(elements) -> None:
     a = IndexSet.from_iterable(elements)
-    chi = LatticeFunction.from_set(a)
+    an = analyze(a)
+    chains = list(an.chain_bounds())
     print(f"\nA = {set(a.elements)}")
-    for label, g in (
-        ("chi_A", AnalyzedFunction.from_lattice(chi)),
-        ("M chi_A", AnalyzedFunction.from_profile(maximal_profile(chi))),
-    ):
-        dec = decompose(g)
-        print(f"  {label}: window [{g.lo}, {g.hi}]")
-        print(f"    chains          "
-              + " ".join(f"{c.kind}[{c.start},{c.end}]" for c in dec.chains))
-        print(f"    concave set     {set(dec.s_minus.elements) or '{}'}")
-        print(f"    boundaries      left {set(dec.left_boundary.elements) or '{}'} "
-              f"right {set(dec.right_boundary.elements) or '{}'}")
-        print(f"    second norm     {dec.second_norm}")
-        print(f"    boundary bound  {dec.funeq_rhs_value}  "
-              f"(dominates: {dec.funeq_rhs_value >= dec.second_norm})")
-        for c in dec.chains:
-            start, end = max(c.start, g.lo + 1), min(c.end, g.hi - 1)
-            if start > end:
-                continue
-            lhs, rhs = chain_sum_check(g, type(c)(c.kind, start, end))
-            assert lhs == rhs
-        print("    chain telescoping identity holds on every chain")
+    # chi_A's second differences vanish outside [min A - 1, max A + 1]
+    chi = [int(n in a.elements) for n in range(an.lo - 1, an.hi + 2)]
+    c2 = {an.lo + i: chi[i] + chi[i + 2] - 2 * chi[i + 1] for i in range(len(chi) - 2)}
+    assert sum(abs(c) for c in c2.values()) == an.chi_second_norm
+    print(f"  chi_A: nonzero second differences {({n: c for n, c in c2.items() if c})}")
+    print(f"    second norm     {an.chi_second_norm}")
+    print(f"  M chi_A: window [{an.lo}, {an.hi}]")
+    print("    chains          " + " ".join(f"{k}[{s},{e}]" for k, s, e in chains))
+    print(f"    concave set     {set(an.s_minus) or '{}'}")
+    print(f"    boundaries      left {set(an.left_boundary) or '{}'} "
+          f"right {set(an.right_boundary) or '{}'}")
+    norm, bound = an.fraction(an.second_norm), an.fraction(an.boundary_bound)
+    print(f"    second norm     {norm}")
+    print(f"    boundary bound  {bound}  (dominates: {bound >= norm})")
+    v, lo = an.scaled, an.lo
+    for kind, start, end in chains:
+        start, end = max(start, lo + 1), min(end, an.hi - 1)
+        if start > end:
+            continue
+        lhs = sum(abs(c) for c in an.second[start - lo - 1:end - lo])
+        rhs = v[start - 1 - lo] - v[start - lo] - v[end - lo] + v[end + 1 - lo]
+        assert lhs == (-rhs if kind == MINUS else rhs)
+    print("    chain telescoping identity holds on every chain")
 
-    record = theorem1_report(a)
+    record = an.ratio_record()
     print(f"  ratio ||(M chi)''|| / ||chi''|| = {record.max_second_norm} / "
-          f"{record.chi_second_norm} = {record.ratio}   (<= 3)")
-    print(f"  concavity outside A: {set(lemma1_violations(a).elements) or 'none'}")
+          f"{record.chi_second_norm} = {record.ratio}   (<= 3; ||chi''|| is "
+          f"4 per block of A)")
+    print(f"  concavity outside A: {set(an.lemma1_violations) or 'none'}")
 
 
 def main() -> None:

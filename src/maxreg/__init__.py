@@ -2,7 +2,7 @@
 
 The library computes the discrete noncentered Hardy-Littlewood maximal
 function of finitely supported rational-valued functions in exact arithmetic,
-decomposes second differences into convex/concave chains, evaluates the
+splits second differences into convex/concave chains, evaluates the
 infinite l1 sums of second differences in closed form, and verifies the two
 headline facts (see :mod:`maxreg.regularity`) on arbitrary finite sets,
 together with a search harness probing how far they extend.
@@ -29,21 +29,12 @@ from .regularity import (
     MINUS,
     PLUS,
     Analysis,
-    AnalyzedFunction,
     Chain,
-    DecompositionReport,
     RatioRecord,
     Violation,
     analyze,
-    boundaries,
-    chain_sum_check,
-    chains,
-    classify,
-    decompose,
     first_derivative_norms,
-    funeq_rhs,
     lemma1_violations,
-    second_norm,
     theorem1_report,
 )
 from .reporting import (
@@ -81,19 +72,10 @@ __all__ = [
     "PLUS",
     "MINUS",
     "Analysis",
-    "AnalyzedFunction",
     "Chain",
-    "DecompositionReport",
     "RatioRecord",
     "Violation",
     "analyze",
-    "classify",
-    "boundaries",
-    "chains",
-    "chain_sum_check",
-    "second_norm",
-    "funeq_rhs",
-    "decompose",
     "lemma1_violations",
     "theorem1_report",
     "first_derivative_norms",

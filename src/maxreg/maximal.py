@@ -23,8 +23,9 @@ by :class:`MaximalProfile`.
 Internally all comparisons clear denominators and run on integers; results
 are returned as `Fraction` in lowest terms, so the two profile paths are
 bit-identical.  :func:`window_maxima` is the production path:
-:func:`maxreg.regularity.analyze` reads its integer pairs directly and
-:func:`maximal_profile_fast` wraps it for general functions.  It picks one
+:mod:`maxreg.regularity` reads its integer pairs directly, for index sets
+and for the function sweep alike, and :func:`maximal_profile_fast` wraps it
+as a :class:`MaximalProfile` of `Fraction` values.  It picks one
 of two kernels by block length alone: an O(m^2) loop over window ends for
 short blocks, and for longer ones a near-linear walk to the bridge between
 the lower hull of the prefix sums left of each point and the upper hull of

@@ -1,9 +1,10 @@
 """Convexity decomposition and second-difference norms, with exact tails.
 
-Everything here works on an :class:`AnalyzedFunction`: exact values on a
-finite window [lo, hi] plus the guarantee (``outside_class``) that every
-point at or beyond the window edges is convex and that consecutive
-differences vanish at +-infinity.  A point n is convex (class ``plus``) when
+Everything here works on a window [lo, hi] of integers v = D * g, exact
+values of a function g scaled by a common denominator D, with the
+guarantee that every point at or beyond the window edges is convex and
+that consecutive differences vanish at +-infinity.  A point n is convex
+(class ``plus``) when
 
     g(n+1) + g(n-1) >= 2 g(n),
 
@@ -19,9 +20,13 @@ exact closed-form tail terms; no truncation error anywhere.  The same
 telescoping evaluates the total variation of a maximal profile: the tails
 are monotone, so each contributes the window-edge value itself.
 
-Two guaranteed constructions are provided: any finitely supported lattice
-function (zero tails are convex, with ties counting as convex), and any
-maximal profile (hyperbola-envelope tails, see :mod:`maxreg.maximal`).
+Two kinds of window carry the guarantee: a finitely supported function on
+[min - 2, max + 2] of its support (zero tails are convex, with ties
+counting as convex), and a maximal profile on [min - 1, max + 1]
+(hyperbola-envelope tails, see :mod:`maxreg.maximal`).  One integer pass,
+:func:`_convexity`, reads the classes, boundaries and norms off either;
+:func:`second_norm`, :func:`funeq_rhs` and :func:`decompose` run it on a
+given profile, as :class:`AnalyzedFunction`.
 
 The two headline facts checked over index sets A, stated here once and
 referred to by number throughout the API and reports:
@@ -31,12 +36,11 @@ referred to by number throughout the API and reports:
 * Lemma 1: the maximal function of an indicator is concave only at points
   of the set.
 
-Both are checked on index sets through :func:`analyze`, which computes the
-profile, classes, boundaries, norms and contract quantities of one set in a
-single pass over integers scaled to a common denominator.  The sweeps, the
+Both are checked on index sets through :func:`analyze`, which runs the pass
+on the profile of one set and adds its contract quantities.  The sweeps, the
 per-set report and the headline functions below all read that one
-:class:`Analysis`; the `Fraction` functions on :class:`AnalyzedFunction`
-serve general functions and cross-check it in the tests.
+:class:`Analysis`; the function sweep of :mod:`maxreg.search` runs the same
+pass on each draw and on its profile.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, NamedTuple
 
-from .lattice import IndexSet, LatticeFunction, central_second_difference
+from .lattice import IndexSet, LatticeFunction
 from .maximal import MaximalProfile, maximal_profile, window_maxima
 
 PLUS = "plus"
@@ -55,21 +59,12 @@ MINUS = "minus"
 __all__ = [
     "PLUS",
     "MINUS",
-    "AnalyzedFunction",
     "Chain",
-    "DecompositionReport",
     "RatioRecord",
     "Violation",
     "Analysis",
     "analyze",
     "audit_profile",
-    "classify",
-    "boundaries",
-    "chains",
-    "chain_sum_check",
-    "second_norm",
-    "funeq_rhs",
-    "decompose",
     "lemma1_violations",
     "theorem1_report",
     "first_derivative_norms",
@@ -77,90 +72,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Analyzed window
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnalyzedFunction:
-    """Exact values on [lo, hi] with certified convex, flat-difference tails.
-
-    ``outside_class`` certifies: every n <= lo and every n >= hi is convex,
-    and g(n+1) - g(n) -> 0 as n -> +-inf.  All concave points therefore lie
-    in the interior [lo+1, hi-1], where the second difference is computable
-    from stored values alone.
-    """
-
-    lo: int
-    hi: int
-    values: tuple[Fraction, ...]
-    outside_class: bool
-
-    def value_at(self, n: int) -> Fraction:
-        if not self.lo <= n <= self.hi:
-            raise ValueError(f"n={n} outside analyzed window [{self.lo}, {self.hi}]")
-        return self.values[n - self.lo]
-
-    def second_difference(self, n: int) -> Fraction:
-        """g(n+1) + g(n-1) - 2 g(n); defined on the interior only."""
-        if not self.lo + 1 <= n <= self.hi - 1:
-            raise ValueError(f"second difference at n={n} needs values outside the window")
-        i = n - self.lo
-        return self.values[i + 1] + self.values[i - 1] - 2 * self.values[i]
-
-    @classmethod
-    def from_lattice(cls, f: LatticeFunction,
-                     lo: int | None = None, hi: int | None = None) -> "AnalyzedFunction":
-        """Analyze a finitely supported function on [lo, hi].
-
-        Defaults to [min-2, max+2], which is valid for every f: beyond it the
-        second difference vanishes identically.  A custom window is accepted
-        only if every point at or outside its edges is convex, which is
-        checked exactly here (finitely many candidates can fail).
-        """
-        if f.is_zero():
-            window_lo = -1 if lo is None else lo
-            window_hi = 1 if hi is None else hi
-            if window_lo >= window_hi:
-                raise ValueError("window must contain at least two points")
-            n_points = window_hi - window_lo + 1
-            return cls(window_lo, window_hi, (Fraction(0),) * n_points, True)
-        a, b = f.support_min(), f.support_max()
-        if lo is None:
-            lo = a - 2
-        if hi is None:
-            hi = b + 2
-        if lo > a - 1 or hi < b + 1:
-            raise ValueError("window must cover the support hull with one-point margin")
-        for n in list(range(a - 1, lo + 1)) + list(range(hi, b + 2)):
-            if central_second_difference(f, n) < 0:
-                raise ValueError(f"concave point n={n} at or outside window edge")
-        values = tuple(f.value_at(n) for n in range(lo, hi + 1))
-        return cls(lo, hi, values, True)
-
-    @classmethod
-    def from_profile(cls, p: MaximalProfile) -> "AnalyzedFunction":
-        """Analyze a maximal profile on its window [a-1, b+1].
-
-        The profile's tail guarantee is exactly the outside-class certificate:
-        beyond the hull the profile is a convex monotone hyperbola envelope
-        with vanishing differences.
-        """
-        if not p.tail_guarantee:
-            raise ValueError("profile lacks the tail guarantee")
-        return cls(p.window[0], p.window[1], p.values, True)
-
-
-def classify(g: AnalyzedFunction, n: int) -> str:
-    """``plus`` iff g(n+1) + g(n-1) >= 2 g(n); ties are convex."""
-    if g.lo + 1 <= n <= g.hi - 1:
-        return PLUS if g.second_difference(n) >= 0 else MINUS
-    if g.outside_class:
-        return PLUS
-    raise ValueError(f"n={n} not classifiable without the outside-class guarantee")
-
-
-# ---------------------------------------------------------------------------
-# Boundaries and chains
+# The integer pass
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -173,117 +85,71 @@ class Chain:
         return self.end - self.start + 1
 
 
-def boundaries(g: AnalyzedFunction) -> tuple[IndexSet, IndexSet]:
-    """(left, right) concave boundaries: concave points with a convex neighbor."""
-    left = []
-    right = []
-    for n in range(g.lo + 1, g.hi):
-        if classify(g, n) == MINUS:
-            if classify(g, n - 1) == PLUS:
-                left.append(n)
-            if classify(g, n + 1) == PLUS:
-                right.append(n)
-    return IndexSet(tuple(left)), IndexSet(tuple(right))
+def _scaled_maxima(u: list[int]) -> tuple[int, list[int]]:
+    """(D, D * best window average at each position of ``u``), with D the lcm
+    of the window lengths :func:`~maxreg.maximal.window_maxima` returned."""
+    nums, dens = window_maxima(u)
+    d = lcm(*dens)
+    return d, [num * (d // den) for num, den in zip(nums, dens)]
 
 
-def chains(g: AnalyzedFunction) -> list[Chain]:
-    """Maximal runs of same-class points, covering [lo, hi] in order."""
-    out: list[Chain] = []
-    start = g.lo
-    kind = classify(g, g.lo)
-    for n in range(g.lo + 1, g.hi + 1):
-        k = classify(g, n)
-        if k != kind:
-            out.append(Chain(kind, start, n - 1))
-            start, kind = n, k
-    out.append(Chain(kind, start, g.hi))
-    return out
+def _convexity(v: list[int]) -> tuple:
+    """(second norm, boundary bound, left tail, right tail, c2, concave,
+    left boundary, right boundary) of a guaranteed window ``v`` (module
+    docstring), in the units of ``v`` and positions 0 .. len(v) - 1.
 
-
-def chain_sum_check(g: AnalyzedFunction, chain: Chain) -> tuple[Fraction, Fraction]:
-    """(lhs, rhs) of the telescoping identity for a same-class run.
-
-    lhs is the sum of |c2| over the run; rhs collapses it to the four values
-    flanking the run, with the sign fixed by the class.  The identity needs
-    one stored point beyond each end of the run, so runs touching the window
-    edges are rejected.
+    c2 lists the second differences at 1 .. len(v) - 2; a concave point is
+    in the left (right) boundary when its left (right) neighbour is convex,
+    and both edges are convex.  The norm includes the two tail terms.  The
+    boundary bound is 2 sum_{left} (v(i) - v(i-1)) + 2 sum_{right} (v(i) -
+    v(i+1)); the limit terms of the general bound vanish under the
+    guarantee.  Contract: it dominates the norm.
     """
-    if chain.start > chain.end:
-        raise ValueError("empty chain")
-    if chain.start - 1 < g.lo or chain.end + 1 > g.hi:
-        raise ValueError("chain does not have a one-point margin inside the window")
-    for n in range(chain.start, chain.end + 1):
-        if classify(g, n) != chain.kind:
-            raise ValueError(f"point n={n} is not of class {chain.kind!r}")
-    lhs = sum((abs(g.second_difference(n))
-               for n in range(chain.start, chain.end + 1)), Fraction(0))
-    rhs = (g.value_at(chain.start - 1) - g.value_at(chain.start)
-           - g.value_at(chain.end) + g.value_at(chain.end + 1))
-    if chain.kind == MINUS:
-        rhs = -rhs
-    return lhs, rhs
+    m = len(v)
+    second = [v[i - 1] + v[i + 1] - 2 * v[i] for i in range(1, m - 1)]
+    concave = [False] + [c < 0 for c in second] + [False]
+    minus = [i for i in range(1, m - 1) if concave[i]]
+    left = [i for i in minus if not concave[i - 1]]
+    right = [i for i in minus if not concave[i + 1]]
+    left_tail = v[1] - v[0]
+    right_tail = v[m - 2] - v[m - 1]
+    return (sum(map(abs, second)) + left_tail + right_tail,
+            2 * (sum([v[i] - v[i - 1] for i in left]) + sum([v[i] - v[i + 1] for i in right])),
+            left_tail, right_tail, second, minus, left, right)
 
 
-# ---------------------------------------------------------------------------
-# Exact infinite sums
-# ---------------------------------------------------------------------------
+class AnalyzedFunction(NamedTuple):
+    """A maximal profile on its window in integers: ``scaled[i]`` is D * M f(lo + i),
+    D = ``denominator``.  The benchmark's per-layer probes time the three
+    functions below on one profile per set."""
+
+    lo: int
+    denominator: int
+    scaled: tuple[int, ...]
+
+    @classmethod
+    def from_profile(cls, p: MaximalProfile) -> "AnalyzedFunction":
+        if not p.tail_guarantee:
+            raise ValueError("profile lacks the tail guarantee")
+        d = lcm(*[v.denominator for v in p.values])
+        return cls(p.window[0], d, tuple([v.numerator * (d // v.denominator) for v in p.values]))
+
 
 def second_norm(g: AnalyzedFunction) -> Fraction:
-    """sum over all of Z of |g(n+1) + g(n-1) - 2 g(n)|, exactly.
-
-    Interior terms are summed directly; each infinite tail is one-signed by
-    the outside-class guarantee and telescopes to a single difference of
-    window values (module docstring).
-    """
-    interior = sum((abs(g.second_difference(n))
-                    for n in range(g.lo + 1, g.hi)), Fraction(0))
-    left_tail = g.value_at(g.lo + 1) - g.value_at(g.lo)
-    right_tail = g.value_at(g.hi - 1) - g.value_at(g.hi)
-    if left_tail < 0 or right_tail < 0:
-        raise RuntimeError("outside-class guarantee violated: negative tail sum")
-    return interior + left_tail + right_tail
+    """sum over all of Z of |g(n+1) + g(n-1) - 2 g(n)|, both tails included."""
+    return Fraction(_convexity(g.scaled)[0], g.denominator)
 
 
 def funeq_rhs(g: AnalyzedFunction) -> Fraction:
-    """Concave-boundary upper bound for :func:`second_norm`.
-
-    2 sum_{n in left boundary} (g(n) - g(n-1))
-    + 2 sum_{n in right boundary} (g(n) - g(n+1)).  The two limit terms of
-    the general bound vanish exactly under the flat-difference guarantee and
-    are omitted.  Contract: the result dominates ``second_norm(g)``.
-    """
-    left, right = boundaries(g)
-    total = Fraction(0)
-    for n in left:
-        total += 2 * (g.value_at(n) - g.value_at(n - 1))
-    for n in right:
-        total += 2 * (g.value_at(n) - g.value_at(n + 1))
-    return total
+    """The boundary bound of :func:`_convexity`; it dominates :func:`second_norm`."""
+    return Fraction(_convexity(g.scaled)[1], g.denominator)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Full convexity decomposition of one analyzed window."""
-
-    s_minus: IndexSet
-    left_boundary: IndexSet
-    right_boundary: IndexSet
-    chains: tuple[Chain, ...]
-    funeq_rhs_value: Fraction
-    second_norm: Fraction
-
-
-def decompose(g: AnalyzedFunction) -> DecompositionReport:
-    minus = tuple(n for n in range(g.lo + 1, g.hi) if classify(g, n) == MINUS)
-    left, right = boundaries(g)
-    return DecompositionReport(
-        s_minus=IndexSet(minus),
-        left_boundary=left,
-        right_boundary=right,
-        chains=tuple(chains(g)),
-        funeq_rhs_value=funeq_rhs(g),
-        second_norm=second_norm(g),
-    )
+def decompose(g: AnalyzedFunction) -> tuple[IndexSet, IndexSet, IndexSet, Fraction, Fraction]:
+    """(concave points, left boundary, right boundary, second norm, boundary bound)."""
+    norm, bound, _, _, _, minus, left, right = _convexity(g.scaled)
+    return (*[IndexSet(tuple([g.lo + i for i in s])) for s in (minus, left, right)],
+            Fraction(norm, g.denominator), Fraction(bound, g.denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +227,7 @@ class Analysis(NamedTuple):
     left_tail: int                      # over D: sum of |c2| over n <= lo
     right_tail: int                     # over D: sum of |c2| over n >= hi
     second_norm: int                    # over D: ||(M chi)''||_1, tails included
-    boundary_bound: int                 # over D: funeq_rhs of the profile
+    boundary_bound: int                 # over D: the profile's boundary bound
     variation: int                      # over D: ||(M chi)'||_1
 
     def fraction(self, over_d: int) -> Fraction:
@@ -444,8 +310,9 @@ def analyze(a: IndexSet) -> Analysis:
     The profile comes from :func:`~maxreg.maximal.window_maxima`; the naive
     oracle :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps'
     spot checks, in the tests, and wherever a tail term comes out negative
-    (:meth:`Analysis.violations`).  The norms follow the closed forms of
-    :func:`second_norm`, :func:`funeq_rhs` and :func:`first_derivative_norms`.
+    (:meth:`Analysis.violations`).  The norms and boundaries come from
+    :func:`_convexity`, the variation from :func:`first_derivative_norms`'
+    closed form.
     """
     if not a:
         raise ValueError("analysis needs a nonempty set")
@@ -454,18 +321,8 @@ def analyze(a: IndexSet) -> Analysis:
     chi = [0] * m
     for x in a.elements:
         chi[x - lo] = 1
-    nums, dens = window_maxima(chi)
-    d = lcm(*dens)
-    v = [num * (d // den) for num, den in zip(nums, dens)]
-
-    second = [v[i - 1] + v[i + 1] - 2 * v[i] for i in range(1, m - 1)]
-    concave = [False] + [c < 0 for c in second] + [False]
-    minus = [i for i in range(1, m - 1) if concave[i]]
-    left = [i for i in minus if not concave[i - 1]]
-    right = [i for i in minus if not concave[i + 1]]
-
-    left_tail = v[1] - v[0]
-    right_tail = v[m - 2] - v[m - 1]
+    d, v = _scaled_maxima(chi)
+    norm, bound, left_tail, right_tail, second, minus, left, right = _convexity(v)
     blocks = sum([chi[i] > chi[i - 1] for i in range(1, m - 1)])    # block starts
     return Analysis(
         set=a,
@@ -474,17 +331,16 @@ def analyze(a: IndexSet) -> Analysis:
         denominator=d,
         scaled=tuple(v),
         second=tuple(second),
-        s_minus=tuple(lo + i for i in minus),
-        left_boundary=tuple(lo + i for i in left),
-        right_boundary=tuple(lo + i for i in right),
-        lemma1_violations=tuple(lo + i for i in minus if not chi[i]),
+        s_minus=tuple([lo + i for i in minus]),
+        left_boundary=tuple([lo + i for i in left]),
+        right_boundary=tuple([lo + i for i in right]),
+        lemma1_violations=tuple([lo + i for i in minus if not chi[i]]),
         chi_second_norm=4 * blocks,
         chi_first_norm=2 * blocks,
         left_tail=left_tail,
         right_tail=right_tail,
-        second_norm=sum(map(abs, second)) + left_tail + right_tail,
-        boundary_bound=2 * (sum(v[i] - v[i - 1] for i in left)
-                            + sum(v[i] - v[i + 1] for i in right)),
+        second_norm=norm,
+        boundary_bound=bound,
         variation=v[1] + sum([abs(v[i + 1] - v[i]) for i in range(1, m - 2)]) + v[m - 2],
     )
 

@@ -69,7 +69,7 @@ def parse_set_literal(text: str) -> IndexSet:
             raise SetLiteralError(f"inverted range {item!r}", offset)
         elements.update(range(lo, hi + 1))
         pos += len(piece) + 1
-    return IndexSet.from_iterable(elements)
+    return IndexSet(tuple(sorted(elements)))
 
 
 def canonical_set_literal(a: Iterable[int]) -> str:

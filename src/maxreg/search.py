@@ -22,7 +22,10 @@ Three probes of how far the second-difference bound might extend:
 Every checked set runs the full contract battery of its
 :class:`~maxreg.regularity.Analysis` (Theorem 1 ratio, Lemma 1 emptiness,
 boundary-bound domination, first-derivative domination, indicator norm
-lower bound).  Every 512th instance of every sweep, set or function, is
+lower bound).  Every drawn function runs the same integer pass as a set's
+analysis (:func:`~maxreg.regularity._convexity`), on itself and on its
+maximal profile, and both boundary bounds must dominate their norms.
+Every 512th instance of every sweep, set or function, is
 also re-profiled by the naive oracle :func:`~maxreg.maximal.maximal_profile`,
 and so is every instance whose profile has a negative tail term; a mismatch
 is a ``fast_path_divergence`` violation, ahead of all others.  In
@@ -49,16 +52,15 @@ from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import maximal_profile, maximal_profile_fast, window_maxima
+from .maximal import maximal_profile, window_maxima
 from .regularity import (
     Analysis,
-    AnalyzedFunction,
     RatioRecord,
     Violation,
+    _convexity,
+    _scaled_maxima,
     analyze,
     audit_profile,
-    funeq_rhs,
-    second_norm,
 )
 
 GENERATOR_ID = "python-random-mt19937"
@@ -360,6 +362,16 @@ def random_sets(trials: int, length: int, density, seed: int,
     )
 
 
+def _function_passes(f: LatticeFunction) -> tuple[tuple, int, list[int], tuple]:
+    """The integer pass :func:`~maxreg.regularity._convexity` on a nonzero
+    integer-valued ``f`` over [a - 2, b + 2], and on D * M f over [a - 1, b + 1]:
+    (source pass, D, D * M f, maximal pass).  M f is the best window average
+    of |f|, padded with one zero each side, and D the lcm of the window lengths."""
+    ints = [int(x) for x in f.values]
+    d, v = _scaled_maxima([0, *map(abs, ints), 0])
+    return _convexity([0, 0, *ints, 0, 0]), d, v, _convexity(v)
+
+
 def _check_function_instance(values: tuple[int, ...], spot_check: bool,
                              ) -> tuple[GeneralRatioRecord | None, list[Violation]]:
     """Boundary-bound checks and the norm ratio for one integer-valued draw.
@@ -372,39 +384,35 @@ def _check_function_instance(values: tuple[int, ...], spot_check: bool,
     their tail guarantee, so no record is returned for it.
     """
     f = LatticeFunction.make(0, values)
-    gf = AnalyzedFunction.from_lattice(f)
-    source_norm = second_norm(gf)
-    if source_norm == 0:
+    if f.is_zero():
         return None, []
+    source, d, v, maximal = _function_passes(f)
+    source_norm, source_bound = source[:2]
+    max_norm, max_bound, left_tail, right_tail = maximal[:4]
 
-    subject = {"offset": f.offset, "values": [str(v) for v in f.values]}
+    subject = {"offset": f.offset, "values": [str(x) for x in f.values]}
     violations: list[Violation] = []
-
-    source_rhs = funeq_rhs(gf)
-    if source_rhs < source_norm:
+    if source_bound < source_norm:
         violations.append(Violation("boundary_bound_source", subject, {
-            "funeq_rhs": str(source_rhs),
+            "funeq_rhs": str(source_bound),
             "second_norm": str(source_norm),
         }))
 
-    profile = maximal_profile_fast(f)
-    v = profile.values
-    negative_tail = v[1] < v[0] or v[-2] < v[-1]
+    negative_tail = left_tail < 0 or right_tail < 0
     if spot_check or negative_tail:
-        violations[:0] = audit_profile(v, maximal_profile(f).values, subject)
+        profile = tuple([Fraction(x, d) for x in v])
+        violations[:0] = audit_profile(profile, maximal_profile(f).values, subject)
     if negative_tail:
         return None, violations
-    gm = AnalyzedFunction.from_profile(profile)
-    max_norm = second_norm(gm)
-    max_rhs = funeq_rhs(gm)
-    if max_rhs < max_norm:
+    if max_bound < max_norm:
         violations.append(Violation("boundary_bound_maximal", subject, {
-            "funeq_rhs": str(max_rhs),
-            "second_norm": str(max_norm),
+            "funeq_rhs": str(Fraction(max_bound, d)),
+            "second_norm": str(Fraction(max_norm, d)),
         }))
 
-    record = GeneralRatioRecord(f.offset, tuple(int(v) for v in f.values),
-                                source_norm, max_norm, max_norm / source_norm)
+    record = GeneralRatioRecord(f.offset, tuple(int(x) for x in f.values),
+                                Fraction(source_norm), Fraction(max_norm, d),
+                                Fraction(max_norm, d * source_norm))
     return record, violations
 
 

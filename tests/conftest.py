@@ -1,23 +1,35 @@
 """Shared oracles and fixtures.
 
 The oracles here are deliberately independent of the library: dict-based
-window enumeration for the maximal function, direct summation for norms.
-They are the reference every exact claim is checked against.  The one
-exception is the order-k scan bracket, which sums ``maximal_at`` (itself
-checked against ``oracle_maximal_at``) point by point.
+window enumeration for the maximal function, direct summation for norms,
+and the convexity decomposition in `Fraction`s point by point.  They are the
+reference every exact claim is checked against.  The one exception is the
+order-k scan bracket, which sums ``maximal_at`` (itself checked against
+``oracle_maximal_at``) point by point.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
 
-import maxreg.maximal as maximal
 import maxreg.regularity as regularity
-from maxreg import IndexSet, LatticeFunction, maximal_at
+import maxreg.search as search
+from maxreg import (
+    MINUS,
+    PLUS,
+    Chain,
+    GeneralRatioRecord,
+    IndexSet,
+    LatticeFunction,
+    MaximalProfile,
+    maximal_at,
+    maximal_profile,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +103,119 @@ def oracle_scan_bracket(a: IndexSet, k: int, t: int) -> tuple[Fraction, Fraction
 
 
 # ---------------------------------------------------------------------------
+# Convexity decomposition in Fractions
+# ---------------------------------------------------------------------------
+
+class Window(NamedTuple):
+    """Exact values of g on [lo, hi], where every point at or beyond the edges
+    is convex and g(n+1) - g(n) -> 0 at +-inf.  Both tails of the second
+    difference then telescope to an edge difference (``oracle_second_norm``)."""
+
+    lo: int
+    values: tuple[Fraction, ...]
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.values) - 1
+
+    def at(self, n: int) -> Fraction:
+        if not self.lo <= n <= self.hi:
+            raise ValueError(f"n={n} outside the window [{self.lo}, {self.hi}]")
+        return self.values[n - self.lo]
+
+    def c2(self, n: int) -> Fraction:
+        """g(n+1) + g(n-1) - 2 g(n), on the interior only."""
+        if not self.lo < n < self.hi:
+            raise ValueError(f"second difference at n={n} needs values outside the window")
+        return self.at(n + 1) + self.at(n - 1) - 2 * self.at(n)
+
+
+def function_window(f: LatticeFunction) -> Window:
+    """f on [min - 2, max + 2] of its support, or on [-1, 1] if f is zero:
+    beyond it the second difference vanishes."""
+    lo, hi = (-1, 1) if f.is_zero() else (f.support_min() - 2, f.support_max() + 2)
+    return Window(lo, tuple(f.value_at(n) for n in range(lo, hi + 1)))
+
+
+def profile_window(p: MaximalProfile) -> Window:
+    """A maximal profile on [a - 1, b + 1]: its hyperbola tails are convex."""
+    assert p.tail_guarantee
+    return Window(p.window[0], p.values)
+
+
+def oracle_classify(g: Window, n: int) -> str:
+    """``plus`` iff g(n+1) + g(n-1) >= 2 g(n); ties and the edges are convex."""
+    return PLUS if not g.lo < n < g.hi or g.c2(n) >= 0 else MINUS
+
+
+def oracle_concave(g: Window) -> tuple[int, ...]:
+    return tuple(n for n in range(g.lo + 1, g.hi) if oracle_classify(g, n) == MINUS)
+
+
+def oracle_boundaries(g: Window) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(left, right): concave points with a convex left (right) neighbour."""
+    minus = oracle_concave(g)
+    return (tuple(n for n in minus if oracle_classify(g, n - 1) == PLUS),
+            tuple(n for n in minus if oracle_classify(g, n + 1) == PLUS))
+
+
+def oracle_chains(g: Window) -> list[Chain]:
+    """Maximal runs of same-class points, covering [lo, hi] in order."""
+    out: list[Chain] = []
+    start, kind = g.lo, oracle_classify(g, g.lo)
+    for n in range(g.lo + 1, g.hi + 1):
+        k = oracle_classify(g, n)
+        if k != kind:
+            out.append(Chain(kind, start, n - 1))
+            start, kind = n, k
+    out.append(Chain(kind, start, g.hi))
+    return out
+
+
+def oracle_chain_sum(g: Window, chain: Chain) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of the telescoping identity on a same-class run: the sum
+    of |c2| over it, and the four flanking values with the class's sign.
+    The run needs a stored point beyond each end."""
+    if not g.lo < chain.start <= chain.end < g.hi:
+        raise ValueError("chain does not have a one-point margin inside the window")
+    if any(oracle_classify(g, n) != chain.kind for n in range(chain.start, chain.end + 1)):
+        raise ValueError(f"not a run of class {chain.kind!r}")
+    lhs = sum((abs(g.c2(n)) for n in range(chain.start, chain.end + 1)), Fraction(0))
+    rhs = g.at(chain.start - 1) - g.at(chain.start) - g.at(chain.end) + g.at(chain.end + 1)
+    return lhs, -rhs if chain.kind == MINUS else rhs
+
+
+def oracle_second_norm(g: Window) -> Fraction:
+    """sum over Z of |c2|: the interior terms and the two telescoped tails."""
+    left_tail, right_tail = g.at(g.lo + 1) - g.at(g.lo), g.at(g.hi - 1) - g.at(g.hi)
+    assert left_tail >= 0 and right_tail >= 0, "tail guarantee violated"
+    return sum((abs(g.c2(n)) for n in range(g.lo + 1, g.hi)), left_tail + right_tail)
+
+
+def oracle_funeq_rhs(g: Window) -> Fraction:
+    """2 sum_{left} (g(n) - g(n-1)) + 2 sum_{right} (g(n) - g(n+1)); the
+    limit terms of the general bound vanish under the window guarantee."""
+    left, right = oracle_boundaries(g)
+    return 2 * (sum((g.at(n) - g.at(n - 1) for n in left), Fraction(0))
+                + sum((g.at(n) - g.at(n + 1) for n in right), Fraction(0)))
+
+
+def assert_function_check_matches_oracle(f: LatticeFunction) -> None:
+    """The integer passes of the function sweep on a nonzero integer-valued
+    ``f`` against the oracle on the naive profile (the profile, both norms
+    and both boundary bounds), and the check's record, with no violation."""
+    source, d, v, maximal = search._function_passes(f)
+    g, gm = function_window(f), profile_window(maximal_profile(f))
+    norm, max_norm = oracle_second_norm(g), oracle_second_norm(gm)
+    assert [Fraction(x, d) for x in v] == list(gm.values)
+    assert source[:2] == (norm, oracle_funeq_rhs(g))
+    assert (Fraction(maximal[0], d), Fraction(maximal[1], d)) == (max_norm, oracle_funeq_rhs(gm))
+    values = tuple(int(x) for x in f.values)
+    assert search._check_function_instance(values, spot_check=True) == \
+        (GeneralRatioRecord(0, values, norm, max_norm, max_norm / norm), [])
+
+
+# ---------------------------------------------------------------------------
 # Deterministic corpora
 # ---------------------------------------------------------------------------
 
@@ -147,7 +272,7 @@ def corrupt_singleton_kernel(monkeypatch):
 def lift_first_value(monkeypatch, skip: int = 0):
     """Make every profile kernel call after the first ``skip`` add 1 to its
     first value, which lifts the left edge above its neighbour."""
-    real = maximal.window_maxima
+    real = regularity.window_maxima
     calls = 0
 
     def lifted(u):
@@ -159,7 +284,6 @@ def lift_first_value(monkeypatch, skip: int = 0):
         return nums, dens
 
     monkeypatch.setattr(regularity, "window_maxima", lifted)
-    monkeypatch.setattr(maximal, "window_maxima", lifted)
 
 
 # ---------------------------------------------------------------------------

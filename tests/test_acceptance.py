@@ -16,24 +16,27 @@ from fractions import Fraction
 import pytest
 
 from maxreg import (
-    AnalyzedFunction,
     Chain,
     IndexSet,
     LatticeFunction,
-    chain_sum_check,
-    chains,
+    analyze,
     exhaustive,
     first_derivative_norms,
-    funeq_rhs,
     lemma1_violations,
     maximal_at,
     maximal_profile,
     maximal_profile_fast,
-    second_norm,
     theorem1_report,
 )
 
-from conftest import random_index_set
+from conftest import (
+    assert_function_check_matches_oracle,
+    function_window,
+    oracle_chain_sum,
+    oracle_chains,
+    profile_window,
+    random_index_set,
+)
 
 SWEEP_LENGTH = 15
 WORKERS = min(8, os.cpu_count() or 1)
@@ -100,28 +103,26 @@ def test_criterion_02_lemma1_exhaustive(sweep):
 def test_criterion_03_funeq_suite(sweep, corpus_32):
     assert len(corpus_32) == 1000
     for f in corpus_32:
-        g = AnalyzedFunction.from_lattice(f)
-        assert funeq_rhs(g) >= second_norm(g)
-        gm = AnalyzedFunction.from_profile(maximal_profile_fast(f))
-        assert funeq_rhs(gm) >= second_norm(gm)
+        # equal to the oracle, with no violation: both bounds dominate
+        assert_function_check_matches_oracle(f)
     assert not [v for v in sweep.violations
                 if v.kind in ("boundary_bound", "boundary_bound_source",
                               "boundary_bound_maximal")]
-    print("criterion 3: boundary bound dominates on 1000 random functions, "
-          "their maximal functions, and the whole sweep")
+    print("criterion 3: the integer function check equals the oracle, and the "
+          "boundary bound dominates, on 1000 random functions, their maximal "
+          "functions, and the whole sweep")
 
 
 def test_criterion_04_chain_identity(corpus_32):
     checked = 0
     for f in corpus_32:
-        for g in (AnalyzedFunction.from_lattice(f),
-                  AnalyzedFunction.from_profile(maximal_profile_fast(f))):
-            for c in chains(g):
+        for g in (function_window(f), profile_window(maximal_profile_fast(f))):
+            for c in oracle_chains(g):
                 start = max(c.start, g.lo + 1)
                 end = min(c.end, g.hi - 1)
                 if start > end:
                     continue
-                lhs, rhs = chain_sum_check(g, Chain(c.kind, start, end))
+                lhs, rhs = oracle_chain_sum(g, Chain(c.kind, start, end))
                 assert lhs == rhs
                 checked += 1
     print(f"criterion 4: telescoping identity exact on {checked} chains")
@@ -180,7 +181,8 @@ def test_criterion_08_tail_formula():
     for _ in range(100):
         a = random_index_set(rng, 12)
         f = LatticeFunction.from_set(a)
-        closed = second_norm(AnalyzedFunction.from_profile(maximal_profile_fast(f)))
+        an = analyze(a)
+        closed = an.fraction(an.second_norm)
         for t in (100, 1000):
             assert truncated_second_norm_with_remainder(f, t) == closed
     print("criterion 8: closed-form tails equal truncated sums plus "

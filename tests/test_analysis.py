@@ -1,9 +1,8 @@
-"""The integer analysis against the Fraction path it replaces.
+"""The integer analysis against the `Fraction` oracle.
 
 ``analyze`` computes every per-set quantity over one common denominator.
-Each one is checked here against the `Fraction` functions on
-``AnalyzedFunction`` fed by the naive oracle profile, which share no code
-with it after the profile.
+Each one is checked here against the `Fraction` decomposition of
+``conftest`` fed by the naive oracle profile, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -14,44 +13,46 @@ import pytest
 from hypothesis import given, settings
 
 from maxreg import (
-    AnalyzedFunction,
     IndexSet,
     LatticeFunction,
     RatioRecord,
     analyze,
     block_count,
-    decompose,
     forward_difference,
-    funeq_rhs,
     lp_norm,
     maximal_profile,
-    second_norm,
 )
 
-from conftest import index_sets
+from conftest import (
+    index_sets,
+    oracle_boundaries,
+    oracle_chains,
+    oracle_concave,
+    oracle_funeq_rhs,
+    oracle_second_norm,
+    profile_window,
+)
 
 
 def assert_matches_fraction_path(a: IndexSet) -> None:
     an = analyze(a)
     chi = LatticeFunction.from_set(a)
     profile = maximal_profile(chi)
-    g = AnalyzedFunction.from_profile(profile)
-    dec = decompose(g)
+    g = profile_window(profile)
+    norm = oracle_second_norm(g)
 
     assert an.profile_values() == profile.values
     assert (an.lo, an.hi) == profile.window == (g.lo, g.hi)
     assert [an.fraction(v) for v in an.scaled] == list(profile.values)
-    assert [an.fraction(c) for c in an.second] == \
-        [g.second_difference(n) for n in range(g.lo + 1, g.hi)]
-    assert an.fraction(an.left_tail) == g.value_at(g.lo + 1) - g.value_at(g.lo)
-    assert an.fraction(an.right_tail) == g.value_at(g.hi - 1) - g.value_at(g.hi)
-    assert an.fraction(an.second_norm) == second_norm(g) == dec.second_norm
-    assert an.fraction(an.boundary_bound) == funeq_rhs(g) == dec.funeq_rhs_value
-    assert an.s_minus == dec.s_minus.elements
-    assert an.left_boundary == dec.left_boundary.elements
-    assert an.right_boundary == dec.right_boundary.elements
-    assert an.chains() == dec.chains
-    assert an.lemma1_violations == tuple(n for n in dec.s_minus if n not in a)
+    assert [an.fraction(c) for c in an.second] == [g.c2(n) for n in range(g.lo + 1, g.hi)]
+    assert an.fraction(an.left_tail) == g.at(g.lo + 1) - g.at(g.lo)
+    assert an.fraction(an.right_tail) == g.at(g.hi - 1) - g.at(g.hi)
+    assert an.fraction(an.second_norm) == norm
+    assert an.fraction(an.boundary_bound) == oracle_funeq_rhs(g)
+    assert an.s_minus == oracle_concave(g)
+    assert (an.left_boundary, an.right_boundary) == oracle_boundaries(g)
+    assert list(an.chains()) == oracle_chains(g)
+    assert an.lemma1_violations == tuple(n for n in oracle_concave(g) if n not in a)
 
     chi_norm = lp_norm(forward_difference(chi, 2), 1)
     assert an.chi_second_norm == chi_norm
@@ -62,8 +63,7 @@ def assert_matches_fraction_path(a: IndexSet) -> None:
     assert an.fraction(an.variation) == \
         profile.value_at(a_lo) + variation + profile.value_at(b_hi)
 
-    assert an.ratio_record() == \
-        RatioRecord(a, chi_norm, second_norm(g), second_norm(g) / chi_norm)
+    assert an.ratio_record() == RatioRecord(a, chi_norm, norm, norm / chi_norm)
     assert an.violations() == []
 
 

@@ -1,4 +1,8 @@
+"""The `Fraction` convexity decomposition of ``conftest``, on examples and
+against the lattice norms, and the headline functions on index sets."""
+
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,29 +10,33 @@ import pytest
 from maxreg import (
     MINUS,
     PLUS,
-    AnalyzedFunction,
     Chain,
     IndexSet,
     LatticeFunction,
+    analyze,
     average,
-    boundaries,
-    chain_sum_check,
-    chains,
-    classify,
-    decompose,
     first_derivative_norms,
     forward_difference,
-    funeq_rhs,
     lemma1_violations,
     lp_norm,
     maximal_at,
     maximal_profile,
-    second_norm,
+    regularity,
     theorem1_report,
 )
 
 from conftest import (
+    Window,
+    function_window,
+    oracle_boundaries,
+    oracle_chain_sum,
+    oracle_chains,
+    oracle_classify,
+    oracle_concave,
+    oracle_funeq_rhs,
+    oracle_second_norm,
     oracle_second_norm_truncated,
+    profile_window,
     random_function,
     random_index_set,
 )
@@ -38,8 +46,8 @@ def chi(*elements: int) -> LatticeFunction:
     return LatticeFunction.from_set(IndexSet.from_iterable(elements))
 
 
-def analyzed_maximal(*elements: int) -> AnalyzedFunction:
-    return AnalyzedFunction.from_profile(maximal_profile(chi(*elements)))
+def maximal_window(*elements: int) -> Window:
+    return profile_window(maximal_profile(chi(*elements)))
 
 
 # ---------------------------------------------------------------------------
@@ -47,36 +55,17 @@ def analyzed_maximal(*elements: int) -> AnalyzedFunction:
 # ---------------------------------------------------------------------------
 
 def test_classify_examples():
-    g = AnalyzedFunction.from_lattice(chi(0, 2))
-    assert classify(g, 0) == MINUS
-    assert classify(g, 1) == PLUS
-    zero = AnalyzedFunction.from_lattice(LatticeFunction(0, ()), lo=-3, hi=3)
-    assert all(classify(zero, n) == PLUS for n in range(-3, 4))
+    g = function_window(chi(0, 2))
+    assert oracle_classify(g, 0) == MINUS
+    assert oracle_classify(g, 1) == PLUS
+    zero = function_window(LatticeFunction(0, ()))
+    assert all(oracle_classify(zero, n) == PLUS for n in range(-3, 4))
 
 
 def test_classify_tie_is_convex():
     # A straight line segment has vanishing second difference: convex.
-    g = AnalyzedFunction.from_lattice(LatticeFunction.make(0, [1, 2, 3, 2, 1]))
-    assert classify(g, 1) == PLUS
-
-
-def test_classify_needs_guarantee_at_edges():
-    g = AnalyzedFunction(0, 4, (Fraction(0),) * 5, outside_class=False)
-    assert classify(g, 2) == PLUS
-    with pytest.raises(ValueError):
-        classify(g, 0)
-    with pytest.raises(ValueError):
-        classify(g, 5)
-
-
-def test_from_lattice_rejects_bad_windows():
-    f = chi(0, 5)
-    with pytest.raises(ValueError):
-        AnalyzedFunction.from_lattice(f, lo=0, hi=6)     # no left margin
-    g = LatticeFunction.make(0, [-1])                    # negative mass
-    with pytest.raises(ValueError):
-        AnalyzedFunction.from_lattice(g, lo=-1, hi=1)    # concave at the edge
-    AnalyzedFunction.from_lattice(g)                     # default window is fine
+    g = function_window(LatticeFunction.make(0, [1, 2, 3, 2, 1]))
+    assert oracle_classify(g, 1) == PLUS
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +73,9 @@ def test_from_lattice_rejects_bad_windows():
 # ---------------------------------------------------------------------------
 
 def test_boundaries_examples():
-    left, right = boundaries(analyzed_maximal(0))
-    assert left.elements == (0,) and right.elements == (0,)
-    left, right = boundaries(AnalyzedFunction.from_lattice(chi(0, 2)))
-    assert left.elements == (0, 2) and right.elements == (0, 2)
-    left, right = boundaries(AnalyzedFunction.from_lattice(chi(0, 1)))
-    assert left.elements == (0,) and right.elements == (1,)
+    assert oracle_boundaries(maximal_window(0)) == ((0,), (0,))
+    assert oracle_boundaries(function_window(chi(0, 2))) == ((0, 2), (0, 2))
+    assert oracle_boundaries(function_window(chi(0, 1))) == ((0,), (1,))
 
 
 def test_boundaries_subset_of_minus():
@@ -98,11 +84,11 @@ def test_boundaries_subset_of_minus():
         f = random_function(rng, 10, 6)
         if f.is_zero():
             continue
-        g = AnalyzedFunction.from_lattice(f)
-        minus = {n for n in range(g.lo + 1, g.hi) if classify(g, n) == MINUS}
-        left, right = boundaries(g)
-        assert set(left.elements) <= minus
-        assert set(right.elements) <= minus
+        g = function_window(f)
+        minus = {n for n in range(g.lo + 1, g.hi) if oracle_classify(g, n) == MINUS}
+        left, right = oracle_boundaries(g)
+        assert set(left) <= minus
+        assert set(right) <= minus
 
 
 # ---------------------------------------------------------------------------
@@ -110,28 +96,25 @@ def test_boundaries_subset_of_minus():
 # ---------------------------------------------------------------------------
 
 def test_chains_example_gap_pair():
-    g = AnalyzedFunction.from_lattice(chi(0, 2), lo=-1, hi=3)
-    assert chains(g) == [
-        Chain(PLUS, -1, -1),
+    assert oracle_chains(function_window(chi(0, 2))) == [
+        Chain(PLUS, -2, -1),
         Chain(MINUS, 0, 0),
         Chain(PLUS, 1, 1),
         Chain(MINUS, 2, 2),
-        Chain(PLUS, 3, 3),
+        Chain(PLUS, 3, 4),
     ]
 
 
 def test_chains_example_adjacent_pair():
-    g = AnalyzedFunction.from_lattice(chi(0, 1), lo=-1, hi=2)
-    assert chains(g) == [
-        Chain(PLUS, -1, -1),
+    assert oracle_chains(function_window(chi(0, 1))) == [
+        Chain(PLUS, -2, -1),
         Chain(MINUS, 0, 1),
-        Chain(PLUS, 2, 2),
+        Chain(PLUS, 2, 3),
     ]
 
 
 def test_chains_of_zero_function():
-    g = AnalyzedFunction.from_lattice(LatticeFunction(0, ()), lo=-2, hi=2)
-    assert chains(g) == [Chain(PLUS, -2, 2)]
+    assert oracle_chains(function_window(LatticeFunction(0, ()))) == [Chain(PLUS, -1, 1)]
 
 
 def test_chains_partition_and_alternate():
@@ -140,14 +123,14 @@ def test_chains_partition_and_alternate():
         f = random_function(rng, 12, 6)
         if f.is_zero():
             continue
-        g = AnalyzedFunction.from_lattice(f)
-        cs = chains(g)
+        g = function_window(f)
+        cs = oracle_chains(g)
         assert cs[0].start == g.lo and cs[-1].end == g.hi
         for c, d in zip(cs, cs[1:]):
             assert d.start == c.end + 1
             assert d.kind != c.kind
         for c in cs:
-            assert all(classify(g, n) == c.kind for n in range(c.start, c.end + 1))
+            assert all(oracle_classify(g, n) == c.kind for n in range(c.start, c.end + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +138,25 @@ def test_chains_partition_and_alternate():
 # ---------------------------------------------------------------------------
 
 def test_chain_sum_check_examples():
-    g = AnalyzedFunction.from_lattice(chi(0, 2), lo=-1, hi=3)
-    assert chain_sum_check(g, Chain(MINUS, 0, 0)) == (2, 2)
-    assert chain_sum_check(g, Chain(PLUS, 1, 1)) == (2, 2)
-    h = AnalyzedFunction.from_lattice(chi(0, 1), lo=-1, hi=2)
-    assert chain_sum_check(h, Chain(MINUS, 0, 1)) == (2, 2)
+    g = function_window(chi(0, 2))
+    assert oracle_chain_sum(g, Chain(MINUS, 0, 0)) == (2, 2)
+    assert oracle_chain_sum(g, Chain(PLUS, 1, 1)) == (2, 2)
+    h = function_window(chi(0, 1))
+    assert oracle_chain_sum(h, Chain(MINUS, 0, 1)) == (2, 2)
 
 
 def test_chain_sum_check_rejects_margin_violation():
-    g = AnalyzedFunction.from_lattice(chi(0, 2), lo=-1, hi=3)
+    g = function_window(chi(0, 2))         # the window [-2, 4]
     with pytest.raises(ValueError):
-        chain_sum_check(g, Chain(PLUS, -1, -1))
+        oracle_chain_sum(g, Chain(PLUS, -2, -2))
     with pytest.raises(ValueError):
-        chain_sum_check(g, Chain(PLUS, 3, 3))
+        oracle_chain_sum(g, Chain(PLUS, 4, 4))
 
 
 def test_chain_sum_check_rejects_wrong_kind():
-    g = AnalyzedFunction.from_lattice(chi(0, 2), lo=-1, hi=3)
+    g = function_window(chi(0, 2))
     with pytest.raises(ValueError):
-        chain_sum_check(g, Chain(PLUS, 0, 0))
+        oracle_chain_sum(g, Chain(PLUS, 0, 0))
 
 
 def test_chain_identity_randomized():
@@ -182,35 +165,35 @@ def test_chain_identity_randomized():
         f = random_function(rng, 14, 7)
         if f.is_zero():
             continue
-        for g in (AnalyzedFunction.from_lattice(f),
-                  AnalyzedFunction.from_profile(maximal_profile(f))):
-            for c in chains(g):
+        for g in (function_window(f), profile_window(maximal_profile(f))):
+            for c in oracle_chains(g):
                 start = max(c.start, g.lo + 1)
                 end = min(c.end, g.hi - 1)
                 if start > end:
                     continue
-                lhs, rhs = chain_sum_check(g, Chain(c.kind, start, end))
+                lhs, rhs = oracle_chain_sum(g, Chain(c.kind, start, end))
                 assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
-# second_norm: exact infinite sums
+# second norms: exact infinite sums
 # ---------------------------------------------------------------------------
 
 def test_second_norm_indicator():
-    assert second_norm(AnalyzedFunction.from_lattice(chi(0))) == 4
+    assert oracle_second_norm(function_window(chi(0))) == 4
 
 
 def test_second_norm_maximal_singleton():
     # M chi_{0}(n) = 1/(|n|+1): window part 1, each tail telescopes to 1/2.
-    assert second_norm(analyzed_maximal(0)) == 2
+    assert oracle_second_norm(maximal_window(0)) == 2
 
 
 def test_second_norm_maximal_intervals():
     # For an interval of k+1 points the norm is 4/(k+2).
     for k in range(6):
-        g = analyzed_maximal(*range(k + 1))
-        assert second_norm(g) == Fraction(4, k + 2)
+        assert oracle_second_norm(maximal_window(*range(k + 1))) == Fraction(4, k + 2)
+        an = analyze(IndexSet.from_iterable(range(k + 1)))
+        assert an.fraction(an.second_norm) == Fraction(4, k + 2)
 
 
 def test_second_norm_equals_lattice_norm():
@@ -219,8 +202,7 @@ def test_second_norm_equals_lattice_norm():
         f = random_function(rng, 12, 7, offset_range=4)
         if f.is_zero():
             continue
-        g = AnalyzedFunction.from_lattice(f)
-        assert second_norm(g) == lp_norm(forward_difference(f, 2), 1)
+        assert oracle_second_norm(function_window(f)) == lp_norm(forward_difference(f, 2), 1)
 
 
 def test_second_norm_truncation_identity():
@@ -230,7 +212,9 @@ def test_second_norm_truncation_identity():
     for _ in range(20):
         a = random_index_set(rng, 8)
         f = LatticeFunction.from_set(a)
-        closed = second_norm(AnalyzedFunction.from_profile(maximal_profile(f)))
+        closed = oracle_second_norm(profile_window(maximal_profile(f)))
+        an = analyze(a)
+        assert an.fraction(an.second_norm) == closed
         reach = max(abs(a.min()), abs(a.max()))
         for t in (reach + 1, reach + 7, 60):
             partial = oracle_second_norm_truncated(lambda n: maximal_at(f, n), t)
@@ -240,14 +224,13 @@ def test_second_norm_truncation_identity():
 
 
 # ---------------------------------------------------------------------------
-# boundary bound (funeq_rhs)
+# boundary bound
 # ---------------------------------------------------------------------------
 
 def test_funeq_examples():
-    assert funeq_rhs(analyzed_maximal(0)) == 2
-    assert funeq_rhs(AnalyzedFunction.from_lattice(chi(0))) == 4
-    zero = AnalyzedFunction.from_lattice(LatticeFunction(0, ()), lo=-2, hi=2)
-    assert funeq_rhs(zero) == 0
+    assert oracle_funeq_rhs(maximal_window(0)) == 2
+    assert oracle_funeq_rhs(function_window(chi(0))) == 4
+    assert oracle_funeq_rhs(function_window(LatticeFunction(0, ()))) == 0
 
 
 def test_funeq_dominates_second_norm():
@@ -256,22 +239,42 @@ def test_funeq_dominates_second_norm():
         f = random_function(rng, 12, 7)
         if f.is_zero():
             continue
-        g = AnalyzedFunction.from_lattice(f)
-        assert funeq_rhs(g) >= second_norm(g)
-        gm = AnalyzedFunction.from_profile(maximal_profile(f))
-        assert funeq_rhs(gm) >= second_norm(gm)
+        g = function_window(f)
+        assert oracle_funeq_rhs(g) >= oracle_second_norm(g)
+        gm = profile_window(maximal_profile(f))
+        assert oracle_funeq_rhs(gm) >= oracle_second_norm(gm)
 
 
 def test_decompose_is_consistent():
-    g = analyzed_maximal(0, 2, 3, 7)
-    dec = decompose(g)
-    assert dec.second_norm == second_norm(g)
-    assert dec.funeq_rhs_value == funeq_rhs(g)
-    assert set(dec.left_boundary.elements) <= set(dec.s_minus.elements)
-    assert set(dec.right_boundary.elements) <= set(dec.s_minus.elements)
-    minus_from_chains = {n for c in dec.chains if c.kind == MINUS
+    # the decomposition that analyze reads off M chi_A
+    an = analyze(IndexSet.from_iterable([0, 2, 3, 7]))
+    g = maximal_window(0, 2, 3, 7)
+    assert an.fraction(an.second_norm) == oracle_second_norm(g)
+    assert an.fraction(an.boundary_bound) == oracle_funeq_rhs(g)
+    assert set(an.left_boundary) <= set(an.s_minus)
+    assert set(an.right_boundary) <= set(an.s_minus)
+    minus_from_chains = {n for c in an.chains() if c.kind == MINUS
                          for n in range(c.start, c.end + 1)}
-    assert minus_from_chains == set(dec.s_minus.elements)
+    assert minus_from_chains == set(an.s_minus) == set(oracle_concave(g))
+
+
+def test_profile_entry_points_match_the_oracle():
+    # AnalyzedFunction.from_profile, second_norm, funeq_rhs and decompose
+    rng = random.Random(467)
+    for _ in range(120):
+        f = random_function(rng, 14, 9)
+        if f.is_zero():
+            continue
+        p = maximal_profile(f)
+        g, w = regularity.AnalyzedFunction.from_profile(p), profile_window(p)
+        assert tuple(Fraction(v, g.denominator) for v in g.scaled) == p.values
+        norm, bound = oracle_second_norm(w), oracle_funeq_rhs(w)
+        assert regularity.second_norm(g) == norm and regularity.funeq_rhs(g) == bound
+        left, right = oracle_boundaries(w)
+        assert regularity.decompose(g) == (IndexSet(oracle_concave(w)), IndexSet(left),
+                                           IndexSet(right), norm, bound)
+    with pytest.raises(ValueError):
+        regularity.AnalyzedFunction.from_profile(replace(p, tail_guarantee=False))
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +302,11 @@ def test_attained_by_one_sided_window_when_strictly_rising():
     sets += [random_index_set(rng, 14) for _ in range(30)]
     for a in sets:
         f = LatticeFunction.from_set(a)
-        g = AnalyzedFunction.from_profile(maximal_profile(f))
+        g = profile_window(maximal_profile(f))
         b = a.max()
         lo = a.min()
-        for n in range(g.lo + 1, g.hi):
-            if classify(g, n) != MINUS:
-                continue
-            m_n = g.value_at(n)
+        for n in oracle_concave(g):
+            m_n = g.at(n)
             if m_n > maximal_at(f, n - 1):
                 assert any(average(f, n, 0, s) == m_n for s in range(0, b - n + 1))
             if m_n > maximal_at(f, n + 1):
@@ -328,7 +329,7 @@ def test_theorem1_fast_flag_is_equivalent():
         a = random_index_set(rng, 10)
         f = LatticeFunction.from_set(a)
         chi_norm = lp_norm(forward_difference(f, 2), 1)
-        max_norm = second_norm(AnalyzedFunction.from_profile(maximal_profile(f)))
+        max_norm = oracle_second_norm(profile_window(maximal_profile(f)))
         r = theorem1_report(a)
         assert (r.chi_second_norm, r.max_second_norm, r.ratio) == \
             (chi_norm, max_norm, max_norm / chi_norm)

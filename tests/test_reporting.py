@@ -1,9 +1,9 @@
 """The report writers against reports built the old way, in `Fraction`s.
 
 The expected JSON is ``json.dumps(..., indent=2)`` of a dict built from a
-maximal profile through :class:`AnalyzedFunction`; the expected CSV takes
-its edge rows from :func:`maximal_at`.  Both are compared byte for byte
-with what ``maxreg report`` prints.
+maximal profile through the `Fraction` oracle of ``conftest``; the expected
+CSV takes its edge rows from :func:`maximal_at`.  Both are compared byte
+for byte with what ``maxreg report`` prints.
 """
 
 import contextlib
@@ -17,39 +17,49 @@ from maxreg import IndexSet, LatticeFunction, maximal_at
 from maxreg._version import __version__
 from maxreg.cli import EXIT_OK, main, scan_to_dict
 from maxreg.maximal import MaximalProfile, maximal_profile, maximal_profile_fast
-from maxreg.regularity import (AnalyzedFunction, Chain, analyze, decompose,
-                               second_norm)
+from maxreg.regularity import Chain, analyze
 from maxreg.reporting import (SCHEMA_VERSION, Report, _json, canonical_set_literal,
                               render_report_json, render_report_text,
                               report_to_dict)
 from maxreg.search import higher_derivative_scan
 
-from conftest import index_sets
+from conftest import (
+    function_window,
+    index_sets,
+    oracle_boundaries,
+    oracle_chains,
+    oracle_concave,
+    oracle_funeq_rhs,
+    oracle_second_norm,
+    profile_window,
+)
 
 
 def old_report_dict(profile: MaximalProfile) -> dict:
     a, chi, values = profile.source.support(), profile.source, profile.values
     lo, hi = profile.window
-    dec = decompose(AnalyzedFunction.from_profile(profile))
-    chi_norm = second_norm(AnalyzedFunction.from_lattice(chi))
+    g = profile_window(profile)
+    norm, bound = oracle_second_norm(g), oracle_funeq_rhs(g)
+    left, right = oracle_boundaries(g)
+    chi_norm = oracle_second_norm(function_window(chi))
     chi_first = sum(abs(chi.value_at(n + 1) - chi.value_at(n)) for n in range(lo, hi))
     variation = values[1] + sum(abs(y - x) for x, y in zip(values[1:-2], values[2:-1])) \
         + values[-2]
-    outside = [n for n in dec.s_minus if n not in a]
+    outside = [n for n in oracle_concave(g) if n not in a]
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "input": canonical_set_literal(a),
         "set": list(a.elements),
         "chi_second_norm": str(chi_norm),
-        "max_second_norm": str(dec.second_norm),
-        "ratio": str(dec.second_norm / chi_norm),
-        "s_minus": list(dec.s_minus.elements),
-        "left_boundary": list(dec.left_boundary.elements),
-        "right_boundary": list(dec.right_boundary.elements),
-        "chains": [{"kind": c.kind, "start": c.start, "end": c.end} for c in dec.chains],
-        "funeq_rhs": str(dec.funeq_rhs_value),
-        "funeq_rhs_limit_bounded": str(dec.funeq_rhs_value + 2),
+        "max_second_norm": str(norm),
+        "ratio": str(norm / chi_norm),
+        "s_minus": list(oracle_concave(g)),
+        "left_boundary": list(left),
+        "right_boundary": list(right),
+        "chains": [{"kind": c.kind, "start": c.start, "end": c.end} for c in oracle_chains(g)],
+        "funeq_rhs": str(bound),
+        "funeq_rhs_limit_bounded": str(bound + 2),
         "lemma1": "violated" if outside else "ok",
         "lemma1_violations": outside,
         "chi_first_norm": str(chi_first),

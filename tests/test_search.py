@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import maxreg.maximal as maximal
 import maxreg.regularity as regularity
 import maxreg.search as search
 from maxreg import (
@@ -24,6 +23,7 @@ from maxreg import (
 
 from conftest import (
     as_dict,
+    assert_function_check_matches_oracle,
     corrupt_singleton_kernel,
     index_sets,
     lift_first_value,
@@ -293,6 +293,43 @@ def test_random_functions_thousand_trials_clean():
     assert s.instances_checked == 1000
 
 
+@pytest.mark.parametrize("args, max_record, quantiles", [
+    ((1000, 16, 4, 7),
+     (0, (1, -2, -3, 0, 0, 4, 2, 0, 3, 0, 4, 1, 0, -4, -1, 1), 66, 25, Fraction(25, 66)),
+     {"min": "66623/2162160", "q25": "606617/5012280", "median": "107/672",
+      "q75": "771/3760", "max": "25/66"}),
+    ((2000, 16, 5, 7),
+     (0, (-2, -4, -1, 2, 5, 1, 0, -3, -4, -1, 2, 5, 3, -1, -3, -5), 46,
+      Fraction(155, 6), Fraction(155, 276)),
+     {"min": "3829/163020", "q25": "2831/23790", "median": "433/2760",
+      "q75": "71/350", "max": "155/276"}),
+    # length 40: blocks of 42 points, profiled by the hull-bridge kernel
+    ((300, 40, 6, 3),
+     (0, (5, -3, 0, -1, 0, 5, 0, 3, 2, 4, 5, 3, -2, -6, -2, -2, -1, -3, -4, 1,
+          1, -1, 5, 5, 1, -1, -3, 0, 6, -1, -1, 0, -6, 0, 3, -6, 0, -3, 0, 5),
+      232, Fraction(4700, 63), Fraction(1175, 3654)),
+     {"min": "8613495019/131597165700", "q25": "25900033/207859050",
+      "median": "86202077999/571170239640", "q75": "5295823069/29260576800",
+      "max": "1175/3654"}),
+], ids=["len16-bound4", "len16-bound5", "len40-bound6"])
+def test_random_functions_pinned_summaries(args, max_record, quantiles):
+    s = random_functions(*args)
+    assert s.instances_checked == args[0]
+    assert not s.violations
+    assert s.max_record == search.GeneralRatioRecord(*max_record)
+    assert s.stats == {"ratio_quantiles": quantiles}
+
+
+def test_function_check_matches_the_oracle():
+    # signed integer functions, supports of 1 to 64 points, both kernels
+    rng = random.Random(20261018)
+    for length in list(range(1, 65)) * 3:
+        bound = rng.randint(1, 9)
+        values = [rng.randint(-bound, bound) for _ in range(length)]
+        values[0] = values[-1] = rng.choice([-bound, bound])
+        assert_function_check_matches_oracle(LatticeFunction.make(rng.randint(-20, 20), values))
+
+
 def test_random_functions_validation():
     with pytest.raises(ValueError):
         random_functions(10, 8, 0, 1)
@@ -338,13 +375,13 @@ def test_fast_path_divergence_is_a_violation(monkeypatch):
 
 
 def test_function_sweep_divergence_is_a_violation(monkeypatch):
-    real = maximal.window_maxima
+    real = regularity.window_maxima
 
     def doubled(u):
         nums, dens = real(u)
         return [2 * n for n in nums], dens
 
-    monkeypatch.setattr(maximal, "window_maxima", doubled)
+    monkeypatch.setattr(regularity, "window_maxima", doubled)
     s = random_functions(50, 8, 3, 5)          # the first instance is spot-checked
     assert s.instances_checked == 1
     v = s.violations[0]
