@@ -38,7 +38,6 @@ from .regularity import (
     theorem1_report,
 )
 from .reporting import (
-    Report,
     SetLiteralError,
     build_report,
     canonical_set_literal,
@@ -79,7 +78,6 @@ __all__ = [
     "lemma1_violations",
     "theorem1_report",
     "first_derivative_norms",
-    "Report",
     "SetLiteralError",
     "build_report",
     "canonical_set_literal",

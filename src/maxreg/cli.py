@@ -18,7 +18,6 @@ from ._version import __version__
 from .regularity import analyze
 from .reporting import (
     SCHEMA_VERSION,
-    Report,
     _json,
     analysis_csv,
     canonical_set_literal,
@@ -145,9 +144,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(analysis_csv(analysis))
     elif args.format == "json":
-        print(render_report_json(Report(analysis)))
+        print(render_report_json(analysis))
     else:
-        print(render_report_text(Report(analysis), paper_accounting=args.paper_accounting))
+        print(render_report_text(analysis, paper_accounting=args.paper_accounting))
     violated = [v.kind for v in analysis.violations()]
     if violated:
         print(f"contract violated: {', '.join(violated)}", file=sys.stderr)
@@ -184,13 +183,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``maxreg`` parser, built on first use and shared by later calls."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                        help="output format (csv is per-point data, report only)")
-    common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for sweeps")
-    common.add_argument("--paper-accounting", action="store_true",
-                        help="also show the boundary bound with each limit term bounded by 1")
+    text_json = argparse.ArgumentParser(add_help=False)
+    text_json.add_argument("--format", choices=("text", "json"), default="text",
+                           help="output format")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1, metavar="N",
+                         help="worker processes")
 
     parser = argparse.ArgumentParser(
         prog="maxreg",
@@ -201,18 +199,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"maxreg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="full decomposition report for one set")
+    p = sub.add_parser("report", help="full decomposition report for one set")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text",
+                   help="output format (csv is per-point data)")
+    p.add_argument("--paper-accounting", action="store_true",
+                   help="also show the boundary bound with each limit term bounded by 1")
     p.add_argument("set", help="set literal, e.g. '0,2,5-9'; put one that starts "
                                "with '-' after '--', e.g. '-- -7,-3,0,2'")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("exhaust", parents=[common],
+    p = sub.add_parser("exhaust", parents=[text_json, workers],
                        help="check every translation class of subsets of [0, L)")
     p.add_argument("length", type=int)
     p.set_defaults(func=_cmd_exhaust)
 
-    p = sub.add_parser("random", parents=[common],
+    p = sub.add_parser("random", parents=[text_json, workers],
                        help="check random subsets of [0, L)")
     p.add_argument("trials", type=int)
     p.add_argument("length", type=int)
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seed", type=int)
     p.set_defaults(func=_cmd_random)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[text_json],
                        help="exact l1 norm of the order-k difference of M chi_A, "
                             "with its truncation to [-T, T]")
     p.add_argument("set", help="set literal; put one that starts with '-' after "
@@ -233,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format == "csv" and args.command != "report":
-        print("error: csv format is only available for 'report'", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ValueError as exc:           # SetLiteralError included

@@ -257,23 +257,21 @@ class Analysis(NamedTuple):
                            Fraction(self.second_norm, d),
                            Fraction(self.second_norm, d * self.chi_second_norm))
 
-    def violations(self, oracle: tuple[Fraction, ...] | None = None,
-                   ) -> list[Violation]:
+    def violations(self, spot_check: bool = False) -> list[Violation]:
         """The set-level contract battery, in a fixed order; empty if all hold.
 
-        First the profile audit (:func:`audit_profile`) against ``oracle``,
-        the naive profile, if given.  A negative tail term cannot come from
-        a correct kernel, so it runs the audit with the oracle computed
-        here.  Then Theorem 1 ratio <= 3, ||chi''||_1 >= 2, Lemma 1, the
-        boundary bound dominating the second norm, and the variation of
-        M chi_A not exceeding ||chi'||_1.
+        First the profile audit (:func:`audit_profile`) against the naive
+        oracle :func:`~maxreg.maximal.maximal_profile`, run here when
+        ``spot_check`` is set and whenever a tail term is negative, which a
+        correct kernel cannot give.  Then Theorem 1 ratio <= 3,
+        ||chi''||_1 >= 2, Lemma 1, the boundary bound dominating the second
+        norm, and the variation of M chi_A not exceeding ||chi'||_1.
         """
         d = self.denominator
         subject = {"set": list(self.set.elements)}
-        if oracle is None and (self.left_tail < 0 or self.right_tail < 0):
-            oracle = maximal_profile(LatticeFunction.from_set(self.set)).values
         out: list[Violation] = []
-        if oracle is not None:
+        if spot_check or self.left_tail < 0 or self.right_tail < 0:
+            oracle = maximal_profile(LatticeFunction.from_set(self.set)).values
             out = audit_profile(self.profile_values(), oracle, subject)
         if self.second_norm > 3 * self.chi_second_norm * d:
             record = self.ratio_record()

@@ -3,9 +3,9 @@
 Every numeric field in machine output is an exact rational rendered as a
 ``p/q`` string (plain integer when q = 1); floats never appear.  The JSON
 schema is versioned via ``schema_version`` so downstream plotting can pin
-itself to a layout, which :func:`report_to_dict` defines.  The writers
-read the integers of the :class:`~maxreg.regularity.Analysis` and build no
-`Fraction` per point; :class:`Report` is a view of one analysis.
+itself to a layout, which :func:`report_to_dict` defines.  The report of a
+set is its :class:`~maxreg.regularity.Analysis` itself: the writers read its
+integers and build no `Fraction` per point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from collections.abc import Iterable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import NamedTuple
 
 from ._version import __version__
 from .lattice import IndexSet
@@ -25,7 +24,7 @@ SCHEMA_VERSION = 3
 
 __all__ = [
     "SCHEMA_VERSION", "SetLiteralError", "parse_set_literal",
-    "canonical_set_literal", "Report", "build_report", "report_to_dict",
+    "canonical_set_literal", "build_report", "report_to_dict",
     "render_report_text", "render_report_json", "render_report_csv",
     "analysis_csv",
 ]
@@ -87,37 +86,9 @@ def canonical_set_literal(a: Iterable[int]) -> str:
 # Full per-set report
 # ---------------------------------------------------------------------------
 
-class Report(NamedTuple):
-    """The per-set report: a view of one :class:`Analysis`, whose attributes
-    are computed when read.  ``funeq_rhs_limit_bounded`` is the boundary
-    bound with each of the two (exactly vanishing) limit terms replaced by
-    its crude bound 1, kept for display beside the exact accounting.
-    """
-
-    analysis: Analysis
-
-    input_literal = property(lambda r: canonical_set_literal(r.analysis.set))
-    input_set = property(lambda r: r.analysis.set)
-    chi_second_norm = property(lambda r: Fraction(r.analysis.chi_second_norm))
-    max_second_norm = property(lambda r: r.analysis.fraction(r.analysis.second_norm))
-    ratio = property(lambda r: r.analysis.ratio_record().ratio)
-    s_minus = property(lambda r: IndexSet(r.analysis.s_minus))
-    left_boundary = property(lambda r: IndexSet(r.analysis.left_boundary))
-    right_boundary = property(lambda r: IndexSet(r.analysis.right_boundary))
-    chains = property(lambda r: r.analysis.chains())
-    funeq_rhs = property(lambda r: r.analysis.fraction(r.analysis.boundary_bound))
-    funeq_rhs_limit_bounded = property(lambda r: r.funeq_rhs + 2)
-    lemma1_ok = property(lambda r: not r.analysis.lemma1_violations)
-    lemma1_violations = property(lambda r: IndexSet(r.analysis.lemma1_violations))
-    chi_first_norm = property(lambda r: Fraction(r.analysis.chi_first_norm))
-    max_first_variation = property(lambda r: r.analysis.fraction(r.analysis.variation))
-    window = property(lambda r: (r.analysis.lo, r.analysis.hi))
-    profile_values = property(lambda r: r.analysis.profile_values())
-
-
-def build_report(a: IndexSet) -> Report:
-    """The :class:`Report` of the analysis of ``a``."""
-    return Report(analyze(a))
+def build_report(a: IndexSet) -> Analysis:
+    """The analysis of ``a``, which every writer below reads."""
+    return analyze(a)
 
 
 def _over(p: int, q: int) -> str:
@@ -132,12 +103,12 @@ def _over_each(values: tuple[int, ...], d: int) -> list[str]:
     return list(map(text.__getitem__, values))
 
 
-def report_to_dict(report: Report) -> dict:
-    an, d = report.analysis, report.analysis.denominator
+def report_to_dict(an: Analysis) -> dict:
+    d = an.denominator
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "input": report.input_literal,
+        "input": canonical_set_literal(an.set),
         "set": list(an.set.elements),
         "chi_second_norm": str(an.chi_second_norm),
         "max_second_norm": _over(an.second_norm, d),
@@ -158,10 +129,12 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def render_report_text(report: Report, paper_accounting: bool = False) -> str:
-    an, d = report.analysis, report.analysis.denominator
+def render_report_text(an: Analysis, paper_accounting: bool = False) -> str:
+    """The text report; ``paper_accounting`` adds the boundary bound with each
+    of its two (exactly vanishing) limit terms replaced by its crude bound 1."""
+    d = an.denominator
     lines = [
-        f"set               {report.input_literal}",
+        f"set               {canonical_set_literal(an.set)}",
         f"window            [{an.lo}, {an.hi}]",
         f"||chi''||_1       {an.chi_second_norm}",
         f"||(M chi)''||_1   {_over(an.second_norm, d)}",
@@ -241,6 +214,6 @@ def _json(value, indent: str = "") -> str:
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
-def render_report_json(report: Report) -> str:
-    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte."""
-    return _json(report_to_dict(report))
+def render_report_json(an: Analysis) -> str:
+    """``json.dumps(report_to_dict(an), indent=2)``, byte for byte."""
+    return _json(report_to_dict(an))

@@ -20,23 +20,25 @@ Three probes of how far the second-difference bound might extend:
   truncated sum is the total minus the part past T.
 
 Every checked set runs the full contract battery of its
-:class:`~maxreg.regularity.Analysis` (Theorem 1 ratio, Lemma 1 emptiness,
-boundary-bound domination, first-derivative domination, indicator norm
-lower bound).  Every drawn function runs the same integer pass as a set's
-analysis (:func:`~maxreg.regularity._convexity`), on itself and on its
-maximal profile, and both boundary bounds must dominate their norms.
-Every 512th instance of every sweep, set or function, is
-also re-profiled by the naive oracle :func:`~maxreg.maximal.maximal_profile`,
-and so is every instance whose profile has a negative tail term; a mismatch
-is a ``fast_path_divergence`` violation, ahead of all others.  In
-:func:`exhaustive` an instance is a translation class, checked or not: a
-class skipped for its mirror is audited through the mirror's profile read
-backwards.  Any failure halts the sweep and is serialized in full: a
-violation is either an artifact bug or a finding, never noise to skip.
-Sweeps are chunked with a fixed chunk size, folded in integers (ratios
-compared by cross-multiplying), and chunk results are reduced in
-submission order with a smallest-bitmask tie-break, so summaries are
-identical for any worker count.
+:class:`~maxreg.regularity.Analysis`, :meth:`~maxreg.regularity.Analysis.violations`
+(Theorem 1 ratio, Lemma 1 emptiness, boundary-bound domination,
+first-derivative domination, indicator norm lower bound).  Every drawn
+function runs the same integer pass as a set's analysis
+(:func:`~maxreg.regularity._convexity`), on itself and on its maximal
+profile, and both boundary bounds must dominate their norms.  Every 512th
+instance of every sweep, set or function, is also re-profiled by the naive
+oracle :func:`~maxreg.maximal.maximal_profile`, and so is every instance
+whose profile has a negative tail term; for a set, the battery decides and
+runs that audit itself.  A mismatch is a ``fast_path_divergence``
+violation, ahead of all others.  In :func:`exhaustive` an instance is a
+translation class, checked or not: a class skipped for its mirror is
+audited through the mirror's profile read backwards.  Any failure halts the
+sweep and is serialized in full: a violation is either an artifact bug or a
+finding, never noise to skip.  Set sweeps are chunked with a fixed chunk
+size, and one integer fold (:class:`_Fold`, ratios compared by
+cross-multiplying) takes the sets of a chunk in order and then the chunks
+in submission order, keeping the earlier, smaller-mask set on ties, so
+summaries are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -54,7 +57,6 @@ from typing import Callable, Sequence
 from .lattice import IndexSet, LatticeFunction
 from .maximal import maximal_profile, window_maxima
 from .regularity import (
-    Analysis,
     RatioRecord,
     Violation,
     _convexity,
@@ -125,20 +127,8 @@ class TruncatedScan:
 
 
 # ---------------------------------------------------------------------------
-# Per-instance contract battery
+# Set sweeps: chunks folded in integers
 # ---------------------------------------------------------------------------
-
-def _check_set_instance(a: IndexSet, spot_check: bool,
-                        ) -> tuple[Analysis, list[Violation]]:
-    """Run every set-level contract on one set, from a single analysis.
-
-    With ``spot_check`` the profile is also audited against the oracle
-    (:func:`~maxreg.regularity.audit_profile`); a divergence comes first.
-    """
-    analysis = analyze(a)
-    oracle = maximal_profile(LatticeFunction.from_set(a)).values if spot_check else None
-    return analysis, analysis.violations(oracle)
-
 
 def _mirror(mask: int) -> int:
     """Bitmask of the reflected set of an odd mask: bit i goes to bit span - i."""
@@ -158,40 +148,46 @@ def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
     return audit_profile(values, oracle, {"set": list(a.elements)})
 
 
-def _better(old: RatioRecord | None, new: RatioRecord) -> RatioRecord:
-    """Keep the larger ratio; on ties keep the earlier (smaller-mask) record."""
-    if old is None or new.ratio > old.ratio:
-        return new
-    return old
-
-
 def _beats(new: tuple, old: tuple | None) -> bool:
-    """Integer form of :func:`_better` on (norm over D, D * ||chi''||_1, analysis):
-    the ratio is the first over the second, compared by cross-multiplying."""
+    """Whether winner ``new`` replaces ``old``.  A winner is (norm over D,
+    D * ||chi''||_1, analysis); its ratio is the first over the second,
+    compared by cross-multiplying, and a tie keeps ``old``."""
     return old is None or new[0] * old[1] > old[0] * new[1]
 
 
 @dataclass
-class _ChunkResult:
+class _Fold:
+    """Sweep results folded in order, in integers, by :meth:`add`: each set
+    into its chunk, then each chunk into the sweep.  Winners are compared by
+    :func:`_beats` only, so on ties the earlier, smaller-mask set stays;
+    records are built from the final winners (:func:`_records`)."""
+
     count: int = 0                      # translation classes covered
     evaluated: int = 0                  # sets analysed
-    best: RatioRecord | None = None
-    max_by_span: dict = field(default_factory=dict)
+    winners: dict = field(default_factory=dict)     # span -> winner; None -> overall
     min_chi_norm: int | None = None
     violations: tuple[Violation, ...] = ()
 
+    def add(self, count: int, evaluated: int, winners: dict, min_chi_norm: int | None) -> None:
+        self.count += count
+        self.evaluated += evaluated
+        for key, entry in winners.items():
+            if _beats(entry, self.winners.get(key)):
+                self.winners[key] = entry
+        if min_chi_norm is not None and (self.min_chi_norm is None
+                                         or min_chi_norm < self.min_chi_norm):
+            self.min_chi_norm = min_chi_norm
 
-def _check_mask_chunk(args: tuple) -> _ChunkResult:
-    """Check a chunk of masks in order and fold it in integers.
+
+def _check_mask_chunk(args: tuple) -> _Fold:
+    """Run the battery (:meth:`~maxreg.regularity.Analysis.violations`) on a
+    chunk of masks in order, and fold it.
 
     ``mirrored`` chunks hold odd masks and skip each mask whose mirror is
-    smaller, auditing it if due (:func:`exhaustive`).  Records are built
-    once, for the winners left at the end of the chunk.
+    smaller, auditing it if due (:func:`exhaustive`).
     """
     masks, base_index, mirrored = args
-    out = _ChunkResult()
-    best = None
-    by_span: dict[int, tuple] = {}
+    out = _Fold()
     for i, mask in enumerate(masks):
         spot = (base_index + i) % _SPOT_EVERY == 0
         classes = 1
@@ -204,64 +200,39 @@ def _check_mask_chunk(args: tuple) -> _ChunkResult:
                         break
                 continue
             classes = 1 if mirror == mask else 2
-        analysis, violations = _check_set_instance(IndexSet.from_mask(mask), spot)
-        out.count += classes
-        out.evaluated += 1
-        chi = analysis.chi_second_norm
-        entry = (analysis.second_norm, analysis.denominator * chi, analysis)
-        if _beats(entry, best):
-            best = entry
+        an = analyze(IndexSet.from_mask(mask))
+        entry = (an.second_norm, an.denominator * an.chi_second_norm, an)
         span = mask.bit_length() - (mask & -mask).bit_length()
-        if _beats(entry, by_span.get(span)):
-            by_span[span] = entry
-        if out.min_chi_norm is None or chi < out.min_chi_norm:
-            out.min_chi_norm = chi
-        if violations:
-            out.violations = tuple(violations)
+        out.add(classes, 1, {None: entry, span: entry}, an.chi_second_norm)
+        out.violations = tuple(an.violations(spot))
+        if out.violations:
             break
-    if best is not None:
-        out.best = best[2].ratio_record()
-    out.max_by_span = {span: entry[2].ratio_record() for span, entry in by_span.items()}
     return out
 
 
 def _run_chunked(chunk_args: Sequence[tuple], workers: int,
                  progress: Callable[[int, int], None] | None,
-                 total: int) -> _ChunkResult:
-    """Map chunks, reduce in submission order, halt at the first violation."""
-    merged = _ChunkResult()
-
-    def fold(res: _ChunkResult) -> bool:
-        merged.count += res.count
-        merged.evaluated += res.evaluated
-        if res.best is not None:
-            merged.best = _better(merged.best, res.best)
-        for span, rec in res.max_by_span.items():
-            merged.max_by_span[span] = _better(merged.max_by_span.get(span), rec)
-        if res.min_chi_norm is not None and (
-                merged.min_chi_norm is None or res.min_chi_norm < merged.min_chi_norm):
-            merged.min_chi_norm = res.min_chi_norm
-        merged.violations = res.violations
-        if progress is not None:
-            progress(merged.count, total)
-        return bool(res.violations)
-
-    if workers == 1:
-        for args in chunk_args:
-            if fold(_check_mask_chunk(args)):
-                break
-        return merged
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for res in pool.map(_check_mask_chunk, chunk_args):
-            if fold(res):
+                 total: int) -> _Fold:
+    """Map chunks, fold them in submission order, halt at the first violation."""
+    merged = _Fold()
+    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        for chunk in (map if pool is None else pool.map)(_check_mask_chunk, chunk_args):
+            merged.add(chunk.count, chunk.evaluated, chunk.winners, chunk.min_chi_norm)
+            merged.violations = chunk.violations
+            if progress is not None:
+                progress(merged.count, total)
+            if chunk.violations:
                 break
     return merged
 
 
-def _set_stats(merged: _ChunkResult) -> dict:
+def _records(merged: _Fold) -> tuple[RatioRecord | None, dict]:
+    """(max record, summary stats) from the final winners of a set sweep."""
+    records = {key: entry[2].ratio_record() for key, entry in merged.winners.items()}
     norm = merged.min_chi_norm
-    return {"max_by_span": dict(sorted(merged.max_by_span.items())),
-            "min_chi_second_norm": None if norm is None else Fraction(norm)}
+    return records.pop(None, None), {
+        "max_by_span": dict(sorted(records.items())),
+        "min_chi_second_norm": None if norm is None else Fraction(norm)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +265,10 @@ def exhaustive(length: int, workers: int = 1,
     total = len(masks)
     chunk_args = [(masks[i:i + _CHUNK], i, True) for i in range(0, total, _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, total)
+    best, stats = _records(merged)
     return SearchSummary(
         instances_checked=merged.count,
-        max_record=merged.best,
+        max_record=best,
         violations=merged.violations,
         parameters={
             "mode": "exhaustive",
@@ -307,7 +279,7 @@ def exhaustive(length: int, workers: int = 1,
                                 "the smaller mask of each mirror pair)",
             "raw_set_count": (1 << length) - 1,
         },
-        stats={**_set_stats(merged), "sets_evaluated": merged.evaluated},
+        stats={**stats, "sets_evaluated": merged.evaluated},
     )
 
 
@@ -344,9 +316,10 @@ def random_sets(trials: int, length: int, density, seed: int,
     chunk_args = [(tuple(masks[i:i + _CHUNK]), i, False)
                   for i in range(0, len(masks), _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, len(masks))
+    best, stats = _records(merged)
     return SearchSummary(
         instances_checked=merged.count,
-        max_record=merged.best,
+        max_record=best,
         violations=merged.violations,
         parameters={
             "mode": "random_sets",
@@ -358,16 +331,21 @@ def random_sets(trials: int, length: int, density, seed: int,
             "workers": workers,
             "oracle_spot_check_every": _SPOT_EVERY,
         },
-        stats={"empty_draws_skipped": trials - len(masks), **_set_stats(merged)},
+        stats={"empty_draws_skipped": trials - len(masks), **stats},
     )
 
 
 def _function_passes(f: LatticeFunction) -> tuple[tuple, int, list[int], tuple]:
-    """The integer pass :func:`~maxreg.regularity._convexity` on a nonzero
-    integer-valued ``f`` over [a - 2, b + 2], and on D * M f over [a - 1, b + 1]:
-    (source pass, D, D * M f, maximal pass).  M f is the best window average
-    of |f|, padded with one zero each side, and D the lcm of the window lengths."""
-    ints = [int(x) for x in f.values]
+    """:func:`_integer_passes` on the values of a nonzero integer-valued ``f``."""
+    return _integer_passes([int(x) for x in f.values])
+
+
+def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
+    """The integer pass :func:`~maxreg.regularity._convexity` on a trimmed
+    nonzero integer function on [a, b] over [a - 2, b + 2], and on D * M f over
+    [a - 1, b + 1]: (source pass, D, D * M f, maximal pass).  M f is the best
+    window average of |f|, padded with one zero each side, and D the lcm of
+    the window lengths."""
     d, v = _scaled_maxima([0, *map(abs, ints), 0])
     return _convexity([0, 0, *ints, 0, 0]), d, v, _convexity(v)
 
@@ -376,24 +354,29 @@ def _check_function_instance(values: tuple[int, ...], spot_check: bool,
                              ) -> tuple[GeneralRatioRecord | None, list[Violation]]:
     """Boundary-bound checks and the norm ratio for one integer-valued draw.
 
-    The ratio is recorded for exploration only: no analogue of the indicator
-    bound is asserted for general functions.  With ``spot_check``, or when
-    a tail term of the profile is negative, the profile is also audited
-    against the oracle (:func:`~maxreg.regularity.audit_profile`) and the
-    result comes first.  A negative tail leaves the maximal norms without
-    their tail guarantee, so no record is returned for it.
+    The draw is trimmed to its nonzero span in integers.  The ratio is
+    recorded for exploration only: no analogue of the indicator bound is
+    asserted for general functions.  With ``spot_check``, or when a tail term
+    of the profile is negative, the profile is also audited against the
+    oracle (:func:`~maxreg.regularity.audit_profile`) and the result comes
+    first.  A negative tail leaves the maximal norms without their tail
+    guarantee, so no record is returned for it.
     """
-    f = LatticeFunction.make(0, values)
-    if f.is_zero():
+    nonzero = [i for i, x in enumerate(values) if x]
+    if not nonzero:
         return None, []
-    source, d, v, maximal = _function_passes(f)
+    offset = nonzero[0]
+    ints = list(values[offset:nonzero[-1] + 1])
+    source, d, v, maximal = _integer_passes(ints)
     source_norm, source_bound = source[:2]
     max_norm, max_bound, left_tail, right_tail = maximal[:4]
 
-    subject = {"offset": f.offset, "values": [str(x) for x in f.values]}
+    def subject() -> dict:
+        return {"offset": offset, "values": [str(x) for x in ints]}
+
     violations: list[Violation] = []
     if source_bound < source_norm:
-        violations.append(Violation("boundary_bound_source", subject, {
+        violations.append(Violation("boundary_bound_source", subject(), {
             "funeq_rhs": str(source_bound),
             "second_norm": str(source_norm),
         }))
@@ -401,18 +384,18 @@ def _check_function_instance(values: tuple[int, ...], spot_check: bool,
     negative_tail = left_tail < 0 or right_tail < 0
     if spot_check or negative_tail:
         profile = tuple([Fraction(x, d) for x in v])
-        violations[:0] = audit_profile(profile, maximal_profile(f).values, subject)
+        oracle = maximal_profile(LatticeFunction.make(offset, ints)).values
+        violations[:0] = audit_profile(profile, oracle, subject())
     if negative_tail:
         return None, violations
     if max_bound < max_norm:
-        violations.append(Violation("boundary_bound_maximal", subject, {
+        violations.append(Violation("boundary_bound_maximal", subject(), {
             "funeq_rhs": str(Fraction(max_bound, d)),
             "second_norm": str(Fraction(max_norm, d)),
         }))
 
-    record = GeneralRatioRecord(f.offset, tuple(int(x) for x in f.values),
-                                Fraction(source_norm), Fraction(max_norm, d),
-                                Fraction(max_norm, d * source_norm))
+    record = GeneralRatioRecord(offset, tuple(ints), Fraction(source_norm),
+                                Fraction(max_norm, d), Fraction(max_norm, d * source_norm))
     return record, violations
 
 

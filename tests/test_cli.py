@@ -7,7 +7,7 @@ import pytest
 
 import maxreg.cli as cli
 import maxreg.search as search
-from maxreg import IndexSet, SetLiteralError, Violation, canonical_set_literal, parse_set_literal
+from maxreg import IndexSet, SetLiteralError, canonical_set_literal, parse_set_literal
 from maxreg.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 from conftest import corrupt_singleton_kernel, lift_first_value, random_index_set
@@ -186,7 +186,9 @@ def test_random_usage_error_on_bad_density(capsys):
 
 
 def test_csv_only_for_report(capsys):
-    assert main(["exhaust", "3", "--format", "csv"]) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["exhaust", "3", "--format", "csv"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_scan_text_and_json(capsys):
@@ -211,20 +213,19 @@ def test_scan_usage_error(capsys):
 
 
 def test_violation_exit_code(capsys, monkeypatch):
-    real = search._check_set_instance
+    real = search.analyze
 
-    def fake(a, spot):
-        record, violations = real(a, spot)
+    def fake(a):
+        an = real(a)
         if a.elements == (0, 1):
-            violations = [Violation("theorem1_ratio",
-                                    {"set": list(a.elements)}, {"ratio": "7/2"})]
-        return record, violations
+            an = an._replace(second_norm=7 * an.chi_second_norm * an.denominator // 2)
+        return an
 
-    monkeypatch.setattr(search, "_check_set_instance", fake)
+    monkeypatch.setattr(search, "analyze", fake)
     assert main(["exhaust", "3"]) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "VIOLATIONS" in out
-    assert "theorem1_ratio" in out
+    assert "theorem1_ratio" in out and '"ratio": "7/2"' in out
 
 
 def test_fast_path_divergence_exit_code(capsys, monkeypatch):

@@ -9,7 +9,6 @@ for byte with what ``maxreg report`` prints.
 import contextlib
 import io
 import json
-from fractions import Fraction
 
 from hypothesis import given, settings
 
@@ -17,10 +16,9 @@ from maxreg import IndexSet, LatticeFunction, maximal_at
 from maxreg._version import __version__
 from maxreg.cli import EXIT_OK, main, scan_to_dict
 from maxreg.maximal import MaximalProfile, maximal_profile, maximal_profile_fast
-from maxreg.regularity import Chain, analyze
-from maxreg.reporting import (SCHEMA_VERSION, Report, _json, canonical_set_literal,
-                              render_report_json, render_report_text,
-                              report_to_dict)
+from maxreg.regularity import analyze
+from maxreg.reporting import (SCHEMA_VERSION, _json, build_report, canonical_set_literal,
+                              render_report_json, render_report_text, report_to_dict)
 from maxreg.search import higher_derivative_scan
 
 from conftest import (
@@ -122,6 +120,7 @@ def assert_writers_match(profile: MaximalProfile):
     literal = canonical_set_literal(profile.source.support())
     d = old_report_dict(profile)
     assert report_out("--format", "json", "--", literal) == json.dumps(d, indent=2) + "\n"
+    assert render_report_json(build_report(profile.source.support())) == json.dumps(d, indent=2)
     assert report_out("--format", "csv", "--", literal) == old_report_csv(profile)
     assert report_out("--", literal) == old_report_text(d, False) + "\n"
     assert report_out("--paper-accounting", "--", literal) == old_report_text(d, True) + "\n"
@@ -144,35 +143,18 @@ def test_writers_match_the_fraction_report_property(a):
     assert_writers_match(maximal_profile_fast(LatticeFunction.from_set(a)))
 
 
-def test_report_attributes_are_the_fraction_view():
-    a = IndexSet.from_iterable([-7, -3, 0, 2, 5, 6, 7])
-    report = Report(analyze(a))
-    d = old_report_dict(maximal_profile(LatticeFunction.from_set(a)))
-    assert report.input_literal == d["input"] and report.input_set == a
-    for name in ("chi_second_norm", "max_second_norm", "ratio", "funeq_rhs",
-                 "funeq_rhs_limit_bounded", "chi_first_norm", "max_first_variation"):
-        assert getattr(report, name) == Fraction(d[name]), name
-    for name in ("s_minus", "left_boundary", "right_boundary", "lemma1_violations"):
-        assert getattr(report, name) == IndexSet(tuple(d[name])), name
-    assert report.lemma1_ok
-    assert [Chain(**c) for c in d["chains"]] == list(report.chains)
-    assert report.window == tuple(d["window"])
-    assert report.profile_values == tuple(Fraction(v) for v in d["profile_values"])
-
-
 def test_json_writer_on_empty_lists_and_a_single_chain():
     # no concave point at all: one convex chain, and every boundary list empty
     an = analyze(IndexSet.from_iterable([0, 3, 4]))._replace(
         s_minus=(), left_boundary=(), right_boundary=(), lemma1_violations=())
-    report = Report(an)
-    d = report_to_dict(report)
+    d = report_to_dict(an)
     assert d["chains"] == [{"kind": "plus", "start": an.lo, "end": an.hi}]
     assert [(c.kind, c.start, c.end) for c in an.chains()] == [("plus", an.lo, an.hi)]
-    assert render_report_json(report) == json.dumps(d, indent=2)
-    assert '"s_minus": [],' in render_report_json(report)
-    assert f"chains            plus[{an.lo},{an.hi}]" in render_report_text(report)
+    assert render_report_json(an) == json.dumps(d, indent=2)
+    assert '"s_minus": [],' in render_report_json(an)
+    assert f"chains            plus[{an.lo},{an.hi}]" in render_report_text(an)
     # a Lemma 1 violation is written as such
-    violated = Report(an._replace(lemma1_violations=(1, 2)))
+    violated = an._replace(lemma1_violations=(1, 2))
     assert report_to_dict(violated)["lemma1"] == "violated"
     assert render_report_json(violated) == json.dumps(report_to_dict(violated), indent=2)
     assert "lemma 1           VIOLATED at 1-2" in render_report_text(violated)

@@ -11,7 +11,7 @@ from maxreg import (
     GENERATOR_ID,
     IndexSet,
     LatticeFunction,
-    Violation,
+    MaximalProfile,
     analyze,
     exhaustive,
     higher_derivative_scan,
@@ -91,7 +91,8 @@ def test_exhaustive_oracle_audits_the_same_classes(monkeypatch):
         audited.append(IndexSet.from_iterable(as_dict(f)))
         return real(f)
 
-    monkeypatch.setattr(search, "maximal_profile", counted)
+    monkeypatch.setattr(search, "maximal_profile", counted)        # skipped mirrors
+    monkeypatch.setattr(regularity, "maximal_profile", counted)    # analysed sets
     s = exhaustive(15)
     assert not s.violations
     assert s.stats["sets_evaluated"] == 8383
@@ -131,6 +132,7 @@ def test_exhaustive_fast_equals_naive(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(search, "maximal_profile", counted)
+    monkeypatch.setattr(regularity, "maximal_profile", counted)
     monkeypatch.setattr(search, "_SPOT_EVERY", 1)   # every set against the oracle
     s2 = exhaustive(8)
     assert len(oracle_sets) == s2.instances_checked == 128
@@ -181,6 +183,18 @@ def test_exhaustive_mirror_pairs_equal_a_translation_class_sweep():
         assert s.stats["sets_evaluated"] == (s.instances_checked + palindromes) // 2
     assert exhaustive(4).parameters["canonicalization"].startswith(
         "translation and reflection")
+
+
+def test_cross_chunk_ties_match_a_translation_class_sweep(monkeypatch):
+    # 32 chunks of 16 odd masks.  The ratio 1/2 ties at every span, so the
+    # winners of many chunks tie, and the fold across chunks must keep the
+    # smallest mask as a single sweep in order does.
+    monkeypatch.setattr(search, "_CHUNK", 16)
+    expected = translation_class_sweep(11)
+    for workers in (1, 2):
+        s = exhaustive(11, workers=workers)
+        assert (s.instances_checked, s.max_record, s.stats["max_by_span"],
+                s.stats["min_chi_second_norm"]) == expected
 
 
 def test_exhaustive_max_by_span_consistent():
@@ -345,21 +359,21 @@ def test_random_functions_validation():
 # ---------------------------------------------------------------------------
 
 def test_violation_halts_sweep(monkeypatch):
-    real = search._check_set_instance
+    real = search.analyze
     tripwire = IndexSet.from_mask(0b101)   # {0, 2}
 
-    def fake(a, spot):
-        record, violations = real(a, spot)
+    def fake(a):
+        an = real(a)
         if a == tripwire:
-            violations = [Violation("theorem1_ratio", {"set": list(a.elements)},
-                                    {"ratio": "4"})]
-        return record, violations
+            an = an._replace(second_norm=4 * an.chi_second_norm * an.denominator)
+        return an
 
-    monkeypatch.setattr(search, "_check_set_instance", fake)
+    monkeypatch.setattr(search, "analyze", fake)
     s = exhaustive(6)
     assert s.violations
     assert s.violations[0].kind == "theorem1_ratio"
     assert s.violations[0].subject == {"set": [0, 2]}
+    assert s.violations[0].details["ratio"] == "4"
     # the sweep stopped at the offending instance
     assert s.instances_checked < 32
 
@@ -410,8 +424,11 @@ def test_negative_tail_without_divergence_is_a_violation(monkeypatch):
     # guarantee itself would be false: that too is a violation, not a pass.
     lift_first_value(monkeypatch)
     an = analyze(IndexSet.from_iterable([0, 2]))
+    assert an.left_tail < 0
     lifted = an.profile_values()
-    kinds = [v.kind for v in an.violations(oracle=lifted)]
+    monkeypatch.setattr(regularity, "maximal_profile",
+                        lambda f: MaximalProfile(f, (0, 2), (-1, 3), lifted, True))
+    kinds = [v.kind for v in an.violations()]
     assert kinds[0] == "tail_guarantee"
 
 
