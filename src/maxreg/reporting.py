@@ -3,13 +3,15 @@
 Every numeric field in machine output is an exact rational rendered as a
 ``p/q`` string (plain integer when q = 1); floats never appear.  The JSON
 schema is versioned via ``schema_version`` so downstream plotting can pin
-itself to a layout, which :func:`report_to_dict` defines.  The report of a
-set is its :class:`~maxreg.regularity.Analysis` itself: the writers read its
-integers and build no `Fraction` per point.
+itself to a layout, which one template defines: :func:`render_report_json`
+fills it from the analysis, and :func:`report_to_dict` is its parse.  The
+report of a set is its :class:`~maxreg.regularity.Analysis` itself: the
+writers read its integers and build no `Fraction` per point.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections.abc import Iterable
 from fractions import Fraction
@@ -42,7 +44,7 @@ class SetLiteralError(ValueError):
         self.position = position
 
 
-_ITEM = re.compile(r"^(-?\d+)(?:-(-?\d+))?$")
+_ITEM = re.compile(r"\s*(-?\d+)(?:-(-?\d+))?\s*")
 
 
 def parse_set_literal(text: str) -> IndexSet:
@@ -55,19 +57,18 @@ def parse_set_literal(text: str) -> IndexSet:
     if not text.strip():
         raise SetLiteralError("empty set literal", 0)
     elements: set[int] = set()
-    pos = 0
-    for piece in text.split(","):
-        item = piece.strip()
-        offset = pos + piece.index(item) if item else pos
-        m = _ITEM.match(item)
-        if m is None:
-            raise SetLiteralError(f"malformed item {item!r}" if item else "empty item", offset)
-        lo = int(m[1])
-        hi = int(m[2]) if m[2] else lo
-        if lo > hi:
-            raise SetLiteralError(f"inverted range {item!r}", offset)
-        elements.update(range(lo, hi + 1))
-        pos += len(piece) + 1
+    pieces = text.split(",")
+    for i, piece in enumerate(pieces):
+        m = _ITEM.fullmatch(piece)
+        if m is not None and m[2] is None:
+            elements.add(int(m[1]))
+        elif m is not None and int(m[1]) <= int(m[2]):
+            elements.update(range(int(m[1]), int(m[2]) + 1))
+        else:
+            item = piece.strip()
+            offset = sum(map(len, pieces[:i])) + i + (piece.index(item) if item else 0)
+            fault = "malformed item" if m is None else "inverted range"
+            raise SetLiteralError(f"{fault} {item!r}" if item else "empty item", offset)
     return IndexSet(tuple(sorted(elements)))
 
 
@@ -103,30 +104,44 @@ def _over_each(values: tuple[int, ...], d: int) -> list[str]:
     return list(map(text.__getitem__, values))
 
 
-def report_to_dict(an: Analysis) -> dict:
+# The JSON report as ``json.dumps(..., indent=2)`` lays it out.  Every string
+# in it is plain ASCII (version, literals, rationals, class names), so none is
+# escaped; a report always has a chain and a profile value.
+_LIST = "[\n    %s\n  ]"
+_REPORT = "{\n%s\n}" % ",\n".join(f'  "{key}": {value}' for key, value in [
+    ("schema_version", "%d"), ("tool_version", '"%s"'), ("input", '"%s"'), ("set", "%s"),
+    ("chi_second_norm", '"%d"'), ("max_second_norm", '"%s"'), ("ratio", '"%s"'),
+    ("s_minus", "%s"), ("left_boundary", "%s"), ("right_boundary", "%s"), ("chains", _LIST),
+    ("funeq_rhs", '"%s"'), ("funeq_rhs_limit_bounded", '"%s"'), ("lemma1", '"%s"'),
+    ("lemma1_violations", "%s"), ("chi_first_norm", '"%d"'), ("max_first_variation", '"%s"'),
+    ("window", "[\n    %d,\n    %d\n  ]"), ("profile_values", '[\n    "%s"\n  ]')])
+_CHAIN = '{\n      "kind": "%s",\n      "start": %d,\n      "end": %d\n    }'
+
+
+def _ints(xs: tuple[int, ...]) -> str:
+    """A list of ints one level into the report, as ``json.dumps`` lays it out."""
+    return _LIST % ",\n    ".join(map(str, xs)) if xs else "[]"
+
+
+def render_report_json(an: Analysis) -> str:
+    """The JSON report, ``json.dumps(report_to_dict(an), indent=2)`` byte for
+    byte, filled into one template straight from the analysis integers."""
     d = an.denominator
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "input": canonical_set_literal(an.set),
-        "set": list(an.set.elements),
-        "chi_second_norm": str(an.chi_second_norm),
-        "max_second_norm": _over(an.second_norm, d),
-        "ratio": _over(an.second_norm, d * an.chi_second_norm),
-        "s_minus": list(an.s_minus),
-        "left_boundary": list(an.left_boundary),
-        "right_boundary": list(an.right_boundary),
-        "chains": [{"kind": kind, "start": start, "end": end}
-                   for kind, start, end in an.chain_bounds()],
-        "funeq_rhs": _over(an.boundary_bound, d),
-        "funeq_rhs_limit_bounded": _over(an.boundary_bound + 2 * d, d),
-        "lemma1": "violated" if an.lemma1_violations else "ok",
-        "lemma1_violations": list(an.lemma1_violations),
-        "chi_first_norm": str(an.chi_first_norm),
-        "max_first_variation": _over(an.variation, d),
-        "window": [an.lo, an.hi],
-        "profile_values": _over_each(an.scaled, d),
-    }
+    return _REPORT % (
+        SCHEMA_VERSION, __version__,
+        canonical_set_literal(an.set), _ints(an.set.elements), an.chi_second_norm,
+        _over(an.second_norm, d), _over(an.second_norm, d * an.chi_second_norm),
+        _ints(an.s_minus), _ints(an.left_boundary), _ints(an.right_boundary),
+        ",\n    ".join([_CHAIN % chain for chain in an.chain_bounds()]),
+        _over(an.boundary_bound, d), _over(an.boundary_bound + 2 * d, d),
+        "violated" if an.lemma1_violations else "ok", _ints(an.lemma1_violations),
+        an.chi_first_norm, _over(an.variation, d), an.lo, an.hi,
+        '",\n    "'.join(_over_each(an.scaled, d)))
+
+
+def report_to_dict(an: Analysis) -> dict:
+    """The JSON report as a dict: its layout is the template's."""
+    return json.loads(render_report_json(an))
 
 
 def render_report_text(an: Analysis, paper_accounting: bool = False) -> str:
@@ -197,8 +212,8 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for the str and int values of a report
-    and the dicts and lists of them (each list of one type)."""
+    """``json.dumps(value, indent=2)`` for str and int values and the dicts
+    and lists of them (each list of one type), as in a scan report."""
     scalar = _SCALARS.get(type(value))
     if scalar:
         return scalar(value)
@@ -212,8 +227,3 @@ def _json(value, indent: str = "") -> str:
         items = map(_SCALARS.get(type(value[0])) or (lambda v: _json(v, inner)), value)
         opening, closing = "[]"
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
-
-
-def render_report_json(an: Analysis) -> str:
-    """``json.dumps(report_to_dict(an), indent=2)``, byte for byte."""
-    return _json(report_to_dict(an))

@@ -149,9 +149,9 @@ def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
 
 
 def _beats(new: tuple, old: tuple | None) -> bool:
-    """Whether winner ``new`` replaces ``old``.  A winner is (norm over D,
-    D * ||chi''||_1, analysis); its ratio is the first over the second,
-    compared by cross-multiplying, and a tie keeps ``old``."""
+    """Whether winner ``new`` replaces ``old``.  A winner starts (norm over D,
+    D * ||chi''||_1); its ratio is the first over the second, compared by
+    cross-multiplying, and a tie keeps ``old``."""
     return old is None or new[0] * old[1] > old[0] * new[1]
 
 
@@ -351,7 +351,7 @@ def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
 
 
 def _check_function_instance(values: tuple[int, ...], spot_check: bool,
-                             ) -> tuple[GeneralRatioRecord | None, list[Violation]]:
+                             ) -> tuple[tuple | None, list[Violation]]:
     """Boundary-bound checks and the norm ratio for one integer-valued draw.
 
     The draw is trimmed to its nonzero span in integers.  The ratio is
@@ -360,7 +360,8 @@ def _check_function_instance(values: tuple[int, ...], spot_check: bool,
     of the profile is negative, the profile is also audited against the
     oracle (:func:`~maxreg.regularity.audit_profile`) and the result comes
     first.  A negative tail leaves the maximal norms without their tail
-    guarantee, so no record is returned for it.
+    guarantee, so no winner is returned for it.  A winner is (norm over D,
+    D * source norm, offset, values, D), as :func:`_beats` compares it.
     """
     nonzero = [i for i, x in enumerate(values) if x]
     if not nonzero:
@@ -394,9 +395,13 @@ def _check_function_instance(values: tuple[int, ...], spot_check: bool,
             "second_norm": str(Fraction(max_norm, d)),
         }))
 
-    record = GeneralRatioRecord(offset, tuple(ints), Fraction(source_norm),
-                                Fraction(max_norm, d), Fraction(max_norm, d * source_norm))
-    return record, violations
+    return (max_norm, d * source_norm, offset, tuple(ints), d), violations
+
+
+def _function_record(winner: tuple) -> GeneralRatioRecord:
+    max_norm, scaled_norm, offset, values, d = winner
+    return GeneralRatioRecord(offset, values, Fraction(scaled_norm // d),
+                              Fraction(max_norm, d), Fraction(max_norm, scaled_norm))
 
 
 def random_functions(trials: int, length: int, value_bound: int, seed: int,
@@ -414,20 +419,20 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     if value_bound < 1:
         raise ValueError("value_bound must be a positive integer")
     rng = random.Random(seed)
-    best: GeneralRatioRecord | None = None
+    best: tuple | None = None
     ratios: list[Fraction] = []
     violations: tuple[Violation, ...] = ()
     checked = 0
     for t in range(trials):
         values = tuple(rng.randint(-value_bound, value_bound) for _ in range(length))
-        record, found = _check_function_instance(values, checked % _SPOT_EVERY == 0)
-        if record is None and not found:
+        winner, found = _check_function_instance(values, checked % _SPOT_EVERY == 0)
+        if winner is None and not found:
             continue
         checked += 1
-        if record is not None:
-            ratios.append(record.ratio)
-            if best is None or record.ratio > best.ratio:
-                best = record
+        if winner is not None:
+            ratios.append(Fraction(winner[0], winner[1]))
+            if _beats(winner, best):
+                best = winner
         if found:
             violations = tuple(found)
             break
@@ -446,7 +451,7 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
         }
     return SearchSummary(
         instances_checked=checked,
-        max_record=best,
+        max_record=None if best is None else _function_record(best),
         violations=violations,
         parameters={
             "mode": "random_functions",

@@ -211,8 +211,10 @@ def assert_function_check_matches_oracle(f: LatticeFunction) -> None:
     assert source[:2] == (norm, oracle_funeq_rhs(g))
     assert (Fraction(maximal[0], d), Fraction(maximal[1], d)) == (max_norm, oracle_funeq_rhs(gm))
     values = tuple(int(x) for x in f.values)
-    assert search._check_function_instance(values, spot_check=True) == \
-        (GeneralRatioRecord(0, values, norm, max_norm, max_norm / norm), [])
+    winner, violations = search._check_function_instance(values, spot_check=True)
+    assert violations == []
+    assert search._function_record(winner) == \
+        GeneralRatioRecord(0, values, norm, max_norm, max_norm / norm)
 
 
 # ---------------------------------------------------------------------------

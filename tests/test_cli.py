@@ -37,6 +37,14 @@ def test_parse_errors_carry_positions():
     with pytest.raises(SetLiteralError) as err:
         parse_set_literal("0,,2")
     assert err.value.position == 2
+    # padding is skipped by the same rule as str.strip, no-break space included
+    with pytest.raises(SetLiteralError) as err:
+        parse_set_literal(" 5-2 ")
+    assert (str(err.value), err.value.position) == ("inverted range '5-2' (at position 1)", 1)
+    assert parse_set_literal("0,\u00a07\u00a0, 9-10\t") == IndexSet((0, 7, 9, 10))
+    with pytest.raises(SetLiteralError) as err:
+        parse_set_literal("0,\u00a0x\u00a0,2")
+    assert (str(err.value), err.value.position) == ("malformed item 'x' (at position 3)", 3)
 
 
 def test_canonical_literal_round_trip():

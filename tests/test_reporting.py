@@ -9,8 +9,10 @@ for byte with what ``maxreg report`` prints.
 import contextlib
 import io
 import json
+import random
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from maxreg import IndexSet, LatticeFunction, maximal_at
 from maxreg._version import __version__
@@ -135,11 +137,22 @@ def test_writers_match_the_fraction_report_exhaustive():
             assert_writers_match(maximal_profile(chi))
 
 
+def wide_set(seed: int, density: Fraction) -> IndexSet:
+    """A seeded set of hull width 512, as ``maxreg report`` is benchmarked on."""
+    rng = random.Random(seed)
+    inner = [x for x in range(1, 511) if rng.randrange(density.denominator) < density.numerator]
+    return IndexSet.from_iterable([0, *inner, 511])
+
+
 @settings(max_examples=40, deadline=None)
 @given(index_sets(max_width=300))
+@example(wide_set(1, Fraction(1, 8)))   # 111 chains
+@example(wide_set(2, Fraction(1, 2)))   # 311 chains
+@example(wide_set(3, Fraction(7, 8)))   # 193 chains
 def test_writers_match_the_fraction_report_property(a):
-    # hull widths on both sides of the profile kernel switch; the Fraction
-    # profile here is checked against the naive oracle in test_maximal
+    # hull widths on both sides of the profile kernel switch, and three wide
+    # sets with long chain lists; the Fraction profile here is checked
+    # against the naive oracle in test_maximal
     assert_writers_match(maximal_profile_fast(LatticeFunction.from_set(a)))
 
 
@@ -151,6 +164,7 @@ def test_json_writer_on_empty_lists_and_a_single_chain():
     assert d["chains"] == [{"kind": "plus", "start": an.lo, "end": an.hi}]
     assert [(c.kind, c.start, c.end) for c in an.chains()] == [("plus", an.lo, an.hi)]
     assert render_report_json(an) == json.dumps(d, indent=2)
+    assert d == json.loads(render_report_json(an))
     assert '"s_minus": [],' in render_report_json(an)
     assert f"chains            plus[{an.lo},{an.hi}]" in render_report_text(an)
     # a Lemma 1 violation is written as such

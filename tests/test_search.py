@@ -284,13 +284,14 @@ def test_random_sets_large_clean_sweep():
 
 
 def test_random_functions_consistent_with_set_path():
-    record, violations = search._check_function_instance((1,), spot_check=True)
+    winner, violations = search._check_function_instance((1,), spot_check=True)
     assert not violations
     expected = theorem1_report(IndexSet.from_iterable([0]))
-    assert record.ratio == expected.ratio == Fraction(1, 2)
+    assert search._function_record(winner).ratio == expected.ratio == Fraction(1, 2)
     # ratio is invariant under scaling
-    record2, _ = search._check_function_instance((2,), spot_check=True)
-    assert record2.ratio == Fraction(1, 2)
+    winner2, _ = search._check_function_instance((2,), spot_check=True)
+    assert search._function_record(winner2).ratio == Fraction(1, 2)
+    assert not search._beats(winner2, winner) and not search._beats(winner, winner2)
 
 
 def test_random_functions_sweep():
