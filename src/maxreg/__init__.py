@@ -23,6 +23,7 @@ from .maximal import (
     maximal_at,
     maximal_profile,
     maximal_profile_fast,
+    set_maxima,
     window_maxima,
 )
 from .regularity import (
@@ -67,6 +68,7 @@ __all__ = [
     "maximal_at",
     "maximal_profile",
     "maximal_profile_fast",
+    "set_maxima",
     "window_maxima",
     "PLUS",
     "MINUS",

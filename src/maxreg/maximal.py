@@ -21,26 +21,34 @@ mirror statement holds on (-inf, a].  This is the ``tail_guarantee`` carried
 by :class:`MaximalProfile`.
 
 Internally all comparisons clear denominators and run on integers; results
-are returned as `Fraction` in lowest terms, so the two profile paths are
-bit-identical.  :func:`window_maxima` is the production path:
-:mod:`maxreg.regularity` reads its integer pairs directly, for index sets
-and for the function sweep alike, and :func:`maximal_profile_fast` wraps it
-as a :class:`MaximalProfile` of `Fraction` values.  It picks one
-of two kernels by block length alone: an O(m^2) loop over window ends for
-short blocks, and for longer ones a near-linear walk to the bridge between
-the lower hull of the prefix sums left of each point and the upper hull of
-those right of it.  :func:`maximal_profile` enumerates windows point by
-point and is only the oracle that the tests and the sweeps' spot checks
-compare the kernels against.
+are returned as `Fraction` in lowest terms, so the profile paths are
+bit-identical.  Two production kernels return (numerator, window length)
+pairs, which :mod:`maxreg.regularity` reads directly:
+
+* :func:`set_maxima` profiles the indicator of an index set from its runs.
+  M chi_A is 1 on A and, on each gap, the larger of one bridge per gap and
+  two tangents that walk the run hulls once.  Set analyses and the order-k
+  scans use it.
+* :func:`window_maxima` profiles a general nonnegative integer block, for
+  the function sweep and for :func:`maximal_profile_fast`, which wraps it as
+  a :class:`MaximalProfile` of `Fraction` values.  It picks one of two
+  kernels by block length alone: an O(m^2) loop over window ends for short
+  blocks, and for longer ones a near-linear walk to the bridge between the
+  lower hull of the prefix sums left of each point and the upper hull of
+  those right of it.
+
+:func:`maximal_profile` enumerates windows point by point and is only the
+oracle that the tests and the sweeps' spot checks compare the kernels
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .lattice import LatticeFunction
 
@@ -50,6 +58,7 @@ __all__ = [
     "MaximalProfile",
     "maximal_profile",
     "maximal_profile_fast",
+    "set_maxima",
     "window_maxima",
 ]
 
@@ -294,6 +303,188 @@ def _hull_bridge_maxima(u: list[int]) -> tuple[list[int], list[int]]:
             yq = prefix[q]
         best_num[t] = num
         best_den[t] = den
+    return best_num, best_den
+
+
+def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
+    """M chi_A on [min A - 1, max A + 1] from the runs of A, exactly.
+
+    ``elements`` are the sorted elements of a nonempty set A.  The result
+    has the contract of :func:`window_maxima` on the 0/1 block of A padded
+    with one zero each side: (numerators, window lengths), equal ratios,
+    possibly other windows on ties.
+
+    A window holding a point t outside A averages below 1, so dropping a
+    zero end or extending an end through a run of ones never lowers it.
+    Hence M chi_A = 1/1 on A, and at a gap point t the best window starts
+    at t or at the first point s_p of a run left of t and ends at t or at
+    the last point e_q of a run right of t.  With C_p the number of
+    elements before run p, take the left points (s_p, C_p) and the right
+    points (e_q + 1, C_{q+1}); a window's average is the slope between its
+    two points.  For t in the gap before run g,
+
+        M(t) = max(G_g, L_g(t), R_g(t)),
+
+    * G_g, the best window over both ends of the gap, is the bridge between
+      the lower hull of the left points p < g and the upper hull of the
+      right points q >= g, found once per gap by the walk of
+      :func:`_hull_bridge_maxima`;
+    * L_g(t) = max_{p < g} (C_g - C_p) / (t + 1 - s_p), the tangent from
+      (t + 1, C_g) to the lower hull, whose vertex only moves left along
+      ``pred`` as t rises;
+    * R_g(t) = max_{q >= g} (C_{q+1} - C_g) / (e_q + 1 - t), the tangent
+      from (t, C_g) to the upper hull, whose vertex only moves right along
+      ``succ`` as t falls.
+
+    L_g falls and R_g rises across the gap, so the gap is filled from both
+    ends, each end taking the larger tangent, until G_g is at least both
+    and fills the rest.  The edges min A - 1 and max A + 1 are gaps with one
+    side each: a virtual left point (max A + 2, |A|) and a virtual right
+    point (min A - 1, 0) make their values tangents too.  The L_g walk
+    passes only vertices that the left point of run g removes from the
+    lower hull, and the R_g walk only vertices that the right point of run
+    g - 1 removes from the upper hull, so the tangents cost O(1) amortized
+    per point.  The bridge walks are bounded like the hull kernel's, once
+    per gap instead of once per point.
+    """
+    n = len(elements)
+    lo, hi = elements[0] - 1, elements[-1] + 1
+    # Run p is [starts[p], ends[p + 1]) and holds counts[p + 1] - counts[p]
+    # elements.  Left point p is (starts[p], counts[p]) and right point q is
+    # (ends[q], counts[q]), for p, q in 0 .. r; starts[r] and ends[0] are the
+    # virtual points.  The gap before run g is [ends[g], starts[g]).
+    counts = list(chain((0,), [j for j in range(1, n) if elements[j] - elements[j - 1] > 1], (n,)))
+    starts = list(chain(map(elements.__getitem__, counts[:-1]), (hi + 1,)))
+    ends = list(chain((lo,), [elements[c - 1] + 1 for c in counts[1:]]))
+    r = len(counts) - 1
+
+    pred = [-1] * (r + 1)                   # left neighbour on the lower hull of 0 .. p
+    hull: list[int] = []
+    for p in range(r + 1):
+        x, y = starts[p], counts[p]
+        while len(hull) >= 2:
+            i1, i0 = hull[-1], hull[-2]
+            y1, x1 = counts[i1], starts[i1]
+            if (y1 - counts[i0]) * (x - x1) < (y - y1) * (x1 - starts[i0]):
+                break
+            hull.pop()                      # on or above the chord: not a vertex
+        if hull:
+            pred[p] = hull[-1]
+        hull.append(p)
+    succ = [-1] * (r + 1)                   # right neighbour on the upper hull of q .. r
+    hull = []
+    for q in range(r, -1, -1):
+        x, y = ends[q], counts[q]
+        while len(hull) >= 2:
+            j1, j0 = hull[-1], hull[-2]
+            y1, x1 = counts[j1], ends[j1]
+            if (y1 - y) * (ends[j0] - x1) > (counts[j0] - y1) * (x1 - x):
+                break
+            hull.pop()                      # on or below the chord: not a vertex
+        if hull:
+            succ[q] = hull[-1]
+        hull.append(q)
+
+    m = hi - lo + 1
+    best_num = [1] * m
+    best_den = [1] * m
+    q = succ[0]
+    best_num[0], best_den[0] = counts[q], ends[q] - lo
+    p = pred[r]
+    best_num[-1], best_den[-1] = n - counts[p], hi + 1 - starts[p]
+    for g in range(1, r):
+        c, first, end = counts[g], ends[g], starts[g]
+
+        # G: the bridge walk of _hull_bridge_maxima over the run points
+        p, q = g - 1, g + 1
+        xq, yq = ends[q], counts[q]
+        gn, gd = yq - counts[p], xq - starts[p]
+        passed_p: list[int] = []            # hull vertices right of p
+        passed_q: list[int] = []            # hull vertices left of q
+        first_round = True
+        while True:
+            moved = False
+            a = pred[p]
+            while a >= 0 and (yq - counts[a]) * gd > gn * (xq - starts[a]):
+                passed_p.append(p)
+                p, gn, gd = a, yq - counts[a], xq - starts[a]
+                a = pred[a]
+                moved = True
+            if not moved:
+                while passed_p:
+                    a = passed_p[-1]
+                    if (yq - counts[a]) * gd <= gn * (xq - starts[a]):
+                        break
+                    passed_p.pop()
+                    p, gn, gd = a, yq - counts[a], xq - starts[a]
+                    moved = True
+            if not (moved or first_round):
+                break                       # q was tangent already, now p is too
+            first_round = False
+            xp, yp = starts[p], counts[p]
+            moved = False
+            b = succ[q]
+            while b >= 0 and (counts[b] - yp) * gd > gn * (ends[b] - xp):
+                passed_q.append(q)
+                q, gn, gd = b, counts[b] - yp, ends[b] - xp
+                b = succ[b]
+                moved = True
+            if not moved:
+                while passed_q:
+                    b = passed_q[-1]
+                    if (counts[b] - yp) * gd <= gn * (ends[b] - xp):
+                        break
+                    passed_q.pop()
+                    q, gn, gd = b, counts[b] - yp, ends[b] - xp
+                    moved = True
+            if not moved:
+                break                       # p was tangent already, now q is too
+            xq, yq = ends[q], counts[q]
+
+        if end - first == 1:                # one point: both tangents are hull edges
+            p, q = pred[g], succ[g]
+            ln, ld = c - counts[p], end - starts[p]
+            rn, rd = counts[q] - c, ends[q] - first
+            if rn * ld > ln * rd:
+                ln, ld = rn, rd
+            if gn * ld > ln * gd:
+                ln, ld = gn, gd
+            best_num[first - lo], best_den[first - lo] = ln, ld
+            continue
+
+        # L falls and R rises across the gap, so with i rising from the left
+        # and j falling from the right, the larger of L(i) and R(j) is the
+        # value at its own point, and once G is at least both, G is the
+        # value everywhere between.
+        i, j, stepped = first, end - 1, 0  # which end stepped last: 1 i, 2 j
+        a, xp, yp = pred[g - 1], starts[g - 1], counts[g - 1]
+        b, xq, yq = succ[g + 1], ends[g + 1], counts[g + 1]
+        while i <= j:
+            if stepped != 2:                # L(i): walk to the tangent
+                ln, ld = c - yp, i + 1 - xp
+                while a >= 0 and (c - counts[a]) * ld > ln * (i + 1 - starts[a]):
+                    xp, yp = starts[a], counts[a]
+                    ln, ld = c - yp, i + 1 - xp
+                    a = pred[a]
+            if stepped != 1:                # R(j): walk to the tangent
+                rn, rd = yq - c, xq - j
+                while b >= 0 and (counts[b] - c) * rd > rn * (ends[b] - j):
+                    xq, yq = ends[b], counts[b]
+                    rn, rd = yq - c, xq - j
+                    b = succ[b]
+            if ln * rd >= rn * ld:
+                if gn * ld >= ln * gd:
+                    break
+                best_num[i - lo], best_den[i - lo] = ln, ld
+                i, stepped = i + 1, 1
+            else:
+                if gn * rd >= rn * gd:
+                    break
+                best_num[j - lo], best_den[j - lo] = rn, rd
+                j, stepped = j - 1, 2
+        if i <= j:
+            best_num[i - lo:j - lo + 1] = [gn] * (j - i + 1)
+            best_den[i - lo:j - lo + 1] = [gd] * (j - i + 1)
     return best_num, best_den
 
 

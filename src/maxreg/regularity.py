@@ -51,7 +51,7 @@ from math import lcm
 from typing import Iterator, NamedTuple
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import MaximalProfile, maximal_profile, window_maxima
+from .maximal import MaximalProfile, maximal_profile, set_maxima, window_maxima
 
 PLUS = "plus"
 MINUS = "minus"
@@ -85,12 +85,17 @@ class Chain:
         return self.end - self.start + 1
 
 
-def _scaled_maxima(u: list[int]) -> tuple[int, list[int]]:
-    """(D, D * best window average at each position of ``u``), with D the lcm
-    of the window lengths :func:`~maxreg.maximal.window_maxima` returned."""
-    nums, dens = window_maxima(u)
+def _scaled(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
+    """(D, D * nums[i] / dens[i] at each i), with D the lcm of ``dens``: a
+    profile kernel's (numerators, window lengths) over one denominator."""
     d = lcm(*dens)
     return d, [num * (d // den) for num, den in zip(nums, dens)]
+
+
+def _scaled_maxima(u: list[int]) -> tuple[int, list[int]]:
+    """(D, D * best window average at each position of ``u``), by
+    :func:`~maxreg.maximal.window_maxima` and :func:`_scaled`."""
+    return _scaled(*window_maxima(u))
 
 
 def _convexity(v: list[int]) -> tuple:
@@ -305,23 +310,23 @@ class Analysis(NamedTuple):
 def analyze(a: IndexSet) -> Analysis:
     """Analyze the maximal function of the indicator of ``a`` in one pass.
 
-    The profile comes from :func:`~maxreg.maximal.window_maxima`; the naive
-    oracle :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps'
-    spot checks, in the tests, and wherever a tail term comes out negative
+    The profile comes from the runs of ``a`` by
+    :func:`~maxreg.maximal.set_maxima`; the naive oracle
+    :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
+    checks, in the tests, and wherever a tail term comes out negative
     (:meth:`Analysis.violations`).  The norms and boundaries come from
     :func:`_convexity`, the variation from :func:`first_derivative_norms`'
-    closed form.
+    closed form.  The blocks of A are its runs, and since M chi_A is 1
+    exactly on A, a concave point is outside A when its value is below D.
     """
     if not a:
         raise ValueError("analysis needs a nonempty set")
-    lo, hi = a.min() - 1, a.max() + 1
+    elements = a.elements
+    lo, hi = elements[0] - 1, elements[-1] + 1
     m = hi - lo + 1
-    chi = [0] * m
-    for x in a.elements:
-        chi[x - lo] = 1
-    d, v = _scaled_maxima(chi)
+    d, v = _scaled(*set_maxima(elements))
     norm, bound, left_tail, right_tail, second, minus, left, right = _convexity(v)
-    blocks = sum([chi[i] > chi[i - 1] for i in range(1, m - 1)])    # block starts
+    blocks = 1 + sum([y - x > 1 for x, y in zip(elements, elements[1:])])
     return Analysis(
         set=a,
         lo=lo,
@@ -332,7 +337,7 @@ def analyze(a: IndexSet) -> Analysis:
         s_minus=tuple([lo + i for i in minus]),
         left_boundary=tuple([lo + i for i in left]),
         right_boundary=tuple([lo + i for i in right]),
-        lemma1_violations=tuple([lo + i for i in minus if not chi[i]]),
+        lemma1_violations=tuple([lo + i for i in minus if v[i] != d]),
         chi_second_norm=4 * blocks,
         chi_first_norm=2 * blocks,
         left_tail=left_tail,

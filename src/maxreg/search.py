@@ -55,7 +55,7 @@ from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import maximal_profile, window_maxima
+from .maximal import maximal_profile, set_maxima
 from .regularity import (
     RatioRecord,
     Violation,
@@ -557,21 +557,19 @@ def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fracti
 
     Pre: k >= 1, and [-T, T] covers the hull [a, b] with a k margin.
     Starts n in [a-k, b] touch the hull window and are differenced one by
-    one: the window [a-1, b+1] comes from :func:`~maxreg.maximal.window_maxima`,
-    the k-1 points beyond it on each side from the tails.  Starts n > b lie
-    on the right tail.  Starts n < a-k lie on the left tail, which is the
-    right tail of the reflected set: M chi_A(n) = M chi_{-A}(-n), so the
-    difference at n is +-the one of that tail at -n-k.  Each tail is walked
-    once (:func:`_tail_terms`) into integer terms over one common denominator;
-    the truncated sum is the total minus the part past T (T - k when reflected).
+    one: the window [a-1, b+1] comes from the runs of A by
+    :func:`~maxreg.maximal.set_maxima`, the k-1 points beyond it on each
+    side from the tails.  Starts n > b lie on the right tail.  Starts
+    n < a-k lie on the left tail, which is the right tail of the reflected
+    set: M chi_A(n) = M chi_{-A}(-n), so the difference at n is +-the one of
+    that tail at -n-k.  Each tail is walked once (:func:`_tail_terms`) into
+    integer terms over one common denominator; the truncated sum is the
+    total minus the part past T (T - k when reflected).
     """
     lo, hi = a.min(), a.max()
     right = _tail_chain(a.elements)
     left = _tail_chain([-x for x in reversed(a.elements)])
-    chi = [0] * (hi - lo + 3)
-    for x in a.elements:
-        chi[x - lo + 1] = 1
-    nums, dens = window_maxima(chi)
+    nums, dens = set_maxima(a.elements)
     left_nums, left_dens = _tail_points(left, -lo + 2, -lo + k)
     right_nums, right_dens = _tail_points(right, hi + 2, hi + k)
     middle, d = _run_differences(left_nums[::-1] + nums + right_nums,

@@ -260,32 +260,35 @@ def index_sets(draw, max_width: int = 64):
 # ---------------------------------------------------------------------------
 
 def corrupt_singleton_kernel(monkeypatch):
-    """Make the fast profile kernel return 1/2 instead of 1 at the point of {0}."""
-    real = regularity.window_maxima
+    """Make the set profile kernel return 1/2 instead of 1 at the point of {0}."""
+    real = regularity.set_maxima
 
-    def corrupted(u):
-        if u == [0, 1, 0]:
+    def corrupted(elements):
+        if elements == (0,):
             return [1, 1, 1], [2, 2, 2]
-        return real(u)
+        return real(elements)
 
-    monkeypatch.setattr(regularity, "window_maxima", corrupted)
+    monkeypatch.setattr(regularity, "set_maxima", corrupted)
 
 
 def lift_first_value(monkeypatch, skip: int = 0):
-    """Make every profile kernel call after the first ``skip`` add 1 to its
-    first value, which lifts the left edge above its neighbour."""
-    real = regularity.window_maxima
+    """Make every profile kernel call after the first ``skip``, for sets and
+    for functions alike, add 1 to its first value, which lifts the left edge
+    above its neighbour."""
     calls = 0
 
-    def lifted(u):
-        nonlocal calls
-        nums, dens = real(u)
-        calls += 1
-        if calls > skip:
-            nums = [nums[0] + dens[0]] + nums[1:]
-        return nums, dens
+    def lifting(real):
+        def lifted(arg):
+            nonlocal calls
+            nums, dens = real(arg)
+            calls += 1
+            if calls > skip:
+                nums = [nums[0] + dens[0]] + nums[1:]
+            return nums, dens
+        return lifted
 
-    monkeypatch.setattr(regularity, "window_maxima", lifted)
+    for kernel in ("set_maxima", "window_maxima"):
+        monkeypatch.setattr(regularity, kernel, lifting(getattr(regularity, kernel)))
 
 
 # ---------------------------------------------------------------------------

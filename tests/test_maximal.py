@@ -13,6 +13,7 @@ from maxreg import (
     maximal_at,
     maximal_profile,
     maximal_profile_fast,
+    set_maxima,
     window_maxima,
 )
 from maxreg.maximal import _HULL_MIN_LENGTH, _hull_bridge_maxima, _window_end_maxima
@@ -270,6 +271,124 @@ def test_hull_walk_reads_a_bounded_number_of_prefix_sums_per_point(monkeypatch, 
         CountingList.reads = 0
         _hull_bridge_maxima(u)
         assert 0 < CountingList.reads <= 40 * len(u), name
+
+
+# ---------------------------------------------------------------------------
+# the set kernel, from runs
+# ---------------------------------------------------------------------------
+
+def indicator_block(a: IndexSet) -> list[int]:
+    """The 0/1 block of ``a`` on [min a - 1, max a + 1]."""
+    lo = a.min() - 1
+    u = [0] * (a.max() - lo + 2)
+    for x in a.elements:
+        u[x - lo] = 1
+    return u
+
+
+def test_set_kernel_matches_the_loop_on_every_odd_mask():
+    for mask in range(1, 1 << 15, 2):
+        a = IndexSet.from_mask(mask)
+        assert same_ratios(set_maxima(a.elements), _window_end_maxima(indicator_block(a))), a
+
+
+@st.composite
+def wide_sets(draw, max_width: int = 600):
+    """Sets of hull width 1 .. max_width at density 1/8, 1/2 or 7/8, mostly left of 0."""
+    width = draw(st.integers(1, max_width))
+    density = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)]))
+    offset = draw(st.integers(-10_000, 100))
+    rng = draw(st.randoms(use_true_random=False))
+    inner = [offset + i for i in range(1, width - 1) if rng.random() < density]
+    return IndexSet.from_iterable([offset, *inner, offset + width - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_sets())
+def test_set_kernel_matches_the_block_kernels_and_the_oracle(a):
+    got = set_maxima(a.elements)
+    assert same_ratios(got, window_maxima(indicator_block(a)))
+    if a.max() - a.min() < 40:
+        nums, dens = got
+        oracle = maximal_profile(LatticeFunction.from_set(a)).values
+        assert [Fraction(n, d) for n, d in zip(nums, dens)] == list(oracle)
+
+
+def test_set_kernel_closed_forms():
+    # A singleton: 1/2, 1, 1/2.
+    for x in (-7, 0, 12):
+        nums, dens = set_maxima((x,))
+        assert [Fraction(n, d) for n, d in zip(nums, dens)] == [Fraction(1, 2), 1, Fraction(1, 2)]
+    # One run of n points: n/(n+1) at both edges, 1 on the run.
+    for n in (1, 2, 5, 64):
+        nums, dens = set_maxima(tuple(range(-3, n - 3)))
+        values = [Fraction(p, q) for p, q in zip(nums, dens)]
+        assert values == [Fraction(n, n + 1)] + [1] * n + [Fraction(n, n + 1)]
+    # A gap-3 progression: every window over a gap point averages at most
+    # 1/2, which [x, x + 1] attains, so the profile is 1 on A and 1/2 off it.
+    for count in (1, 2, 3, 10, 200):
+        elements = tuple(range(-30, -30 + 3 * count, 3))
+        nums, dens = set_maxima(elements)
+        lo = elements[0] - 1
+        assert [Fraction(p, q) for p, q in zip(nums, dens)] == \
+            [1 if lo + i in elements else Fraction(1, 2) for i in range(len(nums))]
+
+
+def adversarial_sets(width: int = 1024) -> dict[str, IndexSet]:
+    """Sets whose run hulls are long chains, with long gaps to walk tangents over."""
+
+    def from_runs(lengths_and_gaps) -> IndexSet:
+        elements, x = [], 0
+        for length, gap in lengths_and_gaps:
+            elements.extend(range(x, x + length))
+            x += length + gap
+        return IndexSet.from_iterable(elements)
+
+    def up_to_width(shape) -> IndexSet:
+        runs = []
+        for length, gap in shape:
+            runs.append((length, gap))
+            if sum(map(sum, runs)) >= width:
+                break
+        return from_runs(runs)
+
+    root = int(width ** 0.5)
+    shapes = {
+        "densifying": up_to_width((1, g) for g in range(root, 0, -1)),
+        "thinning": up_to_width((1, g) for g in range(1, root + 1)),
+        "growing_runs": up_to_width((n, 1) for n in range(1, root + 1)),
+        "shrinking_runs": up_to_width((n, 1) for n in range(root, 0, -1)),
+        "gap3": up_to_width((1, 2) for _ in range(width)),
+    }
+    # The same chains with a gap as wide as the rest behind or before them,
+    # so that one tangent walks the whole hull.
+    for name in ("densifying", "thinning", "growing_runs", "shrinking_runs"):
+        a = shapes[name]
+        span = a.max() - a.min() + 1
+        shapes[name + "_then_gap"] = IndexSet.from_iterable([*a.elements, a.max() + span])
+        shapes["gap_then_" + name] = IndexSet.from_iterable([a.min() - span, *a.elements])
+    return shapes
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_sets()))
+def test_set_kernel_on_adversarial_sets(name):
+    a = adversarial_sets()[name]
+    assert same_ratios(set_maxima(a.elements), window_maxima(indicator_block(a)))
+
+
+@pytest.mark.parametrize("width", [1024, 4096])
+def test_set_kernel_reads_a_bounded_number_of_run_entries_per_point(monkeypatch, width):
+    # The kernel's run arrays become CountingLists.  Every shape reads at
+    # most 11 entries per point of the window at both widths (the gap-3
+    # progression; 0.5-4 on the others).  A tangent walk restarted at
+    # every gap point reads 60 per point at width 1,024 and 120 at 4,096
+    # on the shapes with one long gap.
+    monkeypatch.setattr(maximal, "list", CountingList, raising=False)
+    for name, a in adversarial_sets(width).items():
+        points = a.max() - a.min() + 3
+        CountingList.reads = 0
+        set_maxima(a.elements)
+        assert 0 < CountingList.reads <= 24 * points, name
 
 
 # ---------------------------------------------------------------------------

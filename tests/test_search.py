@@ -105,15 +105,15 @@ def test_mirror_audit_reads_the_checked_profile_backwards(monkeypatch):
     # Lower M(2) of {0, 1, 3} from 3/4 to 2/3: the battery of {0, 1, 3}
     # still passes, and only the audit of its skipped mirror {0, 2, 3}
     # (mask 13, class 6) sees the corrupted kernel output.
-    real = regularity.window_maxima
+    real = regularity.set_maxima
 
-    def corrupted(u):
-        nums, dens = real(u)
-        if u == [0, 1, 1, 0, 1, 0]:
+    def corrupted(elements):
+        nums, dens = real(elements)
+        if elements == (0, 1, 3):
             nums, dens = nums[:3] + [2] + nums[4:], dens[:3] + [3] + dens[4:]
         return nums, dens
 
-    monkeypatch.setattr(regularity, "window_maxima", corrupted)
+    monkeypatch.setattr(regularity, "set_maxima", corrupted)
     monkeypatch.setattr(search, "_SPOT_EVERY", 6)    # classes 0 and 6
     assert not exhaustive(3).violations
     s = exhaustive(4)
