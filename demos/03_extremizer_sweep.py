@@ -25,9 +25,9 @@ def main() -> None:
     summary = exhaustive(LENGTH, workers=2,
                          progress=lambda done, total: print(
                              f"  ...{done}/{total}", file=sys.stderr, flush=True))
-    elapsed = time.perf_counter() - t0
+    print(f"  swept in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
     print(f"{summary.instances_checked} translation classes "
-          f"({summary.parameters['raw_set_count']} raw sets) in {elapsed:.1f}s")
+          f"({summary.parameters['raw_set_count']} raw sets)")
     print(f"violations: {len(summary.violations)}")
 
     print("\nmax ratio by span of the set (span = max - min):")

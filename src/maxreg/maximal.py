@@ -23,19 +23,21 @@ by :class:`MaximalProfile`.
 Internally all comparisons clear denominators and run on integers; results
 are returned as `Fraction` in lowest terms, so the profile paths are
 bit-identical.  Two production kernels return (numerator, window length)
-pairs, which :mod:`maxreg.regularity` reads directly:
+pairs, which :mod:`maxreg.regularity` reads directly.  Both build hulls with
+one monotone chain, :func:`_hull_links`, and find bridges between them with
+one walk, :func:`_bridges`:
 
 * :func:`set_maxima` profiles the indicator of an index set from its runs.
   M chi_A is 1 on A and, on each gap, the larger of one bridge per gap and
   two tangents that walk the run hulls once.  Set analyses and the order-k
-  scans use it.
+  scans use it, and the scans build their tail hulls with the same
+  :func:`_hull_links`.
 * :func:`window_maxima` profiles a general nonnegative integer block, for
   the function sweep and for :func:`maximal_profile_fast`, which wraps it as
   a :class:`MaximalProfile` of `Fraction` values.  It picks one of two
   kernels by block length alone: an O(m^2) loop over window ends for short
-  blocks, and for longer ones a near-linear walk to the bridge between the
-  lower hull of the prefix sums left of each point and the upper hull of
-  those right of it.
+  blocks, and for longer ones one bridge per point between the lower hull
+  of the prefix sums left of it and the upper hull of those right of it.
 
 :func:`maximal_profile` enumerates windows point by point and is only the
 oracle that the tests and the sweeps' spot checks compare the kernels
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .lattice import LatticeFunction
 
@@ -172,8 +174,11 @@ def window_maxima(u: list[int]) -> tuple[list[int], list[int]]:
     window-end loop :func:`_window_end_maxima`, longer ones to the
     near-linear :func:`_hull_bridge_maxima`; the choice depends on the
     length alone.  On ties the kernels may return different windows, so
-    only the ratio, not the (numerator, length) pair, is determined.
+    only the ratio, not the (numerator, length) pair, is determined.  A
+    negative entry raises ValueError.
     """
+    if min(u, default=0) < 0:
+        raise ValueError("window_maxima needs a block of nonnegative integers")
     if len(u) < _HULL_MIN_LENGTH:
         return _window_end_maxima(u)
     return _hull_bridge_maxima(u)
@@ -204,115 +209,128 @@ def _window_end_maxima(u: list[int]) -> tuple[list[int], list[int]]:
     return best_num, best_den
 
 
-def _hull_bridge_maxima(u: list[int]) -> tuple[list[int], list[int]]:
-    """:func:`window_maxima` by bridges between prefix-sum hulls.
+def _hull_links(points: Sequence[tuple[int, int]], order: Iterable[int]) -> list[int]:
+    """Links of the monotone chain over ``points`` visited in ``order``.
 
-    With P the prefix sums, the best window at t is the steepest segment
-    from a point (i, P_i), i <= t, to a point (j, P_j), j >= t + 1.  Such a
-    segment is the bridge between the lower hull of the left points and the
-    upper hull of the right points: the line through it has every left
-    point on or above it and every right point on or below it, and a pair
-    with that property is optimal.  One monotone-chain pass each way
-    records, for every i, its left neighbour on the lower hull of points
-    0..i (``pred``) and, for every j, its right neighbour on the upper hull
-    of points j..m (``succ``); following these links walks any prefix or
-    suffix hull.  For each t the walk starts at (t, t + 1) and moves p along
-    its hull (left, or back right over the vertices it passed, which are
-    exactly the hull vertices right of it) and q along its hull while the
-    slope strictly increases.  Slope along a convex chain seen from a point
-    beyond it is unimodal, so when neither end can move both are tangent,
-    which is the bridge.  All comparisons are integer cross-multiplications.
-    Each walk is bounded by the hull sizes and is short in practice: on
-    CPython 3.11 (2-vCPU x86-64) a 514-point 0/1 block takes about 1 ms
-    against 17 ms for the loop, and 1026-point ramps, hills, squares and
-    alternating blocks about 2 ms against 80-120 ms.
+    Each point is pushed after popping every stacked point where the chain
+    does not turn counterclockwise, collinear ones included, and links to
+    the stack top below it (-1 for the first).  In rising x the links are
+    ``pred``, left neighbours on the lower hull of the points so far; in
+    falling x ``succ``, right neighbours on the upper hull.  Following them
+    from any point walks the hull of the points visited up to it.
     """
-    m = len(u)
-    prefix = list(accumulate(u, initial=0))
-    pred = [-1] * (m + 1)
-    hull: list[int] = []
-    for i in range(m + 1):
-        y = prefix[i]
-        while len(hull) >= 2:
-            i1, i0 = hull[-1], hull[-2]
-            if (prefix[i1] - prefix[i0]) * (i - i1) < (y - prefix[i1]) * (i1 - i0):
-                break
-            hull.pop()                      # on or above the chord: not a vertex
-        if hull:
-            pred[i] = hull[-1]
+    links = [-1] * len(points)
+    hull = [-1]                             # below the first point: its link
+    for i in order:
+        x, y = points[i]
+        while len(hull) > 2:
+            x0, y0 = points[hull[-2]]
+            if (x1 - x0) * (y - y1) > (y1 - y0) * (x - x1):
+                break                       # a counterclockwise turn: a vertex
+            hull.pop()
+            x1, y1 = x0, y0
+        links[i] = hull[-1]
         hull.append(i)
-    succ = [-1] * (m + 1)
-    hull = []
-    for j in range(m, -1, -1):
-        y = prefix[j]
-        while len(hull) >= 2:
-            j1, j0 = hull[-1], hull[-2]
-            if (prefix[j1] - y) * (j0 - j1) > (prefix[j0] - prefix[j1]) * (j1 - j):
-                break
-            hull.pop()                      # on or below the chord: not a vertex
-        if hull:
-            succ[j] = hull[-1]
-        hull.append(j)
+        x1, y1 = x, y                       # the stack top
+    return links
 
-    best_num = [0] * m
-    best_den = [1] * m
-    for t in range(m):
-        p, q = t, t + 1
-        yq = prefix[q]
-        num, den = yq - prefix[p], 1
+
+def _bridges(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]],
+             pred: list[int], succ: list[int],
+             pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(rise, run) of the steepest segment from a point of ``left`` up to p to
+    a point of ``right`` from q on, for each start pair (p, q) in turn.
+
+    It is the bridge between the lower hull of those left points, walked
+    along ``pred``, and the upper hull of those right points, walked along
+    ``succ``: the line through it has every left point on or above it and
+    every right point on or below it.  The walk moves p along its hull (left,
+    or back right over the vertices it passed) and q along its hull while
+    the slope strictly increases; slope along a convex chain seen from a
+    point beyond it is unimodal, so when neither end can move both are
+    tangent.  All comparisons are integer cross-multiplications.
+    """
+    bridges: list[tuple[int, int]] = []
+    for p, q in pairs:
+        xp, yp = left[p]
+        xq, yq = right[q]
+        num, den = yq - yp, xq - xp
         passed_p: list[int] = []            # hull vertices right of p
         passed_q: list[int] = []            # hull vertices left of q
         first = True
         while True:
             moved = False
             a = pred[p]
-            while a >= 0 and (yq - prefix[a]) * den > num * (q - a):
+            while a >= 0:
+                xa, ya = left[a]
+                if (yq - ya) * den <= num * (xq - xa):
+                    break
                 passed_p.append(p)
-                p, num, den = a, yq - prefix[a], q - a
+                p, num, den = a, yq - ya, xq - xa
                 a = pred[a]
                 moved = True
             if not moved:
                 while passed_p:
                     a = passed_p[-1]
-                    if (yq - prefix[a]) * den <= num * (q - a):
+                    xa, ya = left[a]
+                    if (yq - ya) * den <= num * (xq - xa):
                         break
                     passed_p.pop()
-                    p, num, den = a, yq - prefix[a], q - a
+                    p, num, den = a, yq - ya, xq - xa
                     moved = True
             if not (moved or first):
                 break                       # q was tangent already, now p is too
             first = False
-            yp = prefix[p]
+            xp, yp = left[p]
             moved = False
             b = succ[q]
-            while b >= 0 and (prefix[b] - yp) * den > num * (b - p):
+            while b >= 0:
+                xb, yb = right[b]
+                if (yb - yp) * den <= num * (xb - xp):
+                    break
                 passed_q.append(q)
-                q, num, den = b, prefix[b] - yp, b - p
+                q, num, den = b, yb - yp, xb - xp
                 b = succ[b]
                 moved = True
             if not moved:
                 while passed_q:
                     b = passed_q[-1]
-                    if (prefix[b] - yp) * den <= num * (b - p):
+                    xb, yb = right[b]
+                    if (yb - yp) * den <= num * (xb - xp):
                         break
                     passed_q.pop()
-                    q, num, den = b, prefix[b] - yp, b - p
+                    q, num, den = b, yb - yp, xb - xp
                     moved = True
             if not moved:
                 break                       # p was tangent already, now q is too
-            yq = prefix[q]
-        best_num[t] = num
-        best_den[t] = den
-    return best_num, best_den
+            xq, yq = right[q]
+        bridges.append((num, den))
+    return bridges
+
+
+def _hull_bridge_maxima(u: list[int]) -> tuple[list[int], list[int]]:
+    """:func:`window_maxima` by bridges between prefix-sum hulls.
+
+    With P the prefix sums, the best window at t is the steepest segment
+    from a point (i, P_i), i <= t, to a point (j, P_j), j >= t + 1: the
+    bridge of :func:`_bridges` from the start pair (t, t + 1).
+    """
+    m = len(u)
+    points = list(enumerate(accumulate(u, initial=0)))
+    pred = _hull_links(points, range(m + 1))
+    succ = _hull_links(points, range(m, -1, -1))
+    nums, dens = zip(*_bridges(points, points, pred, succ, zip(range(m), range(1, m + 1))))
+    return list(nums), list(dens)
 
 
 def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
     """M chi_A on [min A - 1, max A + 1] from the runs of A, exactly.
 
-    ``elements`` are the sorted elements of a nonempty set A.  The result
-    has the contract of :func:`window_maxima` on the 0/1 block of A padded
-    with one zero each side: (numerators, window lengths), equal ratios,
-    possibly other windows on ties.
+    ``elements`` are the sorted elements of a nonempty set A; anything else
+    raises ValueError.  The result has the contract of
+    :func:`window_maxima` on the 0/1 block of A padded with one zero each
+    side: (numerators, window lengths), equal ratios, possibly other
+    windows on ties.
 
     A window holding a point t outside A averages below 1, so dropping a
     zero end or extending an end through a run of ones never lowers it.
@@ -321,14 +339,15 @@ def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
     the last point e_q of a run right of t.  With C_p the number of
     elements before run p, take the left points (s_p, C_p) and the right
     points (e_q + 1, C_{q+1}); a window's average is the slope between its
-    two points.  For t in the gap before run g,
+    two points.  :func:`_hull_links` builds the lower hull of the left
+    points (``pred``) and the upper hull of the right points (``succ``).
+    For t in the gap before run g,
 
         M(t) = max(G_g, L_g(t), R_g(t)),
 
     * G_g, the best window over both ends of the gap, is the bridge between
       the lower hull of the left points p < g and the upper hull of the
-      right points q >= g, found once per gap by the walk of
-      :func:`_hull_bridge_maxima`;
+      right points q >= g, found once per gap by :func:`_bridges`;
     * L_g(t) = max_{p < g} (C_g - C_p) / (t + 1 - s_p), the tangent from
       (t + 1, C_g) to the lower hull, whose vertex only moves left along
       ``pred`` as t rises;
@@ -348,103 +367,36 @@ def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
     per gap instead of once per point.
     """
     n = len(elements)
+    breaks = [j for j in range(1, n) if elements[j] - elements[j - 1] != 1]
+    if not n or any([elements[j] <= elements[j - 1] for j in breaks]):
+        raise ValueError("set_maxima needs the elements of a nonempty set in increasing order")
     lo, hi = elements[0] - 1, elements[-1] + 1
-    # Run p is [starts[p], ends[p + 1]) and holds counts[p + 1] - counts[p]
-    # elements.  Left point p is (starts[p], counts[p]) and right point q is
-    # (ends[q], counts[q]), for p, q in 0 .. r; starts[r] and ends[0] are the
-    # virtual points.  The gap before run g is [ends[g], starts[g]).
-    counts = list(chain((0,), [j for j in range(1, n) if elements[j] - elements[j - 1] > 1], (n,)))
-    starts = list(chain(map(elements.__getitem__, counts[:-1]), (hi + 1,)))
-    ends = list(chain((lo,), [elements[c - 1] + 1 for c in counts[1:]]))
-    r = len(counts) - 1
-
-    pred = [-1] * (r + 1)                   # left neighbour on the lower hull of 0 .. p
-    hull: list[int] = []
-    for p in range(r + 1):
-        x, y = starts[p], counts[p]
-        while len(hull) >= 2:
-            i1, i0 = hull[-1], hull[-2]
-            y1, x1 = counts[i1], starts[i1]
-            if (y1 - counts[i0]) * (x - x1) < (y - y1) * (x1 - starts[i0]):
-                break
-            hull.pop()                      # on or above the chord: not a vertex
-        if hull:
-            pred[p] = hull[-1]
-        hull.append(p)
-    succ = [-1] * (r + 1)                   # right neighbour on the upper hull of q .. r
-    hull = []
-    for q in range(r, -1, -1):
-        x, y = ends[q], counts[q]
-        while len(hull) >= 2:
-            j1, j0 = hull[-1], hull[-2]
-            y1, x1 = counts[j1], ends[j1]
-            if (y1 - y) * (ends[j0] - x1) > (counts[j0] - y1) * (x1 - x):
-                break
-            hull.pop()                      # on or below the chord: not a vertex
-        if hull:
-            succ[q] = hull[-1]
-        hull.append(q)
+    # Run p starts at left[p][0] and ends before right[p + 1][0], and holds
+    # left[p + 1][1] - left[p][1] elements, for p in 0 .. r - 1; left[r] and
+    # right[0] are the virtual points.  The gap before run g is
+    # [right[g][0], left[g][0]).
+    left = list(chain(((elements[0], 0),), [(elements[j], j) for j in breaks], ((hi + 1, n),)))
+    right = list(chain(((lo, 0),), [(elements[j - 1] + 1, j) for j in breaks], ((hi, n),)))
+    r = len(breaks) + 1
+    pred = _hull_links(left, range(r + 1))
+    succ = _hull_links(right, range(r, -1, -1))
 
     m = hi - lo + 1
     best_num = [1] * m
     best_den = [1] * m
-    q = succ[0]
-    best_num[0], best_den[0] = counts[q], ends[q] - lo
-    p = pred[r]
-    best_num[-1], best_den[-1] = n - counts[p], hi + 1 - starts[p]
-    for g in range(1, r):
-        c, first, end = counts[g], ends[g], starts[g]
-
-        # G: the bridge walk of _hull_bridge_maxima over the run points
-        p, q = g - 1, g + 1
-        xq, yq = ends[q], counts[q]
-        gn, gd = yq - counts[p], xq - starts[p]
-        passed_p: list[int] = []            # hull vertices right of p
-        passed_q: list[int] = []            # hull vertices left of q
-        first_round = True
-        while True:
-            moved = False
-            a = pred[p]
-            while a >= 0 and (yq - counts[a]) * gd > gn * (xq - starts[a]):
-                passed_p.append(p)
-                p, gn, gd = a, yq - counts[a], xq - starts[a]
-                a = pred[a]
-                moved = True
-            if not moved:
-                while passed_p:
-                    a = passed_p[-1]
-                    if (yq - counts[a]) * gd <= gn * (xq - starts[a]):
-                        break
-                    passed_p.pop()
-                    p, gn, gd = a, yq - counts[a], xq - starts[a]
-                    moved = True
-            if not (moved or first_round):
-                break                       # q was tangent already, now p is too
-            first_round = False
-            xp, yp = starts[p], counts[p]
-            moved = False
-            b = succ[q]
-            while b >= 0 and (counts[b] - yp) * gd > gn * (ends[b] - xp):
-                passed_q.append(q)
-                q, gn, gd = b, counts[b] - yp, ends[b] - xp
-                b = succ[b]
-                moved = True
-            if not moved:
-                while passed_q:
-                    b = passed_q[-1]
-                    if (counts[b] - yp) * gd <= gn * (ends[b] - xp):
-                        break
-                    passed_q.pop()
-                    q, gn, gd = b, counts[b] - yp, ends[b] - xp
-                    moved = True
-            if not moved:
-                break                       # p was tangent already, now q is too
-            xq, yq = ends[q], counts[q]
-
+    xq, yq = right[succ[0]]
+    best_num[0], best_den[0] = yq, xq - lo
+    xp, yp = left[pred[r]]
+    best_num[-1], best_den[-1] = n - yp, hi + 1 - xp
+    bridges = _bridges(left, right, pred, succ, zip(range(r - 1), range(2, r + 1)))
+    for g, (gn, gd) in enumerate(bridges, 1):
+        end, c = left[g]
+        first = right[g][0]
         if end - first == 1:                # one point: both tangents are hull edges
-            p, q = pred[g], succ[g]
-            ln, ld = c - counts[p], end - starts[p]
-            rn, rd = counts[q] - c, ends[q] - first
+            xp, yp = left[pred[g]]
+            xq, yq = right[succ[g]]
+            ln, ld = c - yp, end - xp
+            rn, rd = yq - c, xq - first
             if rn * ld > ln * rd:
                 ln, ld = rn, rd
             if gn * ld > ln * gd:
@@ -457,20 +409,24 @@ def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
         # value at its own point, and once G is at least both, G is the
         # value everywhere between.
         i, j, stepped = first, end - 1, 0  # which end stepped last: 1 i, 2 j
-        a, xp, yp = pred[g - 1], starts[g - 1], counts[g - 1]
-        b, xq, yq = succ[g + 1], ends[g + 1], counts[g + 1]
+        a, (xp, yp) = pred[g - 1], left[g - 1]
+        b, (xq, yq) = succ[g + 1], right[g + 1]
         while i <= j:
             if stepped != 2:                # L(i): walk to the tangent
                 ln, ld = c - yp, i + 1 - xp
-                while a >= 0 and (c - counts[a]) * ld > ln * (i + 1 - starts[a]):
-                    xp, yp = starts[a], counts[a]
-                    ln, ld = c - yp, i + 1 - xp
+                while a >= 0:
+                    xa, ya = left[a]
+                    if (c - ya) * ld <= ln * (i + 1 - xa):
+                        break
+                    xp, yp, ln, ld = xa, ya, c - ya, i + 1 - xa
                     a = pred[a]
             if stepped != 1:                # R(j): walk to the tangent
                 rn, rd = yq - c, xq - j
-                while b >= 0 and (counts[b] - c) * rd > rn * (ends[b] - j):
-                    xq, yq = ends[b], counts[b]
-                    rn, rd = yq - c, xq - j
+                while b >= 0:
+                    xb, yb = right[b]
+                    if (yb - c) * rd <= rn * (xb - j):
+                        break
+                    xq, yq, rn, rd = xb, yb, yb - c, xb - j
                     b = succ[b]
             if ln * rd >= rn * ld:
                 if gn * ld >= ln * gd:

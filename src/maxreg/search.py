@@ -55,7 +55,7 @@ from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import maximal_profile, set_maxima
+from .maximal import _hull_links, maximal_profile, set_maxima
 from .regularity import (
     RatioRecord,
     Violation,
@@ -479,21 +479,18 @@ def _tail_chain(elements: Sequence[int]) -> tuple[list[int], list[tuple[int, int
     maximiser is the upper-hull vertex the tangent from (n + 1, 0) touches,
     and it moves left as n grows.  A vertex (i, c) with right neighbour
     (i', c') wins strictly once n + 1 > (c i' - c' i) / (c - c'), where the
-    line through the two meets zero.  Piece t is c / (n + 1 - i) on
+    line through the two meets zero.  The hull is the chain of
+    :func:`~maxreg.maximal._hull_links` over the points in falling i,
+    followed from i = min(A).  Piece t is c / (n + 1 - i) on
     [starts[t], starts[t + 1]); the last one, i = min(A), has no end.
     """
     count = len(elements)
-    hull: list[tuple[int, int]] = []        # upper hull of (i, c_i), left to right
-    for j, i in enumerate(elements):
-        if j and elements[j - 1] == i - 1 and j + 1 < count:
-            continue                        # slope -1 in from i - 1, the steepest: not a vertex
-        c = count - j
-        while len(hull) >= 2:
-            (i0, c0), (i1, c1) = hull[-2], hull[-1]
-            if (c1 - c0) * (i - i0) > (c - c0) * (i1 - i0):
-                break
-            hull.pop()                      # on or below the chord: never needed
-        hull.append((i, c))
+    points = [(i, count - j) for j, i in enumerate(elements)]
+    succ = _hull_links(points, range(count - 1, -1, -1))
+    hull, h = [], 0                         # upper hull of (i, c_i), left to right
+    while h >= 0:
+        hull.append(points[h])
+        h = succ[h]
     starts, pieces = [elements[-1] + 1], [hull[-1]]
     for (i, c), (i1, c1) in zip(reversed(hull[:-1]), reversed(hull[1:])):
         start = max(starts[0], (c * i1 - c1 * i) // (c - c1))

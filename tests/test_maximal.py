@@ -16,7 +16,7 @@ from maxreg import (
     set_maxima,
     window_maxima,
 )
-from maxreg.maximal import _HULL_MIN_LENGTH, _hull_bridge_maxima, _window_end_maxima
+from maxreg.maximal import _HULL_MIN_LENGTH, _hull_bridge_maxima, _hull_links, _window_end_maxima
 
 from conftest import as_dict, oracle_maximal_at, random_function, random_index_set
 
@@ -184,6 +184,50 @@ def same_ratios(got, want) -> bool:
     (nums, dens), (want_nums, want_dens) = got, want
     return len(nums) == len(dens) == len(want_nums) and all(
         n * wd == wn * d for n, d, wn, wd in zip(nums, dens, want_nums, want_dens))
+
+
+def chain_by_chords(points, seen) -> list[int]:
+    """The chain over the points visited in ``seen``, by chords: a point stays
+    on it iff every segment from a point visited before it to one visited
+    after it passes strictly on its left."""
+
+    def right_of(v, a, b) -> bool:
+        (xv, yv), (xa, ya), (xb, yb) = points[v], points[a], points[b]
+        return (xb - xa) * (yv - ya) < (yb - ya) * (xv - xa)
+
+    return [v for k, v in enumerate(seen)
+            if all(right_of(v, a, b) for a in seen[:k] for b in seen[k + 1:])]
+
+
+def test_hull_links_walk_every_prefix_hull():
+    # Random integer points with collinear runs and repeated x, visited in
+    # rising and in falling (x, y); the links from every visited point must
+    # walk the lower (rising) or upper (falling) hull of the points so far,
+    # collinear points left out.
+    rng = random.Random(151)
+    for _ in range(300):
+        points = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 10))}
+        x0, y0, dx, dy = (rng.randint(-4, 4) for _ in range(4))
+        points.update((x0 + t * dx, y0 + t * dy) for t in range(rng.randint(0, 5)))
+        points = list(points)
+        rng.shuffle(points)
+        rising = sorted(range(len(points)), key=points.__getitem__)
+        for order in (rising, rising[::-1]):
+            links = _hull_links(points, order)
+            for k in range(len(order)):
+                walk = [order[k]]
+                while links[walk[-1]] >= 0:
+                    walk.append(links[walk[-1]])
+                assert walk[::-1] == chain_by_chords(points, order[:k + 1]), (points, order, k)
+
+
+def test_kernels_reject_malformed_input():
+    for elements in ((), (3, 1), (0, 2, 2, 5)):
+        with pytest.raises(ValueError):
+            set_maxima(elements)
+    for u in ([-1, 2], [0] * 30 + [-1]):
+        with pytest.raises(ValueError):
+            window_maxima(u)
 
 
 def test_window_maxima_switches_kernel_on_length_alone():
