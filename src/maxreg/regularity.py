@@ -20,6 +20,13 @@ exact closed-form tail terms; no truncation error anywhere.  The same
 telescoping evaluates the total variation of a maximal profile: the tails
 are monotone, so each contributes the window-edge value itself.
 
+On any integer window the interior c2 telescope to D(hi-1) - D(lo), which
+is minus the two tail terms, so the interior sum of |c2| plus both tails is
+-2 sum_{concave} c2: the norm is read off the concave points.  The identity
+needs no guarantee (which only makes it the norm over Z), so a window with
+a negative tail term, which sends a set to the oracle audit, gets the same
+number as the direct sum.
+
 Two kinds of window carry the guarantee: a finitely supported function on
 [min - 2, max + 2] of its support (zero tails are convex, with ties
 counting as convex), and a maximal profile on [min - 1, max + 1]
@@ -47,11 +54,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
-from typing import Iterator, NamedTuple
+from operator import mul, sub
+from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import MaximalProfile, maximal_profile, set_maxima, window_maxima
+from .maximal import MaximalProfile, maximal_profile, set_maxima
 
 PLUS = "plus"
 MINUS = "minus"
@@ -86,41 +95,36 @@ class Chain:
 
 
 def _scaled(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
-    """(D, D * nums[i] / dens[i] at each i), with D the lcm of ``dens``: a
-    profile kernel's (numerators, window lengths) over one denominator."""
-    d = lcm(*dens)
-    return d, [num * (d // den) for num, den in zip(nums, dens)]
+    """(D, D * nums[i] / dens[i] at each i), D the lcm of ``dens``: a profile kernel's
+    (numerators, window lengths) over one denominator, one D // L per distinct length L."""
+    lengths = set(dens)
+    d = lcm(*lengths)
+    quotient = {length: d // length for length in lengths}
+    return d, list(map(mul, nums, map(quotient.__getitem__, dens)))
 
 
-def _scaled_maxima(u: list[int]) -> tuple[int, list[int]]:
-    """(D, D * best window average at each position of ``u``), by
-    :func:`~maxreg.maximal.window_maxima` and :func:`_scaled`."""
-    return _scaled(*window_maxima(u))
-
-
-def _convexity(v: list[int]) -> tuple:
+def _convexity(v: Sequence[int]) -> tuple:
     """(second norm, boundary bound, left tail, right tail, c2, concave,
-    left boundary, right boundary) of a guaranteed window ``v`` (module
-    docstring), in the units of ``v`` and positions 0 .. len(v) - 1.
+    left boundary, right boundary, first differences) of a guaranteed window
+    ``v`` (module docstring), in the units of ``v`` and positions 0 .. len(v) - 1.
 
-    c2 lists the second differences at 1 .. len(v) - 2; a concave point is
-    in the left (right) boundary when its left (right) neighbour is convex,
-    and both edges are convex.  The norm includes the two tail terms.  The
-    boundary bound is 2 sum_{left} (v(i) - v(i-1)) + 2 sum_{right} (v(i) -
-    v(i+1)); the limit terms of the general bound vanish under the
-    guarantee.  Contract: it dominates the norm.
+    The first differences are taken once; c2 (at 1 .. len(v) - 2), the tails
+    and the boundary sums come from them, and the norm, sum |c2| plus both
+    tails, is -2 sum_{concave} c2 (module docstring), whatever the tails' sign.
+    A concave point is in the left (right) boundary when its left (right)
+    neighbour is convex; both edges are convex.  The boundary bound, 2 sum_{left}
+    (v(i) - v(i-1)) + 2 sum_{right} (v(i) - v(i+1)), dominates the norm (the
+    contract); the limit terms of the general bound vanish under the guarantee.
     """
-    m = len(v)
-    second = [v[i - 1] + v[i + 1] - 2 * v[i] for i in range(1, m - 1)]
-    concave = [False] + [c < 0 for c in second] + [False]
-    minus = [i for i in range(1, m - 1) if concave[i]]
+    first = list(map(sub, v[1:], v))
+    second = list(map(sub, first[1:], first))
+    concave = [False, *map((0).__gt__, second), False]     # the class at each position
+    minus = list(compress(range(len(v)), concave))
     left = [i for i in minus if not concave[i - 1]]
     right = [i for i in minus if not concave[i + 1]]
-    left_tail = v[1] - v[0]
-    right_tail = v[m - 2] - v[m - 1]
-    return (sum(map(abs, second)) + left_tail + right_tail,
-            2 * (sum([v[i] - v[i - 1] for i in left]) + sum([v[i] - v[i + 1] for i in right])),
-            left_tail, right_tail, second, minus, left, right)
+    return (-2 * sum(compress(second, concave[1:])),
+            2 * (sum([first[i - 1] for i in left]) - sum([first[i] for i in right])),
+            first[0], -first[-1], second, minus, left, right, first)
 
 
 class AnalyzedFunction(NamedTuple):
@@ -136,8 +140,8 @@ class AnalyzedFunction(NamedTuple):
     def from_profile(cls, p: MaximalProfile) -> "AnalyzedFunction":
         if not p.tail_guarantee:
             raise ValueError("profile lacks the tail guarantee")
-        d = lcm(*[v.denominator for v in p.values])
-        return cls(p.window[0], d, tuple([v.numerator * (d // v.denominator) for v in p.values]))
+        d, v = _scaled(*zip(*[x.as_integer_ratio() for x in p.values]))
+        return cls(p.window[0], d, tuple(v))
 
 
 def second_norm(g: AnalyzedFunction) -> Fraction:
@@ -152,7 +156,7 @@ def funeq_rhs(g: AnalyzedFunction) -> Fraction:
 
 def decompose(g: AnalyzedFunction) -> tuple[IndexSet, IndexSet, IndexSet, Fraction, Fraction]:
     """(concave points, left boundary, right boundary, second norm, boundary bound)."""
-    norm, bound, _, _, _, minus, left, right = _convexity(g.scaled)
+    norm, bound, _, _, _, minus, left, right, _ = _convexity(g.scaled)
     return (*[IndexSet(tuple([g.lo + i for i in s])) for s in (minus, left, right)],
             Fraction(norm, g.denominator), Fraction(bound, g.denominator))
 
@@ -314,23 +318,24 @@ def analyze(a: IndexSet) -> Analysis:
     :func:`~maxreg.maximal.set_maxima`; the naive oracle
     :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
     checks, in the tests, and wherever a tail term comes out negative
-    (:meth:`Analysis.violations`).  The norms and boundaries come from
-    :func:`_convexity`, the variation from :func:`first_derivative_norms`'
-    closed form.  The blocks of A are its runs, and since M chi_A is 1
-    exactly on A, a concave point is outside A when its value is below D.
+    (:meth:`Analysis.violations`).  The norms, boundaries and first
+    differences come from :func:`_convexity`, the variation from
+    :func:`first_derivative_norms`' closed form.  The concave-mass norm needs
+    no tail guarantee, so a broken kernel reaches that audit with the direct
+    sum's numbers.  A has one block (run) per element not right after another,
+    and since M chi_A is 1 exactly on A, a concave point is outside A when its value is below D.
     """
     if not a:
         raise ValueError("analysis needs a nonempty set")
     elements = a.elements
-    lo, hi = elements[0] - 1, elements[-1] + 1
-    m = hi - lo + 1
+    lo = elements[0] - 1
     d, v = _scaled(*set_maxima(elements))
-    norm, bound, left_tail, right_tail, second, minus, left, right = _convexity(v)
-    blocks = 1 + sum([y - x > 1 for x, y in zip(elements, elements[1:])])
+    norm, bound, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
+    blocks = len(elements) - list(map(sub, elements[1:], elements)).count(1)
     return Analysis(
         set=a,
         lo=lo,
-        hi=hi,
+        hi=elements[-1] + 1,
         denominator=d,
         scaled=tuple(v),
         second=tuple(second),
@@ -344,7 +349,7 @@ def analyze(a: IndexSet) -> Analysis:
         right_tail=right_tail,
         second_norm=norm,
         boundary_bound=bound,
-        variation=v[1] + sum([abs(v[i + 1] - v[i]) for i in range(1, m - 2)]) + v[m - 2],
+        variation=v[1] + sum(map(abs, first[1:-1])) + v[-2],
     )
 
 

@@ -55,12 +55,12 @@ from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import _hull_links, maximal_profile, set_maxima
+from .maximal import _hull_links, maximal_profile, set_maxima, window_maxima
 from .regularity import (
     RatioRecord,
     Violation,
     _convexity,
-    _scaled_maxima,
+    _scaled,
     analyze,
     audit_profile,
 )
@@ -335,18 +335,13 @@ def random_sets(trials: int, length: int, density, seed: int,
     )
 
 
-def _function_passes(f: LatticeFunction) -> tuple[tuple, int, list[int], tuple]:
-    """:func:`_integer_passes` on the values of a nonzero integer-valued ``f``."""
-    return _integer_passes([int(x) for x in f.values])
-
-
 def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
     """The integer pass :func:`~maxreg.regularity._convexity` on a trimmed
     nonzero integer function on [a, b] over [a - 2, b + 2], and on D * M f over
     [a - 1, b + 1]: (source pass, D, D * M f, maximal pass).  M f is the best
-    window average of |f|, padded with one zero each side, and D the lcm of
-    the window lengths."""
-    d, v = _scaled_maxima([0, *map(abs, ints), 0])
+    window average of |f| (:func:`~maxreg.maximal.window_maxima`), padded with
+    one zero each side, and D the lcm of the window lengths."""
+    d, v = _scaled(*window_maxima([0, *map(abs, ints), 0]))
     return _convexity([0, 0, *ints, 0, 0]), d, v, _convexity(v)
 
 

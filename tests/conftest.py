@@ -200,11 +200,30 @@ def oracle_funeq_rhs(g: Window) -> Fraction:
                 + sum((g.at(n) - g.at(n + 1) for n in right), Fraction(0)))
 
 
+def reference_convexity(v: list[int]) -> tuple:
+    """``regularity._convexity`` point by point, straight from the definitions:
+    (sum |c2| plus both tail terms, boundary bound, left tail, right tail, c2,
+    concave, left boundary, right boundary, first differences), positions
+    0 .. len(v) - 1.  The norm here is the direct sum, not the concave mass."""
+    m = len(v)
+    second = [v[i - 1] + v[i + 1] - 2 * v[i] for i in range(1, m - 1)]
+    concave = [False] + [c < 0 for c in second] + [False]
+    minus = [i for i in range(1, m - 1) if concave[i]]
+    left = [i for i in minus if not concave[i - 1]]
+    right = [i for i in minus if not concave[i + 1]]
+    left_tail = v[1] - v[0]
+    right_tail = v[m - 2] - v[m - 1]
+    return (sum(map(abs, second)) + left_tail + right_tail,
+            2 * (sum([v[i] - v[i - 1] for i in left]) + sum([v[i] - v[i + 1] for i in right])),
+            left_tail, right_tail, second, minus, left, right,
+            [v[i + 1] - v[i] for i in range(m - 1)])
+
+
 def assert_function_check_matches_oracle(f: LatticeFunction) -> None:
     """The integer passes of the function sweep on a nonzero integer-valued
     ``f`` against the oracle on the naive profile (the profile, both norms
     and both boundary bounds), and the check's record, with no violation."""
-    source, d, v, maximal = search._function_passes(f)
+    source, d, v, maximal = search._integer_passes([int(x) for x in f.values])
     g, gm = function_window(f), profile_window(maximal_profile(f))
     norm, max_norm = oracle_second_norm(g), oracle_second_norm(gm)
     assert [Fraction(x, d) for x in v] == list(gm.values)
@@ -287,8 +306,8 @@ def lift_first_value(monkeypatch, skip: int = 0):
             return nums, dens
         return lifted
 
-    for kernel in ("set_maxima", "window_maxima"):
-        monkeypatch.setattr(regularity, kernel, lifting(getattr(regularity, kernel)))
+    for module, kernel in ((regularity, "set_maxima"), (search, "window_maxima")):
+        monkeypatch.setattr(module, kernel, lifting(getattr(module, kernel)))
 
 
 # ---------------------------------------------------------------------------

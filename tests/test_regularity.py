@@ -1,11 +1,14 @@
 """The `Fraction` convexity decomposition of ``conftest``, on examples and
-against the lattice norms, and the headline functions on index sets."""
+against the lattice norms; the integer pass against its per-point
+formula; and the headline functions on index sets."""
 
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxreg import (
     MINUS,
@@ -39,6 +42,7 @@ from conftest import (
     profile_window,
     random_function,
     random_index_set,
+    reference_convexity,
 )
 
 
@@ -221,6 +225,63 @@ def test_second_norm_truncation_identity():
             remainder = (maximal_at(f, t) - maximal_at(f, t + 1)) \
                 + (maximal_at(f, -t) - maximal_at(f, -t - 1))
             assert partial + remainder == closed
+
+
+# ---------------------------------------------------------------------------
+# the integer pass against the per-point formula
+# ---------------------------------------------------------------------------
+
+_BIG = 10 ** 40
+
+
+@st.composite
+def integer_windows(draw) -> list[int]:
+    """Integer windows of length 3-80 with entries in [-10^40, 10^40]: free
+    draws (about half with a negative tail term), small values times one big
+    factor (ties and long same-class runs), constant windows, and constant
+    windows with one raised point, a single concave spike or, at an edge,
+    a negative tail."""
+    m = draw(st.integers(3, 80))
+    kind = draw(st.sampled_from(["free", "scaled", "constant", "spike"]))
+    if kind == "free":
+        return draw(st.lists(st.integers(-_BIG, _BIG), min_size=m, max_size=m))
+    if kind == "scaled":
+        scale = draw(st.integers(1, _BIG // 10))
+        return [scale * x for x in draw(st.lists(st.integers(-10, 10), min_size=m, max_size=m))]
+    c = draw(st.integers(-_BIG, _BIG - 1))
+    v = [c] * m
+    if kind == "spike":
+        v[draw(st.integers(0, m - 1))] += draw(st.integers(1, _BIG - c))
+    return v
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_windows())
+@example([0, 0, 0])
+@example([7] * 80)
+@example([0, 0, 1, 0, 0])           # one concave spike
+@example([3, 0, 0, 0, 3])           # both tails negative
+@example([_BIG, -_BIG, _BIG])       # a convex dip between negative tails
+@example([0, 1, 1, 0, 1, 1, 0])     # two concave runs of two points
+def test_integer_pass_matches_the_per_point_formula(v):
+    # every field, on a list (the function sweep's source pass) and on a
+    # tuple (a scaled profile)
+    assert regularity._convexity(v) == reference_convexity(v)
+    assert regularity._convexity(tuple(v)) == reference_convexity(v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_windows())
+@example([3, 0, 0, 0, 3])
+@example([0, 5, 0])
+def test_norm_is_the_concave_mass(v):
+    # interior sum |c2| + both tail terms == -2 * (sum of the negative c2),
+    # with no sign condition on the tails
+    c2 = [v[n - 1] + v[n + 1] - 2 * v[n] for n in range(1, len(v) - 1)]
+    left_tail, right_tail = v[1] - v[0], v[-2] - v[-1]
+    norm = regularity._convexity(v)[0]
+    assert norm == sum(abs(c) for c in c2) + left_tail + right_tail
+    assert norm == -2 * sum(c for c in c2 if c < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ for byte with what ``maxreg report`` prints.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -154,6 +155,56 @@ def test_writers_match_the_fraction_report_property(a):
     # sets with long chain lists; the Fraction profile here is checked
     # against the naive oracle in test_maximal
     assert_writers_match(maximal_profile_fast(LatticeFunction.from_set(a)))
+
+
+# SHA-256 of ``maxreg report`` JSON, text and CSV for seven sets, the last
+# three being ``wide_set`` at densities 1/8, 1/2 and 7/8.  Any change to the
+# analysis that alters a single byte of a report fails here.  When the schema
+# or the tool version or a report layout changes on purpose, regenerate them:
+# print ``report_hashes(literal)`` for each literal of ``pinned_literals()``,
+# and say in CHANGES.md why every report changed.
+_PINNED = (3, "0.1.0")      # (SCHEMA_VERSION, tool version) of the hashes below
+_REPORT_SHA256 = [
+    ("7f7b346a5cbf26c019f835495742acee50acbc5548790c9ca52f8d4b626b8bd2",
+     "402c0c6bf37bc425d10c55d430f90c862ca25830f844847836097dc539bc1cb2",
+     "bfb179436619bb5c8dc55e7ddaf3cb461ffd4289ad5db456e2fa111a5e71566a"),
+    ("d8c344850ca9106ed7b9eef4151abef8686943e9547f853442960c2751db8ce0",
+     "6c0f6a02f22ef3bf7972f8070cded1b8cbc266fc7f8dc0d1adc00eae954b8c9b",
+     "a721bf8a5b4300e1dbfb2c83cc6e490a03e157f54657c41acbbc28e3aa33326d"),
+    ("4073b797c812ebc49f25c6a857d6b7a711cc0bf16671e40e769c994afac1e504",
+     "e6e51d533da2e5ebb12bacfe30207e94e1b0e87bf6119f89290b83ebb05550af",
+     "5dfd18dc923f842e257cfbfa86bfff8430c01da1adfb3a14edf593787a811df2"),
+    ("10e3db75ac22e7b99a93252f3fff82bb52e27d35aa80ec7fec42d784abcc8f9c",
+     "191257ecb9de34cf9ac646a80d1f9f8e14732f00821c821decf204c52c8c55bc",
+     "5ee987cd1cf71f3e27bb38c0b7902dbfe1f303de584369bf7dc81a2c2d3e712c"),
+    ("d2c0ddd4d0876e38576ad93ca7f03161de10de0d99cd15e73b7ff66cdcee7e44",
+     "0cc0db7705c41e5ae7d2e5e8b4dfc7402696a9affb5cf8bca0d57f6be6b49b34",
+     "b43cb2e712f77730e0e158e351721c467c2783e87d162f23b1d7b77d224ae189"),
+    ("6f22d9d344a6597afde57f666ece7924cb807b4271993cb5656372452dced3ff",
+     "ce368b0ecbe4829bbb6458c3b01c074d0638ae0c9ebfedba460ca0d1be0c92a1",
+     "db98d9190b7004fb3bb4b757a9ada2da477591f79f5bb66087e6b82c44219f97"),
+    ("2b12b81352f56bd4d2488114c2ffdd503d0e5e137d9eb7ccd79a7872df739f1a",
+     "eded5bbb64a82d5946abbe347c6e07b6a0f24416a02ad5207ba36c10cc6489aa",
+     "8b693de80a0a94b69767b449b8d0a2a3ac69dd7fe773ab997d4609d4c4f4f9d9"),
+]
+
+
+def pinned_literals() -> list[str]:
+    return ["0", "0,2", "0,2,5-9,1000-1003,1200", "-40--1,60,63,66,900-905",
+            *[canonical_set_literal(wide_set(seed, density)) for seed, density in
+              ((1, Fraction(1, 8)), (2, Fraction(1, 2)), (3, Fraction(7, 8)))]]
+
+
+def report_hashes(literal: str) -> tuple[str, str, str]:
+    """SHA-256 of the JSON, text and CSV reports of ``literal``."""
+    return tuple(hashlib.sha256(report_out(*fmt, "--", literal).encode()).hexdigest()
+                 for fmt in (["--format", "json"], [], ["--format", "csv"]))
+
+
+def test_reports_are_byte_identical_to_the_pinned_hashes():
+    assert (SCHEMA_VERSION, __version__) == _PINNED, "regenerate _REPORT_SHA256"
+    for literal, expected in zip(pinned_literals(), _REPORT_SHA256, strict=True):
+        assert report_hashes(literal) == expected, literal
 
 
 def test_json_writer_on_empty_lists_and_a_single_chain():

@@ -390,13 +390,13 @@ def test_fast_path_divergence_is_a_violation(monkeypatch):
 
 
 def test_function_sweep_divergence_is_a_violation(monkeypatch):
-    real = regularity.window_maxima
+    real = search.window_maxima
 
     def doubled(u):
         nums, dens = real(u)
         return [2 * n for n in nums], dens
 
-    monkeypatch.setattr(regularity, "window_maxima", doubled)
+    monkeypatch.setattr(search, "window_maxima", doubled)
     s = random_functions(50, 8, 3, 5)          # the first instance is spot-checked
     assert s.instances_checked == 1
     v = s.violations[0]
