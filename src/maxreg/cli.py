@@ -18,7 +18,6 @@ from ._version import __version__
 from .regularity import analyze
 from .reporting import (
     SCHEMA_VERSION,
-    _json,
     analysis_csv,
     canonical_set_literal,
     parse_set_literal,
@@ -118,6 +117,18 @@ def scan_to_dict(scan: TruncatedScan) -> dict:
     }
 
 
+_SCAN = "{\n%s\n}" % ",\n".join(f'  "{key}": {value}' for key, value in [
+    ("schema_version", "%d"), ("tool_version", '"%s"'), ("set", "[\n    %s\n  ]"),
+    ("order", "%d"), ("truncation", "%d"), ("value", '"%s"'), ("truncated_value", '"%s"')])
+
+
+def scan_json(scan: TruncatedScan) -> str:
+    """``json.dumps(scan_to_dict(scan), indent=2)``, filled into one template:
+    a scan's set is never empty, and every string in it is plain ASCII."""
+    return _SCAN % (SCHEMA_VERSION, __version__, ",\n    ".join(map(str, scan.set.elements)),
+                    scan.order, scan.truncation, scan.value, scan.truncated_value)
+
+
 def scan_text(scan: TruncatedScan) -> str:
     return "\n".join([
         f"set              {{{canonical_set_literal(scan.set)}}}",
@@ -176,7 +187,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     scan = higher_derivative_scan(parse_set_literal(args.set), args.order, args.truncation)
-    print(_json(scan_to_dict(scan)) if args.format == "json" else scan_text(scan))
+    print(scan_json(scan) if args.format == "json" else scan_text(scan))
     return EXIT_OK
 
 

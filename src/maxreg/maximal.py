@@ -29,9 +29,8 @@ one walk, :func:`_bridges`:
 
 * :func:`set_maxima` profiles the indicator of an index set from its runs.
   M chi_A is 1 on A and, on each gap, the larger of one bridge per gap and
-  two tangents that walk the run hulls once.  Set analyses and the order-k
-  scans use it, and the scans build their tail hulls with the same
-  :func:`_hull_links`.
+  two tangents that walk the run hulls once.  Set analyses use it, and the
+  order-k scans also read both tails off its run hulls (``_set_kernel``).
 * :func:`window_maxima` profiles a general nonnegative integer block, for
   the function sweep and for :func:`maximal_profile_fast`, which wraps it as
   a :class:`MaximalProfile` of `Fraction` values.  It picks one of two
@@ -366,6 +365,12 @@ def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
     per point.  The bridge walks are bounded like the hull kernel's, once
     per gap instead of once per point.
     """
+    return _set_kernel(elements)[:2]
+
+
+def _set_kernel(elements: Sequence[int]) -> tuple:
+    """:func:`set_maxima`, and the run hulls it walks: (numerators, window
+    lengths, left points, ``pred``, right points, ``succ``)."""
     n = len(elements)
     breaks = [j for j in range(1, n) if elements[j] - elements[j - 1] != 1]
     if not n or any([elements[j] <= elements[j - 1] for j in breaks]):
@@ -441,7 +446,7 @@ def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
         if i <= j:
             best_num[i - lo:j - lo + 1] = [gn] * (j - i + 1)
             best_den[i - lo:j - lo + 1] = [gd] * (j - i + 1)
-    return best_num, best_den
+    return best_num, best_den, left, pred, right, succ
 
 
 def maximal_profile_fast(f: LatticeFunction) -> MaximalProfile:

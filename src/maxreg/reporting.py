@@ -15,7 +15,6 @@ import json
 import re
 from collections.abc import Iterable
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from ._version import __version__
@@ -62,8 +61,8 @@ def parse_set_literal(text: str) -> IndexSet:
         m = _ITEM.fullmatch(piece)
         if m is not None and m[2] is None:
             elements.add(int(m[1]))
-        elif m is not None and int(m[1]) <= int(m[2]):
-            elements.update(range(int(m[1]), int(m[2]) + 1))
+        elif m is not None and (first := int(m[1])) <= (last := int(m[2])):
+            elements.update(range(first, last + 1))
         else:
             item = piece.strip()
             offset = sum(map(len, pieces[:i])) + i + (piece.index(item) if item else 0)
@@ -206,24 +205,3 @@ def analysis_csv(an: Analysis) -> str:
         # a rational prints with a leading '-' exactly when it is negative
         rows.append(f"{n},{value},{c2},{MINUS if c2[0] == '-' else PLUS}")
     return "\n".join(rows) + "\n"
-
-
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
-
-
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for str and int values and the dicts
-    and lists of them (each list of one type), as in a scan report."""
-    scalar = _SCALARS.get(type(value))
-    if scalar:
-        return scalar(value)
-    if not value:
-        return "{}" if type(value) is dict else "[]"
-    inner = indent + "  "
-    if type(value) is dict:
-        items = [f"{_json(k)}: {_json(v, inner)}" for k, v in value.items()]
-        opening, closing = "{}"
-    else:
-        items = map(_SCALARS.get(type(value[0])) or (lambda v: _json(v, inner)), value)
-        opening, closing = "[]"
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"

@@ -13,10 +13,11 @@ Three probes of how far the second-difference bound might extend:
 * :func:`higher_derivative_scan` - the l1 norm over Z of the order-k
   differences (k >= 3) of the maximal function of an indicator, exactly,
   with its truncation to [-T, T].  Beyond the hull the maximal function is
-  a chain of hyperbolas c / (n + 1 - i), whose order-k differences have a
-  fixed sign and telescope on each piece, so only the starts near the hull
-  and near the piece boundaries are summed one by one.  Each tail is walked
-  once into integer terms, added over one common denominator, and the
+  a chain of hyperbolas c / (n + 1 - i), read off the run hulls of the set
+  kernel :func:`~maxreg.maximal.set_maxima`.  Their order-k differences
+  have a fixed sign and telescope on each piece, so only the starts near
+  the hull and near the piece boundaries are summed one by one.  Each tail
+  is walked once into integer terms over one common denominator, and the
   truncated sum is the total minus the part past T.
 
 Every checked set runs the full contract battery of its
@@ -55,7 +56,7 @@ from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import _hull_links, maximal_profile, set_maxima, window_maxima
+from .maximal import _set_kernel, maximal_profile, window_maxima
 from .regularity import (
     RatioRecord,
     Violation,
@@ -419,7 +420,7 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     violations: tuple[Violation, ...] = ()
     checked = 0
     for t in range(trials):
-        values = tuple(rng.randint(-value_bound, value_bound) for _ in range(length))
+        values = tuple([rng.randint(-value_bound, value_bound) for _ in range(length)])
         winner, found = _check_function_instance(values, checked % _SPOT_EVERY == 0)
         if winner is None and not found:
             continue
@@ -465,36 +466,45 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
 # Exact order-k scans
 # ---------------------------------------------------------------------------
 
-def _tail_chain(elements: Sequence[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """M chi_A right of b = max(A) as hyperbola pieces: (starts, [(i, c)]).
-
-    For n > b, M chi_A(n) = max over i in A of c_i / (n + 1 - i) with
-    c_i = |A n [i, b]| (module docstring of :mod:`maxreg.maximal`).  That
-    is minus the slope from (n + 1, 0) to the point (i, c_i), so the
-    maximiser is the upper-hull vertex the tangent from (n + 1, 0) touches,
-    and it moves left as n grows.  A vertex (i, c) with right neighbour
-    (i', c') wins strictly once n + 1 > (c i' - c' i) / (c - c'), where the
-    line through the two meets zero.  The hull is the chain of
-    :func:`~maxreg.maximal._hull_links` over the points in falling i,
-    followed from i = min(A).  Piece t is c / (n + 1 - i) on
-    [starts[t], starts[t + 1]); the last one, i = min(A), has no end.
-    """
-    count = len(elements)
-    points = [(i, count - j) for j, i in enumerate(elements)]
-    succ = _hull_links(points, range(count - 1, -1, -1))
-    hull, h = [], 0                         # upper hull of (i, c_i), left to right
-    while h >= 0:
-        hull.append(points[h])
-        h = succ[h]
-    starts, pieces = [elements[-1] + 1], [hull[-1]]
-    for (i, c), (i1, c1) in zip(reversed(hull[:-1]), reversed(hull[1:])):
-        start = max(starts[0], (c * i1 - c1 * i) // (c - c1))
+def _tail_chain(first: int, hull: list[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """A tail as hyperbola pieces (starts, [(i, c)]): piece t is c / (n + 1 - i)
+    on [starts[t], starts[t + 1]), the last one without end.  ``hull`` lists
+    the vertices (i, c) the maximiser visits as n rises from ``first``; one
+    after (i1, c1) wins strictly once n + 1 > (c i1 - c1 i) / (c - c1)."""
+    starts, pieces = [first], hull[:1]
+    for i, c in hull[1:]:
+        i1, c1 = pieces[-1]
+        start = max(first, (c * i1 - c1 * i) // (c - c1))
         if start == starts[-1]:             # the previous piece holds no integer point
             pieces[-1] = (i, c)
         else:
             starts.append(start)
             pieces.append((i, c))
     return starts, pieces
+
+
+def _walk(points: Sequence[tuple[int, int]], links: list[int], h: int):
+    while h >= 0:
+        yield points[h]
+        h = links[h]
+
+
+def _profile_tails(elements: Sequence[int]) -> tuple:
+    """(numerators, lengths, right tail, reflected left tail) of M chi_A: the
+    :func:`~maxreg.maximal.set_maxima` profile, and both :func:`_tail_chain`
+    walks of the run hulls it builds.  Past b = max A the best window is
+    [s_p, n] for a run start s_p: the tangent from (n + 1, |A|) to the lower
+    hull of the left points (s_p, C_p), walked along ``pred`` from the
+    virtual point (b + 2, |A|), so i = s_p and c = |A| - C_p.  Before A it is
+    [n, e_q] for a run end e_q, off the upper hull of the right points
+    (e_q + 1, C_{q+1}) along ``succ`` from (min A - 1, 0); reflected, as
+    M chi_A(n) = M chi_{-A}(-n), i = -e_q and c = C_{q+1}.  A vertex that
+    only ties, collinear with the virtual point, is off the hull."""
+    nums, dens, left, pred, right, succ = _set_kernel(elements)
+    count = len(elements)
+    return (nums, dens,
+            _tail_chain(elements[-1] + 1, [(x, count - y) for x, y in _walk(left, pred, pred[-1])]),
+            _tail_chain(1 - elements[0], [(1 - x, y) for x, y in _walk(right, succ, succ[0])]))
 
 
 def _tail_points(tail, first: int, last: int) -> tuple[list[int], list[int]]:
@@ -547,21 +557,17 @@ def _tail_terms(tail, k: int, hi: int, whole: list, beyond: list) -> None:
 def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fraction]:
     """Sums of |order-k forward difference of M chi_A| over Z and over [-T, T].
 
-    Pre: k >= 1, and [-T, T] covers the hull [a, b] with a k margin.
-    Starts n in [a-k, b] touch the hull window and are differenced one by
-    one: the window [a-1, b+1] comes from the runs of A by
-    :func:`~maxreg.maximal.set_maxima`, the k-1 points beyond it on each
-    side from the tails.  Starts n > b lie on the right tail.  Starts
-    n < a-k lie on the left tail, which is the right tail of the reflected
-    set: M chi_A(n) = M chi_{-A}(-n), so the difference at n is +-the one of
-    that tail at -n-k.  Each tail is walked once (:func:`_tail_terms`) into
-    integer terms over one common denominator; the truncated sum is the
-    total minus the part past T (T - k when reflected).
+    Pre: k >= 1, and [-T, T] covers the hull [a, b] with a k margin.  One
+    set kernel pass gives the window [a-1, b+1] and both tails
+    (:func:`_profile_tails`).  Starts n in [a-k, b] are differenced one by
+    one, with the k-1 points beyond the window from the tails.  Starts n > b
+    lie on the right tail, and starts n < a-k on the reflected left tail,
+    where the difference at n is +-the one at -n-k.  Each tail is walked once
+    (:func:`_tail_terms`) into integer terms over one common denominator; the
+    truncated sum is the total minus the part past T (T - k when reflected).
     """
     lo, hi = a.min(), a.max()
-    right = _tail_chain(a.elements)
-    left = _tail_chain([-x for x in reversed(a.elements)])
-    nums, dens = set_maxima(a.elements)
+    nums, dens, right, left = _profile_tails(a.elements)
     left_nums, left_dens = _tail_points(left, -lo + 2, -lo + k)
     right_nums, right_dens = _tail_points(right, hi + 2, hi + k)
     middle, d = _run_differences(left_nums[::-1] + nums + right_nums,

@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 
 from maxreg import IndexSet, LatticeFunction, maximal_at
 from maxreg._version import __version__
-from maxreg.cli import EXIT_OK, main, scan_to_dict
+from maxreg.cli import EXIT_OK, main, scan_json, scan_to_dict
 from maxreg.maximal import MaximalProfile, maximal_profile, maximal_profile_fast
 from maxreg.regularity import analyze
-from maxreg.reporting import (SCHEMA_VERSION, _json, build_report, canonical_set_literal,
+from maxreg.reporting import (SCHEMA_VERSION, build_report, canonical_set_literal,
                               render_report_json, render_report_text, report_to_dict)
 from maxreg.search import higher_derivative_scan
 
@@ -226,8 +226,6 @@ def test_json_writer_on_empty_lists_and_a_single_chain():
 
 
 def test_json_writer_is_json_dumps_with_indent_2():
-    scans = [scan_to_dict(higher_derivative_scan(IndexSet.from_iterable(e), k, t))
-             for e, k, t in (((0,), 3, 3), ((-10, 10), 3, 13), ((0, 100, 101), 5, 2000))]
-    for value in ({}, [], {"a": {}, "b": [], "c": [{"x": [], "y": -3}, {"z": {"w": "\u00e9\"\n"}}]},
-                  {"s": ["1/2", "-3"], "n": [0, -1, 10 ** 40], "m": [[1, 2], []]}, *scans):
-        assert _json(value) == json.dumps(value, indent=2)
+    for e, k, t in (((0,), 3, 3), ((-10, 10), 3, 13), ((0, 100, 101), 5, 2000)):
+        scan = higher_derivative_scan(IndexSet.from_iterable(e), k, t)
+        assert scan_json(scan) == json.dumps(scan_to_dict(scan), indent=2)

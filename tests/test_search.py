@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -302,6 +304,21 @@ def test_random_functions_sweep():
     assert random_functions(150, 12, 4, 7) == s
 
 
+def test_random_functions_leave_no_memory_behind():
+    # Each draw is built at its final size: a tuple built from a generator is
+    # allocated at one size and freed at another, which filled CPython's
+    # per-size tuple free lists with about 330 KiB over these draws.
+    gc.disable()
+    tracemalloc.start()
+    try:
+        random_functions(4000, 16, 5, 3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 50_000
+
+
 def test_random_functions_thousand_trials_clean():
     s = random_functions(1000, 16, 4, 7)
     assert not s.violations
@@ -513,8 +530,9 @@ def test_truncation_split_where_t_cuts_a_tail():
     base = IndexSet.from_iterable([0, *range(100, 111)])
     top = 1212
     for a in (base, base.reflect(), base.translate(-50)):
-        right = search._tail_chain(a.elements)[0]
-        left = search._tail_chain(a.reflect().elements)[0]
+        _, _, (right, _), (left, _) = search._profile_tails(a.elements)
+        assert (right, left) == {110: ([111, 1200], [1, 10]), 0: ([1, 10], [111, 1200]),
+                                 60: ([61, 1150], [51, 60])}[a.max()]
         chi = LatticeFunction.from_set(a)
         values = [maximal_at(chi, n) for n in range(-top, top + 6)]
         for k in (3, 4, 5):
@@ -544,20 +562,41 @@ def test_order_two_norm_is_the_analysis_second_norm_exhaustive():
             assert value == an.fraction(an.second_norm)
 
 
+def assert_tails_match_maximal_at(a, points):
+    """Both tails of ``a`` (the left one reflected) against maximal_at, at
+    ``points`` starts past the hull and past the last piece start."""
+    chi = LatticeFunction.from_set(a)
+    lo, hi = a.min(), a.max()
+    _, _, right, mirror = search._profile_tails(a.elements)
+    last = max(hi + points, right[0][-1] + 8)
+    nums, dens = search._tail_points(right, hi + 1, last)
+    assert list(map(Fraction, nums, dens)) == \
+        [maximal_at(chi, n) for n in range(hi + 1, last + 1)], a
+    last = max(-lo + points, mirror[0][-1] + 8)
+    nums, dens = search._tail_points(mirror, -lo + 1, last)
+    assert list(map(Fraction, nums, dens)) == \
+        [maximal_at(chi, -n) for n in range(-lo + 1, last + 1)], a
+
+
 def test_tail_pieces_match_maximal_at():
     rng = random.Random(2027)
     sets = [IndexSet.from_iterable(e) for e in ((0,), (0, 1), (0, 5), (-3, -2, 4, 9))]
     sets += [random_index_set(rng, 40).translate(rng.randint(-60, 60)) for _ in range(12)]
     for a in sets:
-        chi = LatticeFunction.from_set(a)
-        lo, hi = a.min(), a.max()
-        nums, dens = search._tail_points(search._tail_chain(a.elements), hi + 1, hi + 300)
-        assert list(map(Fraction, nums, dens)) == \
-            [maximal_at(chi, n) for n in range(hi + 1, hi + 301)]
-        mirror = search._tail_chain(a.reflect().elements)
-        nums, dens = search._tail_points(mirror, -lo + 1, -lo + 300)
-        assert list(map(Fraction, nums, dens)) == \
-            [maximal_at(chi, -n) for n in range(-lo + 1, -lo + 301)]
+        assert_tails_match_maximal_at(a, 300)
+
+
+def test_tails_where_hull_vertices_tie_or_are_collinear():
+    # {66, 68} puts (66, 0), (68, 1) and the virtual point (70, 2) on one
+    # line: both elements tie at n = 69, so the right tail is one piece from
+    # 69.  {0..9, 20} does the same with the virtual point (22, 11), and in
+    # {0..8, 10} the two run ends tie at n = -9.
+    assert search._profile_tails((66, 68))[2:] == (([69], [(66, 2)]), ([-65], [(-68, 2)]))
+    assert search._profile_tails((*range(10), 20))[2] == ([21], [(0, 11)])
+    sets = [IndexSet.from_iterable(e) for e in ((66, 68), (*range(9), 10), (*range(10), 20))]
+    sets += [IndexSet.from_mask(mask, base) for mask in range(1, 1 << 10, 2) for base in (0, -41)]
+    for a in sets:
+        assert_tails_match_maximal_at(a, 12)
 
 
 @settings(max_examples=60, deadline=None)
