@@ -19,7 +19,6 @@ from .lattice import (
 )
 from .maximal import (
     MaximalProfile,
-    average,
     maximal_at,
     maximal_profile,
     maximal_profile_fast,
@@ -64,7 +63,6 @@ __all__ = [
     "forward_difference",
     "lp_norm",
     "MaximalProfile",
-    "average",
     "maximal_at",
     "maximal_profile",
     "maximal_profile_fast",

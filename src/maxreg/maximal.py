@@ -33,10 +33,9 @@ one walk, :func:`_bridges`:
   order-k scans also read both tails off its run hulls (``_set_kernel``).
 * :func:`window_maxima` profiles a general nonnegative integer block, for
   the function sweep and for :func:`maximal_profile_fast`, which wraps it as
-  a :class:`MaximalProfile` of `Fraction` values.  It picks one of two
-  kernels by block length alone: an O(m^2) loop over window ends for short
-  blocks, and for longer ones one bridge per point between the lower hull
-  of the prefix sums left of it and the upper hull of those right of it.
+  a :class:`MaximalProfile` of `Fraction` values, at every block length by
+  one bridge per point between the lower hull of the prefix sums left of it
+  and the upper hull of those right of it.
 
 :func:`maximal_profile` enumerates windows point by point and is only the
 oracle that the tests and the sweeps' spot checks compare the kernels
@@ -54,7 +53,6 @@ from typing import Iterable, Iterator, Sequence
 from .lattice import LatticeFunction
 
 __all__ = [
-    "average",
     "maximal_at",
     "MaximalProfile",
     "maximal_profile",
@@ -62,14 +60,6 @@ __all__ = [
     "set_maxima",
     "window_maxima",
 ]
-
-
-def average(f: LatticeFunction, n: int, r: int, s: int) -> Fraction:
-    """Average of |f| over the window [n-r, n+s], exactly."""
-    if r < 0 or s < 0:
-        raise ValueError("window radii r, s must be nonnegative")
-    total = sum((abs(f.value_at(n + j)) for j in range(-r, s + 1)), Fraction(0))
-    return total / (r + s + 1)
 
 
 def _cleared(f: LatticeFunction) -> tuple[int, list[int]]:
@@ -157,55 +147,6 @@ def maximal_profile(f: LatticeFunction) -> MaximalProfile:
     b = f.support_max()
     values = tuple(maximal_at(f, n) for n in range(a - 1, b + 2))
     return MaximalProfile(f, (a, b), (a - 1, b + 1), values, True)
-
-
-# Block length from which the hull-bridge kernel beats the window-end loop;
-# both kernels cost about the same at 18-22 on CPython 3.11 (2-vCPU x86-64).
-_HULL_MIN_LENGTH = 20
-
-
-def window_maxima(u: list[int]) -> tuple[list[int], list[int]]:
-    """Best window average at every position of a nonnegative integer block.
-
-    Returns (numerators, window lengths): position t of ``u`` gets the
-    largest sum(u[i..j]) / (j - i + 1) over windows i <= t <= j inside the
-    block.  Blocks shorter than ``_HULL_MIN_LENGTH`` go to the O(m^2)
-    window-end loop :func:`_window_end_maxima`, longer ones to the
-    near-linear :func:`_hull_bridge_maxima`; the choice depends on the
-    length alone.  On ties the kernels may return different windows, so
-    only the ratio, not the (numerator, length) pair, is determined.  A
-    negative entry raises ValueError.
-    """
-    if min(u, default=0) < 0:
-        raise ValueError("window_maxima needs a block of nonnegative integers")
-    if len(u) < _HULL_MIN_LENGTH:
-        return _window_end_maxima(u)
-    return _hull_bridge_maxima(u)
-
-
-def _window_end_maxima(u: list[int]) -> tuple[list[int], list[int]]:
-    """:func:`window_maxima` in O(m^2) integer steps for a block of length m.
-
-    For each window end j, a running best over starts i <= t is folded into
-    position t while t runs from 0 to j.  Ties keep the first pair found.
-    """
-    m = len(u)
-    prefix = list(accumulate(u, initial=0))
-    best_num = [0] * m
-    best_den = [1] * m
-    for j in range(m):
-        pj = prefix[j + 1]
-        bn, bd = 0, 1
-        den = j + 1                         # length of the window [t, j]
-        for t in range(j + 1):
-            num = pj - prefix[t]
-            if num * bd > bn * den:
-                bn, bd = num, den
-            den -= 1
-            if bn * best_den[t] > best_num[t] * bd:
-                best_num[t] = bn
-                best_den[t] = bd
-    return best_num, best_den
 
 
 def _hull_links(points: Sequence[tuple[int, int]], order: Iterable[int]) -> list[int]:
@@ -307,19 +248,25 @@ def _bridges(left: Sequence[tuple[int, int]], right: Sequence[tuple[int, int]],
     return bridges
 
 
-def _hull_bridge_maxima(u: list[int]) -> tuple[list[int], list[int]]:
-    """:func:`window_maxima` by bridges between prefix-sum hulls.
+def window_maxima(u: list[int]) -> tuple[list[int], list[int]]:
+    """Best window average at every position of a nonnegative integer block.
 
-    With P the prefix sums, the best window at t is the steepest segment
-    from a point (i, P_i), i <= t, to a point (j, P_j), j >= t + 1: the
-    bridge of :func:`_bridges` from the start pair (t, t + 1).
+    Returns (numerators, window lengths): position t of ``u`` gets the
+    largest sum(u[i..j]) / (j - i + 1) over windows i <= t <= j inside the
+    block.  With P the prefix sums, that is the steepest segment from a
+    point (i, P_i), i <= t, to a point (j, P_j), j >= t + 1: the bridge of
+    :func:`_bridges` from the start pair (t, t + 1).  On ties the walk may
+    end on any maximizing window, so only the ratio, not the (numerator,
+    length) pair, is determined.  A negative entry raises ValueError.
     """
+    if min(u, default=0) < 0:
+        raise ValueError("window_maxima needs a block of nonnegative integers")
     m = len(u)
     points = list(enumerate(accumulate(u, initial=0)))
     pred = _hull_links(points, range(m + 1))
     succ = _hull_links(points, range(m, -1, -1))
-    nums, dens = zip(*_bridges(points, points, pred, succ, zip(range(m), range(1, m + 1))))
-    return list(nums), list(dens)
+    bridges = _bridges(points, points, pred, succ, zip(range(m), range(1, m + 1)))
+    return [num for num, _ in bridges], [den for _, den in bridges]
 
 
 def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -362,8 +309,8 @@ def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
     passes only vertices that the left point of run g removes from the
     lower hull, and the R_g walk only vertices that the right point of run
     g - 1 removes from the upper hull, so the tangents cost O(1) amortized
-    per point.  The bridge walks are bounded like the hull kernel's, once
-    per gap instead of once per point.
+    per point.  The bridge walks are bounded like those of
+    :func:`window_maxima`, once per gap instead of once per point.
     """
     return _set_kernel(elements)[:2]
 
@@ -455,8 +402,8 @@ def maximal_profile_fast(f: LatticeFunction) -> MaximalProfile:
     The denominator-cleared |f| is padded with one zero on each side, so the
     block covers the window [a-1, b+1]; by the dilution argument every
     maximizing window at those points lies inside it.  Near-linear in the
-    window width m for wide windows, against the cubic cost of enumerating
-    every window at every point.
+    window width, against the cubic cost of enumerating every window at
+    every point.
     """
     if f.is_zero():
         raise ValueError("maximal profile of the zero function is undefined")

@@ -44,6 +44,7 @@ summaries are identical for any worker count.
 
 from __future__ import annotations
 
+import os
 import random
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -214,8 +215,11 @@ def _check_mask_chunk(args: tuple) -> _Fold:
 def _run_chunked(chunk_args: Sequence[tuple], workers: int,
                  progress: Callable[[int, int], None] | None,
                  total: int) -> _Fold:
-    """Map chunks, fold them in submission order, halt at the first violation."""
+    """Map chunks, fold them in submission order, halt at the first violation.
+
+    The pool holds at most one process per chunk and per CPU."""
     merged = _Fold()
+    workers = min(workers, len(chunk_args), os.cpu_count() or 1)
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         for chunk in (map if pool is None else pool.map)(_check_mask_chunk, chunk_args):
             merged.add(chunk.count, chunk.evaluated, chunk.winners, chunk.min_chi_norm)

@@ -1,17 +1,18 @@
 """Shared oracles and fixtures.
 
 The oracles here are deliberately independent of the library: dict-based
-window enumeration for the maximal function, direct summation for norms,
-and the convexity decomposition in `Fraction`s point by point.  They are the
-reference every exact claim is checked against.  The one exception is the
-order-k scan bracket, which sums ``maximal_at`` (itself checked against
-``oracle_maximal_at``) point by point.
+window enumeration for the maximal function, a loop over window ends for
+block profiles, direct summation for norms, and the convexity decomposition
+in `Fraction`s point by point.  They are the reference every exact claim is
+checked against.  The one exception is the order-k scan bracket, which sums
+``maximal_at`` (itself checked against ``oracle_maximal_at``) point by point.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 import pytest
@@ -62,6 +63,31 @@ def oracle_maximal_at(values: dict[int, Fraction], n: int, pad: int = 2) -> Frac
         for j in range(n, hi + 1):
             best = max(best, oracle_average(values, n, n - i, j - n))
     return best
+
+
+def reference_window_maxima(u: list[int]) -> tuple[list[int], list[int]]:
+    """``window_maxima`` in O(m^2) integer steps for a block of length m.
+
+    For each window end j, a running best over starts i <= t is folded into
+    position t while t runs from 0 to j.  Ties keep the first pair found.
+    """
+    m = len(u)
+    prefix = list(accumulate(u, initial=0))
+    best_num = [0] * m
+    best_den = [1] * m
+    for j in range(m):
+        pj = prefix[j + 1]
+        bn, bd = 0, 1
+        den = j + 1                         # length of the window [t, j]
+        for t in range(j + 1):
+            num = pj - prefix[t]
+            if num * bd > bn * den:
+                bn, bd = num, den
+            den -= 1
+            if bn * best_den[t] > best_num[t] * bd:
+                best_num[t] = bn
+                best_den[t] = bd
+    return best_num, best_den
 
 
 def oracle_second_norm_truncated(m, t: int) -> Fraction:

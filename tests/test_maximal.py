@@ -9,35 +9,26 @@ import maxreg.maximal as maximal
 from maxreg import (
     IndexSet,
     LatticeFunction,
-    average,
     maximal_at,
     maximal_profile,
     maximal_profile_fast,
     set_maxima,
     window_maxima,
 )
-from maxreg.maximal import _HULL_MIN_LENGTH, _hull_bridge_maxima, _hull_links, _window_end_maxima
+from maxreg.maximal import _hull_links
 
-from conftest import as_dict, oracle_maximal_at, random_function, random_index_set
+from conftest import (
+    as_dict,
+    oracle_average,
+    oracle_maximal_at,
+    random_function,
+    random_index_set,
+    reference_window_maxima,
+)
 
 
 def chi(*elements: int) -> LatticeFunction:
     return LatticeFunction.from_set(IndexSet.from_iterable(elements))
-
-
-# ---------------------------------------------------------------------------
-# average
-# ---------------------------------------------------------------------------
-
-def test_average_examples():
-    assert average(chi(0), 0, 1, 1) == Fraction(1, 3)
-    assert average(chi(0, 2), 1, 1, 1) == Fraction(2, 3)
-    assert average(LatticeFunction.make(0, [-2]), 0, 0, 0) == 2  # uses |f|
-
-
-def test_average_rejects_negative_radii():
-    with pytest.raises(ValueError):
-        average(chi(0), 0, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +167,7 @@ def test_fast_equals_naive_property(offset, values):
 
 
 # ---------------------------------------------------------------------------
-# profile kernels on both sides of the length switch
+# the block kernel against the window-end loop
 # ---------------------------------------------------------------------------
 
 def same_ratios(got, want) -> bool:
@@ -230,20 +221,17 @@ def test_kernels_reject_malformed_input():
             window_maxima(u)
 
 
-def test_window_maxima_switches_kernel_on_length_alone():
-    assert 8 < _HULL_MIN_LENGTH < 64
-    short = [0, 1, 0, 1, 1, 0]
-    long = short * 20
-    assert window_maxima(short) == _window_end_maxima(short)
-    assert window_maxima(long) == _hull_bridge_maxima(long)
+def test_window_maxima_on_blocks_of_length_0_and_1():
+    assert window_maxima([]) == ([], [])
+    assert window_maxima([0]) == ([0], [1])
+    assert window_maxima([5]) == ([5], [1])
 
 
 def test_kernels_agree_on_every_binary_block():
     for length in range(1, 15):
         for mask in range(1 << length):
             u = [(mask >> i) & 1 for i in range(length)]
-            reference = _window_end_maxima(u)
-            assert same_ratios(_hull_bridge_maxima(u), reference), u
+            assert same_ratios(window_maxima(u), reference_window_maxima(u)), u
 
 
 @st.composite
@@ -257,9 +245,8 @@ def plateau_blocks(draw, max_width: int = 300):
 @settings(max_examples=150, deadline=None)
 @given(plateau_blocks())
 def test_kernels_match_the_loop_and_the_oracle(u):
-    reference = _window_end_maxima(u)
-    for kernel in (_hull_bridge_maxima, window_maxima):
-        assert same_ratios(kernel(u), reference)
+    reference = reference_window_maxima(u)
+    assert same_ratios(window_maxima(u), reference)
     f = LatticeFunction.make(0, u)
     if len(u) <= 64 and not f.is_zero():
         # Zeros beyond the block only dilute, so the block's window maxima
@@ -290,7 +277,7 @@ def adversarial_blocks(m: int = 1024) -> dict[str, list[int]]:
 def test_hull_kernel_on_adversarial_shapes(name):
     u = adversarial_blocks()[name]
     assert len(u) == 1026
-    assert same_ratios(_hull_bridge_maxima(u), _window_end_maxima(u))
+    assert same_ratios(window_maxima(u), reference_window_maxima(u))
 
 
 class CountingList(list):
@@ -303,17 +290,17 @@ class CountingList(list):
         return super().__getitem__(i)
 
 
-@pytest.mark.parametrize("m", [1024, 4096])
+@pytest.mark.parametrize("m", [8, 16, 64, 1024, 4096])
 def test_hull_walk_reads_a_bounded_number_of_prefix_sums_per_point(monkeypatch, m):
     # The kernel's prefix sums become a CountingList.  Both hull passes and
-    # the bridge walks read about 18-25 sums per point on every shape, the
-    # same from 258 to 4,098 points; a walk that went quadratic would read
-    # hundreds per point at these lengths.
+    # the bridge walks read 11 to 15.4 sums per point on every shape, from
+    # 10 to 4,098 points (12.5-13.5 at most up to 66); a walk that went
+    # quadratic would read hundreds per point at the longer lengths.
     monkeypatch.setattr(maximal, "list", CountingList, raising=False)
     for name, u in adversarial_blocks(m).items():
         assert len(u) == m + 2
         CountingList.reads = 0
-        _hull_bridge_maxima(u)
+        window_maxima(u)
         assert 0 < CountingList.reads <= 40 * len(u), name
 
 
@@ -333,7 +320,7 @@ def indicator_block(a: IndexSet) -> list[int]:
 def test_set_kernel_matches_the_loop_on_every_odd_mask():
     for mask in range(1, 1 << 15, 2):
         a = IndexSet.from_mask(mask)
-        assert same_ratios(set_maxima(a.elements), _window_end_maxima(indicator_block(a))), a
+        assert same_ratios(set_maxima(a.elements), reference_window_maxima(indicator_block(a))), a
 
 
 @st.composite
@@ -450,7 +437,7 @@ def test_dominates_pointwise_and_averages():
         assert m >= abs(f.value_at(n))
         for _ in range(8):
             r, s = rng.randint(0, 6), rng.randint(0, 6)
-            assert m >= average(f, n, r, s)
+            assert m >= oracle_average(as_dict(f), n, r, s)
 
 
 def test_depends_only_on_absolute_value():

@@ -151,9 +151,9 @@ def wide_set(seed: int, density: Fraction) -> IndexSet:
 @example(wide_set(2, Fraction(1, 2)))   # 311 chains
 @example(wide_set(3, Fraction(7, 8)))   # 193 chains
 def test_writers_match_the_fraction_report_property(a):
-    # hull widths on both sides of the profile kernel switch, and three wide
-    # sets with long chain lists; the Fraction profile here is checked
-    # against the naive oracle in test_maximal
+    # hull widths from 1 to 300, and three wide sets with long chain lists;
+    # the Fraction profile here is checked against the naive oracle in
+    # test_maximal
     assert_writers_match(maximal_profile_fast(LatticeFunction.from_set(a)))
 
 

@@ -1,4 +1,7 @@
 import gc
+import hashlib
+import json
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import maxreg.regularity as regularity
 import maxreg.search as search
+from maxreg import cli
 from maxreg import (
     GENERATOR_ID,
     IndexSet,
@@ -84,6 +88,45 @@ def test_exhaustive_worker_count_is_irrelevant():
     s2 = exhaustive(14, workers=2)
     assert s1.instances_checked > 2 * search._CHUNK
     assert result_fields(s1) == result_fields(s2)
+
+
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records its size and maps
+    in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(SerialPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    serial = exhaustive(13)
+    s = exhaustive(13, workers=5000)            # 2 chunks of 2,048 masks
+    assert SerialPool.sizes == [2]
+    assert s.parameters["workers"] == 5000
+    assert result_fields(s) == result_fields(serial)
+    assert s.parameters == {**serial.parameters, "workers": 5000}
+    # one chunk, or an unknown CPU count: no pool at all
+    assert exhaustive(1, workers=5000).parameters["workers"] == 5000
+    random_sets(200, 12, Fraction(1, 2), 7, workers=5000)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    exhaustive(13, workers=5000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    exhaustive(14, workers=5000)                # 4 chunks, 3 CPUs
+    assert SerialPool.sizes == [2, 3]
 
 
 def test_exhaustive_oracle_audits_the_same_classes(monkeypatch):
@@ -335,7 +378,7 @@ def test_random_functions_thousand_trials_clean():
       Fraction(155, 6), Fraction(155, 276)),
      {"min": "3829/163020", "q25": "2831/23790", "median": "433/2760",
       "q75": "71/350", "max": "155/276"}),
-    # length 40: blocks of 42 points, profiled by the hull-bridge kernel
+    # length 40: blocks of 42 points
     ((300, 40, 6, 3),
      (0, (5, -3, 0, -1, 0, 5, 0, 3, 2, 4, 5, 3, -2, -6, -2, -2, -1, -3, -4, 1,
           1, -1, 5, 5, 1, -1, -3, 0, 6, -1, -1, 0, -6, 0, 3, -6, 0, -3, 0, 5),
@@ -352,8 +395,31 @@ def test_random_functions_pinned_summaries(args, max_record, quantiles):
     assert s.stats == {"ratio_quantiles": quantiles}
 
 
+# SHA-256 of ``json.dumps(cli.summary_to_dict(random_functions(*args)),
+# indent=2)``.  The first three sweeps profile blocks of at most 18 points,
+# the last two blocks of up to 26 and 62.  Any change to the profile kernel
+# or the integer pass that alters a single byte of a summary fails here.
+# When a summary changes on purpose (schema, tool version, the draw),
+# regenerate them by printing that hash for each args tuple, and say in
+# CHANGES.md why every summary changed.
+_FUNCTION_SWEEP_SHA256 = [
+    ((400, 8, 5, 3), "f5d29135d49151aa8700e66d0edb7fe0017339dce1627c78b4192b86b498508e"),
+    ((400, 16, 4, 11), "08a5cfde8747aef52fc6244357b5c3bae0e6f5289047eef05e4a2737c023f4e5"),
+    ((200, 8, 100, 1), "98dc2f282cd57bb711f8059acbf90eebec9a12160f5a985eb057a8ac75385997"),
+    ((300, 24, 5, 3), "089f904d606e9cd4e851e02760fa7000a629263c6bfb6f1d394639429b769c72"),
+    ((100, 60, 9, 5), "41cb493d74609a33bbaa80c20d1bff607078588500c1613152df745aa60de449"),
+]
+
+
+@pytest.mark.parametrize("args, expected", _FUNCTION_SWEEP_SHA256,
+                         ids=[str(args) for args, _ in _FUNCTION_SWEEP_SHA256])
+def test_function_sweep_summaries_are_byte_identical_to_the_pinned_hashes(args, expected):
+    summary = json.dumps(cli.summary_to_dict(random_functions(*args)), indent=2)
+    assert hashlib.sha256(summary.encode()).hexdigest() == expected
+
+
 def test_function_check_matches_the_oracle():
-    # signed integer functions, supports of 1 to 64 points, both kernels
+    # signed integer functions, supports of 1 to 64 points
     rng = random.Random(20261018)
     for length in list(range(1, 65)) * 3:
         bound = rng.randint(1, 9)
