@@ -10,8 +10,11 @@ are kept nonzero, so equality of values is equality of functions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import index, lt
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
@@ -30,6 +33,8 @@ __all__ = [
 # Finite sets of integers
 # ---------------------------------------------------------------------------
 
+_BITS = bytes.maketrans(b"01", b"\0\1")      # a binary digit to the bit it stands for
+
 @dataclass(frozen=True)
 class IndexSet:
     """A finite set of integers, kept as a strictly increasing tuple.
@@ -42,26 +47,21 @@ class IndexSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for x, y in zip(self.elements, self.elements[1:]):
-            if x >= y:
-                raise ValueError("elements must be strictly increasing")
+        elements = self.elements
+        if not ({int}.issuperset(map(type, elements)) and all(map(lt, elements, elements[1:]))):
+            raise ValueError("elements must be strictly increasing integers")
 
     @classmethod
     def from_iterable(cls, items: Iterable[int]) -> "IndexSet":
-        return cls(tuple(sorted(set(int(x) for x in items))))
+        """The set of ``items``; :func:`operator.index` rejects floats, `Fraction`s and strings."""
+        return cls(tuple(sorted(set(map(index, items)))))
 
     @classmethod
     def from_mask(cls, bits: int, base: int = 0) -> "IndexSet":
         if bits < 0:
             raise ValueError("bitmask must be nonnegative")
-        out = []
-        i = 0
-        while bits:
-            if bits & 1:
-                out.append(base + i)
-            bits >>= 1
-            i += 1
-        return cls(tuple(out))
+        digits = bin(bits)[:1:-1].encode().translate(_BITS)    # bit i at index i
+        return cls(tuple(list(compress(range(base, base + len(digits)), digits))))
 
     @property
     def base(self) -> int:
@@ -70,10 +70,7 @@ class IndexSet:
     @property
     def bits(self) -> int:
         b = self.base
-        mask = 0
-        for x in self.elements:
-            mask |= 1 << (x - b)
-        return mask
+        return sum([1 << (x - b) for x in self.elements])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -82,7 +79,11 @@ class IndexSet:
         return iter(self.elements)
 
     def __contains__(self, n: object) -> bool:
-        return n in set(self.elements)
+        try:
+            i = bisect_left(self.elements, n)
+        except TypeError:               # not comparable with integers
+            return False
+        return i < len(self.elements) and self.elements[i] == n
 
     def __bool__(self) -> bool:
         return bool(self.elements)

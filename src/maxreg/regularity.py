@@ -127,6 +127,11 @@ def _convexity(v: Sequence[int]) -> tuple:
             first[0], -first[-1], second, minus, left, right, first)
 
 
+def _shifted(lo: int, positions: list[int]) -> tuple[int, ...]:
+    """The points lo + i of a window's positions i."""
+    return tuple([lo + i for i in positions])
+
+
 class AnalyzedFunction(NamedTuple):
     """A maximal profile on its window in integers: ``scaled[i]`` is D * M f(lo + i),
     D = ``denominator``.  The benchmark's per-layer probes time the three
@@ -157,7 +162,7 @@ def funeq_rhs(g: AnalyzedFunction) -> Fraction:
 def decompose(g: AnalyzedFunction) -> tuple[IndexSet, IndexSet, IndexSet, Fraction, Fraction]:
     """(concave points, left boundary, right boundary, second norm, boundary bound)."""
     norm, bound, _, _, _, minus, left, right, _ = _convexity(g.scaled)
-    return (*[IndexSet(tuple([g.lo + i for i in s])) for s in (minus, left, right)],
+    return (*[IndexSet(_shifted(g.lo, s)) for s in (minus, left, right)],
             Fraction(norm, g.denominator), Fraction(bound, g.denominator))
 
 
@@ -217,6 +222,10 @@ class Analysis(NamedTuple):
     2 * blocks.  `Fraction`s are built only by the methods, for records,
     reports and violation details.
 
+    The concave points and both boundaries are :func:`_convexity`'s lists of
+    positions i (the point lo + i); their point views ``s_minus``, ``left_boundary``,
+    ``right_boundary`` and ``lemma1_violations`` are read-only properties.
+
     A named tuple rather than a frozen dataclass: sweeps build one per set,
     and a tuple is several times cheaper to construct.
     """
@@ -227,10 +236,9 @@ class Analysis(NamedTuple):
     denominator: int
     scaled: tuple[int, ...]
     second: tuple[int, ...]             # over D: c2 at lo+1 .. hi-1
-    s_minus: tuple[int, ...]
-    left_boundary: tuple[int, ...]
-    right_boundary: tuple[int, ...]
-    lemma1_violations: tuple[int, ...]  # concave points outside A
+    minus: list[int]                    # positions of the concave points
+    left: list[int]                     # positions of the left boundary
+    right: list[int]                    # positions of the right boundary
     chi_second_norm: int
     chi_first_norm: int
     left_tail: int                      # over D: sum of |c2| over n <= lo
@@ -238,6 +246,13 @@ class Analysis(NamedTuple):
     second_norm: int                    # over D: ||(M chi)''||_1, tails included
     boundary_bound: int                 # over D: the profile's boundary bound
     variation: int                      # over D: ||(M chi)'||_1
+
+    # The point views of the positions, built on each read.
+    s_minus = property(lambda self: _shifted(self.lo, self.minus))
+    left_boundary = property(lambda self: _shifted(self.lo, self.left))
+    right_boundary = property(lambda self: _shifted(self.lo, self.right))
+    lemma1_violations = property(lambda self: _shifted(self.lo, [      # concave points outside A
+        i for i in self.minus if self.scaled[i] != self.denominator]))
 
     def fraction(self, over_d: int) -> Fraction:
         """The rational number an over-D integer stands for."""
@@ -249,11 +264,11 @@ class Analysis(NamedTuple):
     def chain_bounds(self) -> Iterator[tuple[str, int, int]]:
         """(kind, start, end) of the maximal same-class runs covering [lo, hi]:
         both edges are convex, and a concave run goes from a left boundary to a right one."""
-        start = self.lo
-        for left, right in zip(self.left_boundary, self.right_boundary):
-            yield PLUS, start, left - 1
-            yield MINUS, left, right
-            start = right + 1
+        lo = start = self.lo
+        for left, right in zip(self.left, self.right):
+            yield PLUS, start, lo + left - 1
+            yield MINUS, lo + left, lo + right
+            start = lo + right + 1
         yield PLUS, start, self.hi
 
     def chains(self) -> tuple[Chain, ...]:
@@ -274,36 +289,49 @@ class Analysis(NamedTuple):
         ``spot_check`` is set and whenever a tail term is negative, which a
         correct kernel cannot give.  Then Theorem 1 ratio <= 3,
         ||chi''||_1 >= 2, Lemma 1, the boundary bound dominating the second
-        norm, and the variation of M chi_A not exceeding ||chi'||_1.
+        norm, and the variation of M chi_A not exceeding ||chi'||_1.  Each test
+        runs once; subject and details are built only for the contracts that fail.
         """
-        d = self.denominator
+        d, v = self.denominator, self.scaled
+        audit = spot_check or self.left_tail < 0 or self.right_tail < 0
+        theorem1 = self.second_norm > 3 * self.chi_second_norm * d
+        lower = self.chi_second_norm < 2
+        lemma1 = False
+        for i in self.minus:            # a concave point outside A, where M chi_A < 1
+            if v[i] != d:
+                lemma1 = True
+                break
+        boundary = self.boundary_bound < self.second_norm
+        first = self.variation > self.chi_first_norm * d
+        if not (audit or theorem1 or lower or lemma1 or boundary or first):
+            return []
         subject = {"set": list(self.set.elements)}
         out: list[Violation] = []
-        if spot_check or self.left_tail < 0 or self.right_tail < 0:
+        if audit:
             oracle = maximal_profile(LatticeFunction.from_set(self.set)).values
             out = audit_profile(self.profile_values(), oracle, subject)
-        if self.second_norm > 3 * self.chi_second_norm * d:
+        if theorem1:
             record = self.ratio_record()
             out.append(Violation("theorem1_ratio", subject, {
                 "chi_second_norm": str(record.chi_second_norm),
                 "max_second_norm": str(record.max_second_norm),
                 "ratio": str(record.ratio),
             }))
-        if self.chi_second_norm < 2:
+        if lower:
             out.append(Violation("chi_second_norm_lower_bound", subject, {
                 "chi_second_norm": str(self.chi_second_norm),
             }))
-        if self.lemma1_violations:
+        if lemma1:
             out.append(Violation("lemma1_concavity", subject, {
                 "concave_points_outside_set": list(self.lemma1_violations),
-                "profile_values": [str(v) for v in self.profile_values()],
+                "profile_values": [str(x) for x in self.profile_values()],
             }))
-        if self.boundary_bound < self.second_norm:
+        if boundary:
             out.append(Violation("boundary_bound", subject, {
                 "funeq_rhs": str(self.fraction(self.boundary_bound)),
                 "second_norm": str(self.fraction(self.second_norm)),
             }))
-        if self.variation > self.chi_first_norm * d:
+        if first:
             out.append(Violation("first_derivative_bound", subject, {
                 "chi_first_norm": str(self.chi_first_norm),
                 "max_first_variation": str(self.fraction(self.variation)),
@@ -318,39 +346,22 @@ def analyze(a: IndexSet) -> Analysis:
     :func:`~maxreg.maximal.set_maxima`; the naive oracle
     :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
     checks, in the tests, and wherever a tail term comes out negative
-    (:meth:`Analysis.violations`).  The norms, boundaries and first
-    differences come from :func:`_convexity`, the variation from
-    :func:`first_derivative_norms`' closed form.  The concave-mass norm needs
-    no tail guarantee, so a broken kernel reaches that audit with the direct
-    sum's numbers.  A has one block (run) per element not right after another,
-    and since M chi_A is 1 exactly on A, a concave point is outside A when its value is below D.
+    (:meth:`Analysis.violations`).  The norms, the concave positions, the
+    boundaries and first differences come from :func:`_convexity`, the
+    variation from :func:`first_derivative_norms`' closed form.  The
+    concave-mass norm needs no tail guarantee, so a broken kernel reaches
+    that audit with the direct sum's numbers.  A has one block (run) per
+    element not right after another.
     """
     if not a:
         raise ValueError("analysis needs a nonempty set")
     elements = a.elements
-    lo = elements[0] - 1
     d, v = _scaled(*set_maxima(elements))
     norm, bound, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
     blocks = len(elements) - list(map(sub, elements[1:], elements)).count(1)
-    return Analysis(
-        set=a,
-        lo=lo,
-        hi=elements[-1] + 1,
-        denominator=d,
-        scaled=tuple(v),
-        second=tuple(second),
-        s_minus=tuple([lo + i for i in minus]),
-        left_boundary=tuple([lo + i for i in left]),
-        right_boundary=tuple([lo + i for i in right]),
-        lemma1_violations=tuple([lo + i for i in minus if v[i] != d]),
-        chi_second_norm=4 * blocks,
-        chi_first_norm=2 * blocks,
-        left_tail=left_tail,
-        right_tail=right_tail,
-        second_norm=norm,
-        boundary_bound=bound,
-        variation=v[1] + sum(map(abs, first[1:-1])) + v[-2],
-    )
+    return Analysis(a, elements[0] - 1, elements[-1] + 1, d, tuple(v), tuple(second),
+                    minus, left, right, 4 * blocks, 2 * blocks, left_tail, right_tail,
+                    norm, bound, v[1] + sum(map(abs, first[1:-1])) + v[-2])
 
 
 def theorem1_report(a: IndexSet) -> RatioRecord:

@@ -125,7 +125,7 @@ def _ints(xs: tuple[int, ...]) -> str:
 def render_report_json(an: Analysis) -> str:
     """The JSON report, ``json.dumps(report_to_dict(an), indent=2)`` byte for
     byte, filled into one template straight from the analysis integers."""
-    d = an.denominator
+    d, outside = an.denominator, an.lemma1_violations
     return _REPORT % (
         SCHEMA_VERSION, __version__,
         canonical_set_literal(an.set), _ints(an.set.elements), an.chi_second_norm,
@@ -133,7 +133,7 @@ def render_report_json(an: Analysis) -> str:
         _ints(an.s_minus), _ints(an.left_boundary), _ints(an.right_boundary),
         ",\n    ".join([_CHAIN % chain for chain in an.chain_bounds()]),
         _over(an.boundary_bound, d), _over(an.boundary_bound + 2 * d, d),
-        "violated" if an.lemma1_violations else "ok", _ints(an.lemma1_violations),
+        "violated" if outside else "ok", _ints(outside),
         an.chi_first_norm, _over(an.variation, d), an.lo, an.hi,
         '",\n    "'.join(_over_each(an.scaled, d)))
 
@@ -146,7 +146,7 @@ def report_to_dict(an: Analysis) -> dict:
 def render_report_text(an: Analysis, paper_accounting: bool = False) -> str:
     """The text report; ``paper_accounting`` adds the boundary bound with each
     of its two (exactly vanishing) limit terms replaced by its crude bound 1."""
-    d = an.denominator
+    d, outside = an.denominator, an.lemma1_violations
     lines = [
         f"set               {canonical_set_literal(an.set)}",
         f"window            [{an.lo}, {an.hi}]",
@@ -165,7 +165,7 @@ def render_report_text(an: Analysis, paper_accounting: bool = False) -> str:
             f"boundary bound with limit terms bounded by 1 each: "
             f"{_over(an.boundary_bound + 2 * d, d)}")
     lines += [
-        f"lemma 1           {'VIOLATED at ' + canonical_set_literal(an.lemma1_violations) if an.lemma1_violations else 'ok'}",
+        f"lemma 1           {'VIOLATED at ' + canonical_set_literal(outside) if outside else 'ok'}",
         f"||chi'||_1        {an.chi_first_norm}",
         f"var M chi         {_over(an.variation, d)}",
         f"tool version      {__version__}",

@@ -39,7 +39,9 @@ finding, never noise to skip.  Set sweeps are chunked with a fixed chunk
 size, and one integer fold (:class:`_Fold`, ratios compared by
 cross-multiplying) takes the sets of a chunk in order and then the chunks
 in submission order, keeping the earlier, smaller-mask set on ties, so
-summaries are identical for any worker count.
+summaries are identical for any worker count.  A winner is held as (norm
+over D, D * ||chi''||_1, mask), so the fold state is integers only; the
+records are rebuilt once, by re-analysing the final winners.
 """
 
 from __future__ import annotations
@@ -159,10 +161,11 @@ def _beats(new: tuple, old: tuple | None) -> bool:
 
 @dataclass
 class _Fold:
-    """Sweep results folded in order, in integers, by :meth:`add`: each set
-    into its chunk, then each chunk into the sweep.  Winners are compared by
-    :func:`_beats` only, so on ties the earlier, smaller-mask set stays;
-    records are built from the final winners (:func:`_records`)."""
+    """Sweep results folded in order, in integers: each set into its chunk
+    (:func:`_check_mask_chunk`), then each chunk into the sweep (:meth:`add`).
+    A winner is (norm over D, D * ||chi''||_1, mask), compared by
+    :func:`_beats` only, so on ties the earlier, smaller-mask set stays; the
+    records are rebuilt from the final winners' masks (:func:`_records`)."""
 
     count: int = 0                      # translation classes covered
     evaluated: int = 0                  # sets analysed
@@ -170,46 +173,60 @@ class _Fold:
     min_chi_norm: int | None = None
     violations: tuple[Violation, ...] = ()
 
-    def add(self, count: int, evaluated: int, winners: dict, min_chi_norm: int | None) -> None:
-        self.count += count
-        self.evaluated += evaluated
-        for key, entry in winners.items():
+    def add(self, chunk: "_Fold") -> None:
+        self.count += chunk.count
+        self.evaluated += chunk.evaluated
+        for key, entry in chunk.winners.items():
             if _beats(entry, self.winners.get(key)):
                 self.winners[key] = entry
-        if min_chi_norm is not None and (self.min_chi_norm is None
-                                         or min_chi_norm < self.min_chi_norm):
-            self.min_chi_norm = min_chi_norm
+        if chunk.min_chi_norm is not None and (self.min_chi_norm is None
+                                               or chunk.min_chi_norm < self.min_chi_norm):
+            self.min_chi_norm = chunk.min_chi_norm
+        self.violations = chunk.violations
 
 
 def _check_mask_chunk(args: tuple) -> _Fold:
     """Run the battery (:meth:`~maxreg.regularity.Analysis.violations`) on a
-    chunk of masks in order, and fold it.
+    chunk of masks in order, and fold each set straight into the chunk's
+    winners: a set can only beat the overall winner by beating its span's.
 
     ``mirrored`` chunks hold odd masks and skip each mask whose mirror is
     smaller, auditing it if due (:func:`exhaustive`).
     """
     masks, base_index, mirrored = args
-    out = _Fold()
-    for i, mask in enumerate(masks):
-        spot = (base_index + i) % _SPOT_EVERY == 0
+    count = evaluated = 0
+    winners: dict = {}                  # span -> winner; None -> overall
+    min_chi = None
+    violations: tuple[Violation, ...] = ()
+    for i, mask in enumerate(masks, base_index):
+        spot = i % _SPOT_EVERY == 0
         classes = 1
         if mirrored:
             mirror = _mirror(mask)
             if mirror < mask:
                 if spot:
-                    out.violations = tuple(_audit_mirror(mask, mirror))
-                    if out.violations:
+                    violations = tuple(_audit_mirror(mask, mirror))
+                    if violations:
                         break
                 continue
             classes = 1 if mirror == mask else 2
         an = analyze(IndexSet.from_mask(mask))
-        entry = (an.second_norm, an.denominator * an.chi_second_norm, an)
+        norm, chi = an.second_norm, an.chi_second_norm
+        scaled = an.denominator * chi
         span = mask.bit_length() - (mask & -mask).bit_length()
-        out.add(classes, 1, {None: entry, span: entry}, an.chi_second_norm)
-        out.violations = tuple(an.violations(spot))
-        if out.violations:
+        old = winners.get(span)
+        if old is None or norm * old[1] > old[0] * scaled:     # _beats, inlined: once per set
+            winners[span] = entry = (norm, scaled, mask)
+            if _beats(entry, winners.get(None)):
+                winners[None] = entry
+        count += classes
+        evaluated += 1
+        if min_chi is None or chi < min_chi:
+            min_chi = chi
+        violations = tuple(an.violations(spot))
+        if violations:
             break
-    return out
+    return _Fold(count, evaluated, winners, min_chi, violations)
 
 
 def _run_chunked(chunk_args: Sequence[tuple], workers: int,
@@ -222,8 +239,7 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
     workers = min(workers, len(chunk_args), os.cpu_count() or 1)
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         for chunk in (map if pool is None else pool.map)(_check_mask_chunk, chunk_args):
-            merged.add(chunk.count, chunk.evaluated, chunk.winners, chunk.min_chi_norm)
-            merged.violations = chunk.violations
+            merged.add(chunk)
             if progress is not None:
                 progress(merged.count, total)
             if chunk.violations:
@@ -233,7 +249,8 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
 
 def _records(merged: _Fold) -> tuple[RatioRecord | None, dict]:
     """(max record, summary stats) from the final winners of a set sweep."""
-    records = {key: entry[2].ratio_record() for key, entry in merged.winners.items()}
+    records = {key: analyze(IndexSet.from_mask(entry[2])).ratio_record()
+               for key, entry in merged.winners.items()}
     norm = merged.min_chi_norm
     return records.pop(None, None), {
         "max_by_span": dict(sorted(records.items())),

@@ -18,6 +18,7 @@ from maxreg import (
     IndexSet,
     LatticeFunction,
     RatioRecord,
+    Violation,
     analyze,
     block_count,
     forward_difference,
@@ -114,8 +115,9 @@ def test_analysis_rejects_empty_set():
 def test_violations_name_each_broken_contract():
     an = analyze(IndexSet.from_iterable([0, 2]))
     d = an.denominator
+    # position 2 of the window [-1, 3] is the point 1, outside the set
     broken = an._replace(second_norm=25 * d, boundary_bound=0,
-                     variation=5 * d, lemma1_violations=(1,))
+                         variation=5 * d, minus=[1, 2, 3])
     kinds = [v.kind for v in broken.violations()]
     assert kinds == ["theorem1_ratio", "lemma1_concavity", "boundary_bound",
                      "first_derivative_bound"]
@@ -124,3 +126,45 @@ def test_violations_name_each_broken_contract():
     singleton = analyze(IndexSet.from_iterable([0]))
     assert [v.kind for v in singleton._replace(chi_second_norm=1).violations()] == \
         ["chi_second_norm_lower_bound"]
+
+
+def test_each_contract_broken_alone_gives_exactly_its_own_violation():
+    # One contract at a time, through the stored fields, so that a battery
+    # which skipped one test on its accept path would fail here.  The details
+    # are those the battery has always written.
+    an = analyze(IndexSet.from_iterable([0, 2]))
+    d = an.denominator
+    assert (an.minus, an.second_norm, an.boundary_bound, an.variation) == ([1, 3], 40, 40, 32)
+    assert an.violations() == []
+    subject = {"set": [0, 2]}
+    cases = [
+        (an._replace(second_norm=25 * d, boundary_bound=25 * d), "theorem1_ratio", subject,
+         {"chi_second_norm": "8", "max_second_norm": "25", "ratio": "25/8"}),
+        (analyze(IndexSet.from_iterable([0]))._replace(chi_second_norm=1),
+         "chi_second_norm_lower_bound", {"set": [0]}, {"chi_second_norm": "1"}),
+        (an._replace(minus=[1, 2, 3]), "lemma1_concavity", subject,
+         {"concave_points_outside_set": [1],
+          "profile_values": ["1/2", "1", "2/3", "1", "1/2"]}),
+        (an._replace(boundary_bound=0), "boundary_bound", subject,
+         {"funeq_rhs": "0", "second_norm": "10/3"}),
+        (an._replace(variation=5 * d), "first_derivative_bound", subject,
+         {"chi_first_norm": "4", "max_first_variation": "5"}),
+    ]
+    for broken, kind, subject, details in cases:
+        assert broken.violations() == [Violation(kind, subject, details)], kind
+        assert broken.violations(spot_check=True) == [Violation(kind, subject, details)], kind
+
+
+def test_point_views_are_read_only_and_built_from_the_positions():
+    an = analyze(IndexSet.from_iterable([0, 2, 3, 7]))
+    lo = an.lo
+    assert an.s_minus == tuple([lo + i for i in an.minus])
+    assert an.left_boundary == tuple([lo + i for i in an.left])
+    assert an.right_boundary == tuple([lo + i for i in an.right])
+    assert an.lemma1_violations == ()
+    for view in ("s_minus", "left_boundary", "right_boundary", "lemma1_violations"):
+        assert view not in an._fields
+        with pytest.raises(ValueError, match="unexpected field"):
+            an._replace(**{view: ()})
+        with pytest.raises(AttributeError):
+            setattr(an, view, ())

@@ -31,6 +31,28 @@ def test_index_set_validation():
         IndexSet((1, 1))
 
 
+def test_index_set_rejects_what_is_not_an_integer():
+    # no truncation, rounding or parsing: an element is an int or an error
+    for items in ([1.5, 2.7, 0], [Fraction(7, 2)], ["3", "1"], [2.0], [Fraction(4, 1)]):
+        with pytest.raises(TypeError):
+            IndexSet.from_iterable(items)
+    for elements in ((0.5, 1.5), (0, 1.5), (1.5,), (Fraction(1, 2), 2), (0, "1"), (True,)):
+        with pytest.raises(ValueError, match="integers"):
+            IndexSet(elements)
+    # what operator.index accepts is converted to plain ints
+    a = IndexSet.from_iterable([True, 3, 0, 3])
+    assert a.elements == (0, 1, 3)
+    assert all(type(x) is int for x in a.elements)
+
+
+def test_index_set_membership():
+    a = IndexSet.from_iterable([-4, 0, 2, 9])
+    assert [n for n in range(-6, 12) if n in a] == [-4, 0, 2, 9]
+    assert 2.0 in a and Fraction(9) in a
+    assert 2.5 not in a and "2" not in a and None not in a
+    assert 0 not in IndexSet(())
+
+
 def test_index_set_mask_round_trip():
     rng = random.Random(7)
     for _ in range(200):

@@ -209,8 +209,9 @@ def test_reports_are_byte_identical_to_the_pinned_hashes():
 
 def test_json_writer_on_empty_lists_and_a_single_chain():
     # no concave point at all: one convex chain, and every boundary list empty
-    an = analyze(IndexSet.from_iterable([0, 3, 4]))._replace(
-        s_minus=(), left_boundary=(), right_boundary=(), lemma1_violations=())
+    an = analyze(IndexSet.from_iterable([0, 3, 4]))._replace(minus=[], left=[], right=[])
+    assert (an.s_minus, an.left_boundary, an.right_boundary, an.lemma1_violations) == \
+        ((), (), (), ())
     d = report_to_dict(an)
     assert d["chains"] == [{"kind": "plus", "start": an.lo, "end": an.hi}]
     assert [(c.kind, c.start, c.end) for c in an.chains()] == [("plus", an.lo, an.hi)]
@@ -218,8 +219,10 @@ def test_json_writer_on_empty_lists_and_a_single_chain():
     assert d == json.loads(render_report_json(an))
     assert '"s_minus": [],' in render_report_json(an)
     assert f"chains            plus[{an.lo},{an.hi}]" in render_report_text(an)
-    # a Lemma 1 violation is written as such
-    violated = an._replace(lemma1_violations=(1, 2))
+    # a Lemma 1 violation is written as such: positions 2 and 3 of the
+    # window [-1, 5] are the points 1 and 2, outside the set
+    violated = an._replace(minus=[2, 3])
+    assert violated.lemma1_violations == (1, 2)
     assert report_to_dict(violated)["lemma1"] == "violated"
     assert render_report_json(violated) == json.dumps(report_to_dict(violated), indent=2)
     assert "lemma 1           VIOLATED at 1-2" in render_report_text(violated)

@@ -230,6 +230,74 @@ def test_exhaustive_mirror_pairs_equal_a_translation_class_sweep():
         "translation and reflection")
 
 
+# SHA-256 of ``json.dumps(cli.summary_to_dict(...), indent=2)`` for set
+# sweeps.  They hold every record of the fold: the tie-breaks within and
+# across chunks, ``max_by_span`` and ``min_chi_second_norm``; the last one
+# folds chunks that come back from worker processes.  When a summary changes
+# on purpose (schema, tool version, the draw), regenerate them by printing
+# that hash for each sweep, and say in CHANGES.md why every summary changed.
+_SET_SWEEP_SHA256 = [
+    ((exhaustive, (1,), {}), "fca2a8f86362578924f600d8971ede91dc640c1a937bedb1e0f6d8982b8e0a7d"),
+    ((exhaustive, (5,), {}), "4e86d3b5d0d70f894136a1b7675329238ca4924e877ca748e0e821d1a94d7f8c"),
+    ((exhaustive, (9,), {}), "6b0c08d7523f48e55685ce1ad9f3a10ea8ea8735508f14ce37c9fb9da86308f7"),
+    ((exhaustive, (12,), {}), "85b047be6a8ee132c0e9a4de577348f2833011edbecacb78b823a2b00decdbcc"),
+    ((exhaustive, (15,), {}), "de09c8b0c55899390eb15ba0feaabea541b2b6a64a332310721b538afa86c801"),
+    ((random_sets, (200, 300, Fraction(1, 2), 13), {}),
+     "115f78507931af9642ce472c7aa80fcc4063bd33a7dd1a2d0c8f3a3711b89447"),
+    ((random_sets, (4500, 10, Fraction(1, 2), 9), {"workers": 2}),
+     "6a392a391efe3dcd04c2fdd68793b88b579b8a210d439948100f0aa47f5e9c20"),
+]
+
+
+@pytest.mark.parametrize("sweep, expected", _SET_SWEEP_SHA256,
+                         ids=["exhaustive(1)", "exhaustive(5)", "exhaustive(9)", "exhaustive(12)",
+                              "exhaustive(15)", "random_sets(200, 300)",
+                              "random_sets(4500, 10, workers=2)"])
+def test_set_sweep_summaries_are_byte_identical_to_the_pinned_hashes(sweep, expected):
+    run, args, kwargs = sweep
+    summary = json.dumps(cli.summary_to_dict(run(*args, **kwargs)), indent=2)
+    assert hashlib.sha256(summary.encode()).hexdigest() == expected
+
+
+def test_exhaustive_leaves_no_memory_behind():
+    # The fold holds integers and masks only, and every tuple a set's check
+    # builds is built at its final size; a tuple built from an iterator of
+    # unknown length would fill CPython's per-size tuple free lists.
+    exhaustive(3)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        exhaustive(13)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 50_000
+
+
+def test_sweep_winners_are_masks_and_records_are_rebuilt_once(monkeypatch):
+    # The fold state is integers only: (norm over D, D ||chi''||_1, mask)
+    # per span and overall.  The records come from re-analysing the final
+    # winners, one analysis per key, after the sweep.
+    chunk = search._check_mask_chunk((range(1, 1 << 9, 2), 0, True))
+    assert set(chunk.winners) == set(range(9)) | {None}
+    for key, (norm, scaled, mask) in chunk.winners.items():
+        an = analyze(IndexSet.from_mask(mask))
+        assert (norm, scaled) == (an.second_norm, an.denominator * an.chi_second_norm)
+        assert key is None or key == mask.bit_length() - 1
+    real, rebuilt = search.analyze, []
+
+    def counted(a):
+        rebuilt.append(a)
+        return real(a)
+
+    monkeypatch.setattr(search, "analyze", counted)
+    s = exhaustive(9)
+    assert len(rebuilt) == s.stats["sets_evaluated"] + 10
+    assert sorted(a.elements for a in rebuilt[-10:]) == \
+        sorted(r.set.elements for r in (*s.stats["max_by_span"].values(), s.max_record))
+
+
 def test_cross_chunk_ties_match_a_translation_class_sweep(monkeypatch):
     # 32 chunks of 16 odd masks.  The ratio 1/2 ties at every span, so the
     # winners of many chunks tie, and the fold across chunks must keep the
