@@ -12,8 +12,6 @@ from ._version import __version__
 from .lattice import (
     IndexSet,
     LatticeFunction,
-    block_count,
-    central_second_difference,
     forward_difference,
     lp_norm,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "__version__",
     "IndexSet",
     "LatticeFunction",
-    "block_count",
-    "central_second_difference",
     "forward_difference",
     "lp_norm",
     "MaximalProfile",

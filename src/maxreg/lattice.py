@@ -23,10 +23,10 @@ __all__ = [
     "IndexSet",
     "LatticeFunction",
     "forward_difference",
-    "central_second_difference",
     "lp_norm",
-    "block_count",
 ]
+
+_EXACT = {int, Fraction}                   # the scalar types a function accepts
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +48,9 @@ class IndexSet:
 
     def __post_init__(self) -> None:
         elements = self.elements
+        if type(elements) is not tuple:     # a list would be unhashable and unequal
+            elements = tuple(elements)
+            object.__setattr__(self, "elements", elements)
         if not ({int}.issuperset(map(type, elements)) and all(map(lt, elements, elements[1:]))):
             raise ValueError("elements must be strictly increasing integers")
 
@@ -105,17 +108,6 @@ class IndexSet:
         return IndexSet(tuple(-x for x in reversed(self.elements)))
 
 
-def block_count(a: IndexSet) -> int:
-    """Number of maximal runs of consecutive integers in ``a``."""
-    blocks = 0
-    prev = None
-    for x in a:
-        if prev is None or x != prev + 1:
-            blocks += 1
-        prev = x
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # Lattice functions
 # ---------------------------------------------------------------------------
@@ -127,8 +119,10 @@ class LatticeFunction:
     ``values[i]`` is f(offset + i).  Canonical form: if any value is nonzero,
     the first and the last stored values are nonzero; the zero function is
     stored as ``offset=0, values=()``.  Construct through :meth:`make` (or
-    :meth:`from_set`), which trims and coerces; the raw constructor trusts
-    its caller.
+    :meth:`from_set`), which trims and turns ints into `Fraction`s; the raw
+    constructor trusts its caller.  Values and scale factors must be ints or
+    `Fraction`s: a float, a string, a `Decimal` or a bool raises TypeError,
+    so nothing inexact or parsed enters.
     """
 
     offset: int
@@ -136,7 +130,10 @@ class LatticeFunction:
 
     @classmethod
     def make(cls, offset: int, values: Iterable[Scalar]) -> "LatticeFunction":
-        vals = [Fraction(v) for v in values]
+        vals = list(values)
+        if not _EXACT.issuperset(map(type, vals)):
+            raise TypeError("function values must be ints or Fractions")
+        vals = [Fraction(v) for v in vals]
         lo = 0
         hi = len(vals)
         while lo < hi and vals[lo] == 0:
@@ -185,6 +182,8 @@ class LatticeFunction:
         return LatticeFunction(self.offset, tuple(abs(v) for v in self.values))
 
     def scale(self, c: Scalar) -> "LatticeFunction":
+        if type(c) not in _EXACT:
+            raise TypeError("a scale factor must be an int or a Fraction")
         c = Fraction(c)
         if c == 0:
             return LatticeFunction(0, ())
@@ -213,11 +212,6 @@ def forward_difference(f: LatticeFunction, k: int = 1) -> LatticeFunction:
             vals[i + 1] -= v    # -g(n) term
         g = LatticeFunction.make(g.offset - 1, vals)
     return g
-
-
-def central_second_difference(f: LatticeFunction, n: int) -> Fraction:
-    """f(n+1) + f(n-1) - 2 f(n), the centered form of the second difference."""
-    return f.value_at(n + 1) + f.value_at(n - 1) - 2 * f.value_at(n)
 
 
 def lp_norm(f: LatticeFunction, p) -> Fraction:

@@ -303,9 +303,12 @@ def set_maxima(elements: Sequence[int]) -> tuple[list[int], list[int]]:
 
     L_g falls and R_g rises across the gap, so the gap is filled from both
     ends, each end taking the larger tangent, until G_g is at least both
-    and fills the rest.  The edges min A - 1 and max A + 1 are gaps with one
-    side each: a virtual left point (max A + 2, |A|) and a virtual right
-    point (min A - 1, 0) make their values tangents too.  The L_g walk
+    and fills the rest.  A gap of one point t takes G_g's own pair: the
+    window of L_g(t) averages below 1 and can take in the element t + 1,
+    which raises its average, so L_g(t) < G_g, and R_g(t) < G_g likewise.
+    The edges min A - 1 and max A + 1 are gaps with one side each: a
+    virtual left point (max A + 2, |A|) and a virtual right point
+    (min A - 1, 0) make their values tangents too.  The L_g walk
     passes only vertices that the left point of run g removes from the
     lower hull, and the R_g walk only vertices that the right point of run
     g - 1 removes from the upper hull, so the tangents cost O(1) amortized
@@ -344,16 +347,8 @@ def _set_kernel(elements: Sequence[int]) -> tuple:
     for g, (gn, gd) in enumerate(bridges, 1):
         end, c = left[g]
         first = right[g][0]
-        if end - first == 1:                # one point: both tangents are hull edges
-            xp, yp = left[pred[g]]
-            xq, yq = right[succ[g]]
-            ln, ld = c - yp, end - xp
-            rn, rd = yq - c, xq - first
-            if rn * ld > ln * rd:
-                ln, ld = rn, rd
-            if gn * ld > ln * gd:
-                ln, ld = gn, gd
-            best_num[first - lo], best_den[first - lo] = ln, ld
+        if end - first == 1:                # one point: G (see set_maxima)
+            best_num[first - lo], best_den[first - lo] = gn, gd
             continue
 
         # L falls and R rises across the gap, so with i rising from the left

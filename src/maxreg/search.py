@@ -41,7 +41,10 @@ cross-multiplying) takes the sets of a chunk in order and then the chunks
 in submission order, keeping the earlier, smaller-mask set on ties, so
 summaries are identical for any worker count.  A winner is held as (norm
 over D, D * ||chi''||_1, mask), so the fold state is integers only; the
-records are rebuilt once, by re-analysing the final winners.
+records are rebuilt once, by re-analysing the final winners.  A process pool
+runs the chunks only when the worker count, capped by the chunk and CPU
+counts, exceeds 1, and only then are :mod:`concurrent.futures` and
+:mod:`multiprocessing` imported.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -234,10 +236,16 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
                  total: int) -> _Fold:
     """Map chunks, fold them in submission order, halt at the first violation.
 
-    The pool holds at most one process per chunk and per CPU."""
+    The pool holds at most one process per chunk and per CPU, and is imported
+    only when it holds two or more: on one, the chunks map in this process
+    and neither :mod:`concurrent.futures` nor :mod:`multiprocessing` loads."""
     merged = _Fold()
     workers = min(workers, len(chunk_args), os.cpu_count() or 1)
-    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
+    with pool or nullcontext():
         for chunk in (map if pool is None else pool.map)(_check_mask_chunk, chunk_args):
             merged.add(chunk)
             if progress is not None:

@@ -41,6 +41,22 @@ def as_dict(f: LatticeFunction) -> dict[int, Fraction]:
     return {f.offset + i: v for i, v in enumerate(f.values) if v != 0}
 
 
+def block_count(a: IndexSet) -> int:
+    """Number of maximal runs of consecutive integers in ``a``."""
+    blocks = 0
+    prev = None
+    for x in a:
+        if prev is None or x != prev + 1:
+            blocks += 1
+        prev = x
+    return blocks
+
+
+def central_second_difference(f: LatticeFunction, n: int) -> Fraction:
+    """f(n+1) + f(n-1) - 2 f(n), the centered form of the second difference."""
+    return f.value_at(n + 1) + f.value_at(n - 1) - 2 * f.value_at(n)
+
+
 def oracle_average(values: dict[int, Fraction], n: int, r: int, s: int) -> Fraction:
     total = sum((abs(values.get(n + j, Fraction(0))) for j in range(-r, s + 1)),
                 Fraction(0))

@@ -20,13 +20,13 @@ from maxreg import (
     RatioRecord,
     Violation,
     analyze,
-    block_count,
     forward_difference,
     lp_norm,
     maximal_profile,
 )
 
 from conftest import (
+    block_count,
     index_sets,
     oracle_boundaries,
     oracle_chains,

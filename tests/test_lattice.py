@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,12 @@ import pytest
 from maxreg import (
     IndexSet,
     LatticeFunction,
-    block_count,
-    central_second_difference,
+    analyze,
     forward_difference,
     lp_norm,
 )
 
-from conftest import random_function
+from conftest import block_count, central_second_difference, random_function
 
 
 def chi(*elements: int) -> LatticeFunction:
@@ -43,6 +43,17 @@ def test_index_set_rejects_what_is_not_an_integer():
     a = IndexSet.from_iterable([True, 3, 0, 3])
     assert a.elements == (0, 1, 3)
     assert all(type(x) is int for x in a.elements)
+
+
+def test_index_set_stores_its_elements_as_a_tuple():
+    a, b = IndexSet([0, 2]), IndexSet((0, 2))
+    assert type(a.elements) is tuple
+    assert a == b and hash(a) == hash(b)
+    assert analyze(a).ratio_record() == analyze(b).ratio_record()
+    elements = (1, 4)
+    assert IndexSet(elements).elements is elements
+    with pytest.raises(ValueError):
+        IndexSet([2, 1])
 
 
 def test_index_set_membership():
@@ -95,6 +106,19 @@ def test_from_set_singleton():
 def test_from_set_with_gap():
     f = chi(0, 2)
     assert (f.value_at(0), f.value_at(1), f.value_at(2)) == (1, 0, 1)
+
+
+def test_function_values_are_ints_or_fractions():
+    # no float expansion, no parsing: a value or a factor is exact or an error
+    for bad in (0.1, 2.0, "1/3", " 2 ", Decimal("0.5"), True):
+        with pytest.raises(TypeError):
+            LatticeFunction.make(0, [1, bad])
+        with pytest.raises(TypeError):
+            LatticeFunction.make(0, [1]).scale(bad)
+    f = LatticeFunction.make(0, (x for x in [0, Fraction(1, 3), 2]))
+    assert f.offset == 1 and f.values == (Fraction(1, 3), Fraction(2))
+    assert f.scale(3) == LatticeFunction.make(1, [1, 6])
+    assert f.scale(Fraction(3, 2)).values == (Fraction(1, 2), Fraction(3))
 
 
 def test_trimming_is_canonical():

@@ -1,8 +1,11 @@
+import concurrent.futures
 import gc
 import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -92,7 +95,8 @@ def test_exhaustive_worker_count_is_irrelevant():
 
 class SerialPool:
     """A stand-in for ``ProcessPoolExecutor`` that records its size and maps
-    in this process."""
+    in this process.  ``_run_chunked`` imports the pool from
+    :mod:`concurrent.futures` when it builds one, so it is patched there."""
 
     sizes: list[int] = []
 
@@ -110,7 +114,7 @@ class SerialPool:
 
 
 def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(SerialPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     serial = exhaustive(13)
@@ -127,6 +131,42 @@ def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     exhaustive(14, workers=5000)                # 4 chunks, 3 CPUs
     assert SerialPool.sizes == [2, 3]
+
+
+_POOL_FOOTPRINT = """
+import contextlib, io, json, os, sys
+os.cpu_count = lambda: 2                    # the same pool sizes on any machine
+from maxreg import cli, search
+
+def pool_modules():
+    return sorted(m for m in sys.modules if m.startswith(("concurrent.futures", "multiprocessing")))
+
+def fields(s):
+    return (s.instances_checked, s.max_record, s.violations, s.stats,
+            {**s.parameters, "workers": None})
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv.split()) for argv in (
+        "report 0,2 --format json", "scan 0,1 3 1000", "exhaust 10", "random 200 12 1/2 7")]
+one_worker = pool_modules()
+same = fields(search.exhaustive(13, workers=2)) == fields(search.exhaustive(13))
+print(json.dumps({"codes": codes, "one_worker": one_worker, "same": same,
+                  "two_workers": pool_modules()}))
+"""
+
+
+def test_one_worker_verbs_load_no_process_pool():
+    # in a fresh interpreter: the verbs on one worker never import the pool,
+    # and a sweep on two workers (2 chunks, 2 CPUs) does, with the same summary
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    done = subprocess.run([sys.executable, "-c", _POOL_FOOTPRINT], capture_output=True,
+                          text=True, timeout=300, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["one_worker"] == []
+    assert result["same"]
+    assert "concurrent.futures.process" in result["two_workers"]
 
 
 def test_exhaustive_oracle_audits_the_same_classes(monkeypatch):
