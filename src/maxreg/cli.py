@@ -105,28 +105,21 @@ def summary_text(summary: SearchSummary) -> str:
     return "\n".join(lines)
 
 
-def scan_to_dict(scan: TruncatedScan) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "set": list(scan.set.elements),
-        "order": scan.order,
-        "truncation": scan.truncation,
-        "value": str(scan.value),
-        "truncated_value": str(scan.truncated_value),
-    }
-
-
 _SCAN = "{\n%s\n}" % ",\n".join(f'  "{key}": {value}' for key, value in [
     ("schema_version", "%d"), ("tool_version", '"%s"'), ("set", "[\n    %s\n  ]"),
     ("order", "%d"), ("truncation", "%d"), ("value", '"%s"'), ("truncated_value", '"%s"')])
 
 
 def scan_json(scan: TruncatedScan) -> str:
-    """``json.dumps(scan_to_dict(scan), indent=2)``, filled into one template:
-    a scan's set is never empty, and every string in it is plain ASCII."""
+    """The scan as JSON in ``json.dumps(..., indent=2)`` bytes, filled into one
+    template: a scan's set is never empty, and every string in it is plain ASCII."""
     return _SCAN % (SCHEMA_VERSION, __version__, ",\n    ".join(map(str, scan.set.elements)),
                     scan.order, scan.truncation, scan.value, scan.truncated_value)
+
+
+def scan_to_dict(scan: TruncatedScan) -> dict:
+    """The JSON scan as a dict: its layout is the template's."""
+    return json.loads(scan_json(scan))
 
 
 def scan_text(scan: TruncatedScan) -> str:

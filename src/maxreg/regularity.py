@@ -113,8 +113,9 @@ def _convexity(v: Sequence[int]) -> tuple:
     tails, is -2 sum_{concave} c2 (module docstring), whatever the tails' sign.
     A concave point is in the left (right) boundary when its left (right)
     neighbour is convex; both edges are convex.  The boundary bound, 2 sum_{left}
-    (v(i) - v(i-1)) + 2 sum_{right} (v(i) - v(i+1)), dominates the norm (the
-    contract); the limit terms of the general bound vanish under the guarantee.
+    (v(i) - v(i-1)) + 2 sum_{right} (v(i) - v(i+1)), equals the norm, as the c2
+    of a concave run [l, r] sum to first[r] - first[l-1]; the contracts check
+    one sum against the other.  The general bound's limit terms vanish here.
     """
     first = list(map(sub, v[1:], v))
     second = list(map(sub, first[1:], first))
@@ -155,7 +156,7 @@ def second_norm(g: AnalyzedFunction) -> Fraction:
 
 
 def funeq_rhs(g: AnalyzedFunction) -> Fraction:
-    """The boundary bound of :func:`_convexity`; it dominates :func:`second_norm`."""
+    """The boundary bound of :func:`_convexity`; it equals :func:`second_norm`."""
     return Fraction(_convexity(g.scaled)[1], g.denominator)
 
 
@@ -287,10 +288,11 @@ class Analysis(NamedTuple):
         First the profile audit (:func:`audit_profile`) against the naive
         oracle :func:`~maxreg.maximal.maximal_profile`, run here when
         ``spot_check`` is set and whenever a tail term is negative, which a
-        correct kernel cannot give.  Then Theorem 1 ratio <= 3,
-        ||chi''||_1 >= 2, Lemma 1, the boundary bound dominating the second
-        norm, and the variation of M chi_A not exceeding ||chi'||_1.  Each test
-        runs once; subject and details are built only for the contracts that fail.
+        correct kernel cannot give.  Then Theorem 1 ratio <= 3, ||chi''||_1 >= 2,
+        Lemma 1, the boundary bound against the second norm (two equal sums,
+        :func:`_convexity`), and the variation of M chi_A not exceeding
+        ||chi'||_1.  Each test runs once; subject and details are built only
+        for the contracts that fail.
         """
         d, v = self.denominator, self.scaled
         audit = spot_check or self.left_tail < 0 or self.right_tail < 0

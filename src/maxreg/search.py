@@ -14,11 +14,10 @@ Three probes of how far the second-difference bound might extend:
   differences (k >= 3) of the maximal function of an indicator, exactly,
   with its truncation to [-T, T].  Beyond the hull the maximal function is
   a chain of hyperbolas c / (n + 1 - i), read off the run hulls of the set
-  kernel :func:`~maxreg.maximal.set_maxima`.  Their order-k differences
-  have a fixed sign and telescope on each piece, so only the starts near
-  the hull and near the piece boundaries are summed one by one.  Each tail
-  is walked once into integer terms over one common denominator, and the
-  truncated sum is the total minus the part past T.
+  kernel :func:`~maxreg.maximal.set_maxima`.  On one piece the order-k
+  differences have the sign (-1)^k, so each tail's sum telescopes to one
+  order k-1 difference, corrected at the k starts before each piece
+  boundary; the truncated sum is the total minus the part past T.
 
 Every checked set runs the full contract battery of its
 :class:`~maxreg.regularity.Analysis`, :meth:`~maxreg.regularity.Analysis.violations`
@@ -56,7 +55,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import factorial, lcm, prod
+from math import lcm
 from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
@@ -318,8 +317,9 @@ def random_sets(trials: int, length: int, density, seed: int,
                 progress: Callable[[int, int], None] | None = None) -> SearchSummary:
     """Check ``trials`` random subsets of [0, length), empty draws skipped.
 
-    Each point enters independently with probability ``density``; the draw
-    sequence is fully determined by ``seed``.
+    Each point enters independently with probability ``density``, an int, a
+    `Fraction` or a string such as ``"1/2"`` (a float raises TypeError); the
+    draw sequence is fully determined by ``seed``.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -327,6 +327,8 @@ def random_sets(trials: int, length: int, density, seed: int,
         raise ValueError("length must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if type(density) not in (int, Fraction, str):
+        raise TypeError("density must be an int, a Fraction or a string")
     try:
         density = Fraction(density)
     except ZeroDivisionError:
@@ -556,31 +558,16 @@ def _run_differences(nums: Sequence[int], dens: Sequence[int], k: int) -> tuple[
     return v, d
 
 
-def _tail_terms(tail, k: int, hi: int, whole: list, beyond: list) -> None:
-    """Walk each piece of a tail once, and append the sum of |order-k forward
-    difference| over every start to ``whole``, and over the starts past ``hi``
-    to ``beyond``, as (numerator, denominator) terms.
-
-    Where n .. n+k lie on one piece c / x, x = n + 1 - i, the difference is
-    c k! / (x (x+1) ... (x+k)) in absolute value, and over x in [p, q] it
-    telescopes to c (k-1)! (1/R(p) - 1/R(q+1)) with R(x) = x (x+1) ... (x+k-1);
-    past ``hi`` it restarts at max(p, hi + 1).  The k starts before a piece
-    boundary are differenced once, then summed in full and past ``hi``.
-    """
-    starts, pieces = tail
-    for p, end, (i, c) in zip(starts, starts[1:] + [None], pieces):
-        q = None if end is None else end - k - 1    # last start with n+k on this piece
-        scale = c * factorial(k - 1)
-        for first, terms in ((p, whole), (max(p, hi + 1), beyond)):
-            if q is None or first <= q:
-                terms.append((scale, prod(range(first + 1 - i, first + 1 - i + k))))
-                if q is not None:
-                    terms.append((-scale, prod(range(q + 2 - i, q + 2 - i + k))))
-        if end is not None:
-            first = max(p, end - k)
-            diffs, d = _run_differences(*_tail_points(tail, first, end - 1 + k), k)
-            whole.append((sum(map(abs, diffs)), d))
-            beyond.append((sum(map(abs, diffs[max(0, hi + 1 - first):])), d))
+def _boundary_excess(tail, k: int):
+    """Yield (first start, |d| - s d at each start, denominator), s = (-1)^k,
+    for the order-k differences d at the starts n whose n .. n+k cross a piece
+    boundary of a tail: the k before each boundary, fewer after a short piece.
+    On one piece d has the sign s, so every other start adds nothing."""
+    starts, sign = tail[0], (-1) ** k
+    for p, end in zip(starts, starts[1:]):
+        first = max(p, end - k)
+        diffs, d = _run_differences(*_tail_points(tail, first, end - 1 + k), k)
+        yield first, [abs(x) - sign * x for x in diffs], d
 
 
 def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fraction]:
@@ -588,22 +575,30 @@ def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fracti
 
     Pre: k >= 1, and [-T, T] covers the hull [a, b] with a k margin.  One
     set kernel pass gives the window [a-1, b+1] and both tails
-    (:func:`_profile_tails`).  Starts n in [a-k, b] are differenced one by
-    one, with the k-1 points beyond the window from the tails.  Starts n > b
-    lie on the right tail, and starts n < a-k on the reflected left tail,
-    where the difference at n is +-the one at -n-k.  Each tail is walked once
-    (:func:`_tail_terms`) into integer terms over one common denominator; the
-    truncated sum is the total minus the part past T (T - k when reflected).
+    (:func:`_profile_tails`); the points a-k .. b+k are differenced to order
+    k-1, then once more for the starts in [a-k, b].  Starts n > b lie on the
+    right tail, n < a-k on the reflected left one (the difference at n is
+    +-the one at -n-k).  From a start N on, a tail's |differences| sum to
+    -s (order k-1 difference at N) plus the :func:`_boundary_excess`, as
+    they telescope and have the sign s = (-1)^k on one piece.  The order k-1
+    run ends in both whole-tail leads, at a-k (sign +1, reflected) and b+1;
+    the part past T (T - k reflected) takes its lead from k more tail points.
     """
     lo, hi = a.min(), a.max()
+    sign = (-1) ** k
     nums, dens, right, left = _profile_tails(a.elements)
     left_nums, left_dens = _tail_points(left, -lo + 2, -lo + k)
     right_nums, right_dens = _tail_points(right, hi + 2, hi + k)
-    middle, d = _run_differences(left_nums[::-1] + nums + right_nums,
-                                 left_dens[::-1] + dens + right_dens, k)
-    whole, beyond = [(sum(map(abs, middle)), d)], []
-    _tail_terms(right, k, truncation, whole, beyond)
-    _tail_terms(left, k, truncation - k, whole, beyond)
+    lead, d = _run_differences(left_nums[::-1] + nums + right_nums,
+                               left_dens[::-1] + dens + right_dens, k - 1)
+    whole = [(sum(map(abs, map(sub, lead[1:], lead))) + lead[0] - sign * lead[-1], d)]
+    beyond = []
+    for tail, first in ((right, truncation + 1), (left, truncation - k + 1)):
+        lead, d = _run_differences(*_tail_points(tail, first, first + k - 1), k - 1)
+        beyond.append((-sign * lead[0], d))
+        for start, excess, d in _boundary_excess(tail, k):
+            whole.append((sum(excess), d))
+            beyond.append((sum(excess[max(0, first - start):]), d))
     common = lcm(*[den for _, den in whole + beyond])
     value = sum([num * (common // den) for num, den in whole])
     past = sum([num * (common // den) for num, den in beyond])
@@ -617,17 +612,14 @@ def higher_derivative_scan(a: IndexSet, k: int, truncation: int) -> TruncatedSca
     Pre: k >= 3 (order 2 is :func:`~maxreg.regularity.analyze`'s
     ``second_norm``) and T large enough that [-T, T] covers the support
     hull with a k-point margin.  Beyond the hull M chi_A is read off two
-    chains of hyperbola pieces, and each piece's run of starts is summed in
-    closed form (module docstring).
+    chains of hyperbola pieces, and each tail's sum telescopes to one
+    difference plus a correction at the piece boundaries (module docstring).
     """
     if not a:
         raise ValueError("scan needs a nonempty set")
     if k < 3:
         raise ValueError("scan order k must be at least 3 (order 2 is the report's "
                          "second-difference norm)")
-    lo_hull, hi_hull = a.min(), a.max()
-    t = truncation
-    if t < max(abs(lo_hull), abs(hi_hull)) + k:
+    if truncation < max(abs(a.min()), abs(a.max())) + k:
         raise ValueError("truncation too small: [-T, T] must cover the hull with a k margin")
-    value, truncated = _order_norms(a, k, t)
-    return TruncatedScan(value, truncated, t, k, a)
+    return TruncatedScan(*_order_norms(a, k, truncation), truncation, k, a)

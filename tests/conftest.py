@@ -4,8 +4,9 @@ The oracles here are deliberately independent of the library: dict-based
 window enumeration for the maximal function, a loop over window ends for
 block profiles, direct summation for norms, and the convexity decomposition
 in `Fraction`s point by point.  They are the reference every exact claim is
-checked against.  The one exception is the order-k scan bracket, which sums
-``maximal_at`` (itself checked against ``oracle_maximal_at``) point by point.
+checked against.  The exceptions are the order-k scan bracket and scan
+value, which sum ``maximal_at`` (itself checked against ``oracle_maximal_at``)
+point by point.
 """
 
 from __future__ import annotations
@@ -142,6 +143,34 @@ def oracle_scan_bracket(a: IndexSet, k: int, t: int) -> tuple[Fraction, Fraction
         return bound_left(order - 1, start + 1) + bound_left(order - 1, start)
 
     return low, low + bound_right(k, t + 1) + bound_left(k, -t - 1)
+
+
+def oracle_scan_value(a: IndexSet, k: int) -> Fraction:
+    """sum over n in Z of |order-k forward difference of M chi_A|, from
+    ``maximal_at`` alone.
+
+    Walk right from b + 1 to the first N_R where the whole-set window [a, n]
+    attains M chi_A(n) = |A| / (n + 1 - a), and left from a - 1 to the first
+    N_L where [n, b] does.  Against a window [s, n] holding |A| - C points,
+    |A| (n + 1 - s) - (|A| - C)(n + 1 - a) rises in n, so the whole set wins
+    for good past N_R (and, reflected, before N_L): one hyperbola, whose
+    order-k differences have one sign and telescope.  The value is the direct
+    sum over the starts [N_L - k + 1, N_R) plus |order k - 1 difference| at
+    N_R and at N_L - k + 1.
+    """
+    chi = LatticeFunction.from_set(a)
+    lo, hi, count = a.min(), a.max(), len(a)
+    right = hi + 1
+    while maximal_at(chi, right) != Fraction(count, right + 1 - lo):
+        right += 1
+    left = lo - 1
+    while maximal_at(chi, left) != Fraction(count, hi + 1 - left):
+        left -= 1
+    leads = [maximal_at(chi, n) for n in range(left - k + 1, right + k)]
+    for _ in range(k - 1):
+        leads = [y - x for x, y in zip(leads, leads[1:])]
+    diffs = [y - x for x, y in zip(leads, leads[1:])]
+    return sum(map(abs, diffs), abs(leads[0]) + abs(leads[-1]))
 
 
 # ---------------------------------------------------------------------------

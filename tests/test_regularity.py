@@ -24,6 +24,7 @@ from maxreg import (
     maximal_at,
     maximal_profile,
     regularity,
+    search,
     theorem1_report,
 )
 
@@ -305,6 +306,25 @@ def test_funeq_dominates_second_norm():
         assert oracle_funeq_rhs(g) >= oracle_second_norm(g)
         gm = profile_window(maximal_profile(f))
         assert oracle_funeq_rhs(gm) >= oracle_second_norm(gm)
+
+
+def test_boundary_bound_equals_the_second_norm():
+    # The c2 of a concave run [l, r] sum to first[r] - first[l-1], so minus
+    # twice the concave mass is the boundary sum, on any integer window: the
+    # boundary-bound contracts compare two equal sums.
+    for mask in range(1, 1 << 14, 2):
+        an = analyze(IndexSet.from_mask(mask))
+        assert an.boundary_bound == an.second_norm, mask
+    rng = random.Random(4099)
+    for _ in range(3000):
+        ints = [rng.randint(-5, 5) for _ in range(rng.randint(1, 20))]
+        if len(ints) > 1:               # the draw itself as a window
+            norm, bound = regularity._convexity(ints)[:2]
+            assert bound == norm, ints
+        nonzero = [i for i, x in enumerate(ints) if x]
+        if nonzero:
+            source, _, _, maximal = search._integer_passes(ints[nonzero[0]:nonzero[-1] + 1])
+            assert source[1] == source[0] and maximal[1] == maximal[0], ints
 
 
 def test_decompose_is_consistent():

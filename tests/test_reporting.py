@@ -229,6 +229,12 @@ def test_json_writer_on_empty_lists_and_a_single_chain():
 
 
 def test_json_writer_is_json_dumps_with_indent_2():
+    # scan_to_dict is the parse of scan_json, so the content is spelled out here
     for e, k, t in (((0,), 3, 3), ((-10, 10), 3, 13), ((0, 100, 101), 5, 2000)):
         scan = higher_derivative_scan(IndexSet.from_iterable(e), k, t)
+        expected = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
+                    "set": list(e), "order": k, "truncation": t,
+                    "value": str(scan.value), "truncated_value": str(scan.truncated_value)}
+        assert scan_json(scan) == json.dumps(expected, indent=2)
+        assert list(scan_to_dict(scan).items()) == list(expected.items())
         assert scan_json(scan) == json.dumps(scan_to_dict(scan), indent=2)

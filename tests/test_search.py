@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from conftest import (
     index_sets,
     lift_first_value,
     oracle_scan_bracket,
+    oracle_scan_value,
     random_index_set,
 )
 
@@ -423,6 +425,15 @@ def test_random_sets_validation():
             random_sets(5, length, Fraction(1, 2), 1)
 
 
+def test_random_sets_density_is_exact():
+    # a float would enter as its binary expansion, 3602879701896397/2^55 for 0.1
+    for density in (0.1, True, Decimal("0.5")):
+        with pytest.raises(TypeError, match="density"):
+            random_sets(10, 8, density, 1)
+    for density in ("0.1", Fraction(1, 10)):
+        assert random_sets(10, 8, density, 1).parameters["density"] == "1/10"
+
+
 def test_random_sets_clean_sweep():
     s = random_sets(300, 20, Fraction(1, 2), 2024)
     assert not s.violations
@@ -724,6 +735,51 @@ def test_truncation_split_where_t_cuts_a_tail():
                 assert scan.truncated_value == prefix[top + t + 1] - prefix[top - t], (a, k, t)
                 values_over_z.add(scan.value)
             assert len(values_over_z) == 1 and scan.truncated_value < scan.value
+
+
+def test_scan_value_is_the_oracle_value():
+    # {0} u [100, 110] and its mirror and translate have tails of two pieces,
+    # the last from 1200 (or from 1150 translated), past which the oracle
+    # sums by the whole-set hyperbola; the smallest truncation cuts inside.
+    base = IndexSet.from_iterable([0, *range(100, 111)])
+    rng = random.Random(1729)
+    sets = [base, base.reflect(), base.translate(-50),
+            IndexSet.from_iterable([0, 5]), IndexSet.from_iterable([-3, -2, 4, 9])]
+    sets += [random_index_set(rng, 14).translate(rng.randint(-30, 30)) for _ in range(8)]
+    for a in sets:
+        for k in (3, 4, 5):
+            t = max(abs(a.min()), abs(a.max())) + k
+            assert higher_derivative_scan(a, k, t).value == oracle_scan_value(a, k), (a, k)
+
+
+def boundary_excess(a, k):
+    """The boundary excess of each tail of ``a`` at order k: right, then left."""
+    _, _, right, left = search._profile_tails(a.elements)
+    return [sum(sum(excess) for _, excess, _ in search._boundary_excess(tail, k))
+            for tail in (right, left)]
+
+
+def test_boundary_excess_is_the_sign_correction():
+    # Both tails fall and are convex, so at k = 1 and 2 every start has the
+    # one-piece sign and the excess vanishes.  From k = 3 a start across a
+    # piece boundary can take the other sign; the oracle value test above
+    # sees that excess on {0} u [100, 110].
+    base = IndexSet.from_iterable([0, *range(100, 111)])
+    rng = random.Random(2718)
+    sets = [random_index_set(rng, rng.randint(1, 64)) for _ in range(300)]
+    for a in [base, *sets]:
+        assert boundary_excess(a, 1) == boundary_excess(a, 2) == [0, 0], a
+    assert boundary_excess(base, 3)[0] > 0 and boundary_excess(base.reflect(), 3)[1] > 0
+    assert sum(any(boundary_excess(a, 3)) for a in sets) == 260
+
+
+def test_order_one_norm_is_the_analysis_variation_exhaustive():
+    # every nonempty subset of [0, 10), as is and shifted by -57
+    for mask in range(1, 1 << 10):
+        for base in (0, -57):
+            a = IndexSet.from_mask(mask, base)
+            an = analyze(a)
+            assert search._order_norms(a, 1, 100)[0] == an.fraction(an.variation)
 
 
 def test_order_two_norm_is_the_analysis_second_norm_exhaustive():
