@@ -108,6 +108,37 @@ class IndexSet:
         return IndexSet(tuple(-x for x in reversed(self.elements)))
 
 
+def _mask_tables() -> tuple[tuple, bytes]:
+    """(positions, reverse), for reading the sets of masks below 2^24 a byte at
+    a time (:func:`_mask_elements`, :func:`_mask_mirror`).  Entry b of
+    ``positions[k]`` holds the positions 8k + i of the bits i of the byte b;
+    ``reverse[b]`` is b with its 8 bits reversed."""
+    positions, reverse = [], [0]
+    for k in range(0, 24, 8):
+        table = [()]
+        for i in range(k, k + 8):          # the bytes with bit i - k set, after those without
+            table += [t + (i,) for t in table]
+        positions.append(tuple(table))
+    for i in range(8):
+        reverse += [r | 128 >> i for r in reverse]
+    return tuple(positions), bytes(reverse)
+
+
+def _mask_elements(positions: tuple, mask: int) -> tuple[int, ...]:
+    """The elements of the set of a mask below 2^24, one lookup per byte:
+    ``IndexSet.from_mask(mask).elements``."""
+    low, mid, high = positions
+    return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
+
+
+def _mask_mirror(reverse: bytes, mask: int) -> int:
+    """The mask of the reflected set of an odd mask below 2^24: bit i goes to
+    bit span - i.  Its 24 bits are reversed a byte at a time, and the shift
+    drops the zeros that were above the span."""
+    return (reverse[mask & 255] << 16 | reverse[mask >> 8 & 255] << 8
+            | reverse[mask >> 16]) >> (24 - mask.bit_length())
+
+
 # ---------------------------------------------------------------------------
 # Lattice functions
 # ---------------------------------------------------------------------------

@@ -213,9 +213,13 @@ class Analysis(NamedTuple):
     """Everything the checks read about M chi_A, computed once, in integers.
 
     The window is [lo, hi] = [min A - 1, max A + 1].  ``denominator`` D is
-    a common denominator of M chi_A there, the lcm of the window lengths
-    the profile kernel returned; it depends on how the kernel breaks ties,
-    so only the rationals it scales are fixed.  ``scaled[i]`` is
+    a common denominator of M chi_A there.  In :func:`analyze` it is the lcm
+    of the window lengths the profile kernel returned for this set, so it
+    depends on how the kernel breaks ties and only the rationals it scales
+    are fixed.  For every set of :func:`~maxreg.search.exhaustive` (L) it is
+    D_L = lcm(1, ..., L + 2): a window in [-1, L] has at most L + 2 points,
+    so D_L is a multiple of every per-set D, and L <= 24 keeps it at most
+    lcm(1, ..., 26) = 26,771,144,400 < 2^35.  ``scaled[i]`` is
     D * M chi_A(lo + i).  Fields marked "over D" are integers standing for
     themselves divided by D, so every sum and every contract comparison
     runs on `int`.  The indicator norms are exact counts of the maximal
@@ -359,9 +363,16 @@ def analyze(a: IndexSet) -> Analysis:
         raise ValueError("analysis needs a nonempty set")
     elements = a.elements
     d, v = _scaled(*set_maxima(elements))
-    norm, bound, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
     blocks = len(elements) - list(map(sub, elements[1:], elements)).count(1)
-    return Analysis(a, elements[0] - 1, elements[-1] + 1, d, tuple(v), tuple(second),
+    return _analysis(a, blocks, d, v)
+
+
+def _analysis(a: IndexSet, blocks: int, d: int, v: list[int]) -> Analysis:
+    """The :class:`Analysis` of a nonempty set ``a`` of ``blocks`` runs from
+    ``v`` = D * M chi_A on [min A - 1, max A + 1], D = ``d``: :func:`analyze`
+    passes the set's own D, :func:`~maxreg.search.exhaustive` its D_L."""
+    norm, bound, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
+    return Analysis(a, a.elements[0] - 1, a.elements[-1] + 1, d, tuple(v), tuple(second),
                     minus, left, right, 4 * blocks, 2 * blocks, left_tail, right_tail,
                     norm, bound, v[1] + sum(map(abs, first[1:-1])) + v[-2])
 

@@ -40,10 +40,13 @@ cross-multiplying) takes the sets of a chunk in order and then the chunks
 in submission order, keeping the earlier, smaller-mask set on ties, so
 summaries are identical for any worker count.  A winner is held as (norm
 over D, D * ||chi''||_1, mask), so the fold state is integers only; the
-records are rebuilt once, by re-analysing the final winners.  A process pool
-runs the chunks only when the worker count, capped by the chunk and CPU
-counts, exceeds 1, and only then are :mod:`concurrent.futures` and
-:mod:`multiprocessing` imported.
+records are rebuilt once, by re-analysing the final winners.  In
+:func:`exhaustive` (L) D is D_L = lcm(1, ..., L + 2) for every set, and a
+set's elements, mirror and scaled profile are lookups in tables built once
+per sweep (:func:`_sweep_tables`); :func:`random_sets`, of unbounded width,
+scales each set by its own lcm.  A process pool runs the chunks only when
+the worker count, capped by the chunk and CPU counts, exceeds 1, and only
+then are :mod:`concurrent.futures` and :mod:`multiprocessing` imported.
 """
 
 from __future__ import annotations
@@ -59,9 +62,11 @@ from math import lcm
 from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
-from .lattice import IndexSet, LatticeFunction
+from . import regularity
+from .lattice import IndexSet, LatticeFunction, _mask_elements, _mask_mirror, _mask_tables
 from .maximal import _set_kernel, maximal_profile, window_maxima
 from .regularity import (
+    Analysis,
     RatioRecord,
     Violation,
     _convexity,
@@ -135,9 +140,26 @@ class TruncatedScan:
 # Set sweeps: chunks folded in integers
 # ---------------------------------------------------------------------------
 
-def _mirror(mask: int) -> int:
-    """Bitmask of the reflected set of an odd mask: bit i goes to bit span - i."""
-    return int(f"{mask:b}"[::-1], 2)
+def _sweep_tables(length: int) -> tuple:
+    """What every set of :func:`exhaustive` (``length``) shares, built once per
+    sweep: (D_L, quotients, positions, reverse).  D_L = lcm(1, ..., L + 2) is a
+    common denominator of every profile of the sweep, as a window in [-1, L]
+    has at most L + 2 points, and ``quotients[n]`` is D_L // n.  The mask
+    tables come from :func:`~maxreg.lattice._mask_tables`."""
+    d = lcm(*range(1, length + 3))
+    return (d, [0, *[d // n for n in range(1, length + 3)]], *_mask_tables())
+
+
+def _shared_analysis(tables: tuple, mask: int) -> Analysis:
+    """The :class:`~maxreg.regularity.Analysis` of the set of an odd mask of an
+    exhaustive sweep, over the sweep's D_L (:func:`_sweep_tables`).  The
+    kernel and the per-set helper are looked up on :mod:`~maxreg.regularity`,
+    the module :func:`~maxreg.regularity.analyze` calls them in."""
+    d, quotients, positions, _ = tables
+    elements = _mask_elements(positions, mask)
+    nums, dens = regularity.set_maxima(elements)
+    return regularity._analysis(IndexSet(elements), (mask & ~(mask << 1)).bit_count(),
+                                d, list(map(mul, nums, map(quotients.__getitem__, dens))))
 
 
 def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
@@ -191,10 +213,12 @@ def _check_mask_chunk(args: tuple) -> _Fold:
     chunk of masks in order, and fold each set straight into the chunk's
     winners: a set can only beat the overall winner by beating its span's.
 
-    ``mirrored`` chunks hold odd masks and skip each mask whose mirror is
-    smaller, auditing it if due (:func:`exhaustive`).
+    Without ``tables`` each set is analysed by :func:`~maxreg.regularity.analyze`.
+    With the :func:`_sweep_tables` of an exhaustive sweep, the chunk holds odd
+    masks, skips each mask whose mirror is smaller, auditing it if due, and
+    analyses the others over D_L (:func:`_shared_analysis`).
     """
-    masks, base_index, mirrored = args
+    masks, base_index, tables = args
     count = evaluated = 0
     winners: dict = {}                  # span -> winner; None -> overall
     min_chi = None
@@ -202,8 +226,10 @@ def _check_mask_chunk(args: tuple) -> _Fold:
     for i, mask in enumerate(masks, base_index):
         spot = i % _SPOT_EVERY == 0
         classes = 1
-        if mirrored:
-            mirror = _mirror(mask)
+        if tables is None:
+            an = analyze(IndexSet.from_mask(mask))
+        else:
+            mirror = _mask_mirror(tables[3], mask)
             if mirror < mask:
                 if spot:
                     violations = tuple(_audit_mirror(mask, mirror))
@@ -211,7 +237,7 @@ def _check_mask_chunk(args: tuple) -> _Fold:
                         break
                 continue
             classes = 1 if mirror == mask else 2
-        an = analyze(IndexSet.from_mask(mask))
+            an = _shared_analysis(tables, mask)
         norm, chi = an.second_norm, an.chi_second_norm
         scaled = an.denominator * chi
         span = mask.bit_length() - (mask & -mask).bit_length()
@@ -292,7 +318,8 @@ def exhaustive(length: int, workers: int = 1,
         raise ValueError("workers must be at least 1")
     masks = range(1, 1 << length, 2)
     total = len(masks)
-    chunk_args = [(masks[i:i + _CHUNK], i, True) for i in range(0, total, _CHUNK)]
+    tables = _sweep_tables(length)
+    chunk_args = [(masks[i:i + _CHUNK], i, tables) for i in range(0, total, _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, total)
     best, stats = _records(merged)
     return SearchSummary(
@@ -345,7 +372,7 @@ def random_sets(trials: int, length: int, density, seed: int,
                 mask |= 1 << i
         if mask:
             masks.append(mask)
-    chunk_args = [(tuple(masks[i:i + _CHUNK]), i, False)
+    chunk_args = [(tuple(masks[i:i + _CHUNK]), i, None)
                   for i in range(0, len(masks), _CHUNK)]
     merged = _run_chunked(chunk_args, workers, progress, len(masks))
     best, stats = _records(merged)

@@ -53,6 +53,12 @@ def block_count(a: IndexSet) -> int:
     return blocks
 
 
+def mirror_mask(mask: int) -> int:
+    """Bitmask of the reflected set of an odd mask: bit i goes to bit span - i,
+    by reversing the binary digits."""
+    return int(f"{mask:b}"[::-1], 2)
+
+
 def central_second_difference(f: LatticeFunction, n: int) -> Fraction:
     """f(n+1) + f(n-1) - 2 f(n), the centered form of the second difference."""
     return f.value_at(n + 1) + f.value_at(n - 1) - 2 * f.value_at(n)

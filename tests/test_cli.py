@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import maxreg.cli as cli
-import maxreg.search as search
+import maxreg.regularity as regularity
 from maxreg import IndexSet, SetLiteralError, canonical_set_literal, parse_set_literal
 from maxreg.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
@@ -221,15 +221,15 @@ def test_scan_usage_error(capsys):
 
 
 def test_violation_exit_code(capsys, monkeypatch):
-    real = search.analyze
+    real = regularity._analysis          # the per-set step of every set sweep
 
-    def fake(a):
-        an = real(a)
+    def fake(a, *scaled):
+        an = real(a, *scaled)
         if a.elements == (0, 1):
             an = an._replace(second_norm=7 * an.chi_second_norm * an.denominator // 2)
         return an
 
-    monkeypatch.setattr(search, "analyze", fake)
+    monkeypatch.setattr(regularity, "_analysis", fake)
     assert main(["exhaust", "3"]) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "VIOLATIONS" in out

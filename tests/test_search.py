@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxreg.lattice as lattice
 import maxreg.regularity as regularity
 import maxreg.search as search
 from maxreg import cli
@@ -34,9 +35,11 @@ from maxreg import (
 from conftest import (
     as_dict,
     assert_function_check_matches_oracle,
+    block_count,
     corrupt_singleton_kernel,
     index_sets,
     lift_first_value,
+    mirror_mask,
     oracle_scan_bracket,
     oracle_scan_value,
     random_index_set,
@@ -185,7 +188,7 @@ def test_exhaustive_oracle_audits_the_same_classes(monkeypatch):
     assert s.stats["sets_evaluated"] == 8383
     # the classes mask >> 1 = 0 mod 512, half of them skipped for their mirror
     assert audited == [IndexSet.from_mask(2 * i + 1) for i in range(0, 1 << 14, 512)]
-    assert sum(search._mirror(a.bits) < a.bits for a in audited) > 0
+    assert sum(mirror_mask(a.bits) < a.bits for a in audited) > 0
 
 
 def test_mirror_audit_reads_the_checked_profile_backwards(monkeypatch):
@@ -284,6 +287,7 @@ _SET_SWEEP_SHA256 = [
     ((exhaustive, (9,), {}), "6b0c08d7523f48e55685ce1ad9f3a10ea8ea8735508f14ce37c9fb9da86308f7"),
     ((exhaustive, (12,), {}), "85b047be6a8ee132c0e9a4de577348f2833011edbecacb78b823a2b00decdbcc"),
     ((exhaustive, (15,), {}), "de09c8b0c55899390eb15ba0feaabea541b2b6a64a332310721b538afa86c801"),
+    ((exhaustive, (17,), {}), "1393c9119ca2cf97925e7ee2eb1d9e08e99c731eea42ea1ae79da9906921ea0f"),
     ((random_sets, (200, 300, Fraction(1, 2), 13), {}),
      "115f78507931af9642ce472c7aa80fcc4063bd33a7dd1a2d0c8f3a3711b89447"),
     ((random_sets, (4500, 10, Fraction(1, 2), 9), {"workers": 2}),
@@ -293,7 +297,7 @@ _SET_SWEEP_SHA256 = [
 
 @pytest.mark.parametrize("sweep, expected", _SET_SWEEP_SHA256,
                          ids=["exhaustive(1)", "exhaustive(5)", "exhaustive(9)", "exhaustive(12)",
-                              "exhaustive(15)", "random_sets(200, 300)",
+                              "exhaustive(15)", "exhaustive(17)", "random_sets(200, 300)",
                               "random_sets(4500, 10, workers=2)"])
 def test_set_sweep_summaries_are_byte_identical_to_the_pinned_hashes(sweep, expected):
     run, args, kwargs = sweep
@@ -318,14 +322,18 @@ def test_exhaustive_leaves_no_memory_behind():
 
 
 def test_sweep_winners_are_masks_and_records_are_rebuilt_once(monkeypatch):
-    # The fold state is integers only: (norm over D, D ||chi''||_1, mask)
+    # The fold state is integers only: (norm over D_L, D_L ||chi''||_1, mask)
     # per span and overall.  The records come from re-analysing the final
     # winners, one analysis per key, after the sweep.
-    chunk = search._check_mask_chunk((range(1, 1 << 9, 2), 0, True))
+    tables = search._sweep_tables(9)
+    d = tables[0]
+    assert d == 27720                   # lcm(1, ..., 11)
+    chunk = search._check_mask_chunk((range(1, 1 << 9, 2), 0, tables))
     assert set(chunk.winners) == set(range(9)) | {None}
     for key, (norm, scaled, mask) in chunk.winners.items():
         an = analyze(IndexSet.from_mask(mask))
-        assert (norm, scaled) == (an.second_norm, an.denominator * an.chi_second_norm)
+        assert (norm, scaled) == (an.second_norm * (d // an.denominator), d * an.chi_second_norm)
+        assert Fraction(norm, scaled) == an.ratio_record().ratio
         assert key is None or key == mask.bit_length() - 1
     real, rebuilt = search.analyze, []
 
@@ -335,9 +343,36 @@ def test_sweep_winners_are_masks_and_records_are_rebuilt_once(monkeypatch):
 
     monkeypatch.setattr(search, "analyze", counted)
     s = exhaustive(9)
-    assert len(rebuilt) == s.stats["sets_evaluated"] + 10
-    assert sorted(a.elements for a in rebuilt[-10:]) == \
+    assert len(rebuilt) == 10
+    assert sorted(a.elements for a in rebuilt) == \
         sorted(r.set.elements for r in (*s.stats["max_by_span"].values(), s.max_record))
+
+
+def test_shared_denominator_analysis_equals_analyze():
+    # The exhaustive sweep analyses each set over D_13, analyze over the
+    # set's own lcm: the same rationals, positions, block count and battery.
+    tables = search._sweep_tables(13)
+    for mask in range(1, 1 << 13, 2):
+        shared, an = search._shared_analysis(tables, mask), analyze(IndexSet.from_mask(mask))
+        assert shared.set == an.set
+        assert shared.denominator == tables[0] == 360360       # lcm(1, ..., 15)
+        assert shared.profile_values() == an.profile_values()
+        for name in ("second_norm", "boundary_bound", "variation", "left_tail", "right_tail"):
+            assert shared.fraction(getattr(shared, name)) == an.fraction(getattr(an, name))
+        assert (shared.minus, shared.left, shared.right) == (an.minus, an.left, an.right)
+        assert shared.chi_second_norm == an.chi_second_norm == 4 * block_count(an.set)
+        assert shared.violations(True) == an.violations(True) == []
+
+
+def test_sweep_tables_give_the_elements_and_the_mirror():
+    d, quotients, positions, reverse = search._sweep_tables(24)
+    assert d == 26_771_144_400 < 1 << 35                    # lcm(1, ..., 26)
+    assert [n * quotients[n] for n in range(1, 27)] == [d] * 26
+    rng = random.Random(22)
+    masks = [*range(1, 1 << 16, 2), *[rng.randrange(1 << 16, 1 << 24) | 1 for _ in range(2000)]]
+    for mask in masks:
+        assert lattice._mask_elements(positions, mask) == IndexSet.from_mask(mask).elements
+        assert lattice._mask_mirror(reverse, mask) == mirror_mask(mask)
 
 
 def test_cross_chunk_ties_match_a_translation_class_sweep(monkeypatch):
@@ -562,16 +597,16 @@ def test_random_functions_validation():
 # ---------------------------------------------------------------------------
 
 def test_violation_halts_sweep(monkeypatch):
-    real = search.analyze
+    real = regularity._analysis          # the per-set step of every set sweep
     tripwire = IndexSet.from_mask(0b101)   # {0, 2}
 
-    def fake(a):
-        an = real(a)
+    def fake(a, *scaled):
+        an = real(a, *scaled)
         if a == tripwire:
             an = an._replace(second_norm=4 * an.chi_second_norm * an.denominator)
         return an
 
-    monkeypatch.setattr(search, "analyze", fake)
+    monkeypatch.setattr(regularity, "_analysis", fake)
     s = exhaustive(6)
     assert s.violations
     assert s.violations[0].kind == "theorem1_ratio"
