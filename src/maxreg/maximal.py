@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -322,17 +322,25 @@ def _set_kernel(elements: Sequence[int]) -> tuple:
     """:func:`set_maxima`, and the run hulls it walks: (numerators, window
     lengths, left points, ``pred``, right points, ``succ``)."""
     n = len(elements)
-    breaks = [j for j in range(1, n) if elements[j] - elements[j - 1] != 1]
-    if not n or any([elements[j] <= elements[j - 1] for j in breaks]):
-        raise ValueError("set_maxima needs the elements of a nonempty set in increasing order")
+    if not n:
+        raise ValueError("set_maxima needs a nonempty set's elements in increasing order")
     lo, hi = elements[0] - 1, elements[-1] + 1
     # Run p starts at left[p][0] and ends before right[p + 1][0], and holds
     # left[p + 1][1] - left[p][1] elements, for p in 0 .. r - 1; left[r] and
     # right[0] are the virtual points.  The gap before run g is
-    # [right[g][0], left[g][0]).
-    left = list(chain(((elements[0], 0),), [(elements[j], j) for j in breaks], ((hi + 1, n),)))
-    right = list(chain(((lo, 0),), [(elements[j - 1] + 1, j) for j in breaks], ((hi, n),)))
-    r = len(breaks) + 1
+    # [right[g][0], left[g][0]).  One loop finds the breaks between runs and
+    # checks the order; the point hi + 1 past the end adds left[r] and right[r].
+    left, right = list([(lo + 1, 0)]), list([(lo, 0)])
+    j, prev = 0, lo + 1
+    for x in [*elements[1:], hi + 1]:
+        j += 1
+        if x != prev + 1:
+            if x <= prev:
+                raise ValueError("set_maxima needs a nonempty set's elements in increasing order")
+            left.append((x, j))
+            right.append((prev + 1, j))
+        prev = x
+    r = len(left) - 1
     pred = _hull_links(left, range(r + 1))
     succ = _hull_links(right, range(r, -1, -1))
 

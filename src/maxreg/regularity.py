@@ -44,10 +44,11 @@ referred to by number throughout the API and reports:
   of the set.
 
 Both are checked on index sets through :func:`analyze`, which runs the pass
-on the profile of one set and adds its contract quantities.  The sweeps, the
-per-set report and the headline functions below all read that one
-:class:`Analysis`; the function sweep of :mod:`maxreg.search` runs the same
-pass on each draw and on its profile.
+on the profile of one set and adds its contract quantities.  The per-set
+report and the headline functions below read that one :class:`Analysis`;
+the set sweeps run its battery's tests on the same quantities and build it
+only for a set that fails one (:func:`_check_set`).  The function sweep of
+:mod:`maxreg.search` runs the same pass on each draw and on its profile.
 """
 
 from __future__ import annotations
@@ -217,9 +218,10 @@ class Analysis(NamedTuple):
     of the window lengths the profile kernel returned for this set, so it
     depends on how the kernel breaks ties and only the rationals it scales
     are fixed.  For every set of :func:`~maxreg.search.exhaustive` (L) it is
-    D_L = lcm(1, ..., L + 2): a window in [-1, L] has at most L + 2 points,
-    so D_L is a multiple of every per-set D, and L <= 24 keeps it at most
-    lcm(1, ..., 26) = 26,771,144,400 < 2^35.  ``scaled[i]`` is
+    D_L = lcm(1, ..., L + 2) < 2^35 (:func:`~maxreg.search._sweep_tables`),
+    and the sweeps test the fields after the set (:func:`_measures`) and
+    build an Analysis only for a set that fails a test or is due for the
+    audit (:func:`_check_set`).  ``scaled[i]`` is
     D * M chi_A(lo + i).  Fields marked "over D" are integers standing for
     themselves divided by D, so every sum and every contract comparison
     runs on `int`.  The indicator norms are exact counts of the maximal
@@ -230,9 +232,6 @@ class Analysis(NamedTuple):
     The concave points and both boundaries are :func:`_convexity`'s lists of
     positions i (the point lo + i); their point views ``s_minus``, ``left_boundary``,
     ``right_boundary`` and ``lemma1_violations`` are read-only properties.
-
-    A named tuple rather than a frozen dataclass: sweeps build one per set,
-    and a tuple is several times cheaper to construct.
     """
 
     set: IndexSet
@@ -295,22 +294,10 @@ class Analysis(NamedTuple):
         correct kernel cannot give.  Then Theorem 1 ratio <= 3, ||chi''||_1 >= 2,
         Lemma 1, the boundary bound against the second norm (two equal sums,
         :func:`_convexity`), and the variation of M chi_A not exceeding
-        ||chi'||_1.  Each test runs once; subject and details are built only
-        for the contracts that fail.
+        ||chi'||_1.  Each test runs once, in :func:`_gate`; details are built
+        only for the contracts that fail.
         """
-        d, v = self.denominator, self.scaled
-        audit = spot_check or self.left_tail < 0 or self.right_tail < 0
-        theorem1 = self.second_norm > 3 * self.chi_second_norm * d
-        lower = self.chi_second_norm < 2
-        lemma1 = False
-        for i in self.minus:            # a concave point outside A, where M chi_A < 1
-            if v[i] != d:
-                lemma1 = True
-                break
-        boundary = self.boundary_bound < self.second_norm
-        first = self.variation > self.chi_first_norm * d
-        if not (audit or theorem1 or lower or lemma1 or boundary or first):
-            return []
+        audit, theorem1, lower, lemma1, boundary, first = _gate(spot_check, self[1:])
         subject = {"set": list(self.set.elements)}
         out: list[Violation] = []
         if audit:
@@ -352,29 +339,50 @@ def analyze(a: IndexSet) -> Analysis:
     :func:`~maxreg.maximal.set_maxima`; the naive oracle
     :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
     checks, in the tests, and wherever a tail term comes out negative
-    (:meth:`Analysis.violations`).  The norms, the concave positions, the
-    boundaries and first differences come from :func:`_convexity`, the
-    variation from :func:`first_derivative_norms`' closed form.  The
-    concave-mass norm needs no tail guarantee, so a broken kernel reaches
-    that audit with the direct sum's numbers.  A has one block (run) per
-    element not right after another.
+    (:meth:`Analysis.violations`).  Every field after the set comes from
+    :func:`_measures`.  A has one block (run) per element not right after
+    another.
     """
     if not a:
         raise ValueError("analysis needs a nonempty set")
     elements = a.elements
     d, v = _scaled(*set_maxima(elements))
     blocks = len(elements) - list(map(sub, elements[1:], elements)).count(1)
-    return _analysis(a, blocks, d, v)
+    return Analysis(a, *_measures(elements, blocks, d, v))
 
 
-def _analysis(a: IndexSet, blocks: int, d: int, v: list[int]) -> Analysis:
-    """The :class:`Analysis` of a nonempty set ``a`` of ``blocks`` runs from
-    ``v`` = D * M chi_A on [min A - 1, max A + 1], D = ``d``: :func:`analyze`
-    passes the set's own D, :func:`~maxreg.search.exhaustive` its D_L."""
+def _measures(elements: Sequence[int], blocks: int, d: int, v: list[int]) -> tuple:
+    """The :class:`Analysis` fields after the set, for the sorted ``elements``
+    of a set of ``blocks`` runs and ``v`` = D * M chi_A on its window, D = ``d``.
+    All but the variation come from :func:`_convexity`; the variation's tails are
+    monotone with limit 0, so it is M(min A) + M(max A) + sum_{[min A, max A)} |M'|."""
     norm, bound, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
-    return Analysis(a, a.elements[0] - 1, a.elements[-1] + 1, d, tuple(v), tuple(second),
-                    minus, left, right, 4 * blocks, 2 * blocks, left_tail, right_tail,
-                    norm, bound, v[1] + sum(map(abs, first[1:-1])) + v[-2])
+    return (elements[0] - 1, elements[-1] + 1, d, tuple(v), tuple(second), minus, left, right,
+            4 * blocks, 2 * blocks, left_tail, right_tail, norm, bound,
+            v[1] + sum(map(abs, first[1:-1])) + v[-2])
+
+
+def _gate(spot_check: bool, measures: tuple) -> tuple[bool, ...]:
+    """Which tests of :meth:`Analysis.violations` fail on :func:`_measures`:
+    (audit due, Theorem 1, ||chi''||_1 >= 2, Lemma 1, boundary bound, variation)."""
+    (_, _, d, v, _, minus, _, _, chi_second, chi_first, left_tail, right_tail,
+     norm, bound, variation) = measures
+    return (spot_check or left_tail < 0 or right_tail < 0,
+            norm > 3 * chi_second * d,
+            chi_second < 2,
+            list(map(v.__getitem__, minus)).count(d) != len(minus),    # concave, M < 1
+            bound < norm,
+            variation > chi_first * d)
+
+
+def _check_set(elements: Sequence[int], blocks: int, d: int, v: list[int],
+               spot_check: bool) -> tuple[int, list[Violation]]:
+    """(second norm over D, violations) of one set of a sweep; its set and
+    :class:`Analysis` are built only if :func:`_gate` finds a test failed or the audit due."""
+    measures = _measures(elements, blocks, d, v)
+    if True in _gate(spot_check, measures):
+        return measures[12], Analysis(IndexSet(elements), *measures).violations(spot_check)
+    return measures[12], []
 
 
 def theorem1_report(a: IndexSet) -> RatioRecord:

@@ -19,10 +19,12 @@ Three probes of how far the second-difference bound might extend:
   order k-1 difference, corrected at the k starts before each piece
   boundary; the truncated sum is the total minus the part past T.
 
-Every checked set runs the full contract battery of its
-:class:`~maxreg.regularity.Analysis`, :meth:`~maxreg.regularity.Analysis.violations`
-(Theorem 1 ratio, Lemma 1 emptiness, boundary-bound domination,
-first-derivative domination, indicator norm lower bound).  Every drawn
+Every checked set runs the integer tests of the contract battery
+(Theorem 1 ratio, indicator norm lower bound, Lemma 1 emptiness,
+boundary-bound domination, first-derivative domination) on its measures,
+and gets an :class:`~maxreg.regularity.Analysis` to write its violations
+only when one fails or the audit below is due
+(:func:`~maxreg.regularity._check_set`).  Every drawn
 function runs the same integer pass as a set's analysis
 (:func:`~maxreg.regularity._convexity`), on itself and on its maximal
 profile, and both boundary bounds must dominate their norms.  Every 512th
@@ -66,7 +68,6 @@ from . import regularity
 from .lattice import IndexSet, LatticeFunction, _mask_elements, _mask_mirror, _mask_tables
 from .maximal import _set_kernel, maximal_profile, window_maxima
 from .regularity import (
-    Analysis,
     RatioRecord,
     Violation,
     _convexity,
@@ -144,22 +145,11 @@ def _sweep_tables(length: int) -> tuple:
     """What every set of :func:`exhaustive` (``length``) shares, built once per
     sweep: (D_L, quotients, positions, reverse).  D_L = lcm(1, ..., L + 2) is a
     common denominator of every profile of the sweep, as a window in [-1, L]
-    has at most L + 2 points, and ``quotients[n]`` is D_L // n.  The mask
-    tables come from :func:`~maxreg.lattice._mask_tables`."""
+    has at most L + 2 points; L <= 24 keeps it at most lcm(1, ..., 26) =
+    26,771,144,400 < 2^35.  ``quotients[n]`` is D_L // n.  The mask tables
+    come from :func:`~maxreg.lattice._mask_tables`."""
     d = lcm(*range(1, length + 3))
     return (d, [0, *[d // n for n in range(1, length + 3)]], *_mask_tables())
-
-
-def _shared_analysis(tables: tuple, mask: int) -> Analysis:
-    """The :class:`~maxreg.regularity.Analysis` of the set of an odd mask of an
-    exhaustive sweep, over the sweep's D_L (:func:`_sweep_tables`).  The
-    kernel and the per-set helper are looked up on :mod:`~maxreg.regularity`,
-    the module :func:`~maxreg.regularity.analyze` calls them in."""
-    d, quotients, positions, _ = tables
-    elements = _mask_elements(positions, mask)
-    nums, dens = regularity.set_maxima(elements)
-    return regularity._analysis(IndexSet(elements), (mask & ~(mask << 1)).bit_count(),
-                                d, list(map(mul, nums, map(quotients.__getitem__, dens))))
 
 
 def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
@@ -209,49 +199,53 @@ class _Fold:
 
 
 def _check_mask_chunk(args: tuple) -> _Fold:
-    """Run the battery (:meth:`~maxreg.regularity.Analysis.violations`) on a
-    chunk of masks in order, and fold each set straight into the chunk's
-    winners: a set can only beat the overall winner by beating its span's.
-
-    Without ``tables`` each set is analysed by :func:`~maxreg.regularity.analyze`.
-    With the :func:`_sweep_tables` of an exhaustive sweep, the chunk holds odd
-    masks, skips each mask whose mirror is smaller, auditing it if due, and
-    analyses the others over D_L (:func:`_shared_analysis`).
-    """
+    """Check a chunk of masks in order (:func:`~maxreg.regularity._check_set`,
+    looked up on :mod:`~maxreg.regularity` with its kernel) and fold each set
+    straight into the chunk's winners: a set can only beat the overall winner
+    by beating its span's.  Without ``tables`` each set is scaled by its own
+    lcm; with the :func:`_sweep_tables` of an exhaustive sweep the chunk holds
+    odd masks, skips each mask whose mirror is smaller, auditing it if due,
+    and scales the others by D_L."""
     masks, base_index, tables = args
+    kernel, check = regularity.set_maxima, regularity._check_set
     count = evaluated = 0
     winners: dict = {}                  # span -> winner; None -> overall
     min_chi = None
     violations: tuple[Violation, ...] = ()
+    if tables is not None:
+        d, quotients, positions, reverse = tables
     for i, mask in enumerate(masks, base_index):
         spot = i % _SPOT_EVERY == 0
-        classes = 1
         if tables is None:
-            an = analyze(IndexSet.from_mask(mask))
+            elements = IndexSet.from_mask(mask).elements
+            d, v = _scaled(*kernel(elements))
         else:
-            mirror = _mask_mirror(tables[3], mask)
+            mirror = _mask_mirror(reverse, mask)
             if mirror < mask:
                 if spot:
                     violations = tuple(_audit_mirror(mask, mirror))
                     if violations:
                         break
                 continue
-            classes = 1 if mirror == mask else 2
-            an = _shared_analysis(tables, mask)
-        norm, chi = an.second_norm, an.chi_second_norm
-        scaled = an.denominator * chi
+            elements = _mask_elements(positions, mask)
+            nums, dens = kernel(elements)
+            v = list(map(mul, nums, map(quotients.__getitem__, dens)))
+        blocks = (mask & ~(mask << 1)).bit_count()      # the run starts
+        norm, found = check(elements, blocks, d, v, spot)
+        chi = 4 * blocks
+        scaled = d * chi
         span = mask.bit_length() - (mask & -mask).bit_length()
         old = winners.get(span)
         if old is None or norm * old[1] > old[0] * scaled:     # _beats, inlined: once per set
             winners[span] = entry = (norm, scaled, mask)
             if _beats(entry, winners.get(None)):
                 winners[None] = entry
-        count += classes
+        count += 1 if tables is None or mirror == mask else 2     # a mirror pair is 2 classes
         evaluated += 1
         if min_chi is None or chi < min_chi:
             min_chi = chi
-        violations = tuple(an.violations(spot))
-        if violations:
+        if found:
+            violations = tuple(found)
             break
     return _Fold(count, evaluated, winners, min_chi, violations)
 

@@ -387,6 +387,20 @@ def lift_first_value(monkeypatch, skip: int = 0):
         monkeypatch.setattr(module, kernel, lifting(getattr(module, kernel)))
 
 
+def break_measures(monkeypatch, elements: tuple[int, ...], edit):
+    """Make the per-set measures of the set with ``elements``, in every set
+    sweep and in ``analyze``, those of ``edit`` applied to its Analysis."""
+    real = regularity._measures
+
+    def broken(els, *args):
+        measures = real(els, *args)
+        if els == elements:
+            measures = edit(regularity.Analysis(IndexSet(els), *measures))[1:]
+        return measures
+
+    monkeypatch.setattr(regularity, "_measures", broken)
+
+
 # ---------------------------------------------------------------------------
 # Acceptance criterion reporting
 # ---------------------------------------------------------------------------

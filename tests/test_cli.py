@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 import maxreg.cli as cli
-import maxreg.regularity as regularity
 from maxreg import IndexSet, SetLiteralError, canonical_set_literal, parse_set_literal
 from maxreg.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
-from conftest import corrupt_singleton_kernel, lift_first_value, random_index_set
+from conftest import break_measures, corrupt_singleton_kernel, lift_first_value, random_index_set
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +220,9 @@ def test_scan_usage_error(capsys):
 
 
 def test_violation_exit_code(capsys, monkeypatch):
-    real = regularity._analysis          # the per-set step of every set sweep
-
-    def fake(a, *scaled):
-        an = real(a, *scaled)
-        if a.elements == (0, 1):
-            an = an._replace(second_norm=7 * an.chi_second_norm * an.denominator // 2)
-        return an
-
-    monkeypatch.setattr(regularity, "_analysis", fake)
+    # the per-set measures of {0, 1}, in whatever denominator the sweep uses
+    break_measures(monkeypatch, (0, 1), lambda an: an._replace(
+        second_norm=7 * an.chi_second_norm * an.denominator // 2))
     assert main(["exhaust", "3"]) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "VIOLATIONS" in out

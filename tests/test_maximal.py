@@ -213,7 +213,9 @@ def test_hull_links_walk_every_prefix_hull():
 
 
 def test_kernels_reject_malformed_input():
-    for elements in ((), (3, 1), (0, 2, 2, 5)):
+    # every branch of the kernel's order check: empty, a repeat or a step
+    # back right after the first element, after a run, after a gap, at the end
+    for elements in ((), (3, 1), (0, 2, 2, 5), (1, 0), (0, 1, 1), (0, 2, 1), (4, 5, 6, 3)):
         with pytest.raises(ValueError):
             set_maxima(elements)
     for u in ([-1, 2], [0] * 30 + [-1]):

@@ -36,6 +36,7 @@ from conftest import (
     as_dict,
     assert_function_check_matches_oracle,
     block_count,
+    break_measures,
     corrupt_singleton_kernel,
     index_sets,
     lift_first_value,
@@ -348,12 +349,24 @@ def test_sweep_winners_are_masks_and_records_are_rebuilt_once(monkeypatch):
         sorted(r.set.elements for r in (*s.stats["max_by_span"].values(), s.max_record))
 
 
-def test_shared_denominator_analysis_equals_analyze():
-    # The exhaustive sweep analyses each set over D_13, analyze over the
-    # set's own lcm: the same rationals, positions, block count and battery.
+def test_shared_denominator_analysis_equals_analyze(monkeypatch):
+    # The exhaustive sweep checks each set over D_13, analyze over the set's
+    # own lcm: the same rationals, positions, block count and battery.  The
+    # per-set check is recorded with the arguments a chunk passes it.
     tables = search._sweep_tables(13)
-    for mask in range(1, 1 << 13, 2):
-        shared, an = search._shared_analysis(tables, mask), analyze(IndexSet.from_mask(mask))
+    real, seen = regularity._check_set, []
+
+    def recorded(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(regularity, "_check_set", recorded)
+    search._check_mask_chunk((range(1, 1 << 13, 2), 0, tables))
+    assert [IndexSet(args[0]) for args in seen] == \
+        [IndexSet.from_mask(m) for m in range(1, 1 << 13, 2) if mirror_mask(m) >= m]
+    for elements, blocks, d, v, _ in seen:
+        measures = regularity._measures(elements, blocks, d, v)
+        shared, an = regularity.Analysis(IndexSet(elements), *measures), analyze(IndexSet(elements))
         assert shared.set == an.set
         assert shared.denominator == tables[0] == 360360       # lcm(1, ..., 15)
         assert shared.profile_values() == an.profile_values()
@@ -362,6 +375,7 @@ def test_shared_denominator_analysis_equals_analyze():
         assert (shared.minus, shared.left, shared.right) == (an.minus, an.left, an.right)
         assert shared.chi_second_norm == an.chi_second_norm == 4 * block_count(an.set)
         assert shared.violations(True) == an.violations(True) == []
+        assert real(elements, blocks, d, v, True) == (shared.second_norm, [])
 
 
 def test_sweep_tables_give_the_elements_and_the_mirror():
@@ -597,16 +611,9 @@ def test_random_functions_validation():
 # ---------------------------------------------------------------------------
 
 def test_violation_halts_sweep(monkeypatch):
-    real = regularity._analysis          # the per-set step of every set sweep
-    tripwire = IndexSet.from_mask(0b101)   # {0, 2}
-
-    def fake(a, *scaled):
-        an = real(a, *scaled)
-        if a == tripwire:
-            an = an._replace(second_norm=4 * an.chi_second_norm * an.denominator)
-        return an
-
-    monkeypatch.setattr(regularity, "_analysis", fake)
+    # the per-set measures of {0, 2}, in whatever denominator the sweep uses
+    break_measures(monkeypatch, (0, 2), lambda an: an._replace(
+        second_norm=4 * an.chi_second_norm * an.denominator))
     s = exhaustive(6)
     assert s.violations
     assert s.violations[0].kind == "theorem1_ratio"
@@ -614,6 +621,49 @@ def test_violation_halts_sweep(monkeypatch):
     assert s.violations[0].details["ratio"] == "4"
     # the sweep stopped at the offending instance
     assert s.instances_checked < 32
+
+
+def _lift(an, edge):
+    """The Analysis with the profile value at window position ``edge`` (0 or
+    -1) raised by 1, and the tail term there lowered by as much."""
+    d, v = an.denominator, list(an.scaled)
+    v[edge] += d
+    tail = "left_tail" if edge == 0 else "right_tail"
+    return an._replace(scaled=tuple(v), **{tail: getattr(an, tail) - d})
+
+
+# One contract broken at a time, in the per-set measures of one set: (set,
+# edit of its Analysis, the one violation kind expected).  {0} is the first
+# set of both sweeps below, so the oracle audits it; {0, 2} is not audited.
+_BROKEN_ALONE = [
+    ((0, 2), lambda an: an._replace(second_norm=25 * an.denominator,
+                                    boundary_bound=25 * an.denominator), "theorem1_ratio"),
+    ((0,), lambda an: an._replace(chi_second_norm=1), "chi_second_norm_lower_bound"),
+    ((0, 2), lambda an: an._replace(minus=[1, 2, 3]), "lemma1_concavity"),
+    ((0, 2), lambda an: an._replace(boundary_bound=0), "boundary_bound"),
+    ((0, 2), lambda an: an._replace(variation=5 * an.denominator), "first_derivative_bound"),
+    ((0, 2), lambda an: _lift(an, 0), "fast_path_divergence"),
+    ((0, 2), lambda an: _lift(an, -1), "fast_path_divergence"),
+    ((0,), lambda an: an._replace(scaled=(an.scaled[0],) * 3, minus=[]), "fast_path_divergence"),
+]
+
+
+@pytest.mark.parametrize("elements, edit, kind", _BROKEN_ALONE,
+                         ids=["theorem1", "chi_lower_bound", "lemma1", "boundary", "variation",
+                              "left_tail", "right_tail", "spot_check"])
+def test_each_contract_broken_alone_halts_both_set_sweeps(monkeypatch, elements, edit, kind):
+    # Each sweep must stop at the broken set with exactly the violations its
+    # Analysis writes, so a sweep gate that skipped one test fails here.
+    expected = tuple(edit(analyze(IndexSet(elements))).violations(spot_check=True))
+    assert [v.kind for v in expected] == [kind]
+    assert expected[0].subject == {"set": list(elements)}
+    break_measures(monkeypatch, elements, edit)
+    # exhaustive(5) visits {0} first and {0, 2} third; random_sets draws {0}
+    # first and {0, 2} fourth from seed 1
+    for s, visits in ((exhaustive(5), {(0,): 1, (0, 2): 3}),
+                      (random_sets(200, 3, "1/2", 1), {(0,): 1, (0, 2): 4})):
+        assert s.violations == expected
+        assert s.instances_checked == visits[elements]
 
 
 def test_fast_path_divergence_is_a_violation(monkeypatch):
