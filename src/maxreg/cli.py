@@ -81,9 +81,6 @@ def summary_text(summary: SearchSummary) -> str:
     record = summary.max_record
     if record is None:
         lines.append("max record         none (no instances)")
-    elif isinstance(record, GeneralRatioRecord):
-        lines.append(f"max ratio          {record.ratio} "
-                     f"at f={list(record.function_values)} (offset {record.offset})")
     else:
         lines.append(f"max ratio          {record.ratio} "
                      f"at {{{canonical_set_literal(record.set)}}}")

@@ -63,8 +63,7 @@ class IndexSet:
     def from_mask(cls, bits: int, base: int = 0) -> "IndexSet":
         if bits < 0:
             raise ValueError("bitmask must be nonnegative")
-        digits = bin(bits)[:1:-1].encode().translate(_BITS)    # bit i at index i
-        return cls(tuple(list(compress(range(base, base + len(digits)), digits))))
+        return cls(_bit_positions(bits, base))
 
     @property
     def base(self) -> int:
@@ -106,6 +105,13 @@ class IndexSet:
 
     def reflect(self) -> "IndexSet":
         return IndexSet(tuple(-x for x in reversed(self.elements)))
+
+
+def _bit_positions(bits: int, base: int = 0) -> tuple[int, ...]:
+    """The positions base + i of the set bits i of ``bits`` >= 0, increasing:
+    ``IndexSet.from_mask(bits, base).elements``, without the constructor's checks."""
+    digits = bin(bits)[:1:-1].encode().translate(_BITS)    # bit i at index i
+    return tuple(list(compress(range(base, base + len(digits)), digits)))
 
 
 def _mask_tables() -> tuple[tuple, bytes]:

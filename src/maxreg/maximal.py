@@ -30,7 +30,8 @@ one walk, :func:`_bridges`:
 * :func:`set_maxima` profiles the indicator of an index set from its runs.
   M chi_A is 1 on A and, on each gap, the larger of one bridge per gap and
   two tangents that walk the run hulls once.  Set analyses use it, and the
-  order-k scans also read both tails off its run hulls (``_set_kernel``).
+  order-k scans read both tails off its run hulls as chains of hyperbola
+  pieces (``_set_tails``); the hulls never leave this module.
 * :func:`window_maxima` profiles a general nonnegative integer block, for
   the function sweep and for :func:`maximal_profile_fast`, which wraps it as
   a :class:`MaximalProfile` of `Fraction` values, at every block length by
@@ -44,6 +45,7 @@ against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -397,6 +399,58 @@ def _set_kernel(elements: Sequence[int]) -> tuple:
             best_num[i - lo:j - lo + 1] = [gn] * (j - i + 1)
             best_den[i - lo:j - lo + 1] = [gd] * (j - i + 1)
     return best_num, best_den, left, pred, right, succ
+
+
+def _tail_chain(first: int, hull: list[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
+    """A tail as hyperbola pieces (starts, [(i, c)]): piece t is c / (n + 1 - i)
+    on [starts[t], starts[t + 1]), the last one without end.  ``hull`` lists
+    the vertices (i, c) the maximiser visits as n rises from ``first``; one
+    after (i1, c1) wins strictly once n + 1 > (c i1 - c1 i) / (c - c1)."""
+    starts, pieces = [first], hull[:1]
+    for i, c in hull[1:]:
+        i1, c1 = pieces[-1]
+        start = max(first, (c * i1 - c1 * i) // (c - c1))
+        if start == starts[-1]:             # the previous piece holds no integer point
+            pieces[-1] = (i, c)
+        else:
+            starts.append(start)
+            pieces.append((i, c))
+    return starts, pieces
+
+
+def _walk(points: Sequence[tuple[int, int]], links: list[int], h: int):
+    while h >= 0:
+        yield points[h]
+        h = links[h]
+
+
+def _set_tails(elements: Sequence[int]) -> tuple:
+    """(numerators, lengths, right tail, reflected left tail) of M chi_A: the
+    :func:`set_maxima` profile, and both :func:`_tail_chain` walks of the run
+    hulls it builds.  Past b = max A the best window is [s_p, n] for a run
+    start s_p: the tangent from (n + 1, |A|) to the lower hull of the left
+    points (s_p, C_p), walked along ``pred`` from the virtual point
+    (b + 2, |A|), so i = s_p and c = |A| - C_p.  Before A it is [n, e_q] for
+    a run end e_q, off the upper hull of the right points (e_q + 1, C_{q+1})
+    along ``succ`` from (min A - 1, 0); reflected, as M chi_A(n) =
+    M chi_{-A}(-n), i = -e_q and c = C_{q+1}.  A vertex that only ties,
+    collinear with the virtual point, is off the hull."""
+    nums, dens, left, pred, right, succ = _set_kernel(elements)
+    count = len(elements)
+    return (nums, dens,
+            _tail_chain(elements[-1] + 1, [(x, count - y) for x, y in _walk(left, pred, pred[-1])]),
+            _tail_chain(1 - elements[0], [(1 - x, y) for x, y in _walk(right, succ, succ[0])]))
+
+
+def _tail_points(tail, first: int, last: int) -> tuple[list[int], list[int]]:
+    """(numerators, denominators) of a :func:`_set_tails` tail at first .. last."""
+    starts, pieces = tail
+    nums, dens = [], []
+    for n in range(first, last + 1):
+        i, c = pieces[bisect_right(starts, n) - 1]
+        nums.append(c)
+        dens.append(n + 1 - i)
+    return nums, dens
 
 
 def maximal_profile_fast(f: LatticeFunction) -> MaximalProfile:

@@ -47,8 +47,9 @@ Both are checked on index sets through :func:`analyze`, which runs the pass
 on the profile of one set and adds its contract quantities.  The per-set
 report and the headline functions below read that one :class:`Analysis`;
 the set sweeps run its battery's tests on the same quantities and build it
-only for a set that fails one (:func:`_check_set`).  The function sweep of
-:mod:`maxreg.search` runs the same pass on each draw and on its profile.
+only for a set that fails one (:func:`_check_set`).  The function sweep's
+check, :func:`_check_function`, runs the same pass on each draw and on its
+profile.  Every :class:`Violation`, oracle audits included, is built here.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from operator import mul, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import IndexSet, LatticeFunction
-from .maximal import MaximalProfile, maximal_profile, set_maxima
+from .maximal import MaximalProfile, maximal_profile, set_maxima, window_maxima
 
 PLUS = "plus"
 MINUS = "minus"
@@ -191,15 +192,16 @@ class Violation:
     details: dict
 
 
-def audit_profile(values: tuple[Fraction, ...], oracle: tuple[Fraction, ...],
+def audit_profile(values: tuple[Fraction, ...], f: LatticeFunction,
                   subject: dict) -> list[Violation]:
-    """Check a kernel profile on [a-1, b+1] against the oracle's profile.
+    """Check a kernel profile of ``f`` on [a-1, b+1] against its oracle profile.
 
     ``[fast_path_divergence]`` carrying both profiles if they differ;
     otherwise ``[tail_guarantee]`` if an edge value exceeds its inner
     neighbour, which the hyperbola tails of :mod:`maxreg.maximal` rule out;
     otherwise ``[]``.  Callers put the result first in their violations.
     """
+    oracle = maximal_profile(f).values
     if values != oracle:
         return [Violation("fast_path_divergence", subject,
                           {"fast_profile": [str(v) for v in values],
@@ -218,16 +220,13 @@ class Analysis(NamedTuple):
     of the window lengths the profile kernel returned for this set, so it
     depends on how the kernel breaks ties and only the rationals it scales
     are fixed.  For every set of :func:`~maxreg.search.exhaustive` (L) it is
-    D_L = lcm(1, ..., L + 2) < 2^35 (:func:`~maxreg.search._sweep_tables`),
-    and the sweeps test the fields after the set (:func:`_measures`) and
-    build an Analysis only for a set that fails a test or is due for the
-    audit (:func:`_check_set`).  ``scaled[i]`` is
-    D * M chi_A(lo + i).  Fields marked "over D" are integers standing for
-    themselves divided by D, so every sum and every contract comparison
-    runs on `int`.  The indicator norms are exact counts of the maximal
-    runs ("blocks") of A: ||chi''||_1 = 4 * blocks and ||chi'||_1 =
-    2 * blocks.  `Fraction`s are built only by the methods, for records,
-    reports and violation details.
+    D_L = lcm(1, ..., L + 2) < 2^35 (:func:`~maxreg.search._sweep_tables`).
+    ``scaled[i]`` is D * M chi_A(lo + i).  Fields marked "over D" are
+    integers standing for themselves divided by D, so every sum and every
+    contract comparison runs on `int`.  The indicator norms are exact counts
+    of the maximal runs ("blocks") of A: ||chi''||_1 = 4 * blocks and
+    ||chi'||_1 = 2 * blocks.  `Fraction`s are built only by the methods, for
+    records, reports and violation details.
 
     The concave points and both boundaries are :func:`_convexity`'s lists of
     positions i (the point lo + i); their point views ``s_minus``, ``left_boundary``,
@@ -301,8 +300,7 @@ class Analysis(NamedTuple):
         subject = {"set": list(self.set.elements)}
         out: list[Violation] = []
         if audit:
-            oracle = maximal_profile(LatticeFunction.from_set(self.set)).values
-            out = audit_profile(self.profile_values(), oracle, subject)
+            out = audit_profile(self.profile_values(), LatticeFunction.from_set(self.set), subject)
         if theorem1:
             record = self.ratio_record()
             out.append(Violation("theorem1_ratio", subject, {
@@ -383,6 +381,76 @@ def _check_set(elements: Sequence[int], blocks: int, d: int, v: list[int],
     if True in _gate(spot_check, measures):
         return measures[12], Analysis(IndexSet(elements), *measures).violations(spot_check)
     return measures[12], []
+
+
+def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
+    """Oracle audit of the set of ``mask``, which a sweep skips for ``mirror``.
+
+    The kernel profile of the mirror set, read backwards, must equal the
+    oracle profile of the set itself; this also audits the reflection
+    shortcut.
+    """
+    a = IndexSet.from_mask(mask)
+    values = analyze(IndexSet.from_mask(mirror)).profile_values()[::-1]
+    return audit_profile(values, LatticeFunction.from_set(a), {"set": list(a.elements)})
+
+
+def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
+    """The integer pass :func:`_convexity` on a trimmed nonzero integer
+    function on [a, b] over [a - 2, b + 2], and on D * M f over [a - 1, b + 1]:
+    (source pass, D, D * M f, maximal pass).  M f is the best window average
+    of |f| (:func:`~maxreg.maximal.window_maxima`), padded with one zero each
+    side, and D the lcm of the window lengths."""
+    d, v = _scaled(*window_maxima([0, *map(abs, ints), 0]))
+    return _convexity([0, 0, *ints, 0, 0]), d, v, _convexity(v)
+
+
+def _check_function(values: tuple[int, ...], spot_check: bool,
+                    ) -> tuple[tuple | None, list[Violation]]:
+    """Boundary-bound checks and the norm ratio for one integer-valued draw.
+
+    The draw is trimmed to its nonzero span in integers; an all-zero draw
+    gives (None, []).  The ratio is recorded for exploration only: no
+    analogue of the indicator bound is asserted for general functions.  With
+    ``spot_check``, or when a tail term of the profile is negative, the
+    profile is also audited against the oracle (:func:`audit_profile`) and
+    the result comes first.  A negative tail leaves the maximal norms
+    without their tail guarantee, so no winner is returned for it.  A winner
+    is (norm over D, D * source norm, offset, values, D), as the function
+    sweep compares and records it.
+    """
+    nonzero = [i for i, x in enumerate(values) if x]
+    if not nonzero:
+        return None, []
+    offset = nonzero[0]
+    ints = list(values[offset:nonzero[-1] + 1])
+    source, d, v, maximal = _integer_passes(ints)
+    source_norm, source_bound = source[:2]
+    max_norm, max_bound, left_tail, right_tail = maximal[:4]
+
+    def subject() -> dict:
+        return {"offset": offset, "values": [str(x) for x in ints]}
+
+    violations: list[Violation] = []
+    if source_bound < source_norm:
+        violations.append(Violation("boundary_bound_source", subject(), {
+            "funeq_rhs": str(source_bound),
+            "second_norm": str(source_norm),
+        }))
+
+    negative_tail = left_tail < 0 or right_tail < 0
+    if spot_check or negative_tail:
+        profile = tuple([Fraction(x, d) for x in v])
+        violations[:0] = audit_profile(profile, LatticeFunction.make(offset, ints), subject())
+    if negative_tail:
+        return None, violations
+    if max_bound < max_norm:
+        violations.append(Violation("boundary_bound_maximal", subject(), {
+            "funeq_rhs": str(Fraction(max_bound, d)),
+            "second_norm": str(Fraction(max_norm, d)),
+        }))
+
+    return (max_norm, d * source_norm, offset, tuple(ints), d), violations
 
 
 def theorem1_report(a: IndexSet) -> RatioRecord:

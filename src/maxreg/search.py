@@ -12,22 +12,15 @@ Three probes of how far the second-difference bound might extend:
   identity is echoed in every summary;
 * :func:`higher_derivative_scan` - the l1 norm over Z of the order-k
   differences (k >= 3) of the maximal function of an indicator, exactly,
-  with its truncation to [-T, T].  Beyond the hull the maximal function is
-  a chain of hyperbolas c / (n + 1 - i), read off the run hulls of the set
-  kernel :func:`~maxreg.maximal.set_maxima`.  On one piece the order-k
-  differences have the sign (-1)^k, so each tail's sum telescopes to one
-  order k-1 difference, corrected at the k starts before each piece
-  boundary; the truncated sum is the total minus the part past T.
+  with its truncation to [-T, T], summed in closed form along the hyperbola
+  tails of :func:`~maxreg.maximal._set_tails` (:func:`_order_norms`).
 
-Every checked set runs the integer tests of the contract battery
-(Theorem 1 ratio, indicator norm lower bound, Lemma 1 emptiness,
-boundary-bound domination, first-derivative domination) on its measures,
-and gets an :class:`~maxreg.regularity.Analysis` to write its violations
-only when one fails or the audit below is due
-(:func:`~maxreg.regularity._check_set`).  Every drawn
-function runs the same integer pass as a set's analysis
-(:func:`~maxreg.regularity._convexity`), on itself and on its maximal
-profile, and both boundary bounds must dominate their norms.  Every 512th
+This module only sweeps.  Every contract check, oracle audit and
+:class:`~maxreg.regularity.Violation` comes from :mod:`maxreg.regularity`:
+each set runs the battery's integer tests
+(:func:`~maxreg.regularity._check_set`), and each drawn function the same
+integer pass on itself and on its maximal profile
+(:func:`~maxreg.regularity._check_function`).  Every 512th
 instance of every sweep, set or function, is also re-profiled by the naive
 oracle :func:`~maxreg.maximal.maximal_profile`, and so is every instance
 whose profile has a negative tail term; for a set, the battery decides and
@@ -46,16 +39,17 @@ records are rebuilt once, by re-analysing the final winners.  In
 :func:`exhaustive` (L) D is D_L = lcm(1, ..., L + 2) for every set, and a
 set's elements, mirror and scaled profile are lookups in tables built once
 per sweep (:func:`_sweep_tables`); :func:`random_sets`, of unbounded width,
-scales each set by its own lcm.  A process pool runs the chunks only when
-the worker count, capped by the chunk and CPU counts, exceeds 1, and only
-then are :mod:`concurrent.futures` and :mod:`multiprocessing` imported.
+reads each set's elements off its bits and scales it by its own lcm.  Both
+set sweeps run through one driver, :func:`_set_sweep`.  A process pool runs
+the chunks only when the worker count, capped by the chunk and CPU counts,
+exceeds 1, and only then are :mod:`concurrent.futures` and
+:mod:`multiprocessing` imported.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,16 +59,9 @@ from operator import floordiv, mul, sub
 from typing import Callable, Sequence
 
 from . import regularity
-from .lattice import IndexSet, LatticeFunction, _mask_elements, _mask_mirror, _mask_tables
-from .maximal import _set_kernel, maximal_profile, window_maxima
-from .regularity import (
-    RatioRecord,
-    Violation,
-    _convexity,
-    _scaled,
-    analyze,
-    audit_profile,
-)
+from .lattice import IndexSet, _bit_positions, _mask_elements, _mask_mirror, _mask_tables
+from .maximal import _set_tails, _tail_points
+from .regularity import RatioRecord, Violation, _audit_mirror, _check_function, _scaled, analyze
 
 GENERATOR_ID = "python-random-mt19937"
 _CHUNK = 2048
@@ -152,19 +139,6 @@ def _sweep_tables(length: int) -> tuple:
     return (d, [0, *[d // n for n in range(1, length + 3)]], *_mask_tables())
 
 
-def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
-    """Oracle audit of the set of ``mask``, which the sweep skips for ``mirror``.
-
-    The kernel profile of the mirror set, read backwards, must equal the
-    oracle profile of the set itself; this also audits the reflection
-    shortcut.
-    """
-    a = IndexSet.from_mask(mask)
-    values = analyze(IndexSet.from_mask(mirror)).profile_values()[::-1]
-    oracle = maximal_profile(LatticeFunction.from_set(a)).values
-    return audit_profile(values, oracle, {"set": list(a.elements)})
-
-
 def _beats(new: tuple, old: tuple | None) -> bool:
     """Whether winner ``new`` replaces ``old``.  A winner starts (norm over D,
     D * ||chi''||_1); its ratio is the first over the second, compared by
@@ -178,7 +152,7 @@ class _Fold:
     (:func:`_check_mask_chunk`), then each chunk into the sweep (:meth:`add`).
     A winner is (norm over D, D * ||chi''||_1, mask), compared by
     :func:`_beats` only, so on ties the earlier, smaller-mask set stays; the
-    records are rebuilt from the final winners' masks (:func:`_records`)."""
+    records are rebuilt from the final winners' masks (:func:`_set_sweep`)."""
 
     count: int = 0                      # translation classes covered
     evaluated: int = 0                  # sets analysed
@@ -217,7 +191,7 @@ def _check_mask_chunk(args: tuple) -> _Fold:
     for i, mask in enumerate(masks, base_index):
         spot = i % _SPOT_EVERY == 0
         if tables is None:
-            elements = IndexSet.from_mask(mask).elements
+            elements = _bit_positions(mask)
             d, v = _scaled(*kernel(elements))
         else:
             mirror = _mask_mirror(reverse, mask)
@@ -250,14 +224,18 @@ def _check_mask_chunk(args: tuple) -> _Fold:
     return _Fold(count, evaluated, winners, min_chi, violations)
 
 
-def _run_chunked(chunk_args: Sequence[tuple], workers: int,
-                 progress: Callable[[int, int], None] | None,
-                 total: int) -> _Fold:
-    """Map chunks, fold them in submission order, halt at the first violation.
-
-    The pool holds at most one process per chunk and per CPU, and is imported
-    only when it holds two or more: on one, the chunks map in this process
-    and neither :mod:`concurrent.futures` nor :mod:`multiprocessing` loads."""
+def _set_sweep(masks: Sequence[int], tables: tuple | None, workers: int,
+               progress: Callable[[int, int], None] | None,
+               ) -> tuple[_Fold, RatioRecord | None, dict]:
+    """(fold, max record, summary stats) of a set sweep: the chunks of ``masks``
+    checked by :func:`_check_mask_chunk` with ``tables``, folded in submission
+    order up to the first violation, and the records rebuilt from the final
+    winners.  The pool holds at most one process per chunk and per CPU, and
+    is imported only when it holds two or more: on one, the chunks map in
+    this process and neither :mod:`concurrent.futures` nor
+    :mod:`multiprocessing` loads."""
+    total = len(masks)
+    chunk_args = [(masks[i:i + _CHUNK], i, tables) for i in range(0, total, _CHUNK)]
     merged = _Fold()
     workers = min(workers, len(chunk_args), os.cpu_count() or 1)
     pool = None
@@ -271,15 +249,10 @@ def _run_chunked(chunk_args: Sequence[tuple], workers: int,
                 progress(merged.count, total)
             if chunk.violations:
                 break
-    return merged
-
-
-def _records(merged: _Fold) -> tuple[RatioRecord | None, dict]:
-    """(max record, summary stats) from the final winners of a set sweep."""
     records = {key: analyze(IndexSet.from_mask(entry[2])).ratio_record()
                for key, entry in merged.winners.items()}
     norm = merged.min_chi_norm
-    return records.pop(None, None), {
+    return merged, records.pop(None, None), {
         "max_by_span": dict(sorted(records.items())),
         "min_chi_second_norm": None if norm is None else Fraction(norm)}
 
@@ -310,12 +283,8 @@ def exhaustive(length: int, workers: int = 1,
         raise ValueError("length must be in [1, 24]")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    masks = range(1, 1 << length, 2)
-    total = len(masks)
-    tables = _sweep_tables(length)
-    chunk_args = [(masks[i:i + _CHUNK], i, tables) for i in range(0, total, _CHUNK)]
-    merged = _run_chunked(chunk_args, workers, progress, total)
-    best, stats = _records(merged)
+    merged, best, stats = _set_sweep(range(1, 1 << length, 2), _sweep_tables(length),
+                                     workers, progress)
     return SearchSummary(
         instances_checked=merged.count,
         max_record=best,
@@ -366,10 +335,7 @@ def random_sets(trials: int, length: int, density, seed: int,
                 mask |= 1 << i
         if mask:
             masks.append(mask)
-    chunk_args = [(tuple(masks[i:i + _CHUNK]), i, None)
-                  for i in range(0, len(masks), _CHUNK)]
-    merged = _run_chunked(chunk_args, workers, progress, len(masks))
-    best, stats = _records(merged)
+    merged, best, stats = _set_sweep(masks, None, workers, progress)
     return SearchSummary(
         instances_checked=merged.count,
         max_record=best,
@@ -386,64 +352,6 @@ def random_sets(trials: int, length: int, density, seed: int,
         },
         stats={"empty_draws_skipped": trials - len(masks), **stats},
     )
-
-
-def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
-    """The integer pass :func:`~maxreg.regularity._convexity` on a trimmed
-    nonzero integer function on [a, b] over [a - 2, b + 2], and on D * M f over
-    [a - 1, b + 1]: (source pass, D, D * M f, maximal pass).  M f is the best
-    window average of |f| (:func:`~maxreg.maximal.window_maxima`), padded with
-    one zero each side, and D the lcm of the window lengths."""
-    d, v = _scaled(*window_maxima([0, *map(abs, ints), 0]))
-    return _convexity([0, 0, *ints, 0, 0]), d, v, _convexity(v)
-
-
-def _check_function_instance(values: tuple[int, ...], spot_check: bool,
-                             ) -> tuple[tuple | None, list[Violation]]:
-    """Boundary-bound checks and the norm ratio for one integer-valued draw.
-
-    The draw is trimmed to its nonzero span in integers.  The ratio is
-    recorded for exploration only: no analogue of the indicator bound is
-    asserted for general functions.  With ``spot_check``, or when a tail term
-    of the profile is negative, the profile is also audited against the
-    oracle (:func:`~maxreg.regularity.audit_profile`) and the result comes
-    first.  A negative tail leaves the maximal norms without their tail
-    guarantee, so no winner is returned for it.  A winner is (norm over D,
-    D * source norm, offset, values, D), as :func:`_beats` compares it.
-    """
-    nonzero = [i for i, x in enumerate(values) if x]
-    if not nonzero:
-        return None, []
-    offset = nonzero[0]
-    ints = list(values[offset:nonzero[-1] + 1])
-    source, d, v, maximal = _integer_passes(ints)
-    source_norm, source_bound = source[:2]
-    max_norm, max_bound, left_tail, right_tail = maximal[:4]
-
-    def subject() -> dict:
-        return {"offset": offset, "values": [str(x) for x in ints]}
-
-    violations: list[Violation] = []
-    if source_bound < source_norm:
-        violations.append(Violation("boundary_bound_source", subject(), {
-            "funeq_rhs": str(source_bound),
-            "second_norm": str(source_norm),
-        }))
-
-    negative_tail = left_tail < 0 or right_tail < 0
-    if spot_check or negative_tail:
-        profile = tuple([Fraction(x, d) for x in v])
-        oracle = maximal_profile(LatticeFunction.make(offset, ints)).values
-        violations[:0] = audit_profile(profile, oracle, subject())
-    if negative_tail:
-        return None, violations
-    if max_bound < max_norm:
-        violations.append(Violation("boundary_bound_maximal", subject(), {
-            "funeq_rhs": str(Fraction(max_bound, d)),
-            "second_norm": str(Fraction(max_norm, d)),
-        }))
-
-    return (max_norm, d * source_norm, offset, tuple(ints), d), violations
 
 
 def _function_record(winner: tuple) -> GeneralRatioRecord:
@@ -473,7 +381,7 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     checked = 0
     for t in range(trials):
         values = tuple([rng.randint(-value_bound, value_bound) for _ in range(length)])
-        winner, found = _check_function_instance(values, checked % _SPOT_EVERY == 0)
+        winner, found = _check_function(values, checked % _SPOT_EVERY == 0)
         if winner is None and not found:
             continue
         checked += 1
@@ -518,58 +426,6 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
 # Exact order-k scans
 # ---------------------------------------------------------------------------
 
-def _tail_chain(first: int, hull: list[tuple[int, int]]) -> tuple[list[int], list[tuple[int, int]]]:
-    """A tail as hyperbola pieces (starts, [(i, c)]): piece t is c / (n + 1 - i)
-    on [starts[t], starts[t + 1]), the last one without end.  ``hull`` lists
-    the vertices (i, c) the maximiser visits as n rises from ``first``; one
-    after (i1, c1) wins strictly once n + 1 > (c i1 - c1 i) / (c - c1)."""
-    starts, pieces = [first], hull[:1]
-    for i, c in hull[1:]:
-        i1, c1 = pieces[-1]
-        start = max(first, (c * i1 - c1 * i) // (c - c1))
-        if start == starts[-1]:             # the previous piece holds no integer point
-            pieces[-1] = (i, c)
-        else:
-            starts.append(start)
-            pieces.append((i, c))
-    return starts, pieces
-
-
-def _walk(points: Sequence[tuple[int, int]], links: list[int], h: int):
-    while h >= 0:
-        yield points[h]
-        h = links[h]
-
-
-def _profile_tails(elements: Sequence[int]) -> tuple:
-    """(numerators, lengths, right tail, reflected left tail) of M chi_A: the
-    :func:`~maxreg.maximal.set_maxima` profile, and both :func:`_tail_chain`
-    walks of the run hulls it builds.  Past b = max A the best window is
-    [s_p, n] for a run start s_p: the tangent from (n + 1, |A|) to the lower
-    hull of the left points (s_p, C_p), walked along ``pred`` from the
-    virtual point (b + 2, |A|), so i = s_p and c = |A| - C_p.  Before A it is
-    [n, e_q] for a run end e_q, off the upper hull of the right points
-    (e_q + 1, C_{q+1}) along ``succ`` from (min A - 1, 0); reflected, as
-    M chi_A(n) = M chi_{-A}(-n), i = -e_q and c = C_{q+1}.  A vertex that
-    only ties, collinear with the virtual point, is off the hull."""
-    nums, dens, left, pred, right, succ = _set_kernel(elements)
-    count = len(elements)
-    return (nums, dens,
-            _tail_chain(elements[-1] + 1, [(x, count - y) for x, y in _walk(left, pred, pred[-1])]),
-            _tail_chain(1 - elements[0], [(1 - x, y) for x, y in _walk(right, succ, succ[0])]))
-
-
-def _tail_points(tail, first: int, last: int) -> tuple[list[int], list[int]]:
-    """(numerators, denominators) of the tail at first .. last."""
-    starts, pieces = tail
-    nums, dens = [], []
-    for n in range(first, last + 1):
-        i, c = pieces[bisect_right(starts, n) - 1]
-        nums.append(c)
-        dens.append(n + 1 - i)
-    return nums, dens
-
-
 def _run_differences(nums: Sequence[int], dens: Sequence[int], k: int) -> tuple[list[int], int]:
     """Order-k forward differences of a run of points, as integers over their lcm."""
     d = lcm(*dens)
@@ -596,7 +452,7 @@ def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fracti
 
     Pre: k >= 1, and [-T, T] covers the hull [a, b] with a k margin.  One
     set kernel pass gives the window [a-1, b+1] and both tails
-    (:func:`_profile_tails`); the points a-k .. b+k are differenced to order
+    (:func:`~maxreg.maximal._set_tails`); the points a-k .. b+k are differenced to order
     k-1, then once more for the starts in [a-k, b].  Starts n > b lie on the
     right tail, n < a-k on the reflected left one (the difference at n is
     +-the one at -n-k).  From a start N on, a tail's |differences| sum to
@@ -607,7 +463,7 @@ def _order_norms(a: IndexSet, k: int, truncation: int) -> tuple[Fraction, Fracti
     """
     lo, hi = a.min(), a.max()
     sign = (-1) ** k
-    nums, dens, right, left = _profile_tails(a.elements)
+    nums, dens, right, left = _set_tails(a.elements)
     left_nums, left_dens = _tail_points(left, -lo + 2, -lo + k)
     right_nums, right_dens = _tail_points(right, hi + 2, hi + k)
     lead, d = _run_differences(left_nums[::-1] + nums + right_nums,
@@ -634,7 +490,7 @@ def higher_derivative_scan(a: IndexSet, k: int, truncation: int) -> TruncatedSca
     ``second_norm``) and T large enough that [-T, T] covers the support
     hull with a k-point margin.  Beyond the hull M chi_A is read off two
     chains of hyperbola pieces, and each tail's sum telescopes to one
-    difference plus a correction at the piece boundaries (module docstring).
+    difference plus a correction at the piece boundaries (:func:`_order_norms`).
     """
     if not a:
         raise ValueError("scan needs a nonempty set")

@@ -300,14 +300,14 @@ def assert_function_check_matches_oracle(f: LatticeFunction) -> None:
     """The integer passes of the function sweep on a nonzero integer-valued
     ``f`` against the oracle on the naive profile (the profile, both norms
     and both boundary bounds), and the check's record, with no violation."""
-    source, d, v, maximal = search._integer_passes([int(x) for x in f.values])
+    source, d, v, maximal = regularity._integer_passes([int(x) for x in f.values])
     g, gm = function_window(f), profile_window(maximal_profile(f))
     norm, max_norm = oracle_second_norm(g), oracle_second_norm(gm)
     assert [Fraction(x, d) for x in v] == list(gm.values)
     assert source[:2] == (norm, oracle_funeq_rhs(g))
     assert (Fraction(maximal[0], d), Fraction(maximal[1], d)) == (max_norm, oracle_funeq_rhs(gm))
     values = tuple(int(x) for x in f.values)
-    winner, violations = search._check_function_instance(values, spot_check=True)
+    winner, violations = regularity._check_function(values, spot_check=True)
     assert violations == []
     assert search._function_record(winner) == \
         GeneralRatioRecord(0, values, norm, max_norm, max_norm / norm)
@@ -383,8 +383,8 @@ def lift_first_value(monkeypatch, skip: int = 0):
             return nums, dens
         return lifted
 
-    for module, kernel in ((regularity, "set_maxima"), (search, "window_maxima")):
-        monkeypatch.setattr(module, kernel, lifting(getattr(module, kernel)))
+    for kernel in ("set_maxima", "window_maxima"):
+        monkeypatch.setattr(regularity, kernel, lifting(getattr(regularity, kernel)))
 
 
 def break_measures(monkeypatch, elements: tuple[int, ...], edit):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import maxreg.lattice as lattice
 from maxreg import (
     IndexSet,
     LatticeFunction,
@@ -71,7 +72,18 @@ def test_index_set_mask_round_trip():
         base = rng.randint(-30, 30)
         a = IndexSet.from_mask(mask, base)
         assert a.elements == tuple(base + i for i in range(21) if mask >> i & 1)
+        assert lattice._bit_positions(mask, base) == a.elements
         assert IndexSet.from_mask(a.bits, a.base) == a
+
+
+def test_index_set_error_paths():
+    with pytest.raises(ValueError, match="nonnegative"):
+        IndexSet.from_mask(-1)
+    empty = IndexSet(())
+    with pytest.raises(ValueError, match="minimum"):
+        empty.min()
+    with pytest.raises(ValueError, match="maximum"):
+        empty.max()
 
 
 def test_index_set_mask_is_canonical():
@@ -95,6 +107,18 @@ def test_from_set_empty_is_zero():
     f = LatticeFunction.from_set(IndexSet(()))
     assert f.is_zero()
     assert f == LatticeFunction(0, ())
+
+
+def test_zero_function_error_paths():
+    zero = LatticeFunction(0, ())
+    with pytest.raises(ValueError, match="no support"):
+        zero.support_min()
+    with pytest.raises(ValueError, match="no support"):
+        zero.support_max()
+    # scaling by 0 gives the canonical zero function, not zeros on the old block
+    f = LatticeFunction.make(-3, [2, Fraction(1, 3)])
+    assert f.scale(0) == f.scale(Fraction(0)) == zero
+    assert f.scale(0).is_zero()
 
 
 def test_from_set_singleton():

@@ -24,7 +24,6 @@ from maxreg import (
     maximal_at,
     maximal_profile,
     regularity,
-    search,
     theorem1_report,
 )
 
@@ -117,6 +116,12 @@ def test_chains_example_adjacent_pair():
         Chain(MINUS, 0, 1),
         Chain(PLUS, 2, 3),
     ]
+
+
+def test_chain_length_counts_its_points():
+    assert [len(c) for c in (Chain(PLUS, -2, -1), Chain(MINUS, 0, 0), Chain(PLUS, 3, 7))] == [2, 1, 5]
+    an = analyze(IndexSet.from_iterable([0, 2, 3, 7]))
+    assert sum(map(len, an.chains())) == an.hi - an.lo + 1
 
 
 def test_chains_of_zero_function():
@@ -323,7 +328,7 @@ def test_boundary_bound_equals_the_second_norm():
             assert bound == norm, ints
         nonzero = [i for i, x in enumerate(ints) if x]
         if nonzero:
-            source, _, _, maximal = search._integer_passes(ints[nonzero[0]:nonzero[-1] + 1])
+            source, _, _, maximal = regularity._integer_passes(ints[nonzero[0]:nonzero[-1] + 1])
             assert source[1] == source[0] and maximal[1] == maximal[0], ints
 
 

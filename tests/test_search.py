@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxreg.lattice as lattice
+import maxreg.maximal as maximal
 import maxreg.regularity as regularity
 import maxreg.search as search
 from maxreg import cli
@@ -23,10 +24,12 @@ from maxreg import (
     IndexSet,
     LatticeFunction,
     MaximalProfile,
+    Violation,
     analyze,
     exhaustive,
     higher_derivative_scan,
     maximal_at,
+    maximal_profile,
     random_functions,
     random_sets,
     theorem1_report,
@@ -38,11 +41,14 @@ from conftest import (
     block_count,
     break_measures,
     corrupt_singleton_kernel,
+    function_window,
     index_sets,
     lift_first_value,
     mirror_mask,
     oracle_scan_bracket,
     oracle_scan_value,
+    oracle_second_norm,
+    profile_window,
     random_index_set,
 )
 
@@ -101,7 +107,7 @@ def test_exhaustive_worker_count_is_irrelevant():
 
 class SerialPool:
     """A stand-in for ``ProcessPoolExecutor`` that records its size and maps
-    in this process.  ``_run_chunked`` imports the pool from
+    in this process.  ``_set_sweep`` imports the pool from
     :mod:`concurrent.futures` when it builds one, so it is patched there."""
 
     sizes: list[int] = []
@@ -176,14 +182,13 @@ def test_one_worker_verbs_load_no_process_pool():
 
 
 def test_exhaustive_oracle_audits_the_same_classes(monkeypatch):
-    real, audited = search.maximal_profile, []
+    real, audited = regularity.maximal_profile, []
 
     def counted(f):
         audited.append(IndexSet.from_iterable(as_dict(f)))
         return real(f)
 
-    monkeypatch.setattr(search, "maximal_profile", counted)        # skipped mirrors
-    monkeypatch.setattr(regularity, "maximal_profile", counted)    # analysed sets
+    monkeypatch.setattr(regularity, "maximal_profile", counted)    # analysed and skipped sets
     s = exhaustive(15)
     assert not s.violations
     assert s.stats["sets_evaluated"] == 8383
@@ -216,13 +221,12 @@ def test_mirror_audit_reads_the_checked_profile_backwards(monkeypatch):
 
 def test_exhaustive_fast_equals_naive(monkeypatch):
     s1 = exhaustive(8)
-    real, oracle_sets = search.maximal_profile, []
+    real, oracle_sets = regularity.maximal_profile, []
 
     def counted(f):
         oracle_sets.append(f)
         return real(f)
 
-    monkeypatch.setattr(search, "maximal_profile", counted)
     monkeypatch.setattr(regularity, "maximal_profile", counted)
     monkeypatch.setattr(search, "_SPOT_EVERY", 1)   # every set against the oracle
     s2 = exhaustive(8)
@@ -497,12 +501,12 @@ def test_random_sets_large_clean_sweep():
 
 
 def test_random_functions_consistent_with_set_path():
-    winner, violations = search._check_function_instance((1,), spot_check=True)
+    winner, violations = regularity._check_function((1,), spot_check=True)
     assert not violations
     expected = theorem1_report(IndexSet.from_iterable([0]))
     assert search._function_record(winner).ratio == expected.ratio == Fraction(1, 2)
     # ratio is invariant under scaling
-    winner2, _ = search._check_function_instance((2,), spot_check=True)
+    winner2, _ = regularity._check_function((2,), spot_check=True)
     assert search._function_record(winner2).ratio == Fraction(1, 2)
     assert not search._beats(winner2, winner) and not search._beats(winner, winner2)
 
@@ -596,6 +600,58 @@ def test_function_check_matches_the_oracle():
         assert_function_check_matches_oracle(LatticeFunction.make(rng.randint(-20, 20), values))
 
 
+def _first_nonzero_draw(trials, length, value_bound, seed):
+    """(offset, trimmed values) of the first draw of ``random_functions`` with a nonzero value."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        values = [rng.randint(-value_bound, value_bound) for _ in range(length)]
+        nonzero = [i for i, x in enumerate(values) if x]
+        if nonzero:
+            return nonzero[0], values[nonzero[0]:nonzero[-1] + 1]
+
+
+@pytest.mark.parametrize("kind", ["boundary_bound_source", "boundary_bound_maximal"])
+def test_broken_function_bound_halts_the_function_sweep(monkeypatch, kind):
+    # The integer pass of every draw is made to report a boundary bound one
+    # below its norm, on the draw or on its profile: the sweep must stop at
+    # the first nonzero draw with exactly that one violation.
+    real = regularity._integer_passes
+
+    def broken(ints):
+        source, d, v, profile = real(ints)
+        if kind == "boundary_bound_source":
+            source = (source[0], source[0] - 1, *source[2:])
+        else:
+            profile = (profile[0], profile[0] - 1, *profile[2:])
+        return source, d, v, profile
+
+    monkeypatch.setattr(regularity, "_integer_passes", broken)
+    offset, ints = _first_nonzero_draw(50, 8, 3, 5)
+    f = LatticeFunction.make(offset, ints)
+    if kind == "boundary_bound_source":
+        norm, step = oracle_second_norm(function_window(f)), 1
+    else:
+        norm = oracle_second_norm(profile_window(maximal_profile(f)))
+        step = Fraction(1, real(ints)[1])
+    s = random_functions(50, 8, 3, 5)
+    assert s.instances_checked == 1
+    assert s.violations == (Violation(kind, {"offset": offset, "values": [str(x) for x in ints]},
+                                      {"funeq_rhs": str(norm - step), "second_norm": str(norm)}),)
+
+
+def test_random_functions_skip_all_zero_draws():
+    # on one point with values in [-1, 1], about a third of the draws are 0:
+    # each is skipped and not counted, and the progress count skips it too
+    rng = random.Random(4)
+    zeros = [rng.randint(-1, 1) for _ in range(350)].count(0)
+    seen = []
+    s = random_functions(350, 1, 1, 4, progress=lambda done, total: seen.append((done, total)))
+    assert 0 < zeros and s.instances_checked == 350 - zeros
+    assert s.stats["ratio_quantiles"]["min"] == s.stats["ratio_quantiles"]["max"] == "1/2"
+    assert s.instances_checked >= 200
+    assert seen == [(n, 350) for n in range(100, s.instances_checked + 1, 100)]
+
+
 def test_random_functions_validation():
     with pytest.raises(ValueError):
         random_functions(10, 8, 0, 1)
@@ -677,13 +733,13 @@ def test_fast_path_divergence_is_a_violation(monkeypatch):
 
 
 def test_function_sweep_divergence_is_a_violation(monkeypatch):
-    real = search.window_maxima
+    real = regularity.window_maxima
 
     def doubled(u):
         nums, dens = real(u)
         return [2 * n for n in nums], dens
 
-    monkeypatch.setattr(search, "window_maxima", doubled)
+    monkeypatch.setattr(regularity, "window_maxima", doubled)
     s = random_functions(50, 8, 3, 5)          # the first instance is spot-checked
     assert s.instances_checked == 1
     v = s.violations[0]
@@ -800,7 +856,7 @@ def test_truncation_split_where_t_cuts_a_tail():
     base = IndexSet.from_iterable([0, *range(100, 111)])
     top = 1212
     for a in (base, base.reflect(), base.translate(-50)):
-        _, _, (right, _), (left, _) = search._profile_tails(a.elements)
+        _, _, (right, _), (left, _) = maximal._set_tails(a.elements)
         assert (right, left) == {110: ([111, 1200], [1, 10]), 0: ([1, 10], [111, 1200]),
                                  60: ([61, 1150], [51, 60])}[a.max()]
         chi = LatticeFunction.from_set(a)
@@ -839,7 +895,7 @@ def test_scan_value_is_the_oracle_value():
 
 def boundary_excess(a, k):
     """The boundary excess of each tail of ``a`` at order k: right, then left."""
-    _, _, right, left = search._profile_tails(a.elements)
+    _, _, right, left = maximal._set_tails(a.elements)
     return [sum(sum(excess) for _, excess, _ in search._boundary_excess(tail, k))
             for tail in (right, left)]
 
@@ -882,13 +938,13 @@ def assert_tails_match_maximal_at(a, points):
     ``points`` starts past the hull and past the last piece start."""
     chi = LatticeFunction.from_set(a)
     lo, hi = a.min(), a.max()
-    _, _, right, mirror = search._profile_tails(a.elements)
+    _, _, right, mirror = maximal._set_tails(a.elements)
     last = max(hi + points, right[0][-1] + 8)
-    nums, dens = search._tail_points(right, hi + 1, last)
+    nums, dens = maximal._tail_points(right, hi + 1, last)
     assert list(map(Fraction, nums, dens)) == \
         [maximal_at(chi, n) for n in range(hi + 1, last + 1)], a
     last = max(-lo + points, mirror[0][-1] + 8)
-    nums, dens = search._tail_points(mirror, -lo + 1, last)
+    nums, dens = maximal._tail_points(mirror, -lo + 1, last)
     assert list(map(Fraction, nums, dens)) == \
         [maximal_at(chi, -n) for n in range(-lo + 1, last + 1)], a
 
@@ -906,8 +962,8 @@ def test_tails_where_hull_vertices_tie_or_are_collinear():
     # line: both elements tie at n = 69, so the right tail is one piece from
     # 69.  {0..9, 20} does the same with the virtual point (22, 11), and in
     # {0..8, 10} the two run ends tie at n = -9.
-    assert search._profile_tails((66, 68))[2:] == (([69], [(66, 2)]), ([-65], [(-68, 2)]))
-    assert search._profile_tails((*range(10), 20))[2] == ([21], [(0, 11)])
+    assert maximal._set_tails((66, 68))[2:] == (([69], [(66, 2)]), ([-65], [(-68, 2)]))
+    assert maximal._set_tails((*range(10), 20))[2] == ([21], [(0, 11)])
     sets = [IndexSet.from_iterable(e) for e in ((66, 68), (*range(9), 10), (*range(10), 20))]
     sets += [IndexSet.from_mask(mask, base) for mask in range(1, 1 << 10, 2) for base in (0, -41)]
     for a in sets:
