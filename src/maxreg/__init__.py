@@ -27,7 +27,6 @@ from .regularity import (
     MINUS,
     PLUS,
     Analysis,
-    Chain,
     RatioRecord,
     Violation,
     analyze,
@@ -67,7 +66,6 @@ __all__ = [
     "PLUS",
     "MINUS",
     "Analysis",
-    "Chain",
     "RatioRecord",
     "Violation",
     "analyze",

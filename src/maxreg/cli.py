@@ -1,4 +1,6 @@
-"""Command-line front end: report, exhaust, random, scan.
+"""Command-line front end: the parser and the verbs report, exhaust, random
+and scan.  Every output layout is written by :mod:`maxreg.reporting`; a verb
+runs one computation and prints what a writer returns.
 
 Results go to stdout, progress to stderr, so output is pipeline-safe.
 Exit codes: 0 clean, 2 usage error, 3 contract violation found (a violation
@@ -9,125 +11,29 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
-from dataclasses import asdict
-from fractions import Fraction
 
 from ._version import __version__
 from .regularity import analyze
 from .reporting import (
-    SCHEMA_VERSION,
     analysis_csv,
-    canonical_set_literal,
     parse_set_literal,
     render_report_json,
     render_report_text,
+    render_summary_json,
+    scan_json,
+    scan_text,
+    summary_text,
 )
-from .search import (
-    GeneralRatioRecord,
-    SearchSummary,
-    TruncatedScan,
-    exhaustive,
-    higher_derivative_scan,
-    random_sets,
-)
+# The benchmark's scan probe looks the writer up here, as ``cli.scan_to_dict``.
+from .reporting import scan_to_dict  # noqa: F401
+from .search import exhaustive, higher_derivative_scan, random_sets
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
 __all__ = ["main", "EXIT_OK", "EXIT_USAGE", "EXIT_VIOLATION"]
-
-
-# ---------------------------------------------------------------------------
-# Serialization of sweep results
-# ---------------------------------------------------------------------------
-
-def _record_dict(record) -> dict | None:
-    if record is None:
-        return None
-    if isinstance(record, GeneralRatioRecord):
-        head = {"offset": record.offset, "values": list(record.function_values),
-                "source_second_norm": str(record.source_second_norm)}
-    else:
-        head = {"set": list(record.set.elements),
-                "chi_second_norm": str(record.chi_second_norm)}
-    return {**head, "max_second_norm": str(record.max_second_norm),
-            "ratio": str(record.ratio)}
-
-
-def _stat_value(key: str, value):
-    if key == "max_by_span":
-        return {str(span): _record_dict(rec) for span, rec in value.items()}
-    return str(value) if isinstance(value, Fraction) else value
-
-
-def summary_to_dict(summary: SearchSummary) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "instances_checked": summary.instances_checked,
-        "max_record": _record_dict(summary.max_record),
-        "violations": [asdict(v) for v in summary.violations],
-        "parameters": summary.parameters,
-        "stats": {key: _stat_value(key, value)
-                  for key, value in summary.stats.items()},
-    }
-
-
-def summary_text(summary: SearchSummary) -> str:
-    lines = [f"instances checked  {summary.instances_checked}"]
-    record = summary.max_record
-    if record is None:
-        lines.append("max record         none (no instances)")
-    else:
-        lines.append(f"max ratio          {record.ratio} "
-                     f"at {{{canonical_set_literal(record.set)}}}")
-    by_span = summary.stats.get("max_by_span")
-    if by_span and summary.parameters.get("mode") == "exhaustive":
-        best = None
-        for length in range(1, summary.parameters["length"] + 1):
-            rec = by_span.get(length - 1)       # the one span that length adds
-            best = rec if best is None or (rec and rec.ratio > best.ratio) else best
-            if best is not None:
-                lines.append(f"  L={length:<2d} max ratio {best.ratio} "
-                             f"at {{{canonical_set_literal(best.set)}}}")
-    lines += [f"{key:<18} {value}" for key, value in summary.stats.items()
-              if key != "max_by_span"]
-    violations = summary.violations
-    lines.append(f"VIOLATIONS         {len(violations)}" if violations else "violations         none")
-    lines += [f"  {v.kind}: {json.dumps(v.subject)} {json.dumps(v.details)}" for v in violations]
-    lines.append(f"parameters         {json.dumps(summary.parameters)}")
-    return "\n".join(lines)
-
-
-_SCAN = "{\n%s\n}" % ",\n".join(f'  "{key}": {value}' for key, value in [
-    ("schema_version", "%d"), ("tool_version", '"%s"'), ("set", "[\n    %s\n  ]"),
-    ("order", "%d"), ("truncation", "%d"), ("value", '"%s"'), ("truncated_value", '"%s"')])
-
-
-def scan_json(scan: TruncatedScan) -> str:
-    """The scan as JSON in ``json.dumps(..., indent=2)`` bytes, filled into one
-    template: a scan's set is never empty, and every string in it is plain ASCII."""
-    return _SCAN % (SCHEMA_VERSION, __version__, ",\n    ".join(map(str, scan.set.elements)),
-                    scan.order, scan.truncation, scan.value, scan.truncated_value)
-
-
-def scan_to_dict(scan: TruncatedScan) -> dict:
-    """The JSON scan as a dict: its layout is the template's."""
-    return json.loads(scan_json(scan))
-
-
-def scan_text(scan: TruncatedScan) -> str:
-    return "\n".join([
-        f"set              {{{canonical_set_literal(scan.set)}}}",
-        f"order            {scan.order}",
-        f"truncation       {scan.truncation}",
-        f"value            {scan.value}",
-        f"truncated value  {scan.truncated_value}",
-        "value sums over all of Z, truncated value over [-T, T]",
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +50,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     analysis = analyze(parse_set_literal(args.set))
     if args.format == "csv":
         sys.stdout.write(analysis_csv(analysis))
-    elif args.format == "json":
-        print(render_report_json(analysis))
     else:
-        print(render_report_text(analysis, paper_accounting=args.paper_accounting))
+        print((render_report_json if args.format == "json" else render_report_text)(analysis))
     violated = [v.kind for v in analysis.violations()]
     if violated:
         print(f"contract violated: {', '.join(violated)}", file=sys.stderr)
@@ -155,11 +59,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _summary_out(summary: SearchSummary, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps(summary_to_dict(summary), indent=2))
-    else:
-        print(summary_text(summary))
+def _summary_out(summary, fmt: str) -> int:
+    print(render_summary_json(summary) if fmt == "json" else summary_text(summary))
     return EXIT_VIOLATION if summary.violations else EXIT_OK
 
 
@@ -203,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full decomposition report for one set")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text",
                    help="output format (csv is per-point data)")
-    p.add_argument("--paper-accounting", action="store_true",
-                   help="also show the boundary bound with each limit term bounded by 1")
     p.add_argument("set", help="set literal, e.g. '0,2,5-9'; put one that starts "
                                "with '-' after '--', e.g. '-- -7,-3,0,2'")
     p.set_defaults(func=_cmd_report)

@@ -70,7 +70,6 @@ MINUS = "minus"
 __all__ = [
     "PLUS",
     "MINUS",
-    "Chain",
     "RatioRecord",
     "Violation",
     "Analysis",
@@ -85,16 +84,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # The integer pass
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Chain:
-    kind: str
-    start: int
-    end: int
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
-
 
 def _scaled(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
     """(D, D * nums[i] / dens[i] at each i), D the lcm of ``dens``: a profile kernel's
@@ -273,10 +262,6 @@ class Analysis(NamedTuple):
             yield MINUS, lo + left, lo + right
             start = lo + right + 1
         yield PLUS, start, self.hi
-
-    def chains(self) -> tuple[Chain, ...]:
-        """The runs of :meth:`chain_bounds`, as :class:`Chain` objects."""
-        return tuple([Chain(*bounds) for bounds in self.chain_bounds()])
 
     def ratio_record(self) -> RatioRecord:
         d = self.denominator

@@ -1,12 +1,15 @@
-"""Set literals, per-set reports, and stable serialization.
+"""Set literals and every output layout: per-set reports, sweep summaries
+and scans, in text and in JSON (and per-point CSV for a report).
 
 Every numeric field in machine output is an exact rational rendered as a
-``p/q`` string (plain integer when q = 1); floats never appear.  The JSON
-schema is versioned via ``schema_version`` so downstream plotting can pin
-itself to a layout, which one template defines: :func:`render_report_json`
-fills it from the analysis, and :func:`report_to_dict` is its parse.  The
-report of a set is its :class:`~maxreg.regularity.Analysis` itself: the
-writers read its integers and build no `Fraction` per point.
+``p/q`` string (plain integer when q = 1); floats never appear.  Each JSON
+layout carries ``schema_version``, read only here, so downstream plotting can
+pin itself to it.  The report and scan layouts are templates that one
+function, :func:`_layout`, lays out as ``json.dumps(..., indent=2)`` does:
+:func:`render_report_json` and :func:`scan_json` fill them, and
+:func:`report_to_dict` and :func:`scan_to_dict` are their parses.  The report
+of a set is its :class:`~maxreg.regularity.Analysis` itself: the writers read
+its integers and build no `Fraction` per point.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable
+from dataclasses import asdict
 from fractions import Fraction
 from math import gcd
 
 from ._version import __version__
 from .lattice import IndexSet
 from .regularity import PLUS, MINUS, Analysis, analyze
+from .search import GeneralRatioRecord, SearchSummary, TruncatedScan
 
 SCHEMA_VERSION = 3
 
@@ -27,7 +32,8 @@ __all__ = [
     "SCHEMA_VERSION", "SetLiteralError", "parse_set_literal",
     "canonical_set_literal", "build_report", "report_to_dict",
     "render_report_text", "render_report_json", "render_report_csv",
-    "analysis_csv",
+    "analysis_csv", "summary_to_dict", "summary_text", "render_summary_json",
+    "scan_json", "scan_to_dict", "scan_text",
 ]
 
 
@@ -103,11 +109,17 @@ def _over_each(values: tuple[int, ...], d: int) -> list[str]:
     return list(map(text.__getitem__, values))
 
 
-# The JSON report as ``json.dumps(..., indent=2)`` lays it out.  Every string
-# in it is plain ASCII (version, literals, rationals, class names), so none is
-# escaped; a report always has a chain and a profile value.
+def _layout(fields) -> str:
+    """A JSON object template as ``json.dumps(..., indent=2)`` lays it out, one
+    ``(key, value format)`` pair per top-level field."""
+    return "{\n%s\n}" % ",\n".join(f'  "{key}": {value}' for key, value in fields)
+
+
+# The JSON report.  Every string in it is plain ASCII (version, literals,
+# rationals, class names), so none is escaped; a report always has a chain
+# and a profile value.
 _LIST = "[\n    %s\n  ]"
-_REPORT = "{\n%s\n}" % ",\n".join(f'  "{key}": {value}' for key, value in [
+_REPORT = _layout([
     ("schema_version", "%d"), ("tool_version", '"%s"'), ("input", '"%s"'), ("set", "%s"),
     ("chi_second_norm", '"%d"'), ("max_second_norm", '"%s"'), ("ratio", '"%s"'),
     ("s_minus", "%s"), ("left_boundary", "%s"), ("right_boundary", "%s"), ("chains", _LIST),
@@ -118,7 +130,7 @@ _CHAIN = '{\n      "kind": "%s",\n      "start": %d,\n      "end": %d\n    }'
 
 
 def _ints(xs: tuple[int, ...]) -> str:
-    """A list of ints one level into the report, as ``json.dumps`` lays it out."""
+    """A list of ints one level into a layout, as ``json.dumps`` lays it out."""
     return _LIST % ",\n    ".join(map(str, xs)) if xs else "[]"
 
 
@@ -143,11 +155,11 @@ def report_to_dict(an: Analysis) -> dict:
     return json.loads(render_report_json(an))
 
 
-def render_report_text(an: Analysis, paper_accounting: bool = False) -> str:
-    """The text report; ``paper_accounting`` adds the boundary bound with each
-    of its two (exactly vanishing) limit terms replaced by its crude bound 1."""
+def render_report_text(an: Analysis) -> str:
+    """The text report.  Its boundary bound is exact; the JSON's
+    ``funeq_rhs_limit_bounded`` bounds each vanishing limit term by 1."""
     d, outside = an.denominator, an.lemma1_violations
-    lines = [
+    return "\n".join([
         f"set               {canonical_set_literal(an.set)}",
         f"window            [{an.lo}, {an.hi}]",
         f"||chi''||_1       {an.chi_second_norm}",
@@ -159,18 +171,11 @@ def render_report_text(an: Analysis, paper_accounting: bool = False) -> str:
         "chains            " + " ".join(
             f"{kind}[{start},{end}]" for kind, start, end in an.chain_bounds()),
         f"boundary bound    {_over(an.boundary_bound, d)}",
-    ]
-    if paper_accounting:
-        lines.append(
-            f"boundary bound with limit terms bounded by 1 each: "
-            f"{_over(an.boundary_bound + 2 * d, d)}")
-    lines += [
         f"lemma 1           {'VIOLATED at ' + canonical_set_literal(outside) if outside else 'ok'}",
         f"||chi'||_1        {an.chi_first_norm}",
         f"var M chi         {_over(an.variation, d)}",
         f"tool version      {__version__}",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 def render_report_csv(a: IndexSet) -> str:
@@ -205,3 +210,97 @@ def analysis_csv(an: Analysis) -> str:
         # a rational prints with a leading '-' exactly when it is negative
         rows.append(f"{n},{value},{c2},{MINUS if c2[0] == '-' else PLUS}")
     return "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Sweep summaries and scans
+# ---------------------------------------------------------------------------
+
+def _record_dict(record) -> dict | None:
+    if record is None:
+        return None
+    if isinstance(record, GeneralRatioRecord):
+        head = {"offset": record.offset, "values": list(record.function_values),
+                "source_second_norm": str(record.source_second_norm)}
+    else:
+        head = {"set": list(record.set.elements),
+                "chi_second_norm": str(record.chi_second_norm)}
+    return {**head, "max_second_norm": str(record.max_second_norm),
+            "ratio": str(record.ratio)}
+
+
+def _stat_value(key: str, value):
+    if key == "max_by_span":
+        return {str(span): _record_dict(rec) for span, rec in value.items()}
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def summary_to_dict(summary: SearchSummary) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "instances_checked": summary.instances_checked,
+        "max_record": _record_dict(summary.max_record),
+        "violations": [asdict(v) for v in summary.violations],
+        "parameters": summary.parameters,
+        "stats": {key: _stat_value(key, value)
+                  for key, value in summary.stats.items()},
+    }
+
+
+def render_summary_json(summary: SearchSummary) -> str:
+    return json.dumps(summary_to_dict(summary), indent=2)
+
+
+def summary_text(summary: SearchSummary) -> str:
+    lines = [f"instances checked  {summary.instances_checked}"]
+    record = summary.max_record
+    if record is None:
+        lines.append("max record         none (no instances)")
+    else:
+        lines.append(f"max ratio          {record.ratio} "
+                     f"at {{{canonical_set_literal(record.set)}}}")
+    by_span = summary.stats.get("max_by_span")
+    if by_span and summary.parameters.get("mode") == "exhaustive":
+        best = None
+        for length in range(1, summary.parameters["length"] + 1):
+            rec = by_span.get(length - 1)       # the one span that length adds
+            best = rec if best is None or (rec and rec.ratio > best.ratio) else best
+            if best is not None:
+                lines.append(f"  L={length:<2d} max ratio {best.ratio} "
+                             f"at {{{canonical_set_literal(best.set)}}}")
+    lines += [f"{key:<18} {'none' if value is None else value}"
+              for key, value in summary.stats.items() if key != "max_by_span"]
+    violations = summary.violations
+    lines.append(f"VIOLATIONS         {len(violations)}" if violations else "violations         none")
+    lines += [f"  {v.kind}: {json.dumps(v.subject)} {json.dumps(v.details)}" for v in violations]
+    lines.append(f"parameters         {json.dumps(summary.parameters)}")
+    return "\n".join(lines)
+
+
+# A scan's set is never empty, and every string in it is plain ASCII.
+_SCAN = _layout([
+    ("schema_version", "%d"), ("tool_version", '"%s"'), ("set", "%s"),
+    ("order", "%d"), ("truncation", "%d"), ("value", '"%s"'), ("truncated_value", '"%s"')])
+
+
+def scan_json(scan: TruncatedScan) -> str:
+    """The scan as JSON in ``json.dumps(..., indent=2)`` bytes, filled into one template."""
+    return _SCAN % (SCHEMA_VERSION, __version__, _ints(scan.set.elements),
+                    scan.order, scan.truncation, scan.value, scan.truncated_value)
+
+
+def scan_to_dict(scan: TruncatedScan) -> dict:
+    """The JSON scan as a dict: its layout is the template's."""
+    return json.loads(scan_json(scan))
+
+
+def scan_text(scan: TruncatedScan) -> str:
+    return "\n".join([
+        f"set              {{{canonical_set_literal(scan.set)}}}",
+        f"order            {scan.order}",
+        f"truncation       {scan.truncation}",
+        f"value            {scan.value}",
+        f"truncated value  {scan.truncated_value}",
+        "value sums over all of Z, truncated value over [-T, T]",
+    ])

@@ -103,10 +103,6 @@ class SearchSummary:
     parameters: dict
     stats: dict = field(default_factory=dict)
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
 
 @dataclass(frozen=True)
 class TruncatedScan:

@@ -24,7 +24,6 @@ import maxreg.search as search
 from maxreg import (
     MINUS,
     PLUS,
-    Chain,
     GeneralRatioRecord,
     IndexSet,
     LatticeFunction,
@@ -236,6 +235,14 @@ def oracle_boundaries(g: Window) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(n for n in minus if oracle_classify(g, n + 1) == PLUS))
 
 
+class Chain(NamedTuple):
+    """A maximal same-class run, equal to the (kind, start, end) tuple that
+    ``Analysis.chain_bounds`` yields for it."""
+    kind: str
+    start: int
+    end: int
+
+
 def oracle_chains(g: Window) -> list[Chain]:
     """Maximal runs of same-class points, covering [lo, hi] in order."""
     out: list[Chain] = []
@@ -249,17 +256,18 @@ def oracle_chains(g: Window) -> list[Chain]:
     return out
 
 
-def oracle_chain_sum(g: Window, chain: Chain) -> tuple[Fraction, Fraction]:
-    """(lhs, rhs) of the telescoping identity on a same-class run: the sum
-    of |c2| over it, and the four flanking values with the class's sign.
-    The run needs a stored point beyond each end."""
-    if not g.lo < chain.start <= chain.end < g.hi:
+def oracle_chain_sum(g: Window, chain: tuple[str, int, int]) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of the telescoping identity on a same-class run (kind, start,
+    end): the sum of |c2| over it, and the four flanking values with the
+    class's sign.  The run needs a stored point beyond each end."""
+    kind, start, end = chain
+    if not g.lo < start <= end < g.hi:
         raise ValueError("chain does not have a one-point margin inside the window")
-    if any(oracle_classify(g, n) != chain.kind for n in range(chain.start, chain.end + 1)):
-        raise ValueError(f"not a run of class {chain.kind!r}")
-    lhs = sum((abs(g.c2(n)) for n in range(chain.start, chain.end + 1)), Fraction(0))
-    rhs = g.at(chain.start - 1) - g.at(chain.start) - g.at(chain.end) + g.at(chain.end + 1)
-    return lhs, -rhs if chain.kind == MINUS else rhs
+    if any(oracle_classify(g, n) != kind for n in range(start, end + 1)):
+        raise ValueError(f"not a run of class {kind!r}")
+    lhs = sum((abs(g.c2(n)) for n in range(start, end + 1)), Fraction(0))
+    rhs = g.at(start - 1) - g.at(start) - g.at(end) + g.at(end + 1)
+    return lhs, -rhs if kind == MINUS else rhs
 
 
 def oracle_second_norm(g: Window) -> Fraction:

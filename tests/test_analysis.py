@@ -54,7 +54,7 @@ def assert_matches_fraction_path(a: IndexSet) -> None:
     assert an.fraction(an.boundary_bound) == oracle_funeq_rhs(g)
     assert an.s_minus == oracle_concave(g)
     assert (an.left_boundary, an.right_boundary) == oracle_boundaries(g)
-    assert list(an.chains()) == oracle_chains(g)
+    assert list(an.chain_bounds()) == oracle_chains(g)
     assert an.lemma1_violations == tuple(n for n in oracle_concave(g) if n not in a)
 
     chi_norm = lp_norm(forward_difference(chi, 2), 1)

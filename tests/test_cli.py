@@ -131,9 +131,10 @@ def test_report_exit_code_from_every_contract(capsys, monkeypatch):
 
 
 def test_report_paper_accounting_flag(capsys):
-    assert main(["report", "0", "--paper-accounting"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "limit terms bounded by 1" in out
+    # report takes only --format: the JSON's funeq_rhs_limit_bounded holds that value
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "0", "--paper-accounting"])
+    assert exc.value.code == EXIT_USAGE
     main(["report", "0"])
     assert "limit terms bounded" not in capsys.readouterr().out
 
@@ -175,6 +176,20 @@ def test_exhaust_prints_per_length_maxima(capsys):
 def test_random_zero_trials(capsys):
     assert main(["random", "0", "8", "1/2", "1"]) == EXIT_OK
     assert "instances checked  0" in capsys.readouterr().out
+
+
+def test_sweep_with_no_instances(capsys):
+    assert main(["random", "0", "5", "1/2", "1", "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert '"max_record": null' in out and '"min_chi_second_norm": null' in out
+    data = json.loads(out)
+    assert data["max_record"] is None
+    assert data["stats"]["max_by_span"] == {}
+    assert data["stats"]["min_chi_second_norm"] is None
+    assert main(["random", "0", "5", "1/2", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.split("\n")
+    assert "max record         none (no instances)" in lines
+    assert "min_chi_second_norm none" in lines
 
 
 def test_random_json_echoes_parameters(capsys):

@@ -17,11 +17,12 @@ from hypothesis import example, given, settings
 
 from maxreg import IndexSet, LatticeFunction, maximal_at
 from maxreg._version import __version__
-from maxreg.cli import EXIT_OK, main, scan_json, scan_to_dict
+from maxreg.cli import EXIT_OK, main
 from maxreg.maximal import MaximalProfile, maximal_profile, maximal_profile_fast
 from maxreg.regularity import analyze
-from maxreg.reporting import (SCHEMA_VERSION, build_report, canonical_set_literal,
-                              render_report_json, render_report_text, report_to_dict)
+from maxreg.reporting import (SCHEMA_VERSION, analysis_csv, build_report, canonical_set_literal,
+                              render_report_csv, render_report_json, render_report_text,
+                              report_to_dict, scan_json, scan_to_dict)
 from maxreg.search import higher_derivative_scan
 
 from conftest import (
@@ -70,11 +71,12 @@ def old_report_dict(profile: MaximalProfile) -> dict:
     }
 
 
-def old_report_text(d: dict, paper_accounting: bool) -> str:
+def old_report_text(d: dict) -> str:
     def literal(xs):
         return "{" + canonical_set_literal(IndexSet(tuple(xs))) + "}"
 
-    lines = [
+    lemma = "ok" if d["lemma1"] == "ok" else "VIOLATED at " + literal(d["lemma1_violations"])[1:-1]
+    return "\n".join([
         f"set               {d['input']}",
         f"window            [{d['window'][0]}, {d['window'][1]}]",
         f"||chi''||_1       {d['chi_second_norm']}",
@@ -86,18 +88,11 @@ def old_report_text(d: dict, paper_accounting: bool) -> str:
         "chains            " + " ".join(f"{c['kind']}[{c['start']},{c['end']}]"
                                         for c in d["chains"]),
         f"boundary bound    {d['funeq_rhs']}",
-    ]
-    if paper_accounting:
-        lines.append("boundary bound with limit terms bounded by 1 each: "
-                     f"{d['funeq_rhs_limit_bounded']}")
-    lemma = "ok" if d["lemma1"] == "ok" else "VIOLATED at " + literal(d["lemma1_violations"])[1:-1]
-    lines += [
         f"lemma 1           {lemma}",
         f"||chi'||_1        {d['chi_first_norm']}",
         f"var M chi         {d['max_first_variation']}",
         f"tool version      {__version__}",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 def old_report_csv(profile: MaximalProfile) -> str:
@@ -125,8 +120,7 @@ def assert_writers_match(profile: MaximalProfile):
     assert report_out("--format", "json", "--", literal) == json.dumps(d, indent=2) + "\n"
     assert render_report_json(build_report(profile.source.support())) == json.dumps(d, indent=2)
     assert report_out("--format", "csv", "--", literal) == old_report_csv(profile)
-    assert report_out("--", literal) == old_report_text(d, False) + "\n"
-    assert report_out("--paper-accounting", "--", literal) == old_report_text(d, True) + "\n"
+    assert report_out("--", literal) == old_report_text(d) + "\n"
 
 
 def test_writers_match_the_fraction_report_exhaustive():
@@ -214,7 +208,7 @@ def test_json_writer_on_empty_lists_and_a_single_chain():
         ((), (), (), ())
     d = report_to_dict(an)
     assert d["chains"] == [{"kind": "plus", "start": an.lo, "end": an.hi}]
-    assert [(c.kind, c.start, c.end) for c in an.chains()] == [("plus", an.lo, an.hi)]
+    assert list(an.chain_bounds()) == [("plus", an.lo, an.hi)]
     assert render_report_json(an) == json.dumps(d, indent=2)
     assert d == json.loads(render_report_json(an))
     assert '"s_minus": [],' in render_report_json(an)
@@ -226,6 +220,12 @@ def test_json_writer_on_empty_lists_and_a_single_chain():
     assert report_to_dict(violated)["lemma1"] == "violated"
     assert render_report_json(violated) == json.dumps(report_to_dict(violated), indent=2)
     assert "lemma 1           VIOLATED at 1-2" in render_report_text(violated)
+
+
+def test_render_report_csv_is_the_csv_of_the_analysis():
+    for elements in ((0,), (0, 2), (-7, -3, 0, 2), (0, 2, 5, 6, 7, 8, 9, 1000)):
+        a = IndexSet.from_iterable(elements)
+        assert render_report_csv(a) == analysis_csv(analyze(a))
 
 
 def test_json_writer_is_json_dumps_with_indent_2():

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import maxreg.lattice as lattice
 import maxreg.maximal as maximal
 import maxreg.regularity as regularity
+import maxreg.reporting as reporting
 import maxreg.search as search
-from maxreg import cli
 from maxreg import (
     GENERATOR_ID,
     IndexSet,
@@ -280,7 +280,7 @@ def test_exhaustive_mirror_pairs_equal_a_translation_class_sweep():
         "translation and reflection")
 
 
-# SHA-256 of ``json.dumps(cli.summary_to_dict(...), indent=2)`` for set
+# SHA-256 of ``json.dumps(reporting.summary_to_dict(...), indent=2)`` for set
 # sweeps.  They hold every record of the fold: the tie-breaks within and
 # across chunks, ``max_by_span`` and ``min_chi_second_norm``; the last one
 # folds chunks that come back from worker processes.  When a summary changes
@@ -306,7 +306,7 @@ _SET_SWEEP_SHA256 = [
                               "random_sets(4500, 10, workers=2)"])
 def test_set_sweep_summaries_are_byte_identical_to_the_pinned_hashes(sweep, expected):
     run, args, kwargs = sweep
-    summary = json.dumps(cli.summary_to_dict(run(*args, **kwargs)), indent=2)
+    summary = json.dumps(reporting.summary_to_dict(run(*args, **kwargs)), indent=2)
     assert hashlib.sha256(summary.encode()).hexdigest() == expected
 
 
@@ -567,7 +567,7 @@ def test_random_functions_pinned_summaries(args, max_record, quantiles):
     assert s.stats == {"ratio_quantiles": quantiles}
 
 
-# SHA-256 of ``json.dumps(cli.summary_to_dict(random_functions(*args)),
+# SHA-256 of ``json.dumps(reporting.summary_to_dict(random_functions(*args)),
 # indent=2)``.  The first three sweeps profile blocks of at most 18 points,
 # the last two blocks of up to 26 and 62.  Any change to the profile kernel
 # or the integer pass that alters a single byte of a summary fails here.
@@ -586,7 +586,7 @@ _FUNCTION_SWEEP_SHA256 = [
 @pytest.mark.parametrize("args, expected", _FUNCTION_SWEEP_SHA256,
                          ids=[str(args) for args, _ in _FUNCTION_SWEEP_SHA256])
 def test_function_sweep_summaries_are_byte_identical_to_the_pinned_hashes(args, expected):
-    summary = json.dumps(cli.summary_to_dict(random_functions(*args)), indent=2)
+    summary = json.dumps(reporting.summary_to_dict(random_functions(*args)), indent=2)
     assert hashlib.sha256(summary.encode()).hexdigest() == expected
 
 
