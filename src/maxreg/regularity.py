@@ -390,7 +390,7 @@ def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
     return _convexity([0, 0, *ints, 0, 0]), d, v, _convexity(v)
 
 
-def _check_function(values: tuple[int, ...], spot_check: bool,
+def _check_function(values: Sequence[int], spot_check: bool,
                     ) -> tuple[tuple | None, list[Violation]]:
     """Boundary-bound checks and the norm ratio for one integer-valued draw.
 

@@ -258,8 +258,10 @@ def summary_text(summary: SearchSummary) -> str:
     if record is None:
         lines.append("max record         none (no instances)")
     else:
-        lines.append(f"max ratio          {record.ratio} "
-                     f"at {{{canonical_set_literal(record.set)}}}")
+        at = (f"offset {record.offset}, values {list(record.function_values)}"
+              if isinstance(record, GeneralRatioRecord)
+              else f"{{{canonical_set_literal(record.set)}}}")
+        lines.append(f"max ratio          {record.ratio} at {at}")
     by_span = summary.stats.get("max_by_span")
     if by_span and summary.parameters.get("mode") == "exhaustive":
         best = None

@@ -20,29 +20,30 @@ This module only sweeps.  Every contract check, oracle audit and
 each set runs the battery's integer tests
 (:func:`~maxreg.regularity._check_set`), and each drawn function the same
 integer pass on itself and on its maximal profile
-(:func:`~maxreg.regularity._check_function`).  Every 512th
-instance of every sweep, set or function, is also re-profiled by the naive
-oracle :func:`~maxreg.maximal.maximal_profile`, and so is every instance
-whose profile has a negative tail term; for a set, the battery decides and
-runs that audit itself.  A mismatch is a ``fast_path_divergence``
-violation, ahead of all others.  In :func:`exhaustive` an instance is a
-translation class, checked or not: a class skipped for its mirror is
-audited through the mirror's profile read backwards.  Any failure halts the
-sweep and is serialized in full: a violation is either an artifact bug or a
-finding, never noise to skip.  Set sweeps are chunked with a fixed chunk
-size, and one integer fold (:class:`_Fold`, ratios compared by
-cross-multiplying) takes the sets of a chunk in order and then the chunks
-in submission order, keeping the earlier, smaller-mask set on ties, so
-summaries are identical for any worker count.  A winner is held as (norm
-over D, D * ||chi''||_1, mask), so the fold state is integers only; the
-records are rebuilt once, by re-analysing the final winners.  In
-:func:`exhaustive` (L) D is D_L = lcm(1, ..., L + 2) for every set, and a
-set's elements, mirror and scaled profile are lookups in tables built once
-per sweep (:func:`_sweep_tables`); :func:`random_sets`, of unbounded width,
-reads each set's elements off its bits and scales it by its own lcm.  Both
-set sweeps run through one driver, :func:`_set_sweep`.  A process pool runs
-the chunks only when the worker count, capped by the chunk and CPU counts,
-exceeds 1, and only then are :mod:`concurrent.futures` and
+(:func:`~maxreg.regularity._check_function`).  Every 512th instance of every
+sweep, set or function, is also re-profiled by the naive oracle
+:func:`~maxreg.maximal.maximal_profile`, and so is every instance whose
+profile has a negative tail term; for a set, the battery decides and runs that
+audit itself.  A mismatch is a ``fast_path_divergence`` violation, ahead of
+all others.  In :func:`exhaustive` an instance is a translation class, checked
+or not: a class skipped for its mirror is audited through the mirror's profile
+read backwards.  Any failure halts the sweep and is serialized in full: a
+violation is either an artifact bug or a finding, never noise to skip.
+
+Every sweep runs through one driver, :func:`_sweep`, which maps fixed-size
+chunks through an evaluator (:func:`_check_mask_chunk` for sets,
+:func:`_check_draw_chunk` for function draws), folds the chunks'
+:class:`_Fold` in submission order, reports progress once per chunk and stops
+at the first violation.  The fold state is integers only, a winner starting
+(norm over D, D * source norm) and compared by cross-multiplying, the earlier
+instance kept on ties, so summaries are identical for any worker count; the
+records are rebuilt once from the final winners.  In :func:`exhaustive` (L) D
+is D_L = lcm(1, ..., L + 2), and a set's elements, mirror and scaled profile
+are lookups in tables built once per sweep (:func:`_sweep_tables`);
+:func:`random_sets` scales each set by its own lcm, and
+:func:`random_functions` draws one chunk at a time and runs on one worker.  A
+process pool runs the chunks only when the worker count, capped by the chunk
+and CPU counts, exceeds 1, and only then are :mod:`concurrent.futures` and
 :mod:`multiprocessing` imported.
 """
 
@@ -53,15 +54,15 @@ import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import lcm
 from operator import floordiv, mul, sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import regularity
 from .lattice import IndexSet, _bit_positions, _mask_elements, _mask_mirror, _mask_tables
 from .maximal import _set_tails, _tail_points
-from .regularity import RatioRecord, Violation, _audit_mirror, _check_function, _scaled, analyze
+from .regularity import RatioRecord, Violation, _audit_mirror, _scaled, analyze
 
 GENERATOR_ID = "python-random-mt19937"
 _CHUNK = 2048
@@ -144,17 +145,18 @@ def _beats(new: tuple, old: tuple | None) -> bool:
 
 @dataclass
 class _Fold:
-    """Sweep results folded in order, in integers: each set into its chunk
-    (:func:`_check_mask_chunk`), then each chunk into the sweep (:meth:`add`).
-    A winner is (norm over D, D * ||chi''||_1, mask), compared by
-    :func:`_beats` only, so on ties the earlier, smaller-mask set stays; the
-    records are rebuilt from the final winners' masks (:func:`_set_sweep`)."""
+    """Sweep results folded in order, in integers: each instance into its chunk
+    (:func:`_check_mask_chunk`, :func:`_check_draw_chunk`), then each chunk into
+    the sweep (:meth:`add`, in :func:`_sweep`).  A winner starts (norm over D,
+    D * source norm) and is compared by :func:`_beats` only, so on ties the
+    earlier instance stays; the records are rebuilt from the final winners."""
 
-    count: int = 0                      # translation classes covered
+    count: int = 0                      # translation classes covered, or draws checked
     evaluated: int = 0                  # sets analysed
     winners: dict = field(default_factory=dict)     # span -> winner; None -> overall
     min_chi_norm: int | None = None
     violations: tuple[Violation, ...] = ()
+    ratios: list = field(default_factory=list)      # every function draw's ratio
 
     def add(self, chunk: "_Fold") -> None:
         self.count += chunk.count
@@ -166,6 +168,33 @@ class _Fold:
                                                or chunk.min_chi_norm < self.min_chi_norm):
             self.min_chi_norm = chunk.min_chi_norm
         self.violations = chunk.violations
+        self.ratios += chunk.ratios
+
+
+def _sweep(chunks: Iterable[tuple], evaluate: Callable[[tuple], _Fold], total: int,
+           workers: int, progress: Callable[[int, int], None] | None) -> _Fold:
+    """The chunk args ``chunks`` mapped through ``evaluate`` and folded in submission
+    order up to the first violation, with ``progress`` (instances so far, ``total``)
+    after each chunk.  The pool holds at most one process per chunk of ``total``
+    and per CPU, and is imported only when it holds two or more: on one, the
+    chunks map lazily in this process and no pool module loads."""
+    merged = _Fold()
+    workers = min(workers, -(-total // _CHUNK), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for chunk in (map if pool is None else pool.map)(evaluate, chunks):
+            merged.add(chunk)
+            if progress is not None:
+                progress(merged.count, total)
+            if chunk.violations:
+                break
+    return merged
+
+
+def _mask_chunks(masks: Sequence[int], tables: tuple | None) -> Iterator[tuple]:
+    """The :func:`_check_mask_chunk` args of a set sweep over ``masks``."""
+    return ((masks[i:i + _CHUNK], i, tables) for i in range(0, len(masks), _CHUNK))
 
 
 def _check_mask_chunk(args: tuple) -> _Fold:
@@ -220,35 +249,12 @@ def _check_mask_chunk(args: tuple) -> _Fold:
     return _Fold(count, evaluated, winners, min_chi, violations)
 
 
-def _set_sweep(masks: Sequence[int], tables: tuple | None, workers: int,
-               progress: Callable[[int, int], None] | None,
-               ) -> tuple[_Fold, RatioRecord | None, dict]:
-    """(fold, max record, summary stats) of a set sweep: the chunks of ``masks``
-    checked by :func:`_check_mask_chunk` with ``tables``, folded in submission
-    order up to the first violation, and the records rebuilt from the final
-    winners.  The pool holds at most one process per chunk and per CPU, and
-    is imported only when it holds two or more: on one, the chunks map in
-    this process and neither :mod:`concurrent.futures` nor
-    :mod:`multiprocessing` loads."""
-    total = len(masks)
-    chunk_args = [(masks[i:i + _CHUNK], i, tables) for i in range(0, total, _CHUNK)]
-    merged = _Fold()
-    workers = min(workers, len(chunk_args), os.cpu_count() or 1)
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers)
-    with pool or nullcontext():
-        for chunk in (map if pool is None else pool.map)(_check_mask_chunk, chunk_args):
-            merged.add(chunk)
-            if progress is not None:
-                progress(merged.count, total)
-            if chunk.violations:
-                break
+def _set_records(merged: _Fold) -> tuple[RatioRecord | None, dict]:
+    """(max record, summary stats) of a set sweep, re-analysing its final winners."""
     records = {key: analyze(IndexSet.from_mask(entry[2])).ratio_record()
                for key, entry in merged.winners.items()}
     norm = merged.min_chi_norm
-    return merged, records.pop(None, None), {
+    return records.pop(None, None), {
         "max_by_span": dict(sorted(records.items())),
         "min_chi_second_norm": None if norm is None else Fraction(norm)}
 
@@ -279,8 +285,10 @@ def exhaustive(length: int, workers: int = 1,
         raise ValueError("length must be in [1, 24]")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    merged, best, stats = _set_sweep(range(1, 1 << length, 2), _sweep_tables(length),
-                                     workers, progress)
+    masks = range(1, 1 << length, 2)
+    merged = _sweep(_mask_chunks(masks, _sweep_tables(length)), _check_mask_chunk,
+                    len(masks), workers, progress)
+    best, stats = _set_records(merged)
     return SearchSummary(
         instances_checked=merged.count,
         max_record=best,
@@ -331,7 +339,8 @@ def random_sets(trials: int, length: int, density, seed: int,
                 mask |= 1 << i
         if mask:
             masks.append(mask)
-    merged, best, stats = _set_sweep(masks, None, workers, progress)
+    merged = _sweep(_mask_chunks(masks, None), _check_mask_chunk, len(masks), workers, progress)
+    best, stats = _set_records(merged)
     return SearchSummary(
         instances_checked=merged.count,
         max_record=best,
@@ -350,6 +359,25 @@ def random_sets(trials: int, length: int, density, seed: int,
     )
 
 
+def _check_draw_chunk(args: tuple) -> _Fold:
+    """Check a chunk of nonzero draws in order (:func:`~maxreg.regularity._check_function`,
+    looked up on :mod:`~maxreg.regularity`), auditing each draw numbered 0 mod 512, and
+    fold in every ratio and the winner, (norm over D, D * source norm, offset, values, D)."""
+    draws, base_index = args
+    fold = _Fold()
+    for i, values in enumerate(draws, base_index):
+        winner, found = regularity._check_function(values, i % _SPOT_EVERY == 0)
+        fold.count += 1
+        if winner is not None:
+            fold.ratios.append(Fraction(winner[0], winner[1]))
+            if _beats(winner, fold.winners.get(None)):
+                fold.winners[None] = winner
+        if found:
+            fold.violations = tuple(found)
+            break
+    return fold
+
+
 def _function_record(winner: tuple) -> GeneralRatioRecord:
     max_norm, scaled_norm, offset, values, d = winner
     return GeneralRatioRecord(offset, values, Fraction(scaled_norm // d),
@@ -363,6 +391,8 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     Values are uniform on [-value_bound, value_bound]; draws with vanishing
     second-difference norm are skipped.  Only the boundary-bound consistency
     is asserted; the observed ratio distribution is reported, not bounded.
+    The nonzero draws run through :func:`_sweep` on one worker, drawn one chunk
+    at a time, and ``progress`` gets (draws checked, ``trials``) after each chunk.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -371,40 +401,19 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     if value_bound < 1:
         raise ValueError("value_bound must be a positive integer")
     rng = random.Random(seed)
-    best: tuple | None = None
-    ratios: list[Fraction] = []
-    violations: tuple[Violation, ...] = ()
-    checked = 0
-    for t in range(trials):
-        values = tuple([rng.randint(-value_bound, value_bound) for _ in range(length)])
-        winner, found = _check_function(values, checked % _SPOT_EVERY == 0)
-        if winner is None and not found:
-            continue
-        checked += 1
-        if winner is not None:
-            ratios.append(Fraction(winner[0], winner[1]))
-            if _beats(winner, best):
-                best = winner
-        if found:
-            violations = tuple(found)
-            break
-        if progress is not None and checked % 100 == 0:
-            progress(checked, trials)
-
-    ratios.sort()
-    quantiles = {}
-    if ratios:
-        quantiles = {
-            "min": str(ratios[0]),
-            "q25": str(ratios[len(ratios) // 4]),
-            "median": str(ratios[len(ratios) // 2]),
-            "q75": str(ratios[(3 * len(ratios)) // 4]),
-            "max": str(ratios[-1]),
-        }
+    draws = ([rng.randint(-value_bound, value_bound) for _ in range(length)] for _ in range(trials))
+    nonzero = filter(any, draws)        # lists: held tuples would stay in the tuple free lists
+    chunks = iter(lambda: list(islice(nonzero, _CHUNK)), [])
+    # chunk k starts at nonzero draw k * _CHUNK < trials, the number that decides its audits
+    merged = _sweep(zip(chunks, range(0, trials, _CHUNK)), _check_draw_chunk, trials, 1, progress)
+    ratios = sorted(merged.ratios)
+    n = len(ratios)
+    at = {"min": 0, "q25": n // 4, "median": n // 2, "q75": 3 * n // 4, "max": n - 1}
+    quantiles = {key: str(ratios[i]) for key, i in at.items()} if ratios else {}
     return SearchSummary(
-        instances_checked=checked,
-        max_record=None if best is None else _function_record(best),
-        violations=violations,
+        instances_checked=merged.count,
+        max_record=_function_record(merged.winners[None]) if merged.winners else None,
+        violations=merged.violations,
         parameters={
             "mode": "random_functions",
             "trials": trials,

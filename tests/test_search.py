@@ -107,7 +107,7 @@ def test_exhaustive_worker_count_is_irrelevant():
 
 class SerialPool:
     """A stand-in for ``ProcessPoolExecutor`` that records its size and maps
-    in this process.  ``_set_sweep`` imports the pool from
+    in this process.  ``_sweep`` imports the pool from
     :mod:`concurrent.futures` when it builds one, so it is patched there."""
 
     sizes: list[int] = []
@@ -160,6 +160,7 @@ def fields(s):
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv.split()) for argv in (
         "report 0,2 --format json", "scan 0,1 3 1000", "exhaust 10", "random 200 12 1/2 7")]
+search.random_functions(300, 12, 4, 1)
 one_worker = pool_modules()
 same = fields(search.exhaustive(13, workers=2)) == fields(search.exhaustive(13))
 print(json.dumps({"codes": codes, "one_worker": one_worker, "same": same,
@@ -168,8 +169,9 @@ print(json.dumps({"codes": codes, "one_worker": one_worker, "same": same,
 
 
 def test_one_worker_verbs_load_no_process_pool():
-    # in a fresh interpreter: the verbs on one worker never import the pool,
-    # and a sweep on two workers (2 chunks, 2 CPUs) does, with the same summary
+    # in a fresh interpreter: the verbs and a function sweep on one worker
+    # never import the pool, and a sweep on two workers (2 chunks, 2 CPUs)
+    # does, with the same summary
     src = os.path.dirname(os.path.dirname(search.__file__))
     done = subprocess.run([sys.executable, "-c", _POOL_FOOTPRINT], capture_output=True,
                           text=True, timeout=300, check=True,
@@ -641,7 +643,8 @@ def test_broken_function_bound_halts_the_function_sweep(monkeypatch, kind):
 
 def test_random_functions_skip_all_zero_draws():
     # on one point with values in [-1, 1], about a third of the draws are 0:
-    # each is skipped and not counted, and the progress count skips it too
+    # each is skipped and not counted, and the progress count skips it too,
+    # with one call per chunk of nonzero draws: (draws checked so far, trials)
     rng = random.Random(4)
     zeros = [rng.randint(-1, 1) for _ in range(350)].count(0)
     seen = []
@@ -649,7 +652,102 @@ def test_random_functions_skip_all_zero_draws():
     assert 0 < zeros and s.instances_checked == 350 - zeros
     assert s.stats["ratio_quantiles"]["min"] == s.stats["ratio_quantiles"]["max"] == "1/2"
     assert s.instances_checked >= 200
-    assert seen == [(n, 350) for n in range(100, s.instances_checked + 1, 100)]
+    assert seen == [(s.instances_checked, 350)]
+    # 7,000 draws: three chunks of nonzero draws, the last one partial
+    rng = random.Random(4)
+    zeros = [rng.randint(-1, 1) for _ in range(7000)].count(0)
+    seen = []
+    s = random_functions(7000, 1, 1, 4, progress=lambda done, total: seen.append((done, total)))
+    assert s.instances_checked == 7000 - zeros > 2 * search._CHUNK
+    assert seen == [(search._CHUNK, 7000), (2 * search._CHUNK, 7000),
+                    (s.instances_checked, 7000)]
+
+
+def test_function_sweep_summary_text():
+    # the max ratio line of a function sweep names its draw: offset and values
+    s = random_functions(10, 8, 5, 3)
+    lines = reporting.summary_text(s).split("\n")
+    assert lines[:2] == ["instances checked  10", "max ratio          1543/4788 at offset 0, "
+                         "values [-1, 1, 3, 1, 4, 0, 3, 4]"]
+    assert s.max_record.function_values == (-1, 1, 3, 1, 4, 0, 3, 4)
+    assert s.max_record.ratio == Fraction(1543, 4788)
+    # a function sweep with no instances
+    empty = random_functions(0, 8, 5, 3)
+    assert (empty.instances_checked, empty.max_record, empty.violations) == (0, None, ())
+    assert reporting.summary_text(empty).split("\n")[:4] == [
+        "instances checked  0", "max record         none (no instances)",
+        "ratio_quantiles    {}", "violations         none"]
+    data = reporting.summary_to_dict(empty)
+    assert data["max_record"] is None and data["stats"] == {"ratio_quantiles": {}}
+
+
+_MARKED_DRAW = [9] * 12                 # outside the value bound 4: never drawn
+
+
+def _check_draws_breaking_the_marked_one(args):
+    """``search._check_draw_chunk`` with a violation added to the marked draw's
+    check, patched in whichever process runs the chunk."""
+    real = regularity._check_function
+
+    def check(values, spot_check):
+        winner, found = real(values, spot_check)
+        if values == _MARKED_DRAW:
+            found = [*found, Violation("injected", {"values": values}, {})]
+        return winner, found
+
+    regularity._check_function = check
+    try:
+        return search._check_draw_chunk(args)
+    finally:
+        regularity._check_function = real
+
+
+def test_function_sweep_ignores_the_worker_count(monkeypatch):
+    # _sweep over the three chunks of random_functions(5000, 12, 4, 17), in this
+    # process and on a pool of two: the same fold, which is the function
+    # sweep's, and with a violation in the second chunk the same halt at the
+    # same draw
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = random.Random(17)
+    draws = [[rng.randint(-4, 4) for _ in range(12)] for _ in range(5000)]
+    assert all(map(any, draws))                 # no draw is skipped
+    chunks = [(draws[i:i + search._CHUNK], i) for i in range(0, 5000, search._CHUNK)]
+    assert len(chunks) == 3
+    folds = [search._sweep(chunks, search._check_draw_chunk, 5000, workers, None)
+             for workers in (1, 2)]
+    assert folds[0] == folds[1]
+    s = random_functions(5000, 12, 4, 17)
+    assert folds[0].count == s.instances_checked == 5000
+    assert folds[0].violations == s.violations == ()
+    assert search._function_record(folds[0].winners[None]) == s.max_record
+    assert str(max(folds[0].ratios)) == s.stats["ratio_quantiles"]["max"]
+    chunks[1][0][100] = _MARKED_DRAW
+    folds = [search._sweep(chunks, _check_draws_breaking_the_marked_one, 5000, workers, None)
+             for workers in (1, 2)]
+    assert folds[0] == folds[1]
+    assert folds[0].count == search._CHUNK + 101
+    assert folds[0].violations == (Violation("injected", {"values": _MARKED_DRAW}, {}),)
+
+
+def test_function_sweep_chunks_change_nothing(monkeypatch):
+    # Chunks of 300 nonzero draws, not a multiple of the audit period: the
+    # winner and the ratios fold across chunks into the one-chunk summary,
+    # and the oracle still audits the nonzero draws numbered 0 mod 512.
+    rng = random.Random(5)
+    draws = [[rng.randint(-1, 1) for _ in range(2)] for _ in range(1100)]
+    nonzero = [values for values in draws if any(values)]
+    assert len(nonzero) < 1100
+    whole = random_functions(1100, 2, 1, 5)
+    real, audited = regularity.maximal_profile, []
+
+    def counted(f):
+        audited.append(f)
+        return real(f)
+
+    monkeypatch.setattr(regularity, "maximal_profile", counted)
+    monkeypatch.setattr(search, "_CHUNK", 300)
+    assert random_functions(1100, 2, 1, 5) == whole
+    assert audited == [LatticeFunction.make(0, nonzero[i]) for i in range(0, len(nonzero), 512)]
 
 
 def test_random_functions_validation():
