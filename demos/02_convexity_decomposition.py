@@ -5,9 +5,10 @@ concave otherwise.  Maximal runs of one class form chains; on each chain the
 sum of |second difference| telescopes to the four values flanking the run.
 Summing chains shows the whole second-difference norm is controlled by the
 concave boundary alone: that boundary bound is computed here next to the
-exact norm of the maximal function of an indicator, all read from one
-``analyze`` of the set.  Of the indicator itself only the second
-differences and their norm are shown.
+exact norm of the maximal function of an indicator.  Both are read from one
+``analyze`` of the set, the bound through ``regularity.decompose`` on the
+same profile.  Of the indicator itself only the second differences and their
+norm are shown.
 
 The punchline pair of facts (Theorem 1 / Lemma 1 in the API):
 
@@ -15,7 +16,7 @@ The punchline pair of facts (Theorem 1 / Lemma 1 in the API):
 * M chi_A is concave only at points of A.
 """
 
-from maxreg import MINUS, IndexSet, analyze
+from maxreg import MINUS, IndexSet, analyze, regularity
 
 
 def walk(elements) -> None:
@@ -34,7 +35,8 @@ def walk(elements) -> None:
     print(f"    concave set     {set(an.s_minus) or '{}'}")
     print(f"    boundaries      left {set(an.left_boundary) or '{}'} "
           f"right {set(an.right_boundary) or '{}'}")
-    norm, bound = an.fraction(an.second_norm), an.fraction(an.boundary_bound)
+    profile = regularity.AnalyzedFunction(an.lo, an.denominator, an.scaled)
+    norm, bound = an.fraction(an.second_norm), regularity.decompose(profile)[4]
     print(f"    second norm     {norm}")
     print(f"    boundary bound  {bound}  (dominates: {bound >= norm})")
     v, lo = an.scaled, an.lo

@@ -33,7 +33,8 @@ counting as convex), and a maximal profile on [min - 1, max + 1]
 (hyperbola-envelope tails, see :mod:`maxreg.maximal`).  One integer pass,
 :func:`_convexity`, reads the classes, boundaries and norms off either;
 :func:`second_norm`, :func:`funeq_rhs` and :func:`decompose` run it on a
-given profile, as :class:`AnalyzedFunction`.
+given profile, as :class:`AnalyzedFunction`; the last two add the boundary
+sum, which is the norm again (:func:`_boundary_sum`).
 
 The two headline facts checked over index sets A, stated here once and
 referred to by number throughout the API and reports:
@@ -46,10 +47,11 @@ referred to by number throughout the API and reports:
 Both are checked on index sets through :func:`analyze`, which runs the pass
 on the profile of one set and adds its contract quantities.  The per-set
 report and the headline functions below read that one :class:`Analysis`;
-the set sweeps run its battery's tests on the same quantities and build it
-only for a set that fails one (:func:`_check_set`).  The function sweep's
-check, :func:`_check_function`, runs the same pass on each draw and on its
-profile.  Every :class:`Violation`, oracle audits included, is built here.
+the set sweeps run its battery's tests (:func:`_gate`) on the same
+quantities and build it only for a set that fails one (:func:`_check_set`).
+The function sweep's check, :func:`_check_function`, runs the same pass on
+each draw and on its profile and tests Var(M f) <= Var(f).  No check compares
+two sums equal by construction.  Every :class:`Violation` is built here.
 """
 
 from __future__ import annotations
@@ -95,18 +97,15 @@ def _scaled(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
 
 
 def _convexity(v: Sequence[int]) -> tuple:
-    """(second norm, boundary bound, left tail, right tail, c2, concave,
-    left boundary, right boundary, first differences) of a guaranteed window
-    ``v`` (module docstring), in the units of ``v`` and positions 0 .. len(v) - 1.
+    """(second norm, left tail, right tail, c2, concave, left boundary, right
+    boundary, first differences) of a guaranteed window ``v`` (module
+    docstring), in the units of ``v`` and positions 0 .. len(v) - 1.
 
-    The first differences are taken once; c2 (at 1 .. len(v) - 2), the tails
-    and the boundary sums come from them, and the norm, sum |c2| plus both
-    tails, is -2 sum_{concave} c2 (module docstring), whatever the tails' sign.
-    A concave point is in the left (right) boundary when its left (right)
-    neighbour is convex; both edges are convex.  The boundary bound, 2 sum_{left}
-    (v(i) - v(i-1)) + 2 sum_{right} (v(i) - v(i+1)), equals the norm, as the c2
-    of a concave run [l, r] sum to first[r] - first[l-1]; the contracts check
-    one sum against the other.  The general bound's limit terms vanish here.
+    The first differences are taken once; c2 (at 1 .. len(v) - 2) and the
+    tails come from them, and the norm, sum |c2| plus both tails, is
+    -2 sum_{concave} c2 (module docstring), whatever the tails' sign.  A
+    concave point is in the left (right) boundary when its left (right)
+    neighbour is convex; both edges are convex.
     """
     first = list(map(sub, v[1:], v))
     second = list(map(sub, first[1:], first))
@@ -114,9 +113,8 @@ def _convexity(v: Sequence[int]) -> tuple:
     minus = list(compress(range(len(v)), concave))
     left = [i for i in minus if not concave[i - 1]]
     right = [i for i in minus if not concave[i + 1]]
-    return (-2 * sum(compress(second, concave[1:])),
-            2 * (sum([first[i - 1] for i in left]) - sum([first[i] for i in right])),
-            first[0], -first[-1], second, minus, left, right, first)
+    return (-2 * sum(compress(second, concave[1:])), first[0], -first[-1], second, minus,
+            left, right, first)
 
 
 def _shifted(lo: int, positions: list[int]) -> tuple[int, ...]:
@@ -146,16 +144,23 @@ def second_norm(g: AnalyzedFunction) -> Fraction:
     return Fraction(_convexity(g.scaled)[0], g.denominator)
 
 
+def _boundary_sum(left: list[int], right: list[int], first: list[int]) -> int:
+    """2 sum_{left} (v(i) - v(i-1)) + 2 sum_{right} (v(i) - v(i+1)) from the last three
+    fields of a :func:`_convexity` pass: its norm, as a concave run [l, r] has c2 summing
+    to first[r] - first[l-1]; no contract compares the two."""
+    return 2 * (sum([first[i - 1] for i in left]) - sum([first[i] for i in right]))
+
+
 def funeq_rhs(g: AnalyzedFunction) -> Fraction:
-    """The boundary bound of :func:`_convexity`; it equals :func:`second_norm`."""
-    return Fraction(_convexity(g.scaled)[1], g.denominator)
+    """The boundary bound; it equals :func:`second_norm`."""
+    return Fraction(_boundary_sum(*_convexity(g.scaled)[5:]), g.denominator)
 
 
 def decompose(g: AnalyzedFunction) -> tuple[IndexSet, IndexSet, IndexSet, Fraction, Fraction]:
     """(concave points, left boundary, right boundary, second norm, boundary bound)."""
-    norm, bound, _, _, _, minus, left, right, _ = _convexity(g.scaled)
+    norm, _, _, _, minus, left, right, first = _convexity(g.scaled)
     return (*[IndexSet(_shifted(g.lo, s)) for s in (minus, left, right)],
-            Fraction(norm, g.denominator), Fraction(bound, g.denominator))
+            *[Fraction(x, g.denominator) for x in (norm, _boundary_sum(left, right, first))])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,6 @@ class Analysis(NamedTuple):
     left_tail: int                      # over D: sum of |c2| over n <= lo
     right_tail: int                     # over D: sum of |c2| over n >= hi
     second_norm: int                    # over D: ||(M chi)''||_1, tails included
-    boundary_bound: int                 # over D: the profile's boundary bound
     variation: int                      # over D: ||(M chi)'||_1
 
     # The point views of the positions, built on each read.
@@ -275,13 +279,13 @@ class Analysis(NamedTuple):
         First the profile audit (:func:`audit_profile`) against the naive
         oracle :func:`~maxreg.maximal.maximal_profile`, run here when
         ``spot_check`` is set and whenever a tail term is negative, which a
-        correct kernel cannot give.  Then Theorem 1 ratio <= 3, ||chi''||_1 >= 2,
-        Lemma 1, the boundary bound against the second norm (two equal sums,
-        :func:`_convexity`), and the variation of M chi_A not exceeding
-        ||chi'||_1.  Each test runs once, in :func:`_gate`; details are built
-        only for the contracts that fail.
+        correct kernel cannot give.  Then Theorem 1 ratio <= 3, Lemma 1, and
+        the variation of M chi_A not exceeding ||chi'||_1.  Each test runs once,
+        in :func:`_gate`; details are built only for the contracts that fail.
+        No identity is tested: the boundary sum is the second norm
+        (:func:`_boundary_sum`), and ||chi''||_1 = 4 * blocks >= 4.
         """
-        audit, theorem1, lower, lemma1, boundary, first = _gate(spot_check, self[1:])
+        audit, theorem1, lemma1, first = _gate(spot_check, self[1:])
         subject = {"set": list(self.set.elements)}
         out: list[Violation] = []
         if audit:
@@ -293,19 +297,10 @@ class Analysis(NamedTuple):
                 "max_second_norm": str(record.max_second_norm),
                 "ratio": str(record.ratio),
             }))
-        if lower:
-            out.append(Violation("chi_second_norm_lower_bound", subject, {
-                "chi_second_norm": str(self.chi_second_norm),
-            }))
         if lemma1:
             out.append(Violation("lemma1_concavity", subject, {
                 "concave_points_outside_set": list(self.lemma1_violations),
                 "profile_values": [str(x) for x in self.profile_values()],
-            }))
-        if boundary:
-            out.append(Violation("boundary_bound", subject, {
-                "funeq_rhs": str(self.fraction(self.boundary_bound)),
-                "second_norm": str(self.fraction(self.second_norm)),
             }))
         if first:
             out.append(Violation("first_derivative_bound", subject, {
@@ -339,22 +334,20 @@ def _measures(elements: Sequence[int], blocks: int, d: int, v: list[int]) -> tup
     of a set of ``blocks`` runs and ``v`` = D * M chi_A on its window, D = ``d``.
     All but the variation come from :func:`_convexity`; the variation's tails are
     monotone with limit 0, so it is M(min A) + M(max A) + sum_{[min A, max A)} |M'|."""
-    norm, bound, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
+    norm, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
     return (elements[0] - 1, elements[-1] + 1, d, tuple(v), tuple(second), minus, left, right,
-            4 * blocks, 2 * blocks, left_tail, right_tail, norm, bound,
+            4 * blocks, 2 * blocks, left_tail, right_tail, norm,
             v[1] + sum(map(abs, first[1:-1])) + v[-2])
 
 
 def _gate(spot_check: bool, measures: tuple) -> tuple[bool, ...]:
     """Which tests of :meth:`Analysis.violations` fail on :func:`_measures`:
-    (audit due, Theorem 1, ||chi''||_1 >= 2, Lemma 1, boundary bound, variation)."""
+    (audit due, Theorem 1, Lemma 1, variation)."""
     (_, _, d, v, _, minus, _, _, chi_second, chi_first, left_tail, right_tail,
-     norm, bound, variation) = measures
+     norm, variation) = measures
     return (spot_check or left_tail < 0 or right_tail < 0,
             norm > 3 * chi_second * d,
-            chi_second < 2,
             list(map(v.__getitem__, minus)).count(d) != len(minus),    # concave, M < 1
-            bound < norm,
             variation > chi_first * d)
 
 
@@ -392,17 +385,19 @@ def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
 
 def _check_function(values: Sequence[int], spot_check: bool,
                     ) -> tuple[tuple | None, list[Violation]]:
-    """Boundary-bound checks and the norm ratio for one integer-valued draw.
+    """The variation bound and the norm ratio for one integer-valued draw.
 
-    The draw is trimmed to its nonzero span in integers; an all-zero draw
-    gives (None, []).  The ratio is recorded for exploration only: no
-    analogue of the indicator bound is asserted for general functions.  With
-    ``spot_check``, or when a tail term of the profile is negative, the
-    profile is also audited against the oracle (:func:`audit_profile`) and
-    the result comes first.  A negative tail leaves the maximal norms
-    without their tail guarantee, so no winner is returned for it.  A winner
-    is (norm over D, D * source norm, offset, values, D), as the function
-    sweep compares and records it.
+    The draw is trimmed to its nonzero span [a, b]; an all-zero draw gives
+    (None, []).  The contract is Var(M f) <= Var(f) (Bober, Carneiro, Hughes
+    & Pierce 2012), the set battery's ``first_derivative_bound``: Var(f) is
+    sum |f'| over the padded draw, and D * Var(M f) is v(a) + sum_{[a, b)} |v'|
+    + v(b), as in :func:`_measures`.  The ratio is only recorded.  With
+    ``spot_check``, or when a tail term of the profile is negative, the profile
+    is also audited against the oracle (:func:`audit_profile`) and the result
+    comes first; a negative tail leaves the profile without its tail
+    guarantee, so the bound is not checked and no winner is returned.  A winner
+    is (norm over D, D * source norm, offset, values, D), as the function sweep
+    compares and records it.
     """
     nonzero = [i for i, x in enumerate(values) if x]
     if not nonzero:
@@ -410,32 +405,26 @@ def _check_function(values: Sequence[int], spot_check: bool,
     offset = nonzero[0]
     ints = list(values[offset:nonzero[-1] + 1])
     source, d, v, maximal = _integer_passes(ints)
-    source_norm, source_bound = source[:2]
-    max_norm, max_bound, left_tail, right_tail = maximal[:4]
+    max_norm, left_tail, right_tail = maximal[:3]
 
     def subject() -> dict:
         return {"offset": offset, "values": [str(x) for x in ints]}
 
     violations: list[Violation] = []
-    if source_bound < source_norm:
-        violations.append(Violation("boundary_bound_source", subject(), {
-            "funeq_rhs": str(source_bound),
-            "second_norm": str(source_norm),
-        }))
-
     negative_tail = left_tail < 0 or right_tail < 0
     if spot_check or negative_tail:
         profile = tuple([Fraction(x, d) for x in v])
-        violations[:0] = audit_profile(profile, LatticeFunction.make(offset, ints), subject())
+        violations = audit_profile(profile, LatticeFunction.make(offset, ints), subject())
     if negative_tail:
         return None, violations
-    if max_bound < max_norm:
-        violations.append(Violation("boundary_bound_maximal", subject(), {
-            "funeq_rhs": str(Fraction(max_bound, d)),
-            "second_norm": str(Fraction(max_norm, d)),
+    source_variation = sum(map(abs, source[-1]))
+    variation = v[1] + sum(map(abs, maximal[-1][1:-1])) + v[-2]
+    if variation > d * source_variation:
+        violations.append(Violation("first_derivative_bound", subject(), {
+            "source_first_variation": str(source_variation),
+            "max_first_variation": str(Fraction(variation, d)),
         }))
-
-    return (max_norm, d * source_norm, offset, tuple(ints), d), violations
+    return (max_norm, d * source[0], offset, tuple(ints), d), violations
 
 
 def theorem1_report(a: IndexSet) -> RatioRecord:

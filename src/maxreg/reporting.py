@@ -136,7 +136,8 @@ def _ints(xs: tuple[int, ...]) -> str:
 
 def render_report_json(an: Analysis) -> str:
     """The JSON report, ``json.dumps(report_to_dict(an), indent=2)`` byte for
-    byte, filled into one template straight from the analysis integers."""
+    byte, filled into one template straight from the analysis integers; its
+    boundary bound ``funeq_rhs`` is the second norm (``regularity._boundary_sum``)."""
     d, outside = an.denominator, an.lemma1_violations
     return _REPORT % (
         SCHEMA_VERSION, __version__,
@@ -144,7 +145,7 @@ def render_report_json(an: Analysis) -> str:
         _over(an.second_norm, d), _over(an.second_norm, d * an.chi_second_norm),
         _ints(an.s_minus), _ints(an.left_boundary), _ints(an.right_boundary),
         ",\n    ".join([_CHAIN % chain for chain in an.chain_bounds()]),
-        _over(an.boundary_bound, d), _over(an.boundary_bound + 2 * d, d),
+        _over(an.second_norm, d), _over(an.second_norm + 2 * d, d),
         "violated" if outside else "ok", _ints(outside),
         an.chi_first_norm, _over(an.variation, d), an.lo, an.hi,
         '",\n    "'.join(_over_each(an.scaled, d)))
@@ -156,8 +157,8 @@ def report_to_dict(an: Analysis) -> dict:
 
 
 def render_report_text(an: Analysis) -> str:
-    """The text report.  Its boundary bound is exact; the JSON's
-    ``funeq_rhs_limit_bounded`` bounds each vanishing limit term by 1."""
+    """The text report.  Its boundary bound is exact, the second norm again; the
+    JSON's ``funeq_rhs_limit_bounded`` bounds each vanishing limit term by 1."""
     d, outside = an.denominator, an.lemma1_violations
     return "\n".join([
         f"set               {canonical_set_literal(an.set)}",
@@ -170,7 +171,7 @@ def render_report_text(an: Analysis) -> str:
         f"right boundary    {{{canonical_set_literal(an.right_boundary)}}}",
         "chains            " + " ".join(
             f"{kind}[{start},{end}]" for kind, start, end in an.chain_bounds()),
-        f"boundary bound    {_over(an.boundary_bound, d)}",
+        f"boundary bound    {_over(an.second_norm, d)}",
         f"lemma 1           {'VIOLATED at ' + canonical_set_literal(outside) if outside else 'ok'}",
         f"||chi'||_1        {an.chi_first_norm}",
         f"var M chi         {_over(an.variation, d)}",

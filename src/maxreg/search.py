@@ -18,9 +18,9 @@ Three probes of how far the second-difference bound might extend:
 This module only sweeps.  Every contract check, oracle audit and
 :class:`~maxreg.regularity.Violation` comes from :mod:`maxreg.regularity`:
 each set runs the battery's integer tests
-(:func:`~maxreg.regularity._check_set`), and each drawn function the same
-integer pass on itself and on its maximal profile
-(:func:`~maxreg.regularity._check_function`).  Every 512th instance of every
+(:func:`~maxreg.regularity._check_set`), and each drawn function the bound
+Var(M f) <= Var(f) on the same integer pass of itself and of its maximal
+profile (:func:`~maxreg.regularity._check_function`).  Every 512th instance of every
 sweep, set or function, is also re-profiled by the naive oracle
 :func:`~maxreg.maximal.maximal_profile`, and so is every instance whose
 profile has a negative tail term; for a set, the battery decides and runs that
@@ -388,11 +388,11 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
                      progress: Callable[[int, int], None] | None = None) -> SearchSummary:
     """Ratio exploration over random integer-valued functions on [0, length).
 
-    Values are uniform on [-value_bound, value_bound]; draws with vanishing
-    second-difference norm are skipped.  Only the boundary-bound consistency
-    is asserted; the observed ratio distribution is reported, not bounded.
-    The nonzero draws run through :func:`_sweep` on one worker, drawn one chunk
-    at a time, and ``progress`` gets (draws checked, ``trials``) after each chunk.
+    Values are uniform on [-value_bound, value_bound]; all-zero draws are
+    skipped.  Each draw must hold Var(M f) <= Var(f); the ratio distribution
+    is reported, not bounded.  The nonzero draws run through :func:`_sweep` on
+    one worker, drawn one chunk at a time, and ``progress`` gets (draws
+    checked, ``trials``) after each chunk.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")

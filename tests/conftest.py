@@ -287,9 +287,9 @@ def oracle_funeq_rhs(g: Window) -> Fraction:
 
 def reference_convexity(v: list[int]) -> tuple:
     """``regularity._convexity`` point by point, straight from the definitions:
-    (sum |c2| plus both tail terms, boundary bound, left tail, right tail, c2,
-    concave, left boundary, right boundary, first differences), positions
-    0 .. len(v) - 1.  The norm here is the direct sum, not the concave mass."""
+    (sum |c2| plus both tail terms, left tail, right tail, c2, concave, left
+    boundary, right boundary, first differences), positions 0 .. len(v) - 1.
+    The norm here is the direct sum, not the concave mass."""
     m = len(v)
     second = [v[i - 1] + v[i + 1] - 2 * v[i] for i in range(1, m - 1)]
     concave = [False] + [c < 0 for c in second] + [False]
@@ -299,21 +299,21 @@ def reference_convexity(v: list[int]) -> tuple:
     left_tail = v[1] - v[0]
     right_tail = v[m - 2] - v[m - 1]
     return (sum(map(abs, second)) + left_tail + right_tail,
-            2 * (sum([v[i] - v[i - 1] for i in left]) + sum([v[i] - v[i + 1] for i in right])),
             left_tail, right_tail, second, minus, left, right,
             [v[i + 1] - v[i] for i in range(m - 1)])
 
 
 def assert_function_check_matches_oracle(f: LatticeFunction) -> None:
     """The integer passes of the function sweep on a nonzero integer-valued
-    ``f`` against the oracle on the naive profile (the profile, both norms
-    and both boundary bounds), and the check's record, with no violation."""
+    ``f`` against the oracle on the naive profile (the profile, and both
+    norms, each equal to the oracle's boundary sum of its window), and the
+    check's record, with no violation."""
     source, d, v, maximal = regularity._integer_passes([int(x) for x in f.values])
     g, gm = function_window(f), profile_window(maximal_profile(f))
     norm, max_norm = oracle_second_norm(g), oracle_second_norm(gm)
     assert [Fraction(x, d) for x in v] == list(gm.values)
-    assert source[:2] == (norm, oracle_funeq_rhs(g))
-    assert (Fraction(maximal[0], d), Fraction(maximal[1], d)) == (max_norm, oracle_funeq_rhs(gm))
+    assert source[0] == norm == oracle_funeq_rhs(g)
+    assert Fraction(maximal[0], d) == max_norm == oracle_funeq_rhs(gm)
     values = tuple(int(x) for x in f.values)
     winner, violations = regularity._check_function(values, spot_check=True)
     assert violations == []

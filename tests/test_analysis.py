@@ -50,8 +50,7 @@ def assert_matches_fraction_path(a: IndexSet) -> None:
     assert [an.fraction(c) for c in an.second] == [g.c2(n) for n in range(g.lo + 1, g.hi)]
     assert an.fraction(an.left_tail) == g.at(g.lo + 1) - g.at(g.lo)
     assert an.fraction(an.right_tail) == g.at(g.hi - 1) - g.at(g.hi)
-    assert an.fraction(an.second_norm) == norm
-    assert an.fraction(an.boundary_bound) == oracle_funeq_rhs(g)
+    assert an.fraction(an.second_norm) == norm == oracle_funeq_rhs(g)
     assert an.s_minus == oracle_concave(g)
     assert (an.left_boundary, an.right_boundary) == oracle_boundaries(g)
     assert list(an.chain_bounds()) == oracle_chains(g)
@@ -116,16 +115,11 @@ def test_violations_name_each_broken_contract():
     an = analyze(IndexSet.from_iterable([0, 2]))
     d = an.denominator
     # position 2 of the window [-1, 3] is the point 1, outside the set
-    broken = an._replace(second_norm=25 * d, boundary_bound=0,
-                         variation=5 * d, minus=[1, 2, 3])
+    broken = an._replace(second_norm=25 * d, variation=5 * d, minus=[1, 2, 3])
     kinds = [v.kind for v in broken.violations()]
-    assert kinds == ["theorem1_ratio", "lemma1_concavity", "boundary_bound",
-                     "first_derivative_bound"]
+    assert kinds == ["theorem1_ratio", "lemma1_concavity", "first_derivative_bound"]
     assert all(v.subject == {"set": [0, 2]} for v in broken.violations())
     assert broken.violations()[0].details["ratio"] == "25/8"
-    singleton = analyze(IndexSet.from_iterable([0]))
-    assert [v.kind for v in singleton._replace(chi_second_norm=1).violations()] == \
-        ["chi_second_norm_lower_bound"]
 
 
 def test_each_contract_broken_alone_gives_exactly_its_own_violation():
@@ -134,19 +128,15 @@ def test_each_contract_broken_alone_gives_exactly_its_own_violation():
     # are those the battery has always written.
     an = analyze(IndexSet.from_iterable([0, 2]))
     d = an.denominator
-    assert (an.minus, an.second_norm, an.boundary_bound, an.variation) == ([1, 3], 40, 40, 32)
+    assert (an.minus, an.second_norm, an.variation) == ([1, 3], 40, 32)
     assert an.violations() == []
     subject = {"set": [0, 2]}
     cases = [
-        (an._replace(second_norm=25 * d, boundary_bound=25 * d), "theorem1_ratio", subject,
+        (an._replace(second_norm=25 * d), "theorem1_ratio", subject,
          {"chi_second_norm": "8", "max_second_norm": "25", "ratio": "25/8"}),
-        (analyze(IndexSet.from_iterable([0]))._replace(chi_second_norm=1),
-         "chi_second_norm_lower_bound", {"set": [0]}, {"chi_second_norm": "1"}),
         (an._replace(minus=[1, 2, 3]), "lemma1_concavity", subject,
          {"concave_points_outside_set": [1],
           "profile_values": ["1/2", "1", "2/3", "1", "1/2"]}),
-        (an._replace(boundary_bound=0), "boundary_bound", subject,
-         {"funeq_rhs": "0", "second_norm": "10/3"}),
         (an._replace(variation=5 * d), "first_derivative_bound", subject,
          {"chi_first_norm": "4", "max_first_variation": "5"}),
     ]

@@ -121,13 +121,14 @@ def test_report_csv_agrees_with_json(capsys):
 def test_report_exit_code_from_every_contract(capsys, monkeypatch):
     real = cli.analyze
 
-    def broken_boundary_bound(a):
-        return real(a)._replace(boundary_bound=0)
+    def broken_variation(a):
+        an = real(a)
+        return an._replace(variation=(an.chi_first_norm + 1) * an.denominator)
 
-    monkeypatch.setattr(cli, "analyze", broken_boundary_bound)
+    monkeypatch.setattr(cli, "analyze", broken_variation)
     for fmt in ("text", "json", "csv"):
         assert main(["report", "0,2", "--format", fmt]) == EXIT_VIOLATION
-        assert "contract violated: boundary_bound" in capsys.readouterr().err
+        assert "contract violated: first_derivative_bound" in capsys.readouterr().err
 
 
 def test_report_paper_accounting_flag(capsys):

@@ -274,6 +274,10 @@ def test_integer_pass_matches_the_per_point_formula(v):
     # tuple (a scaled profile)
     assert regularity._convexity(v) == reference_convexity(v)
     assert regularity._convexity(tuple(v)) == reference_convexity(v)
+    # the boundary sum of the public funeq_rhs and decompose, tails of either sign
+    *_, left, right, _ = reference_convexity(v)
+    assert regularity._boundary_sum(*regularity._convexity(v)[5:]) == \
+        2 * (sum([v[i] - v[i - 1] for i in left]) + sum([v[i] - v[i + 1] for i in right]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -315,28 +319,29 @@ def test_funeq_dominates_second_norm():
 def test_boundary_bound_equals_the_second_norm():
     # The c2 of a concave run [l, r] sum to first[r] - first[l-1], so minus
     # twice the concave mass is the boundary sum, on any integer window: the
-    # boundary-bound contracts compare two equal sums.
+    # oracle's boundary sum of each window equals the integer pass's norm,
+    # which is why no contract compares the two.  Both are taken over D.
     for mask in range(1, 1 << 14, 2):
         an = analyze(IndexSet.from_mask(mask))
-        assert an.boundary_bound == an.second_norm, mask
+        assert oracle_funeq_rhs(Window(an.lo, an.scaled)) == an.second_norm, mask
     rng = random.Random(4099)
     for _ in range(3000):
         ints = [rng.randint(-5, 5) for _ in range(rng.randint(1, 20))]
         if len(ints) > 1:               # the draw itself as a window
-            norm, bound = regularity._convexity(ints)[:2]
-            assert bound == norm, ints
+            assert oracle_funeq_rhs(Window(0, tuple(ints))) == regularity._convexity(ints)[0], ints
         nonzero = [i for i, x in enumerate(ints) if x]
         if nonzero:
-            source, _, _, maximal = regularity._integer_passes(ints[nonzero[0]:nonzero[-1] + 1])
-            assert source[1] == source[0] and maximal[1] == maximal[0], ints
+            trimmed = ints[nonzero[0]:nonzero[-1] + 1]
+            source, _, v, maximal = regularity._integer_passes(trimmed)
+            assert oracle_funeq_rhs(Window(0, (0, 0, *trimmed, 0, 0))) == source[0], ints
+            assert oracle_funeq_rhs(Window(0, tuple(v))) == maximal[0], ints
 
 
 def test_decompose_is_consistent():
     # the decomposition that analyze reads off M chi_A
     an = analyze(IndexSet.from_iterable([0, 2, 3, 7]))
     g = maximal_window(0, 2, 3, 7)
-    assert an.fraction(an.second_norm) == oracle_second_norm(g)
-    assert an.fraction(an.boundary_bound) == oracle_funeq_rhs(g)
+    assert an.fraction(an.second_norm) == oracle_second_norm(g) == oracle_funeq_rhs(g)
     assert set(an.left_boundary) <= set(an.s_minus)
     assert set(an.right_boundary) <= set(an.s_minus)
     minus_from_chains = {n for kind, start, end in an.chain_bounds() if kind == MINUS

@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -29,7 +30,6 @@ from maxreg import (
     exhaustive,
     higher_derivative_scan,
     maximal_at,
-    maximal_profile,
     random_functions,
     random_sets,
     theorem1_report,
@@ -47,8 +47,6 @@ from conftest import (
     mirror_mask,
     oracle_scan_bracket,
     oracle_scan_value,
-    oracle_second_norm,
-    profile_window,
     random_index_set,
 )
 
@@ -376,7 +374,7 @@ def test_shared_denominator_analysis_equals_analyze(monkeypatch):
         assert shared.set == an.set
         assert shared.denominator == tables[0] == 360360       # lcm(1, ..., 15)
         assert shared.profile_values() == an.profile_values()
-        for name in ("second_norm", "boundary_bound", "variation", "left_tail", "right_tail"):
+        for name in ("second_norm", "variation", "left_tail", "right_tail"):
             assert shared.fraction(getattr(shared, name)) == an.fraction(getattr(an, name))
         assert (shared.minus, shared.left, shared.right) == (an.minus, an.left, an.right)
         assert shared.chi_second_norm == an.chi_second_norm == 4 * block_count(an.set)
@@ -612,33 +610,52 @@ def _first_nonzero_draw(trials, length, value_bound, seed):
             return nonzero[0], values[nonzero[0]:nonzero[-1] + 1]
 
 
-@pytest.mark.parametrize("kind", ["boundary_bound_source", "boundary_bound_maximal"])
-def test_broken_function_bound_halts_the_function_sweep(monkeypatch, kind):
-    # The integer pass of every draw is made to report a boundary bound one
-    # below its norm, on the draw or on its profile: the sweep must stop at
-    # the first nonzero draw with exactly that one violation.
+def test_broken_function_bound_halts_the_function_sweep(monkeypatch):
+    # The maximal pass of every draw gets one more inner first difference, so
+    # that D * Var(M f) is D * Var(f) + 1: the sweep must stop at the first
+    # nonzero draw with exactly one first_derivative_bound violation.
     real = regularity._integer_passes
 
     def broken(ints):
-        source, d, v, profile = real(ints)
-        if kind == "boundary_bound_source":
-            source = (source[0], source[0] - 1, *source[2:])
-        else:
-            profile = (profile[0], profile[0] - 1, *profile[2:])
-        return source, d, v, profile
+        source, d, v, maximal = real(ints)
+        *_, first = maximal
+        excess = d * sum(map(abs, source[-1])) + 1 - (v[1] + sum(map(abs, first[1:-1])) + v[-2])
+        return source, d, v, (*maximal[:-1], [*first[:-1], excess, first[-1]])
 
     monkeypatch.setattr(regularity, "_integer_passes", broken)
     offset, ints = _first_nonzero_draw(50, 8, 3, 5)
-    f = LatticeFunction.make(offset, ints)
-    if kind == "boundary_bound_source":
-        norm, step = oracle_second_norm(function_window(f)), 1
-    else:
-        norm = oracle_second_norm(profile_window(maximal_profile(f)))
-        step = Fraction(1, real(ints)[1])
+    g = function_window(LatticeFunction.make(offset, ints))
+    variation = sum(abs(g.at(n + 1) - g.at(n)) for n in range(g.lo, g.hi))
     s = random_functions(50, 8, 3, 5)
     assert s.instances_checked == 1
-    assert s.violations == (Violation(kind, {"offset": offset, "values": [str(x) for x in ints]},
-                                      {"funeq_rhs": str(norm - step), "second_norm": str(norm)}),)
+    assert s.violations == (Violation(
+        "first_derivative_bound", {"offset": offset, "values": [str(x) for x in ints]},
+        {"source_first_variation": str(variation),
+         "max_first_variation": str(variation + Fraction(1, real(ints)[1]))}),)
+
+
+def test_function_variation_bound_holds_on_every_small_function():
+    # Every nonzero function on [0, L), L = 1..6, with values in [-2, 2]:
+    # 19,524 draws, none with a violation, and the largest Var(M f) / Var(f)
+    # exactly 1 (M f of a constant block has its variation).
+    checked, largest = 0, Fraction(0)
+    for length in range(1, 7):
+        for values in itertools.product(range(-2, 3), repeat=length):
+            if not any(values):
+                continue
+            winner, violations = regularity._check_function(values, spot_check=False)
+            assert violations == [] and winner is not None, values
+            # each variation over Z as a sum over its whole window: f vanishes
+            # beyond it, and the profile's tails rise from 0 to its edge values
+            nonzero = [i for i, x in enumerate(values) if x]
+            _, d, v, _ = regularity._integer_passes(list(values[nonzero[0]:nonzero[-1] + 1]))
+            source = (0, *values, 0)
+            variation = v[0] + sum(abs(y - x) for x, y in zip(v, v[1:])) + v[-1]
+            largest = max(largest, Fraction(variation, d * sum(
+                abs(y - x) for x, y in zip(source, source[1:]))))
+            checked += 1
+    assert checked == 19_524
+    assert largest == 1
 
 
 def test_random_functions_skip_all_zero_draws():
@@ -790,11 +807,8 @@ def _lift(an, edge):
 # edit of its Analysis, the one violation kind expected).  {0} is the first
 # set of both sweeps below, so the oracle audits it; {0, 2} is not audited.
 _BROKEN_ALONE = [
-    ((0, 2), lambda an: an._replace(second_norm=25 * an.denominator,
-                                    boundary_bound=25 * an.denominator), "theorem1_ratio"),
-    ((0,), lambda an: an._replace(chi_second_norm=1), "chi_second_norm_lower_bound"),
+    ((0, 2), lambda an: an._replace(second_norm=25 * an.denominator), "theorem1_ratio"),
     ((0, 2), lambda an: an._replace(minus=[1, 2, 3]), "lemma1_concavity"),
-    ((0, 2), lambda an: an._replace(boundary_bound=0), "boundary_bound"),
     ((0, 2), lambda an: an._replace(variation=5 * an.denominator), "first_derivative_bound"),
     ((0, 2), lambda an: _lift(an, 0), "fast_path_divergence"),
     ((0, 2), lambda an: _lift(an, -1), "fast_path_divergence"),
@@ -803,8 +817,8 @@ _BROKEN_ALONE = [
 
 
 @pytest.mark.parametrize("elements, edit, kind", _BROKEN_ALONE,
-                         ids=["theorem1", "chi_lower_bound", "lemma1", "boundary", "variation",
-                              "left_tail", "right_tail", "spot_check"])
+                         ids=["theorem1", "lemma1", "variation", "left_tail", "right_tail",
+                              "spot_check"])
 def test_each_contract_broken_alone_halts_both_set_sweeps(monkeypatch, elements, edit, kind):
     # Each sweep must stop at the broken set with exactly the violations its
     # Analysis writes, so a sweep gate that skipped one test fails here.
