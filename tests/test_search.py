@@ -30,6 +30,7 @@ from maxreg import (
     exhaustive,
     higher_derivative_scan,
     maximal_at,
+    maximal_profile,
     random_functions,
     random_sets,
     theorem1_report,
@@ -47,6 +48,7 @@ from conftest import (
     mirror_mask,
     oracle_scan_bracket,
     oracle_scan_value,
+    profile_window,
     random_index_set,
 )
 
@@ -610,28 +612,43 @@ def _first_nonzero_draw(trials, length, value_bound, seed):
             return nonzero[0], values[nonzero[0]:nonzero[-1] + 1]
 
 
-def test_broken_function_bound_halts_the_function_sweep(monkeypatch):
-    # The maximal pass of every draw gets one more inner first difference, so
-    # that D * Var(M f) is D * Var(f) + 1: the sweep must stop at the first
-    # nonzero draw with exactly one first_derivative_bound violation.
+@pytest.mark.parametrize("kind", ["boundary_bound_source", "boundary_bound_maximal"])
+def test_broken_function_bound_halts_the_function_sweep(monkeypatch, kind):
+    # Each side of Var(M f) <= Var(f) is broken in turn.  On the source side
+    # the first differences of the draw are zeroed, so that Var(f) reads 0
+    # against a positive Var(M f); on the maximal side the maximal pass gets
+    # one more inner first difference, so that D * Var(M f) is D * Var(f) + 1.
+    # Either way the sweep must stop at the first nonzero draw with exactly
+    # one first_derivative_bound violation.  The case ids name the side that
+    # is broken, as they did when the function sweep checked boundary bounds.
     real = regularity._integer_passes
 
     def broken(ints):
         source, d, v, maximal = real(ints)
+        if kind == "boundary_bound_source":
+            return (*source[:-1], [0] * len(source[-1])), d, v, maximal
         *_, first = maximal
         excess = d * sum(map(abs, source[-1])) + 1 - (v[1] + sum(map(abs, first[1:-1])) + v[-2])
         return source, d, v, (*maximal[:-1], [*first[:-1], excess, first[-1]])
 
     monkeypatch.setattr(regularity, "_integer_passes", broken)
     offset, ints = _first_nonzero_draw(50, 8, 3, 5)
-    g = function_window(LatticeFunction.make(offset, ints))
+    f = LatticeFunction.make(offset, ints)
+    g = function_window(f)
     variation = sum(abs(g.at(n + 1) - g.at(n)) for n in range(g.lo, g.hi))
+    if kind == "boundary_bound_source":
+        # Var(M f) over Z: the profile on [a - 1, b + 1], its tails falling to 0
+        p = profile_window(maximal_profile(f))
+        reported = 0, p.at(p.lo + 1) + p.at(p.hi - 1) + sum(
+            abs(p.at(n + 1) - p.at(n)) for n in range(p.lo + 1, p.hi - 1))
+    else:
+        reported = variation, variation + Fraction(1, real(ints)[1])
     s = random_functions(50, 8, 3, 5)
     assert s.instances_checked == 1
     assert s.violations == (Violation(
         "first_derivative_bound", {"offset": offset, "values": [str(x) for x in ints]},
-        {"source_first_variation": str(variation),
-         "max_first_variation": str(variation + Fraction(1, real(ints)[1]))}),)
+        {"source_first_variation": str(reported[0]),
+         "max_first_variation": str(reported[1])}),)
 
 
 def test_function_variation_bound_holds_on_every_small_function():
