@@ -31,7 +31,7 @@ Two kinds of window carry the guarantee: a finitely supported function on
 [min - 2, max + 2] of its support (zero tails are convex, with ties
 counting as convex), and a maximal profile on [min - 1, max + 1]
 (hyperbola-envelope tails, see :mod:`maxreg.maximal`).  One integer pass,
-:func:`_convexity`, reads the classes, boundaries and norms off either;
+:func:`_convexity`, reads the norm, differences and classes off either;
 :func:`second_norm`, :func:`funeq_rhs` and :func:`decompose` run it on a
 given profile, as :class:`AnalyzedFunction`; the last two add the boundary
 sum, which is the norm again (:func:`_boundary_sum`).
@@ -44,11 +44,11 @@ referred to by number throughout the API and reports:
 * Lemma 1: the maximal function of an indicator is concave only at points
   of the set.
 
-Both are checked on index sets through :func:`analyze`, which runs the pass
-on the profile of one set and adds its contract quantities.  The per-set
-report and the headline functions below read that one :class:`Analysis`;
-the set sweeps run its battery's tests (:func:`_gate`) on the same
-quantities and build it only for a set that fails one (:func:`_check_set`).
+Both are checked on index sets by one battery of integer tests, :func:`_gate`,
+on the pass of a set's profile.  A set sweep runs only the pass and the gate
+per set (:func:`_check_set`); :func:`analyze` adds what the report, the
+headline functions below and violation details read, as one :class:`Analysis`,
+which a sweep builds from the same pass only for a set that fails a test.
 The function sweep's check, :func:`_check_function`, runs the same pass on
 each draw and on its profile and tests Var(M f) <= Var(f).  No check compares
 two sums equal by construction.  Every :class:`Violation` is built here.
@@ -97,24 +97,29 @@ def _scaled(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
 
 
 def _convexity(v: Sequence[int]) -> tuple:
-    """(second norm, left tail, right tail, c2, concave, left boundary, right
-    boundary, first differences) of a guaranteed window ``v`` (module
-    docstring), in the units of ``v`` and positions 0 .. len(v) - 1.
+    """(second norm, first differences, c2, concave) of a guaranteed window ``v``
+    (module docstring), in the units of ``v`` and positions 0 .. len(v) - 1.
 
-    The first differences are taken once; c2 (at 1 .. len(v) - 2) and the
-    tails come from them, and the norm, sum |c2| plus both tails, is
-    -2 sum_{concave} c2 (module docstring), whatever the tails' sign.  A
-    concave point is in the left (right) boundary when its left (right)
-    neighbour is convex; both edges are convex.
+    c2 (at 1 .. len(v) - 2) comes from the first differences, and the tails are
+    ``first[0]`` and ``-first[-1]``.  The norm, sum |c2| plus both tails, is -2 sum_{concave}
+    c2 (module docstring), whatever the tails' sign.  Both edges are convex.
     """
     first = list(map(sub, v[1:], v))
     second = list(map(sub, first[1:], first))
     concave = [False, *map((0).__gt__, second), False]     # the class at each position
-    minus = list(compress(range(len(v)), concave))
-    left = [i for i in minus if not concave[i - 1]]
-    right = [i for i in minus if not concave[i + 1]]
-    return (-2 * sum(compress(second, concave[1:])), first[0], -first[-1], second, minus,
-            left, right, first)
+    return -2 * sum(compress(second, concave[1:])), first, second, concave
+
+
+def _positions(concave: list[bool]) -> tuple[list[int], list[int], list[int]]:
+    """(concave points, left boundary, right boundary) from the flags of a pass: a concave
+    point is in the left (right) boundary when its left (right) neighbour is convex."""
+    minus = list(compress(range(len(concave)), concave))
+    return minus, [i for i in minus if not concave[i - 1]], [i for i in minus if not concave[i + 1]]
+
+
+def _variation(v: Sequence[int], first: list[int]) -> int:
+    """Var over Z of a window ``v`` whose tails fall monotonely to 0: v(1), v(-2), |v'| between."""
+    return v[1] + sum(map(abs, first[1:-1])) + v[-2]
 
 
 def _shifted(lo: int, positions: list[int]) -> tuple[int, ...]:
@@ -144,23 +149,25 @@ def second_norm(g: AnalyzedFunction) -> Fraction:
     return Fraction(_convexity(g.scaled)[0], g.denominator)
 
 
-def _boundary_sum(left: list[int], right: list[int], first: list[int]) -> int:
-    """2 sum_{left} (v(i) - v(i-1)) + 2 sum_{right} (v(i) - v(i+1)) from the last three
-    fields of a :func:`_convexity` pass: its norm, as a concave run [l, r] has c2 summing
-    to first[r] - first[l-1]; no contract compares the two."""
+def _boundary_sum(p: tuple) -> int:
+    """2 sum_{left} (v(i) - v(i-1)) + 2 sum_{right} (v(i) - v(i+1)) of a :func:`_convexity`
+    pass ``p`` of ``v``: its norm, as a concave run [l, r] has c2 summing to first[r] -
+    first[l-1]; no contract compares the two."""
+    _, first, _, concave = p
+    _, left, right = _positions(concave)
     return 2 * (sum([first[i - 1] for i in left]) - sum([first[i] for i in right]))
 
 
 def funeq_rhs(g: AnalyzedFunction) -> Fraction:
     """The boundary bound; it equals :func:`second_norm`."""
-    return Fraction(_boundary_sum(*_convexity(g.scaled)[5:]), g.denominator)
+    return Fraction(_boundary_sum(_convexity(g.scaled)), g.denominator)
 
 
 def decompose(g: AnalyzedFunction) -> tuple[IndexSet, IndexSet, IndexSet, Fraction, Fraction]:
     """(concave points, left boundary, right boundary, second norm, boundary bound)."""
-    norm, _, _, _, minus, left, right, first = _convexity(g.scaled)
-    return (*[IndexSet(_shifted(g.lo, s)) for s in (minus, left, right)],
-            *[Fraction(x, g.denominator) for x in (norm, _boundary_sum(left, right, first))])
+    p = _convexity(g.scaled)
+    return (*[IndexSet(_shifted(g.lo, s)) for s in _positions(p[3])],
+            *[Fraction(x, g.denominator) for x in (p[0], _boundary_sum(p))])
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +229,9 @@ class Analysis(NamedTuple):
     ||chi'||_1 = 2 * blocks.  `Fraction`s are built only by the methods, for
     records, reports and violation details.
 
-    The concave points and both boundaries are :func:`_convexity`'s lists of
-    positions i (the point lo + i); their point views ``s_minus``, ``left_boundary``,
-    ``right_boundary`` and ``lemma1_violations`` are read-only properties.
+    ``second_norm`` to ``concave`` are the pass :func:`_gate` reads.  The concave points and
+    both boundaries are positions i (the point lo + i), with read-only point views
+    ``s_minus``, ``left_boundary``, ``right_boundary`` and ``lemma1_violations``.
     """
 
     set: IndexSet
@@ -232,15 +239,15 @@ class Analysis(NamedTuple):
     hi: int
     denominator: int
     scaled: tuple[int, ...]
+    second_norm: int                    # over D: ||(M chi)''||_1, tails included
+    first: list[int]                    # over D: v(i+1) - v(i) at lo .. hi-1
     second: tuple[int, ...]             # over D: c2 at lo+1 .. hi-1
+    concave: list[bool]                 # the class at each position
     minus: list[int]                    # positions of the concave points
     left: list[int]                     # positions of the left boundary
     right: list[int]                    # positions of the right boundary
     chi_second_norm: int
     chi_first_norm: int
-    left_tail: int                      # over D: sum of |c2| over n <= lo
-    right_tail: int                     # over D: sum of |c2| over n >= hi
-    second_norm: int                    # over D: ||(M chi)''||_1, tails included
     variation: int                      # over D: ||(M chi)'||_1
 
     # The point views of the positions, built on each read.
@@ -285,7 +292,8 @@ class Analysis(NamedTuple):
         No identity is tested: the boundary sum is the second norm
         (:func:`_boundary_sum`), and ||chi''||_1 = 4 * blocks >= 4.
         """
-        audit, theorem1, lemma1, first = _gate(spot_check, self[1:])
+        audit, theorem1, lemma1, first = _gate(spot_check, self.denominator, self.scaled,
+                                               self.chi_first_norm // 2, self[5:9], self.variation)
         subject = {"set": list(self.set.elements)}
         out: list[Violation] = []
         if audit:
@@ -317,48 +325,45 @@ def analyze(a: IndexSet) -> Analysis:
     :func:`~maxreg.maximal.set_maxima`; the naive oracle
     :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
     checks, in the tests, and wherever a tail term comes out negative
-    (:meth:`Analysis.violations`).  Every field after the set comes from
-    :func:`_measures`.  A has one block (run) per element not right after
-    another.
+    (:meth:`Analysis.violations`).  Every field after the set comes from one
+    pass (:func:`_analysis`).  A has one block (run) per element not right
+    after another.
     """
     if not a:
         raise ValueError("analysis needs a nonempty set")
     elements = a.elements
     d, v = _scaled(*set_maxima(elements))
     blocks = len(elements) - list(map(sub, elements[1:], elements)).count(1)
-    return Analysis(a, *_measures(elements, blocks, d, v))
+    return _analysis(a, blocks, d, v, _convexity(v))
 
 
-def _measures(elements: Sequence[int], blocks: int, d: int, v: list[int]) -> tuple:
-    """The :class:`Analysis` fields after the set, for the sorted ``elements``
-    of a set of ``blocks`` runs and ``v`` = D * M chi_A on its window, D = ``d``.
-    All but the variation come from :func:`_convexity`; the variation's tails are
-    monotone with limit 0, so it is M(min A) + M(max A) + sum_{[min A, max A)} |M'|."""
-    norm, left_tail, right_tail, second, minus, left, right, first = _convexity(v)
-    return (elements[0] - 1, elements[-1] + 1, d, tuple(v), tuple(second), minus, left, right,
-            4 * blocks, 2 * blocks, left_tail, right_tail, norm,
-            v[1] + sum(map(abs, first[1:-1])) + v[-2])
+def _analysis(a: IndexSet, blocks: int, d: int, v: list[int], p: tuple) -> Analysis:
+    """The :class:`Analysis` of ``a``, a set of ``blocks`` runs, from ``v`` = D * M chi_A
+    on its window, D = ``d``, and the :func:`_convexity` pass ``p`` of ``v``."""
+    norm, first, second, concave = p
+    return Analysis(a, a.min() - 1, a.max() + 1, d, tuple(v), norm, first, tuple(second), concave,
+                    *_positions(concave), 4 * blocks, 2 * blocks, _variation(v, first))
 
 
-def _gate(spot_check: bool, measures: tuple) -> tuple[bool, ...]:
-    """Which tests of :meth:`Analysis.violations` fail on :func:`_measures`:
-    (audit due, Theorem 1, Lemma 1, variation)."""
-    (_, _, d, v, _, minus, _, _, chi_second, chi_first, left_tail, right_tail,
-     norm, variation) = measures
-    return (spot_check or left_tail < 0 or right_tail < 0,
-            norm > 3 * chi_second * d,
-            list(map(v.__getitem__, minus)).count(d) != len(minus),    # concave, M < 1
-            variation > chi_first * d)
+def _gate(spot_check: bool, d: int, v: Sequence[int], blocks: int, p: tuple,
+          variation: int) -> tuple[bool, ...]:
+    """Which set tests fail, (audit due, Theorem 1, Lemma 1, variation), on the pass ``p``
+    of ``v`` = D * M chi_A, D = ``d``, for ``blocks`` runs and D * Var(M chi_A) ``variation``."""
+    norm, first, _, concave = p
+    return (spot_check or first[0] < 0 or first[-1] > 0,          # a negative tail term
+            norm > 12 * blocks * d,                             # ratio over ||chi''||_1 > 3
+            list(compress(v, concave)).count(d) != concave.count(True),     # concave, M < 1
+            variation > 2 * blocks * d)
 
 
 def _check_set(elements: Sequence[int], blocks: int, d: int, v: list[int],
                spot_check: bool) -> tuple[int, list[Violation]]:
-    """(second norm over D, violations) of one set of a sweep; its set and
-    :class:`Analysis` are built only if :func:`_gate` finds a test failed or the audit due."""
-    measures = _measures(elements, blocks, d, v)
-    if True in _gate(spot_check, measures):
-        return measures[12], Analysis(IndexSet(elements), *measures).violations(spot_check)
-    return measures[12], []
+    """(second norm over D, violations) of a swept set; its Analysis is built if _gate fires."""
+    p = _convexity(v)
+    variation = v[1] + sum(map(abs, p[1][1:-1])) + v[-2]     # _variation, inlined: once per set
+    if True in _gate(spot_check, d, v, blocks, p, variation):
+        return p[0], _analysis(IndexSet(elements), blocks, d, v, p).violations(spot_check)
+    return p[0], []
 
 
 def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
@@ -387,11 +392,10 @@ def _check_function(values: Sequence[int], spot_check: bool,
                     ) -> tuple[tuple | None, list[Violation]]:
     """The variation bound and the norm ratio for one integer-valued draw.
 
-    The draw is trimmed to its nonzero span [a, b]; an all-zero draw gives
-    (None, []).  The contract is Var(M f) <= Var(f) (Bober, Carneiro, Hughes
-    & Pierce 2012), the set battery's ``first_derivative_bound``: Var(f) is
-    sum |f'| over the padded draw, and D * Var(M f) is v(a) + sum_{[a, b)} |v'|
-    + v(b), as in :func:`_measures`.  The ratio is only recorded.  With
+    The nonzero draw is trimmed to its nonzero span [a, b].  The contract is
+    Var(M f) <= Var(f) (Bober, Carneiro, Hughes & Pierce 2012), the set battery's
+    ``first_derivative_bound``, Var(f) summed over the padded draw and Var(M f) by
+    :func:`_variation`.  The ratio is only recorded.  With
     ``spot_check``, or when a tail term of the profile is negative, the profile
     is also audited against the oracle (:func:`audit_profile`) and the result
     comes first; a negative tail leaves the profile without its tail
@@ -400,25 +404,23 @@ def _check_function(values: Sequence[int], spot_check: bool,
     compares and records it.
     """
     nonzero = [i for i, x in enumerate(values) if x]
-    if not nonzero:
-        return None, []
     offset = nonzero[0]
     ints = list(values[offset:nonzero[-1] + 1])
     source, d, v, maximal = _integer_passes(ints)
-    max_norm, left_tail, right_tail = maximal[:3]
+    max_norm, max_first = maximal[:2]
 
     def subject() -> dict:
         return {"offset": offset, "values": [str(x) for x in ints]}
 
     violations: list[Violation] = []
-    negative_tail = left_tail < 0 or right_tail < 0
+    negative_tail = max_first[0] < 0 or max_first[-1] > 0
     if spot_check or negative_tail:
         profile = tuple([Fraction(x, d) for x in v])
         violations = audit_profile(profile, LatticeFunction.make(offset, ints), subject())
     if negative_tail:
         return None, violations
-    source_variation = sum(map(abs, source[-1]))
-    variation = v[1] + sum(map(abs, maximal[-1][1:-1])) + v[-2]
+    source_variation = sum(map(abs, source[1]))
+    variation = _variation(v, max_first)
     if variation > d * source_variation:
         violations.append(Violation("first_derivative_bound", subject(), {
             "source_first_variation": str(source_variation),

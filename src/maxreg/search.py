@@ -42,9 +42,9 @@ is D_L = lcm(1, ..., L + 2), and a set's elements, mirror and scaled profile
 are lookups in tables built once per sweep (:func:`_sweep_tables`);
 :func:`random_sets` scales each set by its own lcm, and
 :func:`random_functions` draws one chunk at a time and runs on one worker.  A
-process pool runs the chunks only when the worker count, capped by the chunk
-and CPU counts, exceeds 1, and only then are :mod:`concurrent.futures` and
-:mod:`multiprocessing` imported.
+process pool runs the chunks, at most two per process in flight, only when the
+worker count, capped by the chunk and CPU counts, exceeds 1, and only then are
+:mod:`concurrent.futures` and :mod:`multiprocessing` imported.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat, tee
 from math import lcm
 from operator import floordiv, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -151,8 +151,8 @@ class _Fold:
     D * source norm) and is compared by :func:`_beats` only, so on ties the
     earlier instance stays; the records are rebuilt from the final winners."""
 
-    count: int = 0                      # translation classes covered, or draws checked
-    evaluated: int = 0                  # sets analysed
+    count: int = 0                      # translation classes covered, or draws drawn
+    evaluated: int = 0                  # sets analysed, or nonzero draws checked
     winners: dict = field(default_factory=dict)     # span -> winner; None -> overall
     min_chi_norm: int | None = None
     violations: tuple[Violation, ...] = ()
@@ -177,19 +177,32 @@ def _sweep(chunks: Iterable[tuple], evaluate: Callable[[tuple], _Fold], total: i
     order up to the first violation, with ``progress`` (instances so far, ``total``)
     after each chunk.  The pool holds at most one process per chunk of ``total``
     and per CPU, and is imported only when it holds two or more: on one, the
-    chunks map lazily in this process and no pool module loads."""
+    chunks map lazily in this process and no pool module loads.  A pool is sent
+    at most two chunks per process that are not yet folded."""
     merged = _Fold()
     workers = min(workers, -(-total // _CHUNK), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for chunk in (map if pool is None else pool.map)(evaluate, chunks):
+        results = map(evaluate, chunks) if pool is None else _ahead(pool, evaluate, chunks, workers)
+        for chunk in results:
             merged.add(chunk)
             if progress is not None:
                 progress(merged.count, total)
             if chunk.violations:
                 break
     return merged
+
+
+def _ahead(pool, evaluate: Callable, chunks: Iterable[tuple], workers: int) -> Iterator[_Fold]:
+    """``evaluate`` of each of ``chunks`` on a ``pool`` of ``workers`` processes, in order,
+    with at most two chunks per process in flight (``pool.map`` submits all at once)."""
+    pending: list = []
+    for args in chunks:
+        pending.append(pool.submit(evaluate, args))
+        if len(pending) == 2 * workers:
+            yield pending.pop(0).result()
+    yield from (future.result() for future in pending)
 
 
 def _mask_chunks(masks: Sequence[int], tables: tuple | None) -> Iterator[tuple]:
@@ -331,14 +344,8 @@ def random_sets(trials: int, length: int, density, seed: int,
         raise ValueError("density must lie strictly between 0 and 1")
     rng = random.Random(seed)
     threshold = float(density)
-    masks = []
-    for _ in range(trials):
-        mask = 0
-        for i in range(length):
-            if rng.random() < threshold:
-                mask |= 1 << i
-        if mask:
-            masks.append(mask)
+    raw = (sum([1 << i for i in range(length) if rng.random() < threshold]) for _ in range(trials))
+    masks = [mask for mask in raw if mask]
     merged = _sweep(_mask_chunks(masks, None), _check_mask_chunk, len(masks), workers, progress)
     best, stats = _set_records(merged)
     return SearchSummary(
@@ -360,14 +367,19 @@ def random_sets(trials: int, length: int, density, seed: int,
 
 
 def _check_draw_chunk(args: tuple) -> _Fold:
-    """Check a chunk of nonzero draws in order (:func:`~maxreg.regularity._check_function`,
-    looked up on :mod:`~maxreg.regularity`), auditing each draw numbered 0 mod 512, and
+    """Check a chunk of draws in order (:func:`~maxreg.regularity._check_function`,
+    looked up on :mod:`~maxreg.regularity`), skipping the all-zero ones and auditing each
+    nonzero draw numbered 0 mod 512, the chunk's first being number ``base_index``, and
     fold in every ratio and the winner, (norm over D, D * source norm, offset, values, D)."""
     draws, base_index = args
     fold = _Fold()
-    for i, values in enumerate(draws, base_index):
-        winner, found = regularity._check_function(values, i % _SPOT_EVERY == 0)
+    for values in draws:
         fold.count += 1
+        if not any(values):
+            continue
+        winner, found = regularity._check_function(
+            values, (base_index + fold.evaluated) % _SPOT_EVERY == 0)
+        fold.evaluated += 1
         if winner is not None:
             fold.ratios.append(Fraction(winner[0], winner[1]))
             if _beats(winner, fold.winners.get(None)):
@@ -390,9 +402,9 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
 
     Values are uniform on [-value_bound, value_bound]; all-zero draws are
     skipped.  Each draw must hold Var(M f) <= Var(f); the ratio distribution
-    is reported, not bounded.  The nonzero draws run through :func:`_sweep` on
-    one worker, drawn one chunk at a time, and ``progress`` gets (draws
-    checked, ``trials``) after each chunk.
+    is reported, not bounded.  The draws run through :func:`_sweep` on one
+    worker, drawn one chunk at a time, and ``progress`` gets (draws drawn, zero
+    draws included, ``trials``) after each chunk.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -401,17 +413,18 @@ def random_functions(trials: int, length: int, value_bound: int, seed: int,
     if value_bound < 1:
         raise ValueError("value_bound must be a positive integer")
     rng = random.Random(seed)
+    # lists, as held tuples would stay in the tuple free lists; each chunk goes with
+    # its count of nonzero draws before it, which numbers its audits
     draws = ([rng.randint(-value_bound, value_bound) for _ in range(length)] for _ in range(trials))
-    nonzero = filter(any, draws)        # lists: held tuples would stay in the tuple free lists
-    chunks = iter(lambda: list(islice(nonzero, _CHUNK)), [])
-    # chunk k starts at nonzero draw k * _CHUNK < trials, the number that decides its audits
-    merged = _sweep(zip(chunks, range(0, trials, _CHUNK)), _check_draw_chunk, trials, 1, progress)
+    chunks, counted = tee(iter(lambda: list(islice(draws, _CHUNK)), []))
+    bases = accumulate((sum(map(any, chunk)) for chunk in counted), initial=0)
+    merged = _sweep(zip(chunks, bases), _check_draw_chunk, trials, 1, progress)
     ratios = sorted(merged.ratios)
     n = len(ratios)
     at = {"min": 0, "q25": n // 4, "median": n // 2, "q75": 3 * n // 4, "max": n - 1}
     quantiles = {key: str(ratios[i]) for key, i in at.items()} if ratios else {}
     return SearchSummary(
-        instances_checked=merged.count,
+        instances_checked=merged.evaluated,
         max_record=_function_record(merged.winners[None]) if merged.winners else None,
         violations=merged.violations,
         parameters={

@@ -28,6 +28,7 @@ from maxreg import (
     IndexSet,
     LatticeFunction,
     MaximalProfile,
+    analyze,
     maximal_at,
     maximal_profile,
 )
@@ -287,20 +288,30 @@ def oracle_funeq_rhs(g: Window) -> Fraction:
 
 def reference_convexity(v: list[int]) -> tuple:
     """``regularity._convexity`` point by point, straight from the definitions:
-    (sum |c2| plus both tail terms, left tail, right tail, c2, concave, left
-    boundary, right boundary, first differences), positions 0 .. len(v) - 1.
-    The norm here is the direct sum, not the concave mass."""
+    (sum |c2| plus both tail terms, first differences, c2, concave flags),
+    positions 0 .. len(v) - 1; both edges are convex.  The norm here is the
+    direct sum, not the concave mass."""
     m = len(v)
     second = [v[i - 1] + v[i + 1] - 2 * v[i] for i in range(1, m - 1)]
-    concave = [False] + [c < 0 for c in second] + [False]
-    minus = [i for i in range(1, m - 1) if concave[i]]
-    left = [i for i in minus if not concave[i - 1]]
-    right = [i for i in minus if not concave[i + 1]]
-    left_tail = v[1] - v[0]
-    right_tail = v[m - 2] - v[m - 1]
-    return (sum(map(abs, second)) + left_tail + right_tail,
-            left_tail, right_tail, second, minus, left, right,
-            [v[i + 1] - v[i] for i in range(m - 1)])
+    return (sum(map(abs, second)) + (v[1] - v[0]) + (v[m - 2] - v[m - 1]),
+            [v[i + 1] - v[i] for i in range(m - 1)], second,
+            [False] + [c < 0 for c in second] + [False])
+
+
+def oracle_battery(g: Window, a: IndexSet, blocks: int) -> tuple[bool, bool, bool, bool]:
+    """The set battery's verdict on a window ``g`` of M chi_A, from the definitions in
+    `Fraction`s, for a set ``a`` of ``blocks`` runs: (a negative edge step, the norm
+    over ||chi''||_1 = 4 blocks above 3, a concave point outside ``a``, the variation
+    above ||chi'||_1 = 2 blocks).  No sign is assumed for the edge steps: the norm
+    adds both to the interior sum, and the variation is g(lo + 1) + g(hi - 1) plus
+    the interior steps, as the tails of a maximal profile fall monotonely to 0."""
+    c2 = {n: g.c2(n) for n in range(g.lo + 1, g.hi)}
+    left, right = g.at(g.lo + 1) - g.at(g.lo), g.at(g.hi - 1) - g.at(g.hi)
+    norm = sum(map(abs, c2.values()), left + right)
+    variation = sum((abs(g.at(n + 1) - g.at(n)) for n in range(g.lo + 1, g.hi - 1)),
+                    g.at(g.lo + 1) + g.at(g.hi - 1))
+    return (left < 0 or right < 0, norm / (4 * blocks) > 3,
+            any(c < 0 and n not in a for n, c in c2.items()), variation > 2 * blocks)
 
 
 def assert_function_check_matches_oracle(f: LatticeFunction) -> None:
@@ -395,18 +406,49 @@ def lift_first_value(monkeypatch, skip: int = 0):
         monkeypatch.setattr(regularity, kernel, lifting(getattr(regularity, kernel)))
 
 
-def break_measures(monkeypatch, elements: tuple[int, ...], edit):
-    """Make the per-set measures of the set with ``elements``, in every set
-    sweep and in ``analyze``, those of ``edit`` applied to its Analysis."""
-    real = regularity._measures
+def break_pass(monkeypatch, elements: tuple[int, ...], edit):
+    """Make the integer pass of the profile of the set with ``elements``, in every
+    set sweep and in ``analyze``, ``edit(pass, v, D)``: ``v`` is D * M chi_A on its
+    window and the pass is ``regularity._convexity(v)``, (norm, first differences,
+    c2, concave flags).  The profile is recognised over any denominator, as the
+    window proportional to the set's own; D is its largest value, as M chi_A = 1
+    exactly on A."""
+    target = analyze(IndexSet(elements)).scaled
+    real = regularity._convexity
 
-    def broken(els, *args):
-        measures = real(els, *args)
+    def broken(v):
+        p = real(v)
+        if len(v) == len(target) and [x * target[0] for x in v] == [y * v[0] for y in target]:
+            p = edit(p, v, max(v))
+        return p
+
+    monkeypatch.setattr(regularity, "_convexity", broken)
+
+
+def vary_to(total: int):
+    """A :func:`break_pass` edit: the first inner step of the pass lowered until
+    D * Var(M chi_A), v(1) + sum |first[1:-1]| + v(-2), is ``total`` * D."""
+    def edit(p, v, d):
+        norm, first, *rest = p
+        first = list(first)
+        first[1] -= total * d - (v[1] + sum(map(abs, first[1:-1])) + v[-2])
+        return (norm, first, *rest)
+    return edit
+
+
+def lift_edge(monkeypatch, elements: tuple[int, ...], edge: int):
+    """Make the set kernel add 1 to the profile of the set with ``elements`` at
+    window position ``edge`` (0 or -1), which lifts that edge above its neighbour."""
+    real = regularity.set_maxima
+
+    def lifted(els):
+        nums, dens = real(els)
         if els == elements:
-            measures = edit(regularity.Analysis(IndexSet(els), *measures))[1:]
-        return measures
+            nums = list(nums)
+            nums[edge] += dens[edge]
+        return nums, dens
 
-    monkeypatch.setattr(regularity, "_measures", broken)
+    monkeypatch.setattr(regularity, "set_maxima", lifted)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import maxreg.regularity as regularity
 from maxreg import (
     IndexSet,
     LatticeFunction,
@@ -34,6 +35,7 @@ from conftest import (
     oracle_funeq_rhs,
     oracle_second_norm,
     profile_window,
+    vary_to,
 )
 
 
@@ -48,8 +50,8 @@ def assert_matches_fraction_path(a: IndexSet) -> None:
     assert (an.lo, an.hi) == profile.window == (g.lo, g.hi)
     assert [an.fraction(v) for v in an.scaled] == list(profile.values)
     assert [an.fraction(c) for c in an.second] == [g.c2(n) for n in range(g.lo + 1, g.hi)]
-    assert an.fraction(an.left_tail) == g.at(g.lo + 1) - g.at(g.lo)
-    assert an.fraction(an.right_tail) == g.at(g.hi - 1) - g.at(g.hi)
+    assert [an.fraction(x) for x in an.first] == [g.at(n + 1) - g.at(n) for n in range(g.lo, g.hi)]
+    assert an.concave == [n in oracle_concave(g) for n in range(g.lo, g.hi + 1)]
     assert an.fraction(an.second_norm) == norm == oracle_funeq_rhs(g)
     assert an.s_minus == oracle_concave(g)
     assert (an.left_boundary, an.right_boundary) == oracle_boundaries(g)
@@ -111,11 +113,26 @@ def test_analysis_rejects_empty_set():
         analyze(IndexSet(()))
 
 
+def _rebuilt(an, norm=None, first=None, concave=None):
+    """The Analysis built from ``an``'s integer pass with the given parts replaced,
+    as a sweep or ``analyze`` builds it from a pass (``regularity._analysis``)."""
+    p = (an.second_norm if norm is None else norm, an.first if first is None else first,
+         an.second, an.concave if concave is None else concave)
+    return regularity._analysis(an.set, an.chi_first_norm // 2, an.denominator, list(an.scaled), p)
+
+
+def _varied(an, total):
+    """``an``'s first differences as ``vary_to(total)`` edits them: D * Var(M chi) = total * D."""
+    return vary_to(total)(an[5:9], an.scaled, an.denominator)[1]
+
+
 def test_violations_name_each_broken_contract():
     an = analyze(IndexSet.from_iterable([0, 2]))
     d = an.denominator
     # position 2 of the window [-1, 3] is the point 1, outside the set
-    broken = an._replace(second_norm=25 * d, variation=5 * d, minus=[1, 2, 3])
+    broken = _rebuilt(an, norm=25 * d, first=_varied(an, 5),
+                      concave=[False, True, True, True, False])
+    assert (broken.minus, broken.variation) == ([1, 2, 3], 5 * d)
     kinds = [v.kind for v in broken.violations()]
     assert kinds == ["theorem1_ratio", "lemma1_concavity", "first_derivative_bound"]
     assert all(v.subject == {"set": [0, 2]} for v in broken.violations())
@@ -123,21 +140,23 @@ def test_violations_name_each_broken_contract():
 
 
 def test_each_contract_broken_alone_gives_exactly_its_own_violation():
-    # One contract at a time, through the stored fields, so that a battery
-    # which skipped one test on its accept path would fail here.  The details
-    # are those the battery has always written.
+    # One contract at a time, through the integer pass an Analysis is built
+    # from and its battery reads, so that a battery which skipped one test on
+    # its accept path would fail here.  The details are those the battery has
+    # always written.
     an = analyze(IndexSet.from_iterable([0, 2]))
     d = an.denominator
     assert (an.minus, an.second_norm, an.variation) == ([1, 3], 40, 32)
+    assert _rebuilt(an) == an
     assert an.violations() == []
     subject = {"set": [0, 2]}
     cases = [
-        (an._replace(second_norm=25 * d), "theorem1_ratio", subject,
+        (_rebuilt(an, norm=25 * d), "theorem1_ratio", subject,
          {"chi_second_norm": "8", "max_second_norm": "25", "ratio": "25/8"}),
-        (an._replace(minus=[1, 2, 3]), "lemma1_concavity", subject,
+        (_rebuilt(an, concave=[False, True, True, True, False]), "lemma1_concavity", subject,
          {"concave_points_outside_set": [1],
           "profile_values": ["1/2", "1", "2/3", "1", "1/2"]}),
-        (an._replace(variation=5 * d), "first_derivative_bound", subject,
+        (_rebuilt(an, first=_varied(an, 5)), "first_derivative_bound", subject,
          {"chi_first_norm": "4", "max_first_variation": "5"}),
     ]
     for broken, kind, subject, details in cases:

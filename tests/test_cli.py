@@ -9,7 +9,8 @@ import maxreg.cli as cli
 from maxreg import IndexSet, SetLiteralError, canonical_set_literal, parse_set_literal
 from maxreg.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
-from conftest import break_measures, corrupt_singleton_kernel, lift_first_value, random_index_set
+from conftest import (break_pass, corrupt_singleton_kernel, lift_first_value, random_index_set,
+                      vary_to)
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +120,8 @@ def test_report_csv_agrees_with_json(capsys):
 
 
 def test_report_exit_code_from_every_contract(capsys, monkeypatch):
-    real = cli.analyze
-
-    def broken_variation(a):
-        an = real(a)
-        return an._replace(variation=(an.chi_first_norm + 1) * an.denominator)
-
-    monkeypatch.setattr(cli, "analyze", broken_variation)
+    # the integer pass of {0, 2} with Var(M chi) = ||chi'||_1 + 1
+    break_pass(monkeypatch, (0, 2), vary_to(5))
     for fmt in ("text", "json", "csv"):
         assert main(["report", "0,2", "--format", fmt]) == EXIT_VIOLATION
         assert "contract violated: first_derivative_bound" in capsys.readouterr().err
@@ -236,9 +232,8 @@ def test_scan_usage_error(capsys):
 
 
 def test_violation_exit_code(capsys, monkeypatch):
-    # the per-set measures of {0, 1}, in whatever denominator the sweep uses
-    break_measures(monkeypatch, (0, 1), lambda an: an._replace(
-        second_norm=7 * an.chi_second_norm * an.denominator // 2))
+    # the integer pass of {0, 1}, in whatever denominator the sweep uses: norm 7/2 * 4
+    break_pass(monkeypatch, (0, 1), lambda p, v, d: (14 * d, *p[1:]))
     assert main(["exhaust", "3"]) == EXIT_VIOLATION
     out = capsys.readouterr().out
     assert "VIOLATIONS" in out

@@ -274,9 +274,14 @@ def test_integer_pass_matches_the_per_point_formula(v):
     # tuple (a scaled profile)
     assert regularity._convexity(v) == reference_convexity(v)
     assert regularity._convexity(tuple(v)) == reference_convexity(v)
-    # the boundary sum of the public funeq_rhs and decompose, tails of either sign
-    *_, left, right, _ = reference_convexity(v)
-    assert regularity._boundary_sum(*regularity._convexity(v)[5:]) == \
+    # the positions read off the flags, and the boundary sum of the public
+    # funeq_rhs and decompose, tails of either sign
+    concave = reference_convexity(v)[3]
+    minus = [i for i in range(len(v)) if concave[i]]
+    left = [i for i in minus if not concave[i - 1]]
+    right = [i for i in minus if not concave[i + 1]]
+    assert regularity._positions(regularity._convexity(v)[3]) == (minus, left, right)
+    assert regularity._boundary_sum(regularity._convexity(v)) == \
         2 * (sum([v[i] - v[i - 1] for i in left]) + sum([v[i] - v[i + 1] for i in right]))
 
 

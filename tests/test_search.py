@@ -39,17 +39,22 @@ from maxreg import (
 from conftest import (
     as_dict,
     assert_function_check_matches_oracle,
+    Window,
     block_count,
-    break_measures,
+    break_pass,
     corrupt_singleton_kernel,
     function_window,
     index_sets,
+    lift_edge,
     lift_first_value,
     mirror_mask,
+    oracle_battery,
+    reference_convexity,
     oracle_scan_bracket,
     oracle_scan_value,
     profile_window,
     random_index_set,
+    vary_to,
 )
 
 
@@ -106,8 +111,8 @@ def test_exhaustive_worker_count_is_irrelevant():
 
 
 class SerialPool:
-    """A stand-in for ``ProcessPoolExecutor`` that records its size and maps
-    in this process.  ``_sweep`` imports the pool from
+    """A stand-in for ``ProcessPoolExecutor`` that records its size and runs
+    each submitted call at once, in this process.  ``_sweep`` imports the pool from
     :mod:`concurrent.futures` when it builds one, so it is patched there."""
 
     sizes: list[int] = []
@@ -121,8 +126,10 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def test_worker_pool_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -371,17 +378,121 @@ def test_shared_denominator_analysis_equals_analyze(monkeypatch):
     assert [IndexSet(args[0]) for args in seen] == \
         [IndexSet.from_mask(m) for m in range(1, 1 << 13, 2) if mirror_mask(m) >= m]
     for elements, blocks, d, v, _ in seen:
-        measures = regularity._measures(elements, blocks, d, v)
-        shared, an = regularity.Analysis(IndexSet(elements), *measures), analyze(IndexSet(elements))
+        shared = regularity._analysis(IndexSet(elements), blocks, d, v, regularity._convexity(v))
+        an = analyze(IndexSet(elements))
         assert shared.set == an.set
         assert shared.denominator == tables[0] == 360360       # lcm(1, ..., 15)
         assert shared.profile_values() == an.profile_values()
-        for name in ("second_norm", "variation", "left_tail", "right_tail"):
+        for name in ("second_norm", "variation"):
             assert shared.fraction(getattr(shared, name)) == an.fraction(getattr(an, name))
+        assert list(map(shared.fraction, shared.first)) == list(map(an.fraction, an.first))
         assert (shared.minus, shared.left, shared.right) == (an.minus, an.left, an.right)
+        assert shared.concave == an.concave
         assert shared.chi_second_norm == an.chi_second_norm == 4 * block_count(an.set)
         assert shared.violations(True) == an.violations(True) == []
         assert real(elements, blocks, d, v, True) == (shared.second_norm, [])
+
+
+def _record_checked_sets(monkeypatch) -> list:
+    """Record (elements, blocks, D, v, spot check, norm, violations, variation, verdict)
+    for each set a sweep checks, from the first ``_gate`` call of its check."""
+    real_gate, real_check, records, gates = regularity._gate, regularity._check_set, [], []
+
+    def gate(*args):
+        gates.append((args[-1], real_gate(*args)))
+        return gates[-1][1]
+
+    def check(elements, blocks, d, v, spot):
+        gates.clear()
+        norm, found = real_check(elements, blocks, d, v, spot)
+        records.append((elements, blocks, d, v, spot, norm, found, *gates[0]))
+        return norm, found
+
+    monkeypatch.setattr(regularity, "_gate", gate)
+    monkeypatch.setattr(regularity, "_check_set", check)
+    return records
+
+
+def test_lean_gate_matches_the_fraction_battery(monkeypatch):
+    # The gate's verdict on each set a chunk checks is the Fraction battery's
+    # (conftest.oracle_battery), with the audit also due on a spot check, and
+    # the norm _check_set returns and the variation it tests are analyze's.  On
+    # the tabled path: every odd mask below 2^14, against the naive oracle
+    # profile.  On the untabled path: 2,000 seeded sets of hull width 40 to 300,
+    # against the profile the gate read.
+    records = _record_checked_sets(monkeypatch)
+    search._check_mask_chunk((range(1, 1 << 14, 2), 0, search._sweep_tables(14)))
+    tabled = len(records)
+    assert tabled == sum(1 for m in range(1, 1 << 14, 2) if mirror_mask(m) >= m)
+    rng = random.Random(2028)
+    widths = [rng.randint(40, 300) for _ in range(2000)]
+    search._check_mask_chunk(([1 | rng.getrandbits(w - 2) << 1 | 1 << (w - 1) for w in widths],
+                              0, None))
+    assert [r[0][-1] + 1 for r in records[tabled:]] == widths
+    for i, (elements, blocks, d, v, spot, norm, found, variation, verdict) in enumerate(records):
+        a = IndexSet(elements)
+        an = analyze(a)
+        assert Fraction(norm, d) == an.fraction(an.second_norm)
+        assert Fraction(variation, d) == an.fraction(an.variation)
+        if i < tabled:
+            g = profile_window(maximal_profile(LatticeFunction.from_set(a)))
+        else:
+            g = Window(elements[0] - 1, tuple([Fraction(x, d) for x in v]))
+        expected = oracle_battery(g, a, block_count(a))
+        assert verdict == (spot or expected[0], *expected[1:]), elements
+        assert found == []
+
+
+def test_gate_matches_the_fraction_battery_at_each_boundary():
+    # Small integer windows over small denominators put each test of the gate
+    # on both sides of its boundary and on it: a zero edge step, a norm of
+    # exactly 3 ||chi''||_1, a variation of exactly ||chi'||_1, and concave
+    # points at the value 1 and off it.  The set is where the window is 1, as
+    # for a maximal profile, with a drawn block count.  The verdict is the
+    # Fraction battery's every time, and every boundary is met.
+    rng = random.Random(28)
+    met = {"edge step 0": 0, "ratio 3": 0, "variation ||chi'||_1": 0,
+           "concave at 1": 0, "concave off 1": 0}
+    for _ in range(20_000):
+        d, blocks = rng.randint(1, 3), rng.randint(1, 2)
+        v = [rng.randint(-d, 2 * d) for _ in range(rng.randint(3, 9))]
+        a = IndexSet.from_iterable([i for i, x in enumerate(v) if x == d])
+        g = Window(0, tuple([Fraction(x, d) for x in v]))
+        p = regularity._convexity(v)
+        verdict = regularity._gate(False, d, v, blocks, p, regularity._variation(v, p[1]))
+        assert verdict == oracle_battery(g, a, blocks), (v, d, blocks)
+        norm, first, _, concave = reference_convexity(v)
+        met["edge step 0"] += first[0] == 0 or first[-1] == 0
+        met["ratio 3"] += norm == 12 * blocks * d
+        met["variation ||chi'||_1"] += \
+            v[1] + sum(abs(x) for x in first[1:-1]) + v[-2] == 2 * blocks * d
+        met["concave at 1"] += any(c and x == d for c, x in zip(concave, v))
+        met["concave off 1"] += any(c and x != d for c, x in zip(concave, v))
+    assert min(met.values()) >= 100, met
+
+
+def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
+    # ProcessPoolExecutor.map draws and submits every chunk before the first
+    # result comes back.  On 2 workers _sweep draws a chunk only while fewer
+    # than 4 are in flight, so at each fold at most (chunks folded before) + 4
+    # are drawn, and the result is the 1-worker fold.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_CHUNK", 128)
+    masks, tables = range(1, 1 << 13, 2), search._sweep_tables(13)     # 32 chunks
+    drawn, at_fold = 0, []
+
+    def counted():
+        nonlocal drawn
+        for args in search._mask_chunks(masks, tables):
+            drawn += 1
+            yield args
+
+    fold = search._sweep(counted(), search._check_mask_chunk, len(masks), 2,
+                         lambda done, total: at_fold.append(drawn))
+    assert len(at_fold) == 32 and at_fold[-1] == 32
+    assert all(n <= folded + 4 for folded, n in enumerate(at_fold)), at_fold
+    assert fold == search._sweep(search._mask_chunks(masks, tables), search._check_mask_chunk,
+                                 len(masks), 1, None)
 
 
 def test_sweep_tables_give_the_elements_and_the_mirror():
@@ -626,10 +737,10 @@ def test_broken_function_bound_halts_the_function_sweep(monkeypatch, kind):
     def broken(ints):
         source, d, v, maximal = real(ints)
         if kind == "boundary_bound_source":
-            return (*source[:-1], [0] * len(source[-1])), d, v, maximal
-        *_, first = maximal
-        excess = d * sum(map(abs, source[-1])) + 1 - (v[1] + sum(map(abs, first[1:-1])) + v[-2])
-        return source, d, v, (*maximal[:-1], [*first[:-1], excess, first[-1]])
+            return (source[0], [0] * len(source[1]), *source[2:]), d, v, maximal
+        norm, first, *rest = maximal
+        excess = d * sum(map(abs, source[1])) + 1 - (v[1] + sum(map(abs, first[1:-1])) + v[-2])
+        return source, d, v, (norm, [*first[:-1], excess, first[-1]], *rest)
 
     monkeypatch.setattr(regularity, "_integer_passes", broken)
     offset, ints = _first_nonzero_draw(50, 8, 3, 5)
@@ -677,8 +788,9 @@ def test_function_variation_bound_holds_on_every_small_function():
 
 def test_random_functions_skip_all_zero_draws():
     # on one point with values in [-1, 1], about a third of the draws are 0:
-    # each is skipped and not counted, and the progress count skips it too,
-    # with one call per chunk of nonzero draws: (draws checked so far, trials)
+    # each is skipped and not counted as checked, but progress, one call per
+    # chunk of draws, counts it as drawn: (draws drawn so far, trials), so that
+    # a clean sweep ends at (trials, trials)
     rng = random.Random(4)
     zeros = [rng.randint(-1, 1) for _ in range(350)].count(0)
     seen = []
@@ -686,15 +798,15 @@ def test_random_functions_skip_all_zero_draws():
     assert 0 < zeros and s.instances_checked == 350 - zeros
     assert s.stats["ratio_quantiles"]["min"] == s.stats["ratio_quantiles"]["max"] == "1/2"
     assert s.instances_checked >= 200
-    assert seen == [(s.instances_checked, 350)]
-    # 7,000 draws: three chunks of nonzero draws, the last one partial
+    assert seen == [(350, 350)]
+    # 7,000 draws: four chunks of draws, the last one partial
     rng = random.Random(4)
     zeros = [rng.randint(-1, 1) for _ in range(7000)].count(0)
     seen = []
     s = random_functions(7000, 1, 1, 4, progress=lambda done, total: seen.append((done, total)))
     assert s.instances_checked == 7000 - zeros > 2 * search._CHUNK
     assert seen == [(search._CHUNK, 7000), (2 * search._CHUNK, 7000),
-                    (s.instances_checked, 7000)]
+                    (3 * search._CHUNK, 7000), (7000, 7000)]
 
 
 def test_function_sweep_summary_text():
@@ -799,9 +911,8 @@ def test_random_functions_validation():
 # ---------------------------------------------------------------------------
 
 def test_violation_halts_sweep(monkeypatch):
-    # the per-set measures of {0, 2}, in whatever denominator the sweep uses
-    break_measures(monkeypatch, (0, 2), lambda an: an._replace(
-        second_norm=4 * an.chi_second_norm * an.denominator))
+    # the integer pass of {0, 2}, in whatever denominator the sweep uses: norm 4 * 8
+    break_pass(monkeypatch, (0, 2), lambda p, v, d: (32 * d, *p[1:]))
     s = exhaustive(6)
     assert s.violations
     assert s.violations[0].kind == "theorem1_ratio"
@@ -811,38 +922,33 @@ def test_violation_halts_sweep(monkeypatch):
     assert s.instances_checked < 32
 
 
-def _lift(an, edge):
-    """The Analysis with the profile value at window position ``edge`` (0 or
-    -1) raised by 1, and the tail term there lowered by as much."""
-    d, v = an.denominator, list(an.scaled)
-    v[edge] += d
-    tail = "left_tail" if edge == 0 else "right_tail"
-    return an._replace(scaled=tuple(v), **{tail: getattr(an, tail) - d})
-
-
-# One contract broken at a time, in the per-set measures of one set: (set,
-# edit of its Analysis, the one violation kind expected).  {0} is the first
-# set of both sweeps below, so the oracle audits it; {0, 2} is not audited.
+# One contract broken at a time, for one set, in its integer pass or in its
+# kernel profile: (set, fault, the one violation kind expected).  A fault is
+# installed on the monkeypatch fixture and holds in the sweeps and in analyze
+# alike.  {0} is the first set of both sweeps below, so the oracle audits it;
+# {0, 2} is not audited.  Position 2 of {0, 2}'s window [-1, 3] is the point 1.
 _BROKEN_ALONE = [
-    ((0, 2), lambda an: an._replace(second_norm=25 * an.denominator), "theorem1_ratio"),
-    ((0, 2), lambda an: an._replace(minus=[1, 2, 3]), "lemma1_concavity"),
-    ((0, 2), lambda an: an._replace(variation=5 * an.denominator), "first_derivative_bound"),
-    ((0, 2), lambda an: _lift(an, 0), "fast_path_divergence"),
-    ((0, 2), lambda an: _lift(an, -1), "fast_path_divergence"),
-    ((0,), lambda an: an._replace(scaled=(an.scaled[0],) * 3, minus=[]), "fast_path_divergence"),
+    ((0, 2), lambda mp: break_pass(mp, (0, 2), lambda p, v, d: (25 * d, *p[1:])),
+     "theorem1_ratio"),
+    ((0, 2), lambda mp: break_pass(mp, (0, 2), lambda p, v, d: (
+        *p[:3], [False, True, True, True, False])), "lemma1_concavity"),
+    ((0, 2), lambda mp: break_pass(mp, (0, 2), vary_to(5)), "first_derivative_bound"),
+    ((0, 2), lambda mp: lift_edge(mp, (0, 2), 0), "fast_path_divergence"),
+    ((0, 2), lambda mp: lift_edge(mp, (0, 2), -1), "fast_path_divergence"),
+    ((0,), corrupt_singleton_kernel, "fast_path_divergence"),
 ]
 
 
-@pytest.mark.parametrize("elements, edit, kind", _BROKEN_ALONE,
+@pytest.mark.parametrize("elements, fault, kind", _BROKEN_ALONE,
                          ids=["theorem1", "lemma1", "variation", "left_tail", "right_tail",
                               "spot_check"])
-def test_each_contract_broken_alone_halts_both_set_sweeps(monkeypatch, elements, edit, kind):
-    # Each sweep must stop at the broken set with exactly the violations its
-    # Analysis writes, so a sweep gate that skipped one test fails here.
-    expected = tuple(edit(analyze(IndexSet(elements))).violations(spot_check=True))
+def test_each_contract_broken_alone_halts_both_set_sweeps(monkeypatch, elements, fault, kind):
+    # Each sweep must stop at the broken set with exactly the violations the
+    # broken set's Analysis writes, so a sweep gate that skipped one test fails here.
+    fault(monkeypatch)
+    expected = tuple(analyze(IndexSet(elements)).violations(spot_check=True))
     assert [v.kind for v in expected] == [kind]
     assert expected[0].subject == {"set": list(elements)}
-    break_measures(monkeypatch, elements, edit)
     # exhaustive(5) visits {0} first and {0, 2} third; random_sets draws {0}
     # first and {0, 2} fourth from seed 1
     for s, visits in ((exhaustive(5), {(0,): 1, (0, 2): 3}),
@@ -897,7 +1003,7 @@ def test_negative_tail_without_divergence_is_a_violation(monkeypatch):
     # guarantee itself would be false: that too is a violation, not a pass.
     lift_first_value(monkeypatch)
     an = analyze(IndexSet.from_iterable([0, 2]))
-    assert an.left_tail < 0
+    assert an.first[0] < 0                  # a negative left tail term
     lifted = an.profile_values()
     monkeypatch.setattr(regularity, "maximal_profile",
                         lambda f: MaximalProfile(f, (0, 2), (-1, 3), lifted, True))
