@@ -38,9 +38,9 @@ one walk, :func:`_bridges`:
   one bridge per point between the lower hull of the prefix sums left of it
   and the upper hull of those right of it.
 
-:func:`maximal_profile` enumerates windows point by point and is only the
-oracle that the tests and the sweeps' spot checks compare the kernels
-against.
+:func:`maximal_profile`, O(m^2) for m points with no hull, is only the oracle
+that the tests and the sweeps' audits compare the kernels against;
+:func:`maximal_at` is the pointwise definition.
 """
 
 from __future__ import annotations
@@ -141,13 +141,35 @@ class MaximalProfile:
             yield lo + i, v
 
 
+def _longest_windows(u: list[int]) -> tuple[list[int], list[int]]:
+    """(sum, length) of the longest best window through each position of a
+    nonnegative integer block ``u`` with a nonzero entry, in O(len(u)^2) steps:
+    for each start i, the best [i, j'] over j' >= j as the end j falls, folded
+    into position j's.  On ties the strict comparisons keep the earliest start
+    and its latest end: the union of all best windows, itself one, as two that
+    overlap do not average above their union."""
+    m, prefix = len(u), list(accumulate(u, initial=0))
+    sums, lengths = [0] * m, [1] * m
+    for i in range(m):
+        pi, rn, rd = prefix[i], 0, 1
+        for j in range(m - 1, i - 1, -1):
+            num, den = prefix[j + 1] - pi, j - i + 1
+            if num * rd > rn * den:
+                rn, rd = num, den
+            if rn * lengths[j] > sums[j] * rd:
+                sums[j], lengths[j] = rn, rd
+    return sums, lengths
+
+
 def maximal_profile(f: LatticeFunction) -> MaximalProfile:
-    """Profile by direct per-point enumeration: the permanent oracle path."""
+    """The oracle profile, by :func:`_longest_windows` on the cleared |f| padded
+    with one zero each side, the window [a-1, b+1] (dilution argument)."""
     if f.is_zero():
         raise ValueError("maximal profile of the zero function is undefined")
-    a = f.support_min()
-    b = f.support_max()
-    values = tuple(maximal_at(f, n) for n in range(a - 1, b + 2))
+    a, b = f.support_min(), f.support_max()
+    c, u = _cleared(f)
+    sums, lengths = _longest_windows([0, *u, 0])
+    values = tuple(map(Fraction, sums, [c * n for n in lengths]))
     return MaximalProfile(f, (a, b), (a - 1, b + 1), values, True)
 
 
@@ -459,8 +481,7 @@ def maximal_profile_fast(f: LatticeFunction) -> MaximalProfile:
     The denominator-cleared |f| is padded with one zero on each side, so the
     block covers the window [a-1, b+1]; by the dilution argument every
     maximizing window at those points lies inside it.  Near-linear in the
-    window width, against the cubic cost of enumerating every window at
-    every point.
+    window width, against the oracle's quadratic cost.
     """
     if f.is_zero():
         raise ValueError("maximal profile of the zero function is undefined")

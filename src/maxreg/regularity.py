@@ -193,23 +193,23 @@ class Violation:
     details: dict
 
 
-def audit_profile(values: tuple[Fraction, ...], f: LatticeFunction,
+def audit_profile(d: int, v: Sequence[int], f: LatticeFunction,
                   subject: dict) -> list[Violation]:
-    """Check a kernel profile of ``f`` on [a-1, b+1] against its oracle profile.
-
-    ``[fast_path_divergence]`` carrying both profiles if they differ;
-    otherwise ``[tail_guarantee]`` if an edge value exceeds its inner
-    neighbour, which the hyperbola tails of :mod:`maxreg.maximal` rule out;
-    otherwise ``[]``.  Callers put the result first in their violations.
-    """
+    """Check a kernel profile ``v`` = D * M f on [a-1, b+1], D = ``d``, against the
+    oracle profile of ``f`` in integers, p/q as ``v[i] * q == p * d``: a
+    ``[fast_path_divergence]`` carrying both profiles if they differ in length or at
+    a point, else ``[tail_guarantee]`` if an edge value exceeds its inner neighbour,
+    which the hyperbola tails of :mod:`maxreg.maximal` rule out, else ``[]``.
+    Callers put the result first in their violations."""
     oracle = maximal_profile(f).values
-    if values != oracle:
+    if len(v) != len(oracle) or any(x * p.denominator != p.numerator * d
+                                    for x, p in zip(v, oracle)):
         return [Violation("fast_path_divergence", subject,
-                          {"fast_profile": [str(v) for v in values],
-                           "oracle_profile": [str(v) for v in oracle]})]
-    if values[1] < values[0] or values[-2] < values[-1]:
+                          {"fast_profile": [str(Fraction(x, d)) for x in v],
+                           "oracle_profile": [str(p) for p in oracle]})]
+    if v[1] < v[0] or v[-2] < v[-1]:
         return [Violation("tail_guarantee", subject,
-                          {"profile_values": [str(v) for v in values]})]
+                          {"profile_values": [str(Fraction(x, d)) for x in v]})]
     return []
 
 
@@ -283,8 +283,8 @@ class Analysis(NamedTuple):
     def violations(self, spot_check: bool = False) -> list[Violation]:
         """The set-level contract battery, in a fixed order; empty if all hold.
 
-        First the profile audit (:func:`audit_profile`) against the naive
-        oracle :func:`~maxreg.maximal.maximal_profile`, run here when
+        First the audit of ``scaled`` against the oracle profile
+        :func:`~maxreg.maximal.maximal_profile`, in integers (:func:`audit_profile`), run when
         ``spot_check`` is set and whenever a tail term is negative, which a
         correct kernel cannot give.  Then Theorem 1 ratio <= 3, Lemma 1, and
         the variation of M chi_A not exceeding ||chi'||_1.  Each test runs once,
@@ -297,7 +297,7 @@ class Analysis(NamedTuple):
         subject = {"set": list(self.set.elements)}
         out: list[Violation] = []
         if audit:
-            out = audit_profile(self.profile_values(), LatticeFunction.from_set(self.set), subject)
+            out = audit_profile(*self[3:5], LatticeFunction.from_set(self.set), subject)
         if theorem1:
             record = self.ratio_record()
             out.append(Violation("theorem1_ratio", subject, {
@@ -322,10 +322,10 @@ def analyze(a: IndexSet) -> Analysis:
     """Analyze the maximal function of the indicator of ``a`` in one pass.
 
     The profile comes from the runs of ``a`` by
-    :func:`~maxreg.maximal.set_maxima`; the naive oracle
-    :func:`~maxreg.maximal.maximal_profile` audits it in the sweeps' spot
-    checks, in the tests, and wherever a tail term comes out negative
-    (:meth:`Analysis.violations`).  Every field after the set comes from one
+    :func:`~maxreg.maximal.set_maxima`; the O(m^2) oracle
+    :func:`~maxreg.maximal.maximal_profile` audits it, in integers over D, in the
+    sweeps' spot checks, in the tests, and wherever a tail term comes out
+    negative (:meth:`Analysis.violations`).  Every field after the set comes from one
     pass (:func:`_analysis`).  A has one block (run) per element not right
     after another.
     """
@@ -369,13 +369,13 @@ def _check_set(elements: Sequence[int], blocks: int, d: int, v: list[int],
 def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
     """Oracle audit of the set of ``mask``, which a sweep skips for ``mirror``.
 
-    The kernel profile of the mirror set, read backwards, must equal the
+    The mirror set's scaled kernel profile, read backwards, must equal the
     oracle profile of the set itself; this also audits the reflection
     shortcut.
     """
     a = IndexSet.from_mask(mask)
-    values = analyze(IndexSet.from_mask(mirror)).profile_values()[::-1]
-    return audit_profile(values, LatticeFunction.from_set(a), {"set": list(a.elements)})
+    d, v = _scaled(*set_maxima(IndexSet.from_mask(mirror).elements))
+    return audit_profile(d, v[::-1], LatticeFunction.from_set(a), {"set": list(a.elements)})
 
 
 def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:
@@ -415,8 +415,7 @@ def _check_function(values: Sequence[int], spot_check: bool,
     violations: list[Violation] = []
     negative_tail = max_first[0] < 0 or max_first[-1] > 0
     if spot_check or negative_tail:
-        profile = tuple([Fraction(x, d) for x in v])
-        violations = audit_profile(profile, LatticeFunction.make(offset, ints), subject())
+        violations = audit_profile(d, v, LatticeFunction.make(offset, ints), subject())
     if negative_tail:
         return None, violations
     source_variation = sum(map(abs, source[1]))

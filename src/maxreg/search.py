@@ -21,10 +21,10 @@ each set runs the battery's integer tests
 (:func:`~maxreg.regularity._check_set`), and each drawn function the bound
 Var(M f) <= Var(f) on the same integer pass of itself and of its maximal
 profile (:func:`~maxreg.regularity._check_function`).  Every 512th instance of every
-sweep, set or function, is also re-profiled by the naive oracle
-:func:`~maxreg.maximal.maximal_profile`, and so is every instance whose
-profile has a negative tail term; for a set, the battery decides and runs that
-audit itself.  A mismatch is a ``fast_path_divergence`` violation, ahead of
+sweep, set or function, is also re-profiled by the O(m^2) oracle
+:func:`~maxreg.maximal.maximal_profile` and compared in integers over the
+kernel's D, and so is every instance whose profile has a negative tail term;
+for a set, the battery decides and runs that audit itself.  A mismatch is a ``fast_path_divergence`` violation, ahead of
 all others.  In :func:`exhaustive` an instance is a translation class, checked
 or not: a class skipped for its mirror is audited through the mirror's profile
 read backwards.  Any failure halts the sweep and is serialized in full: a

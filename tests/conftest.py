@@ -316,7 +316,7 @@ def oracle_battery(g: Window, a: IndexSet, blocks: int) -> tuple[bool, bool, boo
 
 def assert_function_check_matches_oracle(f: LatticeFunction) -> None:
     """The integer passes of the function sweep on a nonzero integer-valued
-    ``f`` against the oracle on the naive profile (the profile, and both
+    ``f`` against the oracle profile (the profile, and both
     norms, each equal to the oracle's boundary sum of its window), and the
     check's record, with no violation."""
     source, d, v, maximal = regularity._integer_passes([int(x) for x in f.values])

@@ -169,7 +169,7 @@ def test_criterion_07_oracle_equivalence():
             continue
         assert maximal_profile_fast(f) == maximal_profile(f)
         checked += 1
-    print("criterion 7: fast path bit-identical to naive enumeration on "
+    print("criterion 7: fast path bit-identical to the oracle on "
           "1000 random functions (support <= 64)")
 
 

@@ -2,7 +2,7 @@
 
 ``analyze`` computes every per-set quantity over one common denominator.
 Each one is checked here against the `Fraction` decomposition of
-``conftest`` fed by the naive oracle profile, which shares no code with it.
+``conftest`` fed by the oracle profile, which shares no code with it.
 """
 
 from __future__ import annotations

@@ -127,6 +127,68 @@ def test_profile_window_bounds_checked():
 
 
 # ---------------------------------------------------------------------------
+# the whole-profile oracle against the pointwise definition
+# ---------------------------------------------------------------------------
+
+def assert_profile_is_pointwise(f: LatticeFunction) -> None:
+    p = maximal_profile(f)
+    lo, hi = p.window
+    assert (lo, hi) == (f.support_min() - 1, f.support_max() + 1)
+    assert list(p.values) == [maximal_at(f, n) for n in range(lo, hi + 1)], f
+
+
+def test_oracle_profile_is_maximal_at_on_every_subset():
+    for mask in range(1, 1 << 13):
+        assert_profile_is_pointwise(LatticeFunction.from_set(IndexSet.from_mask(mask)))
+
+
+def test_oracle_profile_is_maximal_at_on_general_functions():
+    rng = random.Random(127)
+    for _ in range(2000):
+        vals = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 40))]
+        f = LatticeFunction.make(rng.randint(-16, 16), vals)
+        if not f.is_zero():
+            assert_profile_is_pointwise(f)
+
+
+def longest_best_windows(u: list[int]) -> list[tuple[int, int]]:
+    """(sum, length) of the longest window of largest average through each
+    position of ``u``, by comparing every window as a `Fraction`."""
+    out = []
+    for t in range(len(u)):
+        windows = [(Fraction(sum(u[i:j + 1]), j - i + 1), j - i + 1, sum(u[i:j + 1]))
+                   for i in range(t + 1) for j in range(t, len(u))]
+        _, length, total = max(windows)
+        out.append((total, length))
+    return out
+
+
+def test_oracle_windows_are_the_longest_best_ones():
+    # On ties the oracle keeps one determined window, the union of every
+    # maximizing one; a non-strict comparison would keep a shorter one.
+    blocks = [indicator_block(IndexSet.from_mask(mask)) for mask in range(1, 1 << 10)]
+    rng = random.Random(131)
+    blocks += [[rng.randint(0, 4) for _ in range(rng.randint(1, 14))] for _ in range(300)]
+    for u in blocks:
+        if any(u):
+            assert list(zip(*maximal._longest_windows(u))) == longest_best_windows(u), u
+
+
+def test_oracle_shares_no_code_with_the_kernels(monkeypatch):
+    f = LatticeFunction.make(-3, [Fraction(1, 2), 0, -2, 1, 1, Fraction(-7, 3)])
+    want = [maximal_at(f, n) for n in range(-4, 4)]
+
+    def forbidden(*args):
+        raise AssertionError("the oracle called a kernel")
+
+    for name in ("_hull_links", "_bridges", "window_maxima", "set_maxima"):
+        monkeypatch.setattr(maximal, name, forbidden)
+    assert list(maximal_profile(f).values) == want
+    assert list(maximal_profile(chi(0, 2, 3, 7)).values) == \
+        [maximal_at(chi(0, 2, 3, 7), n) for n in range(-1, 9)]
+
+
+# ---------------------------------------------------------------------------
 # fast path equivalence
 # ---------------------------------------------------------------------------
 
@@ -341,10 +403,9 @@ def wide_sets(draw, max_width: int = 600):
 def test_set_kernel_matches_the_block_kernels_and_the_oracle(a):
     got = set_maxima(a.elements)
     assert same_ratios(got, window_maxima(indicator_block(a)))
-    if a.max() - a.min() < 40:
-        nums, dens = got
-        oracle = maximal_profile(LatticeFunction.from_set(a)).values
-        assert [Fraction(n, d) for n, d in zip(nums, dens)] == list(oracle)
+    nums, dens = got
+    oracle = maximal_profile(LatticeFunction.from_set(a)).values
+    assert [Fraction(n, d) for n, d in zip(nums, dens)] == list(oracle)
 
 
 def test_set_kernel_closed_forms():

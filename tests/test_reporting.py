@@ -125,7 +125,7 @@ def assert_writers_match(profile: MaximalProfile):
 
 def test_writers_match_the_fraction_report_exhaustive():
     # every nonempty subset of [0, 8), as is and moved to negative indices,
-    # with the profile of the naive oracle
+    # with the oracle profile
     for mask in range(1, 1 << 8):
         for base in (0, -57):
             chi = LatticeFunction.from_set(IndexSet.from_mask(mask, base))
@@ -146,7 +146,7 @@ def wide_set(seed: int, density: Fraction) -> IndexSet:
 @example(wide_set(3, Fraction(7, 8)))   # 193 chains
 def test_writers_match_the_fraction_report_property(a):
     # hull widths from 1 to 300, and three wide sets with long chain lists;
-    # the Fraction profile here is checked against the naive oracle in
+    # the Fraction profile here is checked against the oracle in
     # test_maximal
     assert_writers_match(maximal_profile_fast(LatticeFunction.from_set(a)))
 

@@ -417,7 +417,7 @@ def test_lean_gate_matches_the_fraction_battery(monkeypatch):
     # The gate's verdict on each set a chunk checks is the Fraction battery's
     # (conftest.oracle_battery), with the audit also due on a spot check, and
     # the norm _check_set returns and the variation it tests are analyze's.  On
-    # the tabled path: every odd mask below 2^14, against the naive oracle
+    # the tabled path: every odd mask below 2^14, against the oracle
     # profile.  On the untabled path: 2,000 seeded sets of hull width 40 to 300,
     # against the profile the gate read.
     records = _record_checked_sets(monkeypatch)
@@ -965,6 +965,38 @@ def test_fast_path_divergence_is_a_violation(monkeypatch):
     assert s.violations[0].subject == {"set": [0]}
     assert s.violations[0].details == {"fast_profile": ["1/2", "1/2", "1/2"],
                                        "oracle_profile": ["1/2", "1", "1/2"]}
+
+
+_WIDTH_10 = IndexSet.from_iterable([0, 1, 4, 6, 7, 9])
+
+
+def test_integer_audit_finds_one_unit_over_d_at_each_point():
+    # The kernel profile of a width-10 set, over its D, raised by one unit at
+    # each position in turn: one divergence each, both profiles as exact strings.
+    an = analyze(_WIDTH_10)
+    d, f, subject = an.denominator, LatticeFunction.from_set(_WIDTH_10), {"set": [0, 1, 4, 6, 7, 9]}
+    oracle = [str(maximal_at(f, n)) for n in range(an.lo, an.hi + 1)]
+    assert oracle == ["2/3", "1", "1", "2/3", "5/8", "1", "3/4", "1", "1", "3/4", "1", "3/5"] \
+        == [str(x) for x in an.profile_values()]
+    assert regularity.audit_profile(d, an.scaled, f, subject) == []
+    for i in range(len(an.scaled)):
+        v = list(an.scaled)
+        v[i] += 1
+        fast = [str(Fraction(x, d)) for x in v]
+        assert fast[:i] + fast[i + 1:] == oracle[:i] + oracle[i + 1:]
+        assert Fraction(fast[i]) == Fraction(oracle[i]) + Fraction(1, d)
+        assert regularity.audit_profile(d, v, f, subject) == [Violation(
+            "fast_path_divergence", subject, {"fast_profile": fast, "oracle_profile": oracle})]
+
+
+def test_integer_audit_counts_a_length_mismatch_as_a_divergence():
+    an = analyze(_WIDTH_10)
+    f, subject = LatticeFunction.from_set(_WIDTH_10), {"set": [0, 1, 4, 6, 7, 9]}
+    for v in (an.scaled[:-1], an.scaled[1:], (), (*an.scaled, an.scaled[-1])):
+        found = regularity.audit_profile(an.denominator, v, f, subject)
+        assert [x.kind for x in found] == ["fast_path_divergence"]
+        assert found[0].details["fast_profile"] == [str(an.fraction(x)) for x in v]
+        assert found[0].details["oracle_profile"] == [str(x) for x in an.profile_values()]
 
 
 def test_function_sweep_divergence_is_a_violation(monkeypatch):
