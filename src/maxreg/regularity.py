@@ -46,9 +46,9 @@ referred to by number throughout the API and reports:
 
 Both are checked on index sets by one battery of integer tests, :func:`_gate`,
 on the pass of a set's profile.  A set sweep runs only the pass and the gate
-per set (:func:`_check_set`); :func:`analyze` adds what the report, the
-headline functions below and violation details read, as one :class:`Analysis`,
-which a sweep builds from the same pass only for a set that fails a test.
+(:func:`_check_set`), the exhaustive one only on sets its lanes send on
+(:mod:`maxreg.lanes`); :func:`analyze` adds what reports and violations read,
+as one :class:`Analysis`, built in a sweep only for a set that fails a test.
 The function sweep's check, :func:`_check_function`, runs the same pass on
 each draw and on its profile and tests Var(M f) <= Var(f).  No check compares
 two sums equal by construction.  Every :class:`Violation` is built here.
@@ -366,16 +366,18 @@ def _check_set(elements: Sequence[int], blocks: int, d: int, v: list[int],
     return p[0], []
 
 
-def _audit_mirror(mask: int, mirror: int) -> list[Violation]:
-    """Oracle audit of the set of ``mask``, which a sweep skips for ``mirror``.
-
-    The mirror set's scaled kernel profile, read backwards, must equal the
-    oracle profile of the set itself; this also audits the reflection
-    shortcut.
-    """
-    a = IndexSet.from_mask(mask)
-    d, v = _scaled(*set_maxima(IndexSet.from_mask(mirror).elements))
-    return audit_profile(d, v[::-1], LatticeFunction.from_set(a), {"set": list(a.elements)})
+def _audit_mirror(elements: Sequence[int], mirror: Sequence[int], d: int,
+                  quotients: Sequence[int]) -> list[Violation]:
+    """Oracle audit of the set of ``elements``, 0 its least, skipped by a sweep for its
+    reflection ``mirror``: the mirror's kernel profile over D = ``d`` (``quotients[n]``
+    = D // n), read backwards, must be the set's oracle profile.  This also audits the
+    reflection shortcut."""
+    nums, dens = set_maxima(mirror)
+    chi = [Fraction(0)] * (elements[-1] + 1)
+    for x in elements:
+        chi[x] = Fraction(1)
+    return audit_profile(d, list(map(mul, nums, map(quotients.__getitem__, dens)))[::-1],
+                         LatticeFunction(0, tuple(chi)), {"set": list(elements)})
 
 
 def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:

@@ -1,50 +1,38 @@
 """Extremizer search and contract sweeps over sets and functions.
 
-Three probes of how far the second-difference bound might extend:
-
-* :func:`exhaustive` - every nonempty subset of [0, L), canonicalized by
-  translation to sets containing 0 and by reflection to one set per mirror
-  pair (the maximal operator commutes with both, so one representative per
-  class suffices);
-* :func:`random_sets` / :func:`random_functions` - seeded pseudorandom
-  sweeps; the generator is Python's Mersenne Twister (``random.Random``),
-  which is stable across platforms for a fixed integer seed, and its
-  identity is echoed in every summary;
+* :func:`exhaustive` - every nonempty subset of [0, L), one per class under
+  translation (sets containing 0) and reflection (one set per mirror pair);
+* :func:`random_sets` / :func:`random_functions` - seeded sweeps by Python's
+  Mersenne Twister (``random.Random``), stable across platforms for an
+  integer seed and echoed in every summary;
 * :func:`higher_derivative_scan` - the l1 norm over Z of the order-k
-  differences (k >= 3) of the maximal function of an indicator, exactly,
-  with its truncation to [-T, T], summed in closed form along the hyperbola
-  tails of :func:`~maxreg.maximal._set_tails` (:func:`_order_norms`).
+  differences (k >= 3) of M chi_A, exactly, and its truncation to [-T, T],
+  summed in closed form along the hyperbola tails of
+  :func:`~maxreg.maximal._set_tails` (:func:`_order_norms`).
 
-This module only sweeps.  Every contract check, oracle audit and
-:class:`~maxreg.regularity.Violation` comes from :mod:`maxreg.regularity`:
-each set runs the battery's integer tests
-(:func:`~maxreg.regularity._check_set`), and each drawn function the bound
-Var(M f) <= Var(f) on the same integer pass of itself and of its maximal
-profile (:func:`~maxreg.regularity._check_function`).  Every 512th instance of every
-sweep, set or function, is also re-profiled by the O(m^2) oracle
-:func:`~maxreg.maximal.maximal_profile` and compared in integers over the
-kernel's D, and so is every instance whose profile has a negative tail term;
-for a set, the battery decides and runs that audit itself.  A mismatch is a ``fast_path_divergence`` violation, ahead of
-all others.  In :func:`exhaustive` an instance is a translation class, checked
-or not: a class skipped for its mirror is audited through the mirror's profile
-read backwards.  Any failure halts the sweep and is serialized in full: a
-violation is either an artifact bug or a finding, never noise to skip.
+This module only sweeps.  Every check, oracle audit and
+:class:`~maxreg.regularity.Violation` comes from :mod:`maxreg.regularity`: a set
+passes the gate of :func:`~maxreg.regularity._check_set`, a drawn function the
+bound Var(M f) <= Var(f) of :func:`~maxreg.regularity._check_function`.  Every
+512th instance of every sweep, and every instance with a negative tail term, is
+also compared with the O(m^2) oracle :func:`~maxreg.maximal.maximal_profile`, in
+integers; a mismatch is a ``fast_path_divergence``, ahead of all others.  In
+:func:`exhaustive` an instance is a class, checked or not: one skipped for its
+mirror is audited through the mirror's profile read backwards.  Any failure
+halts the sweep and is serialized in full.
 
-Every sweep runs through one driver, :func:`_sweep`, which maps fixed-size
-chunks through an evaluator (:func:`_check_mask_chunk` for sets,
-:func:`_check_draw_chunk` for function draws), folds the chunks'
-:class:`_Fold` in submission order, reports progress once per chunk and stops
-at the first violation.  The fold state is integers only, a winner starting
-(norm over D, D * source norm) and compared by cross-multiplying, the earlier
-instance kept on ties, so summaries are identical for any worker count; the
-records are rebuilt once from the final winners.  In :func:`exhaustive` (L) D
-is D_L = lcm(1, ..., L + 2), and a set's elements, mirror and scaled profile
-are lookups in tables built once per sweep (:func:`_sweep_tables`);
-:func:`random_sets` scales each set by its own lcm, and
-:func:`random_functions` draws one chunk at a time and runs on one worker.  A
-process pool runs the chunks, at most two per process in flight, only when the
-worker count, capped by the chunk and CPU counts, exceeds 1, and only then are
-:mod:`concurrent.futures` and :mod:`multiprocessing` imported.
+One driver, :func:`_sweep`, maps fixed-size chunks through an evaluator
+(:func:`_check_mask_chunk` for sets, :func:`_check_draw_chunk` for draws),
+folds their :class:`_Fold` in submission order, reports progress per chunk and
+stops at the first violation.  The fold holds integers only, winners (norm
+over D, D * source norm) compared by cross-multiplying, the earlier kept on
+ties, so summaries do not depend on the worker count.  :func:`exhaustive` (L)
+checks each chunk's sets at once, one per 64-bit lane of an int
+(:mod:`maxreg.lanes`), over D_L = lcm(1, ..., L + 2) and tables built once per
+sweep (:func:`_sweep_tables`); :func:`random_sets` profiles each set by
+:func:`~maxreg.maximal.set_maxima` over its own lcm.  A process pool, and its
+modules, load only when the worker count, capped by the chunk and CPU counts,
+exceeds 1; :func:`random_functions` runs on one worker.
 """
 
 from __future__ import annotations
@@ -59,7 +47,7 @@ from math import lcm
 from operator import floordiv, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import regularity
+from . import lanes, regularity
 from .lattice import IndexSet, _bit_positions, _mask_elements, _mask_mirror, _mask_tables
 from .maximal import _set_tails, _tail_points
 from .regularity import RatioRecord, Violation, _audit_mirror, _scaled, analyze
@@ -67,6 +55,7 @@ from .regularity import RatioRecord, Violation, _audit_mirror, _scaled, analyze
 GENERATOR_ID = "python-random-mt19937"
 _CHUNK = 2048
 _SPOT_EVERY = 512           # every sweep re-profiles each 512th instance by the oracle
+_LANE = (1 << 64) - 1
 
 __all__ = [
     "Violation",
@@ -126,12 +115,11 @@ class TruncatedScan:
 # ---------------------------------------------------------------------------
 
 def _sweep_tables(length: int) -> tuple:
-    """What every set of :func:`exhaustive` (``length``) shares, built once per
-    sweep: (D_L, quotients, positions, reverse).  D_L = lcm(1, ..., L + 2) is a
-    common denominator of every profile of the sweep, as a window in [-1, L]
-    has at most L + 2 points; L <= 24 keeps it at most lcm(1, ..., 26) =
-    26,771,144,400 < 2^35.  ``quotients[n]`` is D_L // n.  The mask tables
-    come from :func:`~maxreg.lattice._mask_tables`."""
+    """What every chunk of :func:`exhaustive` (``length``) shares: (D_L, quotients,
+    positions, reverse).  D_L = lcm(1, ..., L + 2), below 2^35 for L <= 24, is a
+    common denominator of every profile of the sweep, as a window in the frame [-1, L]
+    has at most L + 2 points; ``quotients[n]`` is D_L // n.  The mask tables
+    (:func:`~maxreg.lattice._mask_tables`) give mirrors and the sets of read-out rows."""
     d = lcm(*range(1, length + 3))
     return (d, [0, *[d // n for n in range(1, length + 3)]], *_mask_tables())
 
@@ -211,55 +199,68 @@ def _mask_chunks(masks: Sequence[int], tables: tuple | None) -> Iterator[tuple]:
 
 
 def _check_mask_chunk(args: tuple) -> _Fold:
-    """Check a chunk of masks in order (:func:`~maxreg.regularity._check_set`,
-    looked up on :mod:`~maxreg.regularity` with its kernel) and fold each set
-    straight into the chunk's winners: a set can only beat the overall winner
-    by beating its span's.  Without ``tables`` each set is scaled by its own
-    lcm; with the :func:`_sweep_tables` of an exhaustive sweep the chunk holds
-    odd masks, skips each mask whose mirror is smaller, auditing it if due,
-    and scales the others by D_L."""
+    """Check a chunk of masks in order, by :func:`_lane_checks` given the tables of an
+    exhaustive sweep, else :func:`_set_checks`, each yielding (mask, classes, blocks, D,
+    norm over D, violations) per mask, classes 0 for an audit alone, and fold each set
+    into the winners: a set can only beat the overall winner by beating its span's."""
     masks, base_index, tables = args
-    kernel, check = regularity.set_maxima, regularity._check_set
     count = evaluated = 0
     winners: dict = {}                  # span -> winner; None -> overall
-    min_chi = None
-    violations: tuple[Violation, ...] = ()
-    if tables is not None:
-        d, quotients, positions, reverse = tables
-    for i, mask in enumerate(masks, base_index):
-        spot = i % _SPOT_EVERY == 0
-        if tables is None:
-            elements = _bit_positions(mask)
-            d, v = _scaled(*kernel(elements))
-        else:
-            mirror = _mask_mirror(reverse, mask)
-            if mirror < mask:
-                if spot:
-                    violations = tuple(_audit_mirror(mask, mirror))
-                    if violations:
-                        break
-                continue
-            elements = _mask_elements(positions, mask)
-            nums, dens = kernel(elements)
-            v = list(map(mul, nums, map(quotients.__getitem__, dens)))
-        blocks = (mask & ~(mask << 1)).bit_count()      # the run starts
-        norm, found = check(elements, blocks, d, v, spot)
-        chi = 4 * blocks
-        scaled = d * chi
-        span = mask.bit_length() - (mask & -mask).bit_length()
-        old = winners.get(span)
-        if old is None or norm * old[1] > old[0] * scaled:     # _beats, inlined: once per set
-            winners[span] = entry = (norm, scaled, mask)
-            if _beats(entry, winners.get(None)):
-                winners[None] = entry
-        count += 1 if tables is None or mirror == mask else 2     # a mirror pair is 2 classes
-        evaluated += 1
-        if min_chi is None or chi < min_chi:
-            min_chi = chi
+    min_chi, violations = None, ()
+    checks = _set_checks(masks, base_index) if tables is None else _lane_checks(*args)
+    for mask, classes, blocks, d, norm, found in checks:
+        if classes:
+            chi, scaled = 4 * blocks, 4 * blocks * d
+            span = mask.bit_length() - (mask & -mask).bit_length()
+            old = winners.get(span)
+            if old is None or norm * old[1] > old[0] * scaled:     # _beats, inlined: once per set
+                winners[span] = entry = (norm, scaled, mask)
+                if _beats(entry, winners.get(None)):
+                    winners[None] = entry
+            count += classes
+            evaluated += 1
+            if min_chi is None or chi < min_chi:
+                min_chi = chi
         if found:
             violations = tuple(found)
             break
     return _Fold(count, evaluated, winners, min_chi, violations)
+
+
+def _set_checks(masks: Sequence[int], base_index: int) -> Iterator[tuple]:
+    """Each set profiled by :func:`~maxreg.regularity.set_maxima` over its own lcm and
+    checked by :func:`~maxreg.regularity._check_set`, both looked up on the module."""
+    for i, mask in enumerate(masks, base_index):
+        elements = _bit_positions(mask)
+        d, v = _scaled(*regularity.set_maxima(elements))
+        blocks = (mask & ~(mask << 1)).bit_count()      # the run starts
+        yield mask, 1, blocks, d, *regularity._check_set(elements, blocks, d, v, i % _SPOT_EVERY == 0)
+
+
+def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> Iterator[tuple]:
+    """The masks of an exhaustive chunk whose mirror is not smaller, checked at once in
+    lanes (:func:`~maxreg.lanes.columns`, :func:`~maxreg.lanes.verdicts`); one failing a
+    test there or due for the audit has its row read out to the per-set check.  A
+    skipped class due for the audit is audited through its mirror."""
+    d, quotients, positions, reverse = tables
+    mirrors = [_mask_mirror(reverse, mask) for mask in masks]
+    checked = [mask for mask, mirror in zip(masks, mirrors) if mirror >= mask]
+    columns = lanes.columns(checked, tables)
+    norms, variations, flags = lanes.verdicts(checked, columns, tables)
+    k = 0
+    for i, (mask, mirror) in enumerate(zip(masks, mirrors), base_index):
+        spot = i % _SPOT_EVERY == 0
+        if mirror < mask:
+            if spot:
+                yield mask, 0, 0, d, 0, _audit_mirror(_mask_elements(positions, mask),
+                                                      _mask_elements(positions, mirror), d, quotients)
+            continue
+        blocks, norm, found = (mask & ~(mask << 1)).bit_count(), norms[k], ()
+        if spot or flags[k] or norm > 12 * blocks * d or variations[k] > 2 * blocks * d:
+            v = [column >> 64 * k & _LANE for column in columns[:mask.bit_length() + 2]]
+            norm, found = regularity._check_set(_mask_elements(positions, mask), blocks, d, v, spot)
+        yield mask, 1 if mirror == mask else 2, blocks, d, norm, found
+        k += 1
 
 
 def _set_records(merged: _Fold) -> tuple[RatioRecord | None, dict]:
@@ -280,19 +281,15 @@ def exhaustive(length: int, workers: int = 1,
                progress: Callable[[int, int], None] | None = None) -> SearchSummary:
     """Check every translation class of nonempty subsets of [0, length).
 
-    Only sets containing 0 are enumerated (odd bitmasks): every nonempty
-    subset of [0, L) is the translate of exactly one of them, and all checked
-    quantities are translation invariant.  They are reflection invariant
-    too, and the reflected set of an odd mask is the odd mask with its bits
-    reversed, so only the smaller mask of each mirror pair is analysed
-    (``stats["sets_evaluated"]``, 8,383 at L = 15).  It counts for two
-    classes, or for one if it is a palindrome, so ``instances_checked`` is
-    still 2^(L-1).  Masks are visited in ascending order and the larger
-    mask of a pair never beats the smaller, so the records, the tie-breaks
-    and the first violation are those of a sweep over every class.  The
-    oracle audits the classes ``mask >> 1`` = 0 mod 512 whether analysed
-    or skipped; a skipped one is compared with its mirror's kernel profile,
-    reversed.
+    Only sets containing 0 (odd masks) are enumerated, and only the smaller
+    mask of each mirror pair is checked (``stats["sets_evaluated"]``, 8,383 at
+    L = 15), counting for two classes, or one for a palindrome.  Masks go in
+    ascending order and the larger of a pair never beats the smaller, so the
+    records, tie-breaks and first violation are those of a sweep over every
+    class.  A chunk's sets are checked in lanes (:mod:`maxreg.lanes`); only one
+    that fails a test there, or is audited, is checked alone.  The oracle
+    audits the classes ``mask >> 1`` = 0 mod 512, a skipped one through its
+    mirror's kernel profile, reversed.
     """
     if not 1 <= length <= 24:
         raise ValueError("length must be in [1, 24]")

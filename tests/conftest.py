@@ -19,6 +19,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import strategies as st
 
+import maxreg.lanes as lanes
 import maxreg.regularity as regularity
 import maxreg.search as search
 from maxreg import (
@@ -370,12 +371,48 @@ def index_sets(draw, max_width: int = 64):
     return IndexSet.from_mask((1 | inner << 1 | 1 << (width - 1)), base)
 
 
+def lane_rows(masks, columns) -> list[list[int]]:
+    """The row of each of ``masks`` in the lane ``columns`` of an exhaustive chunk
+    (``lanes.columns``), cut to the mask's window [-1, max + 1]."""
+    rows = [lanes.unpack(column, len(masks)) for column in columns]
+    return [[row[k] for row in rows[:mask.bit_length() + 2]] for k, mask in enumerate(masks)]
+
+
+def record_lanes(monkeypatch) -> list:
+    """Record (masks, columns, verdicts) for each chunk an exhaustive sweep checks in
+    lanes, from the calls of ``lanes.verdicts``."""
+    real, records = lanes.verdicts, []
+
+    def verdicts(masks, columns, tables):
+        records.append((list(masks), columns, real(masks, columns, tables)))
+        return records[-1][2]
+
+    monkeypatch.setattr(lanes, "verdicts", verdicts)
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Fault injection
 # ---------------------------------------------------------------------------
 
+def edit_lanes(monkeypatch, edit):
+    """Make each exhaustive chunk's lane columns (``lanes.columns``) pass the row of
+    every mask, D_L * M chi_A at x = -1 .. L, through ``edit(mask, row, D_L)``,
+    which returns the row to use."""
+    real = lanes.columns
+
+    def edited(masks, tables):
+        columns = real(masks, tables)
+        rows = zip(*[lanes.unpack(column, len(masks)) for column in columns])
+        rows = [edit(mask, list(row), tables[0]) for mask, row in zip(masks, rows)]
+        return [lanes.pack(column) for column in zip(*rows)] if rows else columns
+
+    monkeypatch.setattr(lanes, "columns", edited)
+
+
 def corrupt_singleton_kernel(monkeypatch):
-    """Make the set profile kernel return 1/2 instead of 1 at the point of {0}."""
+    """Make the set profile kernel return 1/2 instead of 1 at the point of {0}, and
+    so the lane of mask 1 in the exhaustive sweeps."""
     real = regularity.set_maxima
 
     def corrupted(elements):
@@ -384,12 +421,14 @@ def corrupt_singleton_kernel(monkeypatch):
         return real(elements)
 
     monkeypatch.setattr(regularity, "set_maxima", corrupted)
+    edit_lanes(monkeypatch, lambda mask, row, d: [row[0], d // 2, *row[2:]] if mask == 1 else row)
 
 
 def lift_first_value(monkeypatch, skip: int = 0):
     """Make every profile kernel call after the first ``skip``, for sets and
     for functions alike, add 1 to its first value, which lifts the left edge
-    above its neighbour."""
+    above its neighbour; an exhaustive sweep's lanes count as one call each, in
+    order, and are lifted at x = -1."""
     calls = 0
 
     def lifting(real):
@@ -402,8 +441,14 @@ def lift_first_value(monkeypatch, skip: int = 0):
             return nums, dens
         return lifted
 
+    def lifted_lane(mask, row, d):
+        nonlocal calls
+        calls += 1
+        return [row[0] + d, *row[1:]] if calls > skip else row
+
     for kernel in ("set_maxima", "window_maxima"):
         monkeypatch.setattr(regularity, kernel, lifting(getattr(regularity, kernel)))
+    edit_lanes(monkeypatch, lifted_lane)
 
 
 def break_pass(monkeypatch, elements: tuple[int, ...], edit):
@@ -412,9 +457,12 @@ def break_pass(monkeypatch, elements: tuple[int, ...], edit):
     window and the pass is ``regularity._convexity(v)``, (norm, first differences,
     c2, concave flags).  The profile is recognised over any denominator, as the
     window proportional to the set's own; D is its largest value, as M chi_A = 1
-    exactly on A."""
+    exactly on A.  In an exhaustive sweep the set's lane verdicts (``lanes.verdicts``)
+    are the edited pass's norm, variation and flags, so its lane fails the tests that
+    the edited pass fails."""
     target = analyze(IndexSet(elements)).scaled
-    real = regularity._convexity
+    mask = sum(1 << x for x in elements)
+    real, real_verdicts = regularity._convexity, lanes.verdicts
 
     def broken(v):
         p = real(v)
@@ -422,7 +470,19 @@ def break_pass(monkeypatch, elements: tuple[int, ...], edit):
             p = edit(p, v, max(v))
         return p
 
+    def verdicts(masks, columns, tables):
+        out = [list(lane_values) for lane_values in real_verdicts(masks, columns, tables)]
+        if mask in masks:
+            k = masks.index(mask)
+            v = [lanes.unpack(column, len(masks))[k] for column in columns[:len(target)]]
+            norm, first, _, concave = broken(v)
+            out[0][k], out[1][k] = norm, v[1] + sum(map(abs, first[1:-1])) + v[-2]
+            out[2][k] = (first[0] < 0 or first[-1] > 0) << 63 | any(
+                c and x != tables[0] for c, x in zip(concave, v)) << 62
+        return tuple(out)
+
     monkeypatch.setattr(regularity, "_convexity", broken)
+    monkeypatch.setattr(lanes, "verdicts", verdicts)
 
 
 def vary_to(total: int):
@@ -437,8 +497,9 @@ def vary_to(total: int):
 
 
 def lift_edge(monkeypatch, elements: tuple[int, ...], edge: int):
-    """Make the set kernel add 1 to the profile of the set with ``elements`` at
-    window position ``edge`` (0 or -1), which lifts that edge above its neighbour."""
+    """Make the set kernel add 1 to the profile of the set with ``elements``, 0 its
+    least, at window position ``edge`` (0 or -1), which lifts that edge above its
+    neighbour; in an exhaustive sweep, the set's lane at x = -1 or max + 1."""
     real = regularity.set_maxima
 
     def lifted(els):
@@ -448,7 +509,13 @@ def lift_edge(monkeypatch, elements: tuple[int, ...], edge: int):
             nums[edge] += dens[edge]
         return nums, dens
 
+    def lifted_lane(mask, row, d):
+        if mask == sum(1 << x for x in elements):
+            row[edge % (elements[-1] + 3)] += d
+        return row
+
     monkeypatch.setattr(regularity, "set_maxima", lifted)
+    edit_lanes(monkeypatch, lifted_lane)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxreg.lanes as lanes
 import maxreg.lattice as lattice
 import maxreg.maximal as maximal
 import maxreg.regularity as regularity
@@ -45,6 +46,7 @@ from conftest import (
     corrupt_singleton_kernel,
     function_window,
     index_sets,
+    lane_rows,
     lift_edge,
     lift_first_value,
     mirror_mask,
@@ -54,6 +56,7 @@ from conftest import (
     oracle_scan_value,
     profile_window,
     random_index_set,
+    record_lanes,
     vary_to,
 )
 
@@ -302,6 +305,7 @@ _SET_SWEEP_SHA256 = [
     ((exhaustive, (12,), {}), "85b047be6a8ee132c0e9a4de577348f2833011edbecacb78b823a2b00decdbcc"),
     ((exhaustive, (15,), {}), "de09c8b0c55899390eb15ba0feaabea541b2b6a64a332310721b538afa86c801"),
     ((exhaustive, (17,), {}), "1393c9119ca2cf97925e7ee2eb1d9e08e99c731eea42ea1ae79da9906921ea0f"),
+    ((exhaustive, (18,), {}), "7580aa79e890b40c5a593b965100f5933d8fbfc648f58c0b8b681ad4575f71d5"),
     ((random_sets, (200, 300, Fraction(1, 2), 13), {}),
      "115f78507931af9642ce472c7aa80fcc4063bd33a7dd1a2d0c8f3a3711b89447"),
     ((random_sets, (4500, 10, Fraction(1, 2), 9), {"workers": 2}),
@@ -311,7 +315,8 @@ _SET_SWEEP_SHA256 = [
 
 @pytest.mark.parametrize("sweep, expected", _SET_SWEEP_SHA256,
                          ids=["exhaustive(1)", "exhaustive(5)", "exhaustive(9)", "exhaustive(12)",
-                              "exhaustive(15)", "exhaustive(17)", "random_sets(200, 300)",
+                              "exhaustive(15)", "exhaustive(17)", "exhaustive(18)",
+                              "random_sets(200, 300)",
                               "random_sets(4500, 10, workers=2)"])
 def test_set_sweep_summaries_are_byte_identical_to_the_pinned_hashes(sweep, expected):
     run, args, kwargs = sweep
@@ -364,21 +369,19 @@ def test_sweep_winners_are_masks_and_records_are_rebuilt_once(monkeypatch):
 
 def test_shared_denominator_analysis_equals_analyze(monkeypatch):
     # The exhaustive sweep checks each set over D_13, analyze over the set's
-    # own lcm: the same rationals, positions, block count and battery.  The
-    # per-set check is recorded with the arguments a chunk passes it.
+    # own lcm: the same rationals, positions, block count and battery.  Each set
+    # a chunk checks is read out of the lane columns the chunk computed, as the
+    # row a lane that fails a test passes to the per-set check.
     tables = search._sweep_tables(13)
-    real, seen = regularity._check_set, []
-
-    def recorded(*args):
-        seen.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(regularity, "_check_set", recorded)
+    records = record_lanes(monkeypatch)
     search._check_mask_chunk((range(1, 1 << 13, 2), 0, tables))
-    assert [IndexSet(args[0]) for args in seen] == \
-        [IndexSet.from_mask(m) for m in range(1, 1 << 13, 2) if mirror_mask(m) >= m]
-    for elements, blocks, d, v, _ in seen:
-        shared = regularity._analysis(IndexSet(elements), blocks, d, v, regularity._convexity(v))
+    [(masks, columns, _)] = records
+    assert masks == [m for m in range(1, 1 << 13, 2) if mirror_mask(m) >= m]
+    for mask, v in zip(masks, lane_rows(masks, columns)):
+        elements = IndexSet.from_mask(mask).elements
+        blocks = block_count(IndexSet(elements))
+        shared = regularity._analysis(IndexSet(elements), blocks, tables[0], v,
+                                      regularity._convexity(v))
         an = analyze(IndexSet(elements))
         assert shared.set == an.set
         assert shared.denominator == tables[0] == 360360       # lcm(1, ..., 15)
@@ -390,7 +393,8 @@ def test_shared_denominator_analysis_equals_analyze(monkeypatch):
         assert shared.concave == an.concave
         assert shared.chi_second_norm == an.chi_second_norm == 4 * block_count(an.set)
         assert shared.violations(True) == an.violations(True) == []
-        assert real(elements, blocks, d, v, True) == (shared.second_norm, [])
+        assert regularity._check_set(elements, blocks, tables[0], v, True) == \
+            (shared.second_norm, [])
 
 
 def _record_checked_sets(monkeypatch) -> list:
@@ -413,31 +417,55 @@ def _record_checked_sets(monkeypatch) -> list:
     return records
 
 
+def _lane_verdict(d: int, mask: int, norm: int, variation: int, flags: int) -> tuple:
+    """The four tests of the gate as a lane gives them: (a negative tail term,
+    Theorem 1, Lemma 1, the variation), for the set of ``mask`` over D = ``d``."""
+    blocks = block_count(IndexSet.from_mask(mask))
+    return (flags >> 63 == 1, norm > 12 * blocks * d, flags >> 62 & 1 == 1,
+            variation > 2 * blocks * d)
+
+
 def test_lean_gate_matches_the_fraction_battery(monkeypatch):
     # The gate's verdict on each set a chunk checks is the Fraction battery's
     # (conftest.oracle_battery), with the audit also due on a spot check, and
-    # the norm _check_set returns and the variation it tests are analyze's.  On
-    # the tabled path: every odd mask below 2^14, against the oracle
-    # profile.  On the untabled path: 2,000 seeded sets of hull width 40 to 300,
+    # the norm and the variation it tests are analyze's.  On the tabled path:
+    # the lane verdicts of every odd mask below 2^14, against the oracle profile,
+    # and the sets the chunk sends on to the per-set check are the spot-checked
+    # ones.  On the untabled path: 2,000 seeded sets of hull width 40 to 300,
     # against the profile the gate read.
-    records = _record_checked_sets(monkeypatch)
-    search._check_mask_chunk((range(1, 1 << 14, 2), 0, search._sweep_tables(14)))
-    tabled = len(records)
-    assert tabled == sum(1 for m in range(1, 1 << 14, 2) if mirror_mask(m) >= m)
+    lane_records, records = record_lanes(monkeypatch), _record_checked_sets(monkeypatch)
+    tables = search._sweep_tables(14)
+    d = tables[0]
+    assert not search._check_mask_chunk((range(1, 1 << 14, 2), 0, tables)).violations
+    [(masks, _, verdicts)] = lane_records
+    assert masks == [m for m in range(1, 1 << 14, 2) if mirror_mask(m) >= m]
+    fired = []
+    for mask, norm, variation, flags in zip(masks, *verdicts):
+        a = IndexSet.from_mask(mask)
+        an = analyze(a)
+        assert Fraction(norm, d) == an.fraction(an.second_norm)
+        assert Fraction(variation, d) == an.fraction(an.variation)
+        spot = (mask >> 1) % 512 == 0
+        expected = oracle_battery(profile_window(maximal_profile(LatticeFunction.from_set(a))),
+                                  a, block_count(a))
+        verdict = _lane_verdict(d, mask, norm, variation, flags)
+        assert (spot or verdict[0], *verdict[1:]) == (spot or expected[0], *expected[1:]), mask
+        if spot or any(expected):
+            fired.append(a.elements)
+    assert [r[0] for r in records] == fired
+    assert all(r[4] and r[6] == [] for r in records)
+    del records[:]
     rng = random.Random(2028)
     widths = [rng.randint(40, 300) for _ in range(2000)]
     search._check_mask_chunk(([1 | rng.getrandbits(w - 2) << 1 | 1 << (w - 1) for w in widths],
                               0, None))
-    assert [r[0][-1] + 1 for r in records[tabled:]] == widths
-    for i, (elements, blocks, d, v, spot, norm, found, variation, verdict) in enumerate(records):
+    assert [r[0][-1] + 1 for r in records] == widths
+    for elements, blocks, d, v, spot, norm, found, variation, verdict in records:
         a = IndexSet(elements)
         an = analyze(a)
         assert Fraction(norm, d) == an.fraction(an.second_norm)
         assert Fraction(variation, d) == an.fraction(an.variation)
-        if i < tabled:
-            g = profile_window(maximal_profile(LatticeFunction.from_set(a)))
-        else:
-            g = Window(elements[0] - 1, tuple([Fraction(x, d) for x in v]))
+        g = Window(elements[0] - 1, tuple([Fraction(x, d) for x in v]))
         expected = oracle_battery(g, a, block_count(a))
         assert verdict == (spot or expected[0], *expected[1:]), elements
         assert found == []
@@ -469,6 +497,179 @@ def test_gate_matches_the_fraction_battery_at_each_boundary():
         met["concave at 1"] += any(c and x == d for c, x in zip(concave, v))
         met["concave off 1"] += any(c and x != d for c, x in zip(concave, v))
     assert min(met.values()) >= 100, met
+
+
+def _odd_mask_chunks(masks) -> list:
+    return [masks[i:i + 2048] for i in range(0, len(masks), 2048)]
+
+
+def test_lane_columns_are_the_set_kernel_scaled_by_the_quotients():
+    # Every odd mask below 2^16, and seeded chunks at L = 20 and L = 24: the row of
+    # a lane on the mask's window is set_maxima times D_L // length, point by point.
+    rng = random.Random(30)
+    for length, masks in ((16, list(range(1, 1 << 16, 2))),
+                          (20, [rng.getrandbits(20) | 1 for _ in range(2048)]),
+                          (24, [rng.getrandbits(24) | 1 for _ in range(4096)])):
+        tables = search._sweep_tables(length)
+        quotients = tables[1]
+        for chunk in _odd_mask_chunks(masks):
+            for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables))):
+                nums, dens = regularity.set_maxima(IndexSet.from_mask(mask).elements)
+                assert row == [n * quotients[m] for n, m in zip(nums, dens)], mask
+
+
+def test_lane_columns_are_the_oracle_profile_on_the_whole_frame():
+    # Every odd mask below 2^12 against the oracle profile on its window, and every
+    # odd mask below 2^8 at every point of the frame [-1, 9] against maximal_at.
+    tables = search._sweep_tables(12)
+    d = tables[0]
+    masks = list(range(1, 1 << 12, 2))
+    for chunk in _odd_mask_chunks(masks):
+        for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables))):
+            oracle = maximal_profile(LatticeFunction.from_set(IndexSet.from_mask(mask))).values
+            assert [Fraction(x, d) for x in row] == list(oracle), mask
+    tables = search._sweep_tables(9)
+    masks = list(range(1, 1 << 8, 2))
+    columns = lanes.columns(masks, tables)
+    for k, mask in enumerate(masks):
+        chi = LatticeFunction.from_set(IndexSet.from_mask(mask))
+        assert [Fraction(lanes.unpack(column, len(masks))[k], tables[0]) for column in columns] \
+            == [maximal_at(chi, x) for x in range(-1, 10)], mask
+
+
+def test_lane_verdicts_are_the_per_set_pass_and_gate():
+    # Every odd mask below 2^14: the lane norm is the one _check_set returns, the
+    # lane variation the one it tests, and the lane verdict _gate's on the same row.
+    tables = search._sweep_tables(14)
+    d = tables[0]
+    masks = list(range(1, 1 << 14, 2))
+    for chunk in _odd_mask_chunks(masks):
+        columns = lanes.columns(chunk, tables)
+        for mask, v, norm, variation, flags in zip(chunk, lane_rows(chunk, columns),
+                                                  *lanes.verdicts(chunk, columns, tables)):
+            elements = IndexSet.from_mask(mask).elements
+            blocks = block_count(IndexSet(elements))
+            p = regularity._convexity(v)
+            assert regularity._check_set(elements, blocks, d, v, False) == (norm, [])
+            assert variation == regularity._variation(v, p[1])
+            assert _lane_verdict(d, mask, norm, variation, flags) == \
+                regularity._gate(False, d, v, blocks, p, variation)
+            assert flags & ~(3 << 62) == 0
+
+
+def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
+    # Synthetic windows over small denominators, packed one per lane of an
+    # exhaustive (7) chunk of palindromic masks, put each of the gate's four tests
+    # on both sides of its boundary and on it.  The lane norm and variation are the
+    # direct sums, the lane verdict is the Fraction battery's every time, and the
+    # chunk sends on to the per-set check exactly the windows with a failed test.
+    # The window of a mask with top bit b is the frame's [-1, b + 1]; the frame
+    # points past it hold random values that no test may read.
+    rng = random.Random(30)
+    length = 7
+    met = {name: 0 for name in ("tail fails", "tail holds", "edge step 0", "ratio above 3",
+                                "ratio at most 3", "ratio 3", "lemma fails", "lemma holds",
+                                "variation above", "variation at most", "variation at")}
+    checked = []
+
+    def check(elements, blocks, d, v, spot):
+        checked.append(v)
+        return 0, []
+
+    monkeypatch.setattr(regularity, "_check_set", check)
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        masks, frames = [], []
+        for _ in range(500):
+            b = rng.randint(0, length - 1)
+            half = [True] + [rng.random() < 0.5 for _ in range(b // 2)]
+            masks.append(sum(1 << i for i in range(b + 1) if half[min(i, b - i)]))
+            frames.append([rng.randint(0, 2 * d) for _ in range(length + 2)])
+        columns = [lanes.pack(column) for column in zip(*frames)]
+        monkeypatch.setattr(lanes, "columns", lambda masks, tables: columns)
+        tables = (d, *search._sweep_tables(length)[1:])
+        records = record_lanes(monkeypatch)
+        checked.clear()
+        search._check_mask_chunk((masks, 1, tables))         # no spot check
+        [(_, _, verdicts)] = records
+        fired = []
+        for mask, frame, norm, variation, flags in zip(masks, frames, *verdicts):
+            assert mirror_mask(mask) == mask
+            v = frame[:mask.bit_length() + 2]
+            blocks = block_count(IndexSet.from_mask(mask))
+            direct, first, _, concave = reference_convexity(v)
+            assert norm == direct
+            assert variation == v[1] + sum(map(abs, first[1:-1])) + v[-2]
+            g = Window(0, tuple([Fraction(x, d) for x in v]))
+            a = IndexSet.from_iterable([i for i, x in enumerate(v) if x == d])
+            expected = oracle_battery(g, a, blocks)
+            assert _lane_verdict(d, mask, norm, variation, flags) == expected, (v, d, mask)
+            if any(expected):
+                fired.append(v)
+            met["tail fails" if expected[0] else "tail holds"] += 1
+            met["edge step 0"] += first[0] == 0 or first[-1] == 0
+            met["ratio above 3" if expected[1] else "ratio at most 3"] += 1
+            met["ratio 3"] += direct == 12 * blocks * d
+            met["lemma fails" if expected[2] else "lemma holds"] += 1
+            met["variation above" if expected[3] else "variation at most"] += 1
+            met["variation at"] += variation == 2 * blocks * d
+        assert checked == fired
+    assert min(met.values()) >= 100, met
+
+
+def test_lane_fold_sends_on_exactly_the_lanes_past_a_bound(monkeypatch):
+    # The chunk compares each lane's norm with 12 blocks D and its variation with
+    # 2 blocks D, strictly, and reads its two flag bits.  Lane verdicts put on each
+    # side of one bound at a time, the others held, send on to the per-set check
+    # exactly the lanes past a bound.  No class of exhaustive (9) is spot-checked
+    # from index 1.
+    tables = search._sweep_tables(9)
+    d = tables[0]
+    cases = [(12, 0, 0, False), (12, 0, 1, True), (0, 2, 0, False), (0, 2, 1, True),
+             (0, 0, 1 << 63, True), (0, 0, 1 << 62, True), (12, 2, 0, False)]
+    sent, expected = [], []
+
+    def verdicts(masks, columns, tables):
+        out = [], [], []
+        for k, mask in enumerate(masks):
+            blocks = block_count(IndexSet.from_mask(mask))
+            norm_bound, variation_bound, extra, past = cases[k % len(cases)]
+            values = (norm_bound * blocks * d, variation_bound * blocks * d, 0)
+            over = (extra if norm_bound else 0, extra if variation_bound else 0,
+                    extra if not norm_bound and not variation_bound else 0)
+            for column, value, plus in zip(out, values, over):
+                column.append(value + plus)
+            if past:
+                expected.append(mask)
+        return out
+
+    def check(elements, blocks, d, v, spot):
+        sent.append(sum(1 << x for x in elements))
+        return 0, []
+
+    monkeypatch.setattr(lanes, "verdicts", verdicts)
+    monkeypatch.setattr(regularity, "_check_set", check)
+    search._check_mask_chunk((range(1, 1 << 9, 2), 1, tables))
+    assert sent == expected and len(sent) > 70
+
+
+def test_lanes_stay_below_2_to_the_48_at_length_24():
+    # D_24 < 2^35, and a lane sums at most 2 * 26 values of at most 2 D_24: below
+    # 2^48, so bit 63 of every lane is free.  Every column and verdict of seeded
+    # chunks at L = 24, with the full, the alternating and the sparsest masks, stays
+    # below it, and the flags use bits 62 and 63 only.
+    tables = search._sweep_tables(24)
+    d = tables[0]
+    assert d < 1 << 35 and 2 * 26 * 2 * d < 1 << 48
+    rng = random.Random(48)
+    masks = [(1 << 24) - 1, 0x555555, 0xAAAAAB, 1, 1 | 1 << 23, 0x924925]
+    masks += [rng.getrandbits(24) | 1 for _ in range(2042)]
+    columns = lanes.columns(masks, tables)
+    norms, variations, flags = lanes.verdicts(masks, columns, tables)
+    values = [x for column in columns for x in lanes.unpack(column, len(masks))]
+    assert max(values + list(norms) + list(variations)) < 1 << 48
+    assert max(values) == d and max(norms) > 0
+    assert all(f & ~(3 << 62) == 0 for f in flags)
 
 
 def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
