@@ -13,9 +13,10 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import index, lt
-from typing import Iterable, Iterator, Union
+from itertools import compress, repeat
+from operator import index, lt, rshift, sub
+from struct import pack, unpack
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -115,10 +116,10 @@ def _bit_positions(bits: int, base: int = 0) -> tuple[int, ...]:
 
 
 def _mask_tables() -> tuple[tuple, bytes]:
-    """(positions, reverse), for reading the sets of masks below 2^24 a byte at
-    a time (:func:`_mask_elements`, :func:`_mask_mirror`).  Entry b of
-    ``positions[k]`` holds the positions 8k + i of the bits i of the byte b;
-    ``reverse[b]`` is b with its 8 bits reversed."""
+    """(positions, reverse), for reading masks a byte at a time: the sets of masks
+    below 2^24 (:func:`_mask_elements`) and the mirrors of masks below 2^32
+    (:func:`_mask_mirrors`).  Entry b of ``positions[k]`` holds the positions
+    8k + i of the bits i of the byte b; ``reverse[b]`` is b with its 8 bits reversed."""
     positions, reverse = [], [0]
     for k in range(0, 24, 8):
         table = [()]
@@ -137,12 +138,13 @@ def _mask_elements(positions: tuple, mask: int) -> tuple[int, ...]:
     return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
 
 
-def _mask_mirror(reverse: bytes, mask: int) -> int:
-    """The mask of the reflected set of an odd mask below 2^24: bit i goes to
-    bit span - i.  Its 24 bits are reversed a byte at a time, and the shift
-    drops the zeros that were above the span."""
-    return (reverse[mask & 255] << 16 | reverse[mask >> 8 & 255] << 8
-            | reverse[mask >> 16]) >> (24 - mask.bit_length())
+def _mask_mirrors(reverse: bytes, masks: Sequence[int]) -> list[int]:
+    """The mask of the reflected set of each of ``masks``, odd and below 2^32: bit i
+    goes to bit span - i.  All 32 bits of every mask are reversed in one pass, the
+    bits of each byte by ``reverse`` and the bytes by reading them back big-endian,
+    and the shift drops the zeros that were above the span."""
+    flipped = unpack(f">{len(masks)}I", pack(f"<{len(masks)}I", *masks).translate(reverse))
+    return list(map(rshift, flipped, map(sub, repeat(32), map(int.bit_length, masks))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ folds their :class:`_Fold` in submission order, reports progress per chunk and
 stops at the first violation.  The fold holds integers only, winners (norm
 over D, D * source norm) compared by cross-multiplying, the earlier kept on
 ties, so summaries do not depend on the worker count.  :func:`exhaustive` (L)
-checks each chunk's sets at once, one per 64-bit lane of an int
-(:mod:`maxreg.lanes`), over D_L = lcm(1, ..., L + 2) and tables built once per
-sweep (:func:`_sweep_tables`); :func:`random_sets` profiles each set by
+checks each chunk's sets at once, one per 32-bit lane of an int for L <= 16, else
+64-bit (:mod:`maxreg.lanes`), over D_L = lcm(1, ..., L + 2) and tables built once
+per sweep (:func:`_sweep_tables`); :func:`random_sets` profiles each set by
 :func:`~maxreg.maximal.set_maxima` over its own lcm.  A process pool, and its
 modules, load only when the worker count, capped by the chunk and CPU counts,
 exceeds 1; :func:`random_functions` runs on one worker.
@@ -48,14 +48,13 @@ from operator import floordiv, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import lanes, regularity
-from .lattice import IndexSet, _bit_positions, _mask_elements, _mask_mirror, _mask_tables
+from .lattice import IndexSet, _bit_positions, _mask_elements, _mask_mirrors, _mask_tables
 from .maximal import _set_tails, _tail_points
 from .regularity import RatioRecord, Violation, _audit_mirror, _scaled, analyze
 
 GENERATOR_ID = "python-random-mt19937"
 _CHUNK = 2048
 _SPOT_EVERY = 512           # every sweep re-profiles each 512th instance by the oracle
-_LANE = (1 << 64) - 1
 
 __all__ = [
     "Violation",
@@ -243,7 +242,8 @@ def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> Iterat
     test there or due for the audit has its row read out to the per-set check.  A
     skipped class due for the audit is audited through its mirror."""
     d, quotients, positions, reverse = tables
-    mirrors = [_mask_mirror(reverse, mask) for mask in masks]
+    w = lanes.width(len(quotients) - 3)
+    mirrors = _mask_mirrors(reverse, masks)
     checked = [mask for mask, mirror in zip(masks, mirrors) if mirror >= mask]
     columns = lanes.columns(checked, tables)
     norms, variations, flags = lanes.verdicts(checked, columns, tables)
@@ -257,7 +257,7 @@ def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> Iterat
             continue
         blocks, norm, found = (mask & ~(mask << 1)).bit_count(), norms[k], ()
         if spot or flags[k] or norm > 12 * blocks * d or variations[k] > 2 * blocks * d:
-            v = [column >> 64 * k & _LANE for column in columns[:mask.bit_length() + 2]]
+            v = [column >> w * k & (1 << w) - 1 for column in columns[:mask.bit_length() + 2]]
             norm, found = regularity._check_set(_mask_elements(positions, mask), blocks, d, v, spot)
         yield mask, 1 if mirror == mask else 2, blocks, d, norm, found
         k += 1

@@ -47,6 +47,7 @@ from conftest import (
     function_window,
     index_sets,
     lane_rows,
+    lane_width,
     lift_edge,
     lift_first_value,
     mirror_mask,
@@ -304,6 +305,7 @@ _SET_SWEEP_SHA256 = [
     ((exhaustive, (9,), {}), "6b0c08d7523f48e55685ce1ad9f3a10ea8ea8735508f14ce37c9fb9da86308f7"),
     ((exhaustive, (12,), {}), "85b047be6a8ee132c0e9a4de577348f2833011edbecacb78b823a2b00decdbcc"),
     ((exhaustive, (15,), {}), "de09c8b0c55899390eb15ba0feaabea541b2b6a64a332310721b538afa86c801"),
+    ((exhaustive, (16,), {}), "6468d210d6c6d1c7edf8a4c62e51eaeb718f0079503087868138e10f958cdd8e"),
     ((exhaustive, (17,), {}), "1393c9119ca2cf97925e7ee2eb1d9e08e99c731eea42ea1ae79da9906921ea0f"),
     ((exhaustive, (18,), {}), "7580aa79e890b40c5a593b965100f5933d8fbfc648f58c0b8b681ad4575f71d5"),
     ((random_sets, (200, 300, Fraction(1, 2), 13), {}),
@@ -315,7 +317,8 @@ _SET_SWEEP_SHA256 = [
 
 @pytest.mark.parametrize("sweep, expected", _SET_SWEEP_SHA256,
                          ids=["exhaustive(1)", "exhaustive(5)", "exhaustive(9)", "exhaustive(12)",
-                              "exhaustive(15)", "exhaustive(17)", "exhaustive(18)",
+                              "exhaustive(15)", "exhaustive(16)", "exhaustive(17)",
+                              "exhaustive(18)",
                               "random_sets(200, 300)",
                               "random_sets(4500, 10, workers=2)"])
 def test_set_sweep_summaries_are_byte_identical_to_the_pinned_hashes(sweep, expected):
@@ -377,7 +380,7 @@ def test_shared_denominator_analysis_equals_analyze(monkeypatch):
     search._check_mask_chunk((range(1, 1 << 13, 2), 0, tables))
     [(masks, columns, _)] = records
     assert masks == [m for m in range(1, 1 << 13, 2) if mirror_mask(m) >= m]
-    for mask, v in zip(masks, lane_rows(masks, columns)):
+    for mask, v in zip(masks, lane_rows(masks, columns, tables)):
         elements = IndexSet.from_mask(mask).elements
         blocks = block_count(IndexSet(elements))
         shared = regularity._analysis(IndexSet(elements), blocks, tables[0], v,
@@ -417,11 +420,11 @@ def _record_checked_sets(monkeypatch) -> list:
     return records
 
 
-def _lane_verdict(d: int, mask: int, norm: int, variation: int, flags: int) -> tuple:
-    """The four tests of the gate as a lane gives them: (a negative tail term,
-    Theorem 1, Lemma 1, the variation), for the set of ``mask`` over D = ``d``."""
+def _lane_verdict(d: int, mask: int, norm: int, variation: int, flags: int, w: int) -> tuple:
+    """The four tests of the gate as a lane of ``w`` bits gives them: (a negative tail
+    term, Theorem 1, Lemma 1, the variation), for the set of ``mask`` over D = ``d``."""
     blocks = block_count(IndexSet.from_mask(mask))
-    return (flags >> 63 == 1, norm > 12 * blocks * d, flags >> 62 & 1 == 1,
+    return (flags >> w - 1 == 1, norm > 12 * blocks * d, flags >> w - 2 & 1 == 1,
             variation > 2 * blocks * d)
 
 
@@ -448,7 +451,7 @@ def test_lean_gate_matches_the_fraction_battery(monkeypatch):
         spot = (mask >> 1) % 512 == 0
         expected = oracle_battery(profile_window(maximal_profile(LatticeFunction.from_set(a))),
                                   a, block_count(a))
-        verdict = _lane_verdict(d, mask, norm, variation, flags)
+        verdict = _lane_verdict(d, mask, norm, variation, flags, lane_width(tables))
         assert (spot or verdict[0], *verdict[1:]) == (spot or expected[0], *expected[1:]), mask
         if spot or any(expected):
             fired.append(a.elements)
@@ -513,7 +516,7 @@ def test_lane_columns_are_the_set_kernel_scaled_by_the_quotients():
         tables = search._sweep_tables(length)
         quotients = tables[1]
         for chunk in _odd_mask_chunks(masks):
-            for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables))):
+            for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables), tables)):
                 nums, dens = regularity.set_maxima(IndexSet.from_mask(mask).elements)
                 assert row == [n * quotients[m] for n, m in zip(nums, dens)], mask
 
@@ -525,7 +528,7 @@ def test_lane_columns_are_the_oracle_profile_on_the_whole_frame():
     d = tables[0]
     masks = list(range(1, 1 << 12, 2))
     for chunk in _odd_mask_chunks(masks):
-        for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables))):
+        for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables), tables)):
             oracle = maximal_profile(LatticeFunction.from_set(IndexSet.from_mask(mask))).values
             assert [Fraction(x, d) for x in row] == list(oracle), mask
     tables = search._sweep_tables(9)
@@ -533,28 +536,34 @@ def test_lane_columns_are_the_oracle_profile_on_the_whole_frame():
     columns = lanes.columns(masks, tables)
     for k, mask in enumerate(masks):
         chi = LatticeFunction.from_set(IndexSet.from_mask(mask))
-        assert [Fraction(lanes.unpack(column, len(masks))[k], tables[0]) for column in columns] \
-            == [maximal_at(chi, x) for x in range(-1, 10)], mask
+        row = [lanes.unpack(column, len(masks), 32)[k] for column in columns]
+        assert [Fraction(x, tables[0]) for x in row] == \
+            [maximal_at(chi, x) for x in range(-1, 10)], mask
 
 
 def test_lane_verdicts_are_the_per_set_pass_and_gate():
-    # Every odd mask below 2^14: the lane norm is the one _check_set returns, the
-    # lane variation the one it tests, and the lane verdict _gate's on the same row.
-    tables = search._sweep_tables(14)
-    d = tables[0]
-    masks = list(range(1, 1 << 14, 2))
-    for chunk in _odd_mask_chunks(masks):
-        columns = lanes.columns(chunk, tables)
-        for mask, v, norm, variation, flags in zip(chunk, lane_rows(chunk, columns),
-                                                  *lanes.verdicts(chunk, columns, tables)):
-            elements = IndexSet.from_mask(mask).elements
-            blocks = block_count(IndexSet(elements))
-            p = regularity._convexity(v)
-            assert regularity._check_set(elements, blocks, d, v, False) == (norm, [])
-            assert variation == regularity._variation(v, p[1])
-            assert _lane_verdict(d, mask, norm, variation, flags) == \
-                regularity._gate(False, d, v, blocks, p, variation)
-            assert flags & ~(3 << 62) == 0
+    # Every odd mask below 2^14 in 32-bit lanes, and seeded chunks at L = 20 and
+    # L = 24 in 64-bit lanes: the lane norm is the one _check_set returns, the lane
+    # variation the one it tests, and the lane verdict _gate's on the same row.
+    rng = random.Random(14)
+    for length, masks in ((14, list(range(1, 1 << 14, 2))),
+                          (20, [rng.getrandbits(20) | 1 for _ in range(2048)]),
+                          (24, [rng.getrandbits(24) | 1 for _ in range(2048)])):
+        tables = search._sweep_tables(length)
+        d, w = tables[0], lane_width(tables)
+        assert w == (32 if length <= 16 else 64)
+        for chunk in _odd_mask_chunks(masks):
+            columns = lanes.columns(chunk, tables)
+            for mask, v, norm, variation, flags in zip(chunk, lane_rows(chunk, columns, tables),
+                                                      *lanes.verdicts(chunk, columns, tables)):
+                elements = IndexSet.from_mask(mask).elements
+                blocks = block_count(IndexSet(elements))
+                p = regularity._convexity(v)
+                assert regularity._check_set(elements, blocks, d, v, False) == (norm, [])
+                assert variation == regularity._variation(v, p[1])
+                assert _lane_verdict(d, mask, norm, variation, flags, w) == \
+                    regularity._gate(False, d, v, blocks, p, variation)
+                assert flags & ~(3 << w - 2) == 0
 
 
 def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
@@ -585,7 +594,7 @@ def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
             half = [True] + [rng.random() < 0.5 for _ in range(b // 2)]
             masks.append(sum(1 << i for i in range(b + 1) if half[min(i, b - i)]))
             frames.append([rng.randint(0, 2 * d) for _ in range(length + 2)])
-        columns = [lanes.pack(column) for column in zip(*frames)]
+        columns = [lanes.pack(column, 32) for column in zip(*frames)]
         monkeypatch.setattr(lanes, "columns", lambda masks, tables: columns)
         tables = (d, *search._sweep_tables(length)[1:])
         records = record_lanes(monkeypatch)
@@ -603,7 +612,7 @@ def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
             g = Window(0, tuple([Fraction(x, d) for x in v]))
             a = IndexSet.from_iterable([i for i, x in enumerate(v) if x == d])
             expected = oracle_battery(g, a, blocks)
-            assert _lane_verdict(d, mask, norm, variation, flags) == expected, (v, d, mask)
+            assert _lane_verdict(d, mask, norm, variation, flags, 32) == expected, (v, d, mask)
             if any(expected):
                 fired.append(v)
             met["tail fails" if expected[0] else "tail holds"] += 1
@@ -626,7 +635,7 @@ def test_lane_fold_sends_on_exactly_the_lanes_past_a_bound(monkeypatch):
     tables = search._sweep_tables(9)
     d = tables[0]
     cases = [(12, 0, 0, False), (12, 0, 1, True), (0, 2, 0, False), (0, 2, 1, True),
-             (0, 0, 1 << 63, True), (0, 0, 1 << 62, True), (12, 2, 0, False)]
+             (0, 0, 1 << 31, True), (0, 0, 1 << 30, True), (12, 2, 0, False)]
     sent, expected = [], []
 
     def verdicts(masks, columns, tables):
@@ -653,23 +662,49 @@ def test_lane_fold_sends_on_exactly_the_lanes_past_a_bound(monkeypatch):
     assert sent == expected and len(sent) > 70
 
 
+def _lane_extremes(length: int, masks: list[int]) -> tuple[int, int, int, list[int]]:
+    """(D_L, the largest column value, the largest norm or variation, the flags) of
+    ``masks`` checked in one chunk of lanes of exhaustive (``length``)."""
+    tables = search._sweep_tables(length)
+    columns = lanes.columns(masks, tables)
+    norms, variations, flags = lanes.verdicts(masks, columns, tables)
+    w = lane_width(tables)
+    values = [x for column in columns for x in lanes.unpack(column, len(masks), w)]
+    return tables[0], max(values), max(norms + variations), list(flags)
+
+
 def test_lanes_stay_below_2_to_the_48_at_length_24():
     # D_24 < 2^35, and a lane sums at most 2 * 26 values of at most 2 D_24: below
-    # 2^48, so bit 63 of every lane is free.  Every column and verdict of seeded
-    # chunks at L = 24, with the full, the alternating and the sparsest masks, stays
-    # below it, and the flags use bits 62 and 63 only.
-    tables = search._sweep_tables(24)
-    d = tables[0]
-    assert d < 1 << 35 and 2 * 26 * 2 * d < 1 << 48
+    # 2^48, so bit 63 of every 64-bit lane is free.  Every column and verdict of
+    # seeded chunks at L = 24, with the full, the alternating and the sparsest masks,
+    # stays below it, and the flags use bits 62 and 63 only.
+    assert lanes.width(24) == 64
     rng = random.Random(48)
     masks = [(1 << 24) - 1, 0x555555, 0xAAAAAB, 1, 1 | 1 << 23, 0x924925]
     masks += [rng.getrandbits(24) | 1 for _ in range(2042)]
-    columns = lanes.columns(masks, tables)
-    norms, variations, flags = lanes.verdicts(masks, columns, tables)
-    values = [x for column in columns for x in lanes.unpack(column, len(masks))]
-    assert max(values + list(norms) + list(variations)) < 1 << 48
-    assert max(values) == d and max(norms) > 0
+    d, value, verdict, flags = _lane_extremes(24, masks)
+    assert d < 1 << 35 and 2 * 26 * 2 * d < 1 << 48
+    assert max(value, verdict) < 1 << 48
+    assert value == d and verdict > 0
     assert all(f & ~(3 << 62) == 0 for f in flags)
+
+
+def test_lanes_stay_below_2_to_the_31_up_to_length_16():
+    # The lanes are 32 bits wide exactly while 4 (L + 2) D_L < 2^31, which holds up
+    # to L = 16, D_16 = lcm(1, ..., 18).  At L = 16 every column and verdict of
+    # seeded chunks, with the full, the alternating and the sparsest masks, stays
+    # below 2^31, so bit 31 of every lane is free, and the flags use bits 30 and 31 only.
+    assert [lanes.width(length) for length in range(1, 25)] == [32] * 16 + [64] * 8
+    assert 4 * 18 * 12_252_240 < 1 << 31 <= 4 * 19 * 232_792_560
+    rng = random.Random(31)
+    masks = [(1 << 16) - 1, 0x5555, 0xAAAB, 1, 1 | 1 << 15, 0x9249, 0x4925]
+    masks += [rng.getrandbits(16) | 1 for _ in range(4089)]
+    for chunk in _odd_mask_chunks(masks):
+        d, value, verdict, flags = _lane_extremes(16, chunk)
+        assert d == 12_252_240
+        assert max(value, verdict) < 1 << 31
+        assert value == d and verdict > 0
+        assert all(f & ~(3 << 30) == 0 for f in flags)
 
 
 def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
@@ -697,6 +732,8 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
 
 
 def test_sweep_tables_give_the_elements_and_the_mirror():
+    # The mirrors of a chunk come in one pass, whatever the spans of its masks, and
+    # the reversal reads 32 bits: seeded masks up to 2^32 mirror too.
     d, quotients, positions, reverse = search._sweep_tables(24)
     assert d == 26_771_144_400 < 1 << 35                    # lcm(1, ..., 26)
     assert [n * quotients[n] for n in range(1, 27)] == [d] * 26
@@ -704,7 +741,9 @@ def test_sweep_tables_give_the_elements_and_the_mirror():
     masks = [*range(1, 1 << 16, 2), *[rng.randrange(1 << 16, 1 << 24) | 1 for _ in range(2000)]]
     for mask in masks:
         assert lattice._mask_elements(positions, mask) == IndexSet.from_mask(mask).elements
-        assert lattice._mask_mirror(reverse, mask) == mirror_mask(mask)
+    masks += [rng.randrange(1 << 24, 1 << 32) | 1 for _ in range(2000)]
+    for chunk in _odd_mask_chunks(masks):
+        assert lattice._mask_mirrors(reverse, chunk) == [mirror_mask(mask) for mask in chunk]
 
 
 def test_cross_chunk_ties_match_a_translation_class_sweep(monkeypatch):
@@ -1229,6 +1268,26 @@ def test_function_sweep_negative_tail_is_a_divergence(monkeypatch):
     fast, oracle = (s.violations[0].details[k] for k in ("fast_profile", "oracle_profile"))
     assert Fraction(fast[0]) == Fraction(oracle[0]) + 1
     assert fast[1:] == oracle[1:]
+
+
+def test_function_draw_with_a_negative_tail_is_only_a_divergence(monkeypatch):
+    # The kernel lifts the left edge of every draw's profile by 100 and its first
+    # inner value by 50.  The first draw, (-2, 1, 3, 3, 3, -3), then has a negative
+    # tail term and a profile variation of 529/5 against Var(f) = 16.  A profile
+    # without its tail guarantee is audited and nothing else: the variation bound
+    # is not checked on it and it wins nothing.
+    real = regularity.window_maxima
+
+    def lifted(u):
+        nums, dens = real(u)
+        return [nums[0] + 100 * dens[0], nums[1] + 50 * dens[1], *nums[2:]], dens
+
+    monkeypatch.setattr(regularity, "window_maxima", lifted)
+    s = random_functions(3, 6, 3, 1)
+    assert s.instances_checked == 1
+    assert [v.kind for v in s.violations] == ["fast_path_divergence"]
+    assert s.max_record is None
+    assert s.stats["ratio_quantiles"] == {}
 
 
 def test_negative_tail_without_divergence_is_a_violation(monkeypatch):
