@@ -1,7 +1,7 @@
 """Many index sets at once, one mask per lane of a Python int.
 
 :func:`~maxreg.search.exhaustive` (L) checks the sets of a chunk together: mask k
-sits in bits wk .. wk + w - 1 (:func:`pack`), w = :func:`width` (L), and each int
+sits in bits wk .. wk + w - 1 (:func:`pack`, :func:`row`), w = :func:`width`, and each int
 operation acts on every lane.  Lane values stay in [0, 2^(w-1)), so bit w - 1 is a
 free guard: with H that bit of every lane, ``((a | H) - b) & H`` marks the lanes
 where a >= b and borrows from none.  :func:`columns` gives D_L * M chi_A on the
@@ -14,32 +14,35 @@ L <= 16 (w = 32, D_16 = 12,252,240) and below 2^48 for L <= 24 (w = 64, D_24 < 2
 from __future__ import annotations
 
 from itertools import accumulate
-from math import lcm
 from struct import pack as _pack, unpack as _unpack
 from typing import Sequence
 
-_CODE = {32: "I", 64: "Q"}              # the struct code of a lane of each width
-
-
-def width(length: int) -> int:
-    """The lane width of exhaustive (L): 32 bits while 4 (L + 2) D_L < 2^31 (L <= 16), else 64."""
-    return 32 if 4 * (length + 2) * lcm(*range(1, length + 3)) < 1 << 31 else 64
+def width(tables: tuple) -> int:
+    """The lane width of a chunk over :func:`~maxreg.search._sweep_tables` ``tables``:
+    32 bits while 4 (L + 2) D_L < 2^31 (L <= 16 for D_L = lcm(1, ..., L + 2)), else 64."""
+    return 32 if 4 * (len(tables[1]) - 1) * tables[0] < 1 << 31 else 64
 
 
 def pack(values: Sequence[int], w: int) -> int:
-    """``values``, each below 2^w, as one int holding ``values[k]`` in lane k of ``w`` bits."""
-    return int.from_bytes(_pack(f"<{len(values)}{_CODE[w]}", *values), "little")
+    """``values``, each below 2^w, in one int: ``values[k]`` in lane k of ``w`` = 32 or 64 bits."""
+    return int.from_bytes(_pack(f"<{len(values)}{'IQ'[w // 64]}", *values), "little")
 
 
 def unpack(lanes: int, n: int, w: int) -> tuple[int, ...]:
     """The ``n`` lanes of ``w`` bits of ``lanes``, the inverse of :func:`pack`."""
-    return _unpack(f"<{n}{_CODE[w]}", lanes.to_bytes(w // 8 * n, "little"))
+    return _unpack(f"<{n}{'IQ'[w // 64]}", lanes.to_bytes(w // 8 * n, "little"))
 
 
-def _mask_lanes(masks: Sequence[int], length: int) -> tuple[int, int, int, int]:
+def row(columns: Sequence[int], k: int, n: int, tables: tuple) -> list[int]:
+    """Lane ``k`` of the first ``n`` of ``columns`` over ``tables``: one mask's row."""
+    w = width(tables)
+    return [column >> w * k & (1 << w) - 1 for column in columns[:n]]
+
+
+def _mask_lanes(masks: Sequence[int], tables: tuple) -> tuple[int, int, int, int]:
     """(w - 1, 1 in each lane, bit w - 1 of each lane, ``masks`` packed), w = :func:`width`
-    (``length``); bit k of every mask, in its lane, is ``packed >> k & ones``."""
-    w = width(length)
+    (``tables``); bit k of every mask, in its lane, is ``packed >> k & ones``."""
+    w = width(tables)
     ones = pack([1] * len(masks), w)
     return w - 1, ones, ones << w - 1, pack(masks, w)
 
@@ -59,7 +62,7 @@ def columns(masks: Sequence[int], tables: tuple) -> list[int]:
     of those over the starts at or left of it.  By dilution no window leaving the
     frame does better at a point in it (:mod:`maxreg.maximal`)."""
     quotients, n = tables[1], len(tables[1]) - 1        # the frame has n = L + 2 points
-    top, ones, high, packed = _mask_lanes(masks, n - 2)
+    top, ones, high, packed = _mask_lanes(masks, tables)
     counts = [0, 0, *accumulate(packed >> k & ones for k in range(n - 2))]
     counts.append(counts[-1])                       # the points of the frame left of each
     best = [0] * n
@@ -77,11 +80,11 @@ def verdicts(masks: Sequence[int], v: list[int], tables: tuple) -> tuple[tuple[i
     sum c2 over the concave points of [0, b]; the variation v(0) + sum |v'| + v(b) is
     2 v(0) plus twice the rises on [0, b].  Flags bit w - 1 marks a negative tail term,
     bit w - 2 a concave point with v != D.  Bits k >= x ORed mark the lanes with x <= b."""
-    d, length = tables[0], len(tables[1]) - 3
-    top, ones, high, packed = _mask_lanes(masks, length)
+    d, n = tables[0], len(masks)
+    top, ones, high, packed = _mask_lanes(masks, tables)
     dl = d * ones
     norm = rise = flags = lemma = inside = 0
-    for x in range(length - 1, -1, -1):
+    for x in range(len(v) - 3, -1, -1):                     # v spans the frame [-1, L]
         after, inside = inside, inside | (packed >> x & ones) << top   # x + 1 <= b, x <= b
         left, mid, right = v[x:x + 3]                       # v(x - 1), v(x), v(x + 1)
         twice, sides = mid << 1, left + right
@@ -95,5 +98,4 @@ def verdicts(masks: Sequence[int], v: list[int], tables: tuple) -> tuple[tuple[i
         at_b = inside ^ after
         flags |= (mid | high) - right & at_b ^ at_b         # v(b + 1) > v(b)
     flags |= (v[1] | high) - v[0] & high ^ high             # v(0) < v(-1)
-    n, w = len(masks), top + 1
-    return unpack(norm << 1, n, w), unpack(v[1] + rise << 1, n, w), unpack(flags | lemma >> 1, n, w)
+    return tuple(unpack(x, n, top + 1) for x in (norm << 1, v[1] + rise << 1, flags | lemma >> 1))

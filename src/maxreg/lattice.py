@@ -139,10 +139,9 @@ def _mask_elements(positions: tuple, mask: int) -> tuple[int, ...]:
 
 
 def _mask_mirrors(reverse: bytes, masks: Sequence[int]) -> list[int]:
-    """The mask of the reflected set of each of ``masks``, odd and below 2^32: bit i
-    goes to bit span - i.  All 32 bits of every mask are reversed in one pass, the
-    bits of each byte by ``reverse`` and the bytes by reading them back big-endian,
-    and the shift drops the zeros that were above the span."""
+    """The mask of the reflected set of each of ``masks``, odd and below 2^32: bit i goes
+    to bit span - i.  All 32 bits are reversed in one pass, each byte's by ``reverse`` and
+    the bytes by reading back big-endian; the shift drops the zeros above the span."""
     flipped = unpack(f">{len(masks)}I", pack(f"<{len(masks)}I", *masks).translate(reverse))
     return list(map(rshift, flipped, map(sub, repeat(32), map(int.bit_length, masks))))
 

@@ -242,7 +242,6 @@ def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> Iterat
     test there or due for the audit has its row read out to the per-set check.  A
     skipped class due for the audit is audited through its mirror."""
     d, quotients, positions, reverse = tables
-    w = lanes.width(len(quotients) - 3)
     mirrors = _mask_mirrors(reverse, masks)
     checked = [mask for mask, mirror in zip(masks, mirrors) if mirror >= mask]
     columns = lanes.columns(checked, tables)
@@ -257,7 +256,7 @@ def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> Iterat
             continue
         blocks, norm, found = (mask & ~(mask << 1)).bit_count(), norms[k], ()
         if spot or flags[k] or norm > 12 * blocks * d or variations[k] > 2 * blocks * d:
-            v = [column >> w * k & (1 << w) - 1 for column in columns[:mask.bit_length() + 2]]
+            v = lanes.row(columns, k, mask.bit_length() + 2, tables)
             norm, found = regularity._check_set(_mask_elements(positions, mask), blocks, d, v, spot)
         yield mask, 1 if mirror == mask else 2, blocks, d, norm, found
         k += 1

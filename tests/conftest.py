@@ -371,17 +371,10 @@ def index_sets(draw, max_width: int = 64):
     return IndexSet.from_mask((1 | inner << 1 | 1 << (width - 1)), base)
 
 
-def lane_width(tables) -> int:
-    """The lane width of the exhaustive sweep with ``search._sweep_tables`` ``tables``,
-    which follows from its L alone."""
-    return lanes.width(len(tables[1]) - 3)
-
-
 def lane_rows(masks, columns, tables) -> list[list[int]]:
     """The row of each of ``masks`` in the lane ``columns`` of an exhaustive chunk
     (``lanes.columns``) over ``tables``, cut to the mask's window [-1, max + 1]."""
-    rows = [lanes.unpack(column, len(masks), lane_width(tables)) for column in columns]
-    return [[row[k] for row in rows[:mask.bit_length() + 2]] for k, mask in enumerate(masks)]
+    return [lanes.row(columns, k, mask.bit_length() + 2, tables) for k, mask in enumerate(masks)]
 
 
 def record_lanes(monkeypatch) -> list:
@@ -408,7 +401,7 @@ def edit_lanes(monkeypatch, edit):
     real = lanes.columns
 
     def edited(masks, tables):
-        columns, w = real(masks, tables), lane_width(tables)
+        columns, w = real(masks, tables), lanes.width(tables)
         rows = zip(*[lanes.unpack(column, len(masks), w) for column in columns])
         rows = [edit(mask, list(row), tables[0]) for mask, row in zip(masks, rows)]
         return [lanes.pack(column, w) for column in zip(*rows)] if rows else columns
@@ -479,8 +472,8 @@ def break_pass(monkeypatch, elements: tuple[int, ...], edit):
     def verdicts(masks, columns, tables):
         out = [list(lane_values) for lane_values in real_verdicts(masks, columns, tables)]
         if mask in masks:
-            k, w = masks.index(mask), lane_width(tables)
-            v = [lanes.unpack(column, len(masks), w)[k] for column in columns[:len(target)]]
+            k, w = masks.index(mask), lanes.width(tables)
+            v = lanes.row(columns, k, len(target), tables)
             norm, first, _, concave = broken(v)
             out[0][k], out[1][k] = norm, v[1] + sum(map(abs, first[1:-1])) + v[-2]
             out[2][k] = (first[0] < 0 or first[-1] > 0) << w - 1 | any(

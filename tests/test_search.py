@@ -47,7 +47,6 @@ from conftest import (
     function_window,
     index_sets,
     lane_rows,
-    lane_width,
     lift_edge,
     lift_first_value,
     mirror_mask,
@@ -451,7 +450,7 @@ def test_lean_gate_matches_the_fraction_battery(monkeypatch):
         spot = (mask >> 1) % 512 == 0
         expected = oracle_battery(profile_window(maximal_profile(LatticeFunction.from_set(a))),
                                   a, block_count(a))
-        verdict = _lane_verdict(d, mask, norm, variation, flags, lane_width(tables))
+        verdict = _lane_verdict(d, mask, norm, variation, flags, lanes.width(tables))
         assert (spot or verdict[0], *verdict[1:]) == (spot or expected[0], *expected[1:]), mask
         if spot or any(expected):
             fired.append(a.elements)
@@ -536,7 +535,7 @@ def test_lane_columns_are_the_oracle_profile_on_the_whole_frame():
     columns = lanes.columns(masks, tables)
     for k, mask in enumerate(masks):
         chi = LatticeFunction.from_set(IndexSet.from_mask(mask))
-        row = [lanes.unpack(column, len(masks), 32)[k] for column in columns]
+        row = lanes.row(columns, k, 11, tables)
         assert [Fraction(x, tables[0]) for x in row] == \
             [maximal_at(chi, x) for x in range(-1, 10)], mask
 
@@ -550,7 +549,7 @@ def test_lane_verdicts_are_the_per_set_pass_and_gate():
                           (20, [rng.getrandbits(20) | 1 for _ in range(2048)]),
                           (24, [rng.getrandbits(24) | 1 for _ in range(2048)])):
         tables = search._sweep_tables(length)
-        d, w = tables[0], lane_width(tables)
+        d, w = tables[0], lanes.width(tables)
         assert w == (32 if length <= 16 else 64)
         for chunk in _odd_mask_chunks(masks):
             columns = lanes.columns(chunk, tables)
@@ -594,9 +593,9 @@ def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
             half = [True] + [rng.random() < 0.5 for _ in range(b // 2)]
             masks.append(sum(1 << i for i in range(b + 1) if half[min(i, b - i)]))
             frames.append([rng.randint(0, 2 * d) for _ in range(length + 2)])
-        columns = [lanes.pack(column, 32) for column in zip(*frames)]
-        monkeypatch.setattr(lanes, "columns", lambda masks, tables: columns)
         tables = (d, *search._sweep_tables(length)[1:])
+        columns = [lanes.pack(column, lanes.width(tables)) for column in zip(*frames)]
+        monkeypatch.setattr(lanes, "columns", lambda masks, tables: columns)
         records = record_lanes(monkeypatch)
         checked.clear()
         search._check_mask_chunk((masks, 1, tables))         # no spot check
@@ -662,30 +661,29 @@ def test_lane_fold_sends_on_exactly_the_lanes_past_a_bound(monkeypatch):
     assert sent == expected and len(sent) > 70
 
 
-def _lane_extremes(length: int, masks: list[int]) -> tuple[int, int, int, list[int]]:
-    """(D_L, the largest column value, the largest norm or variation, the flags) of
-    ``masks`` checked in one chunk of lanes of exhaustive (``length``)."""
+def _lane_extremes(length: int, masks: list[int]) -> tuple[int, int, int, int, list[int]]:
+    """(D_L, the largest column value, the largest norm, the largest variation, the
+    flags) of ``masks`` checked in one chunk of lanes of exhaustive (``length``)."""
     tables = search._sweep_tables(length)
     columns = lanes.columns(masks, tables)
     norms, variations, flags = lanes.verdicts(masks, columns, tables)
-    w = lane_width(tables)
-    values = [x for column in columns for x in lanes.unpack(column, len(masks), w)]
-    return tables[0], max(values), max(norms + variations), list(flags)
+    values = [x for k in range(len(masks)) for x in lanes.row(columns, k, length + 2, tables)]
+    return tables[0], max(values), max(norms), max(variations), list(flags)
 
 
 def test_lanes_stay_below_2_to_the_48_at_length_24():
     # D_24 < 2^35, and a lane sums at most 2 * 26 values of at most 2 D_24: below
     # 2^48, so bit 63 of every 64-bit lane is free.  Every column and verdict of
     # seeded chunks at L = 24, with the full, the alternating and the sparsest masks,
-    # stays below it, and the flags use bits 62 and 63 only.
-    assert lanes.width(24) == 64
+    # stays below it, some norm is not 0, and the flags use bits 62 and 63 only.
+    assert lanes.width(search._sweep_tables(24)) == 64
     rng = random.Random(48)
     masks = [(1 << 24) - 1, 0x555555, 0xAAAAAB, 1, 1 | 1 << 23, 0x924925]
     masks += [rng.getrandbits(24) | 1 for _ in range(2042)]
-    d, value, verdict, flags = _lane_extremes(24, masks)
+    d, value, norm, variation, flags = _lane_extremes(24, masks)
     assert d < 1 << 35 and 2 * 26 * 2 * d < 1 << 48
-    assert max(value, verdict) < 1 << 48
-    assert value == d and verdict > 0
+    assert max(value, norm, variation) < 1 << 48
+    assert value == d and norm > 0
     assert all(f & ~(3 << 62) == 0 for f in flags)
 
 
@@ -693,17 +691,19 @@ def test_lanes_stay_below_2_to_the_31_up_to_length_16():
     # The lanes are 32 bits wide exactly while 4 (L + 2) D_L < 2^31, which holds up
     # to L = 16, D_16 = lcm(1, ..., 18).  At L = 16 every column and verdict of
     # seeded chunks, with the full, the alternating and the sparsest masks, stays
-    # below 2^31, so bit 31 of every lane is free, and the flags use bits 30 and 31 only.
-    assert [lanes.width(length) for length in range(1, 25)] == [32] * 16 + [64] * 8
+    # below 2^31, so bit 31 of every lane is free, some norm of each chunk is not 0,
+    # and the flags use bits 30 and 31 only.
+    assert [lanes.width(search._sweep_tables(length)) for length in range(1, 25)] == \
+        [32] * 16 + [64] * 8
     assert 4 * 18 * 12_252_240 < 1 << 31 <= 4 * 19 * 232_792_560
     rng = random.Random(31)
     masks = [(1 << 16) - 1, 0x5555, 0xAAAB, 1, 1 | 1 << 15, 0x9249, 0x4925]
     masks += [rng.getrandbits(16) | 1 for _ in range(4089)]
     for chunk in _odd_mask_chunks(masks):
-        d, value, verdict, flags = _lane_extremes(16, chunk)
+        d, value, norm, variation, flags = _lane_extremes(16, chunk)
         assert d == 12_252_240
-        assert max(value, verdict) < 1 << 31
-        assert value == d and verdict > 0
+        assert max(value, norm, variation) < 1 << 31
+        assert value == d and norm > 0
         assert all(f & ~(3 << 30) == 0 for f in flags)
 
 
