@@ -1,14 +1,17 @@
 """Many index sets at once, one mask per lane of a Python int.
 
-:func:`~maxreg.search.exhaustive` (L) checks the sets of a chunk together: mask k
-sits in bits wk .. wk + w - 1 (:func:`pack`, :func:`row`), w = :func:`width`, and each int
-operation acts on every lane.  Lane values stay in [0, 2^(w-1)), so bit w - 1 is a
-free guard: with H that bit of every lane, ``((a | H) - b) & H`` marks the lanes
-where a >= b and borrows from none.  :func:`columns` gives D_L * M chi_A on the
-frame [-1, L], :func:`verdicts` the pass :func:`~maxreg.regularity._check_set`
-reads; no code is shared with the hull kernels or :mod:`maxreg.maximal`'s oracle.
-Exact: a lane sums at most 2 (L + 2) values of at most 2 D_L, below 2^31 for
-L <= 16 (w = 32, D_16 = 12,252,240) and below 2^48 for L <= 24 (w = 64, D_24 < 2^35).
+:func:`~maxreg.search.exhaustive` (L) checks the sets of a chunk together, mask k in
+lane k, and each int operation acts on every lane.  Lane values stay below 2^(w-1) in
+lanes of w bits, so bit w - 1 is a free guard: with H that bit of every lane,
+``((a | H) - b) & H`` marks the lanes where a >= b and borrows from none.  :func:`columns`
+compares window averages by rank (:func:`ranks`): the values c * D_L / n are D_L times the
+Farey fractions of order L + 2, so the rank is an order isomorphism and each max is exact.
+Ranks sit in lanes of 1 byte while they number at most 128 (L <= 17), else in the low byte
+of 2 (at most 256, L <= 26).  Each point's max is decoded to D_L * M chi_A in lanes of w =
+:func:`width` bits (:func:`pack`, :func:`row`): a lane sums at most 2 (L + 2) values of at
+most 2 D_L, below 2^31 for L <= 16 (w = 32) and below 2^48 for L <= 24 (w = 64).
+:func:`verdicts` gives the pass :func:`~maxreg.regularity._check_set` reads; no code is
+shared with the hull kernels or :mod:`maxreg.maximal`'s oracle.
 """
 
 from __future__ import annotations
@@ -39,14 +42,6 @@ def row(columns: Sequence[int], k: int, n: int, tables: tuple) -> list[int]:
     return [column >> w * k & (1 << w) - 1 for column in columns[:n]]
 
 
-def _mask_lanes(masks: Sequence[int], tables: tuple) -> tuple[int, int, int, int]:
-    """(w - 1, 1 in each lane, bit w - 1 of each lane, ``masks`` packed), w = :func:`width`
-    (``tables``); bit k of every mask, in its lane, is ``packed >> k & ones``."""
-    w = width(tables)
-    ones = pack([1] * len(masks), w)
-    return w - 1, ones, ones << w - 1, pack(masks, w)
-
-
 def _lane_max(a: int, b: int, high: int, top: int) -> int:
     """The lane-wise max of ``a`` and ``b``; ``high`` is bit ``top`` of every lane."""
     t = (a | high) - b                  # bit top set where a >= b, the rest a - b there
@@ -54,35 +49,61 @@ def _lane_max(a: int, b: int, high: int, top: int) -> int:
     return b + (t & ge - (ge >> top))
 
 
+def ranks(quotients: Sequence[int]) -> tuple[int, list[bytes], list[bytes]]:
+    """(r, to_rank, decode) for ``quotients[n]`` = D_L // n: ``to_rank[n]`` maps a count c
+    <= n to the rank of c * (D_L // n) among the window values, 0 to 0, and ``decode[b]``
+    a rank to byte b of its value.  A rank lane is r = 1 byte for at most 128 ranks, else 2."""
+    values = sorted({c * q for n, q in enumerate(quotients) for c in range(n + 1)})
+    rank = {x: k for k, x in enumerate(values)}
+    to_rank = [bytes([rank[c * q] for c in range(n + 1)]).ljust(256, b"\0")
+               for n, q in enumerate(quotients)]
+    decode = [bytes([x >> 8 * b & 255 for x in values]).ljust(256, b"\0") for b in range(8)]
+    return 1 if len(values) <= 128 else 2, to_rank, decode
+
+
 def columns(masks: Sequence[int], tables: tuple) -> list[int]:
     """D_L * M chi_A(x) at each x of the frame [-1, L], one int per x holding
     ``masks[k]``'s value in lane k, for :func:`~maxreg.search._sweep_tables` ``tables``.
-    A window [i, j] holds a difference of prefix counts, times D_L // (j - i + 1);
-    each start keeps a running max as its end falls from L, and each point the max
-    of those over the starts at or left of it.  By dilution no window leaving the
-    frame does better at a point in it (:mod:`maxreg.maximal`)."""
-    quotients, n = tables[1], len(tables[1]) - 1        # the frame has n = L + 2 points
-    top, ones, high, packed = _mask_lanes(masks, tables)
-    counts = [0, 0, *accumulate(packed >> k & ones for k in range(n - 2))]
+    A window [i, j] holds a difference of prefix counts, whose rank lanes (:func:`ranks`)
+    are one translate of its count lanes by its length; each start keeps a running max
+    as its end falls from L, and each point the max of those over the starts at or left
+    of it, and is decoded once.  By dilution no window leaving the frame does better at
+    a point in it (:mod:`maxreg.maximal`)."""
+    n, (r, to_rank, decode), m = len(tables[1]) - 1, tables[4], len(masks)
+    size, w = r * m, width(tables) // 8
+    raw = _pack(f"<{m}{'IQ'[r - 1]}", *masks)      # masks below 2^32, in 4 r bytes each
+    bits = [int.from_bytes(raw[p::4], "little") for p in range(4)]  # byte p, in r-byte lanes
+    ones, top = int.from_bytes(b"\1\0"[:r] * m, "little"), 8 * r - 1
+    high = ones << top
+    counts = [0, 0, *accumulate(bits[k >> 3] >> (k & 7) & ones for k in range(n - 2))]
     counts.append(counts[-1])                       # the points of the frame left of each
     best = [0] * n
     for i in range(n):
         run, start = 0, counts[i]
         for j in range(n - 1, i - 1, -1):
-            run = _lane_max((counts[j + 1] - start) * quotients[j - i + 1], run, high, top)
+            rank = (counts[j + 1] - start).to_bytes(size, "little").translate(to_rank[j - i + 1])
+            run = _lane_max(int.from_bytes(rank, "little"), run, high, top)
             best[j] = _lane_max(run, best[j], high, top)
+    values = bytearray(w * m)
+    for j, x in enumerate(best):
+        rank = x.to_bytes(size, "little")[::r]
+        for b in range(w):
+            values[b::w] = rank.translate(decode[b])
+        best[j] = int.from_bytes(values, "little")
     return best
 
 
 def verdicts(masks: Sequence[int], v: list[int], tables: tuple) -> tuple[tuple[int, ...], ...]:
-    """(D * ||(M chi_A)''||_1, D * Var(M chi_A), flags) of each of ``masks`` from its
+    """(D * ||(M chi_A)''||_1, D * Var(M chi_A), flags, blocks) of each of ``masks`` from its
     :func:`columns` ``v``, on its window [-1, b + 1], b its top bit.  The norm is -2
     sum c2 over the concave points of [0, b]; the variation v(0) + sum |v'| + v(b) is
-    2 v(0) plus twice the rises on [0, b].  Flags bit w - 1 marks a negative tail term,
-    bit w - 2 a concave point with v != D.  Bits k >= x ORed mark the lanes with x <= b."""
-    d, n = tables[0], len(masks)
-    top, ones, high, packed = _mask_lanes(masks, tables)
-    dl = d * ones
+    2 v(0) plus twice the rises on [0, b]; blocks, the runs of A, are a popcount of the
+    run starts.  Flags bit w - 1 marks a negative tail term, bit w - 2 a concave point
+    with v != D, bit w - 3 a norm above 12 blocks D (Theorem 1) and bit w - 4 a
+    variation above 2 blocks D.  Bits k >= x ORed mark the lanes with x <= b."""
+    d, n, top = tables[0], len(masks), width(tables) - 1
+    ones, packed = pack([1] * n, top + 1), pack(masks, top + 1)     # bit k: packed >> k & ones
+    high, dl = ones << top, d * ones
     norm = rise = flags = lemma = inside = 0
     for x in range(len(v) - 3, -1, -1):                     # v spans the frame [-1, L]
         after, inside = inside, inside | (packed >> x & ones) << top   # x + 1 <= b, x <= b
@@ -98,4 +119,12 @@ def verdicts(masks: Sequence[int], v: list[int], tables: tuple) -> tuple[tuple[i
         at_b = inside ^ after
         flags |= (mid | high) - right & at_b ^ at_b         # v(b + 1) > v(b)
     flags |= (v[1] | high) - v[0] & high ^ high             # v(0) < v(-1)
-    return tuple(unpack(x, n, top + 1) for x in (norm << 1, v[1] + rise << 1, flags | lemma >> 1))
+    half = v[1] + rise                                      # norm and half hold half of each
+    runs = packed & ~(packed << 1)                          # the run starts, masks below 2^24
+    runs -= runs >> 1 & ones * 0x555555
+    runs = (runs & ones * 0x333333) + (runs >> 2 & ones * 0x333333)
+    runs = runs + (runs >> 4) & ones * 0x0F0F0F
+    runs = runs + (runs >> 8) + (runs >> 16) & ones * 255
+    flags |= (lemma >> 1 | ((runs * 6 * d | high) - norm & high ^ high) >> 2
+              | ((runs * d | high) - half & high ^ high) >> 3)
+    return tuple(unpack(x, n, top + 1) for x in (norm << 1, half << 1, flags, runs))

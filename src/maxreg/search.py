@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, repeat, tee
+from itertools import accumulate, compress, groupby, islice, repeat, tee
 from math import lcm
-from operator import floordiv, mul, sub
+from operator import and_, eq, floordiv, ge, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import lanes, regularity
@@ -115,12 +116,14 @@ class TruncatedScan:
 
 def _sweep_tables(length: int) -> tuple:
     """What every chunk of :func:`exhaustive` (``length``) shares: (D_L, quotients,
-    positions, reverse).  D_L = lcm(1, ..., L + 2), below 2^35 for L <= 24, is a
+    positions, reverse, ranks).  D_L = lcm(1, ..., L + 2), below 2^35 for L <= 24, is a
     common denominator of every profile of the sweep, as a window in the frame [-1, L]
     has at most L + 2 points; ``quotients[n]`` is D_L // n.  The mask tables
-    (:func:`~maxreg.lattice._mask_tables`) give mirrors and the sets of read-out rows."""
+    (:func:`~maxreg.lattice._mask_tables`) give mirrors and the sets of read-out rows,
+    and the rank tables (:func:`~maxreg.lanes.ranks`) the lanes' window values."""
     d = lcm(*range(1, length + 3))
-    return (d, [0, *[d // n for n in range(1, length + 3)]], *_mask_tables())
+    quotients = [0, *[d // n for n in range(1, length + 3)]]
+    return d, quotients, *_mask_tables(), lanes.ranks(quotients)
 
 
 def _beats(new: tuple, old: tuple | None) -> bool:
@@ -198,68 +201,71 @@ def _mask_chunks(masks: Sequence[int], tables: tuple | None) -> Iterator[tuple]:
 
 
 def _check_mask_chunk(args: tuple) -> _Fold:
-    """Check a chunk of masks in order, by :func:`_lane_checks` given the tables of an
-    exhaustive sweep, else :func:`_set_checks`, each yielding (mask, classes, blocks, D,
-    norm over D, violations) per mask, classes 0 for an audit alone, and fold each set
-    into the winners: a set can only beat the overall winner by beating its span's."""
+    """Check a chunk of masks by :func:`_lane_checks` given the tables of an exhaustive
+    sweep, else :func:`_set_checks`, each giving (classes, masks evaluated in order, blocks,
+    D, norm over D, violations) up to the first violation, and fold them: a span's winner
+    is its first set of the largest norm / (blocks D), compared over one denominator."""
     masks, base_index, tables = args
-    count = evaluated = 0
-    winners: dict = {}                  # span -> winner; None -> overall
-    min_chi, violations = None, ()
     checks = _set_checks(masks, base_index) if tables is None else _lane_checks(*args)
-    for mask, classes, blocks, d, norm, found in checks:
-        if classes:
-            chi, scaled = 4 * blocks, 4 * blocks * d
-            span = mask.bit_length() - (mask & -mask).bit_length()
-            old = winners.get(span)
-            if old is None or norm * old[1] > old[0] * scaled:     # _beats, inlined: once per set
-                winners[span] = entry = (norm, scaled, mask)
-                if _beats(entry, winners.get(None)):
-                    winners[None] = entry
-            count += classes
-            evaluated += 1
-            if min_chi is None or chi < min_chi:
-                min_chi = chi
-        if found:
-            violations = tuple(found)
-            break
-    return _Fold(count, evaluated, winners, min_chi, violations)
+    count, evaluated, runs, ds, norms, found = checks
+    scaled = list(map(mul, runs, ds))                   # blocks * D
+    common = lcm(*set(scaled))
+    keys = list(map(mul, norms, map(floordiv, repeat(common), scaled)))
+    low = map(int.bit_length, map(and_, evaluated, map(neg, evaluated)))
+    spans = list(map(sub, map(int.bit_length, evaluated), low))
+    order = sorted(range(len(keys)), key=spans.__getitem__)     # stable: by span, then in order
+    best = {span: max(group, key=keys.__getitem__)     # max keeps the first of equals
+            for span, group in groupby(order, spans.__getitem__)}
+    if best:                            # the first of all is the first of its span
+        best[None] = max(sorted(best.values()), key=keys.__getitem__)
+    winners = {key: (norms[k], 4 * scaled[k], evaluated[k]) for key, k in best.items()}
+    return _Fold(count, len(keys), winners, 4 * min(runs) if runs else None, tuple(found))
 
 
-def _set_checks(masks: Sequence[int], base_index: int) -> Iterator[tuple]:
+def _set_checks(masks: Sequence[int], base_index: int) -> tuple:
     """Each set profiled by :func:`~maxreg.regularity.set_maxima` over its own lcm and
     checked by :func:`~maxreg.regularity._check_set`, both looked up on the module."""
+    sets, found = [], []
     for i, mask in enumerate(masks, base_index):
         elements = _bit_positions(mask)
         d, v = _scaled(*regularity.set_maxima(elements))
         blocks = (mask & ~(mask << 1)).bit_count()      # the run starts
-        yield mask, 1, blocks, d, *regularity._check_set(elements, blocks, d, v, i % _SPOT_EVERY == 0)
+        norm, found = regularity._check_set(elements, blocks, d, v, i % _SPOT_EVERY == 0)
+        sets.append((blocks, d, norm))
+        if found:
+            break
+    return len(sets), masks[:len(sets)], *zip(*sets), found
 
 
-def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> Iterator[tuple]:
-    """The masks of an exhaustive chunk whose mirror is not smaller, checked at once in
-    lanes (:func:`~maxreg.lanes.columns`, :func:`~maxreg.lanes.verdicts`); one failing a
-    test there or due for the audit has its row read out to the per-set check.  A
-    skipped class due for the audit is audited through its mirror."""
-    d, quotients, positions, reverse = tables
+def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> tuple:
+    """The masks of an exhaustive chunk whose mirror is not smaller (a palindrome one class,
+    others two) checked at once in lanes (:func:`~maxreg.lanes.verdicts`).  In mask order,
+    one flagged there or due for the audit goes to the per-set check, and a skipped class
+    due for the audit is audited through its mirror; the first violation ends the chunk."""
+    d, quotients, positions, reverse, _ = tables
     mirrors = _mask_mirrors(reverse, masks)
-    checked = [mask for mask, mirror in zip(masks, mirrors) if mirror >= mask]
+    kept = list(map(ge, mirrors, masks))
+    at, checked = list(compress(range(len(masks)), kept)), list(compress(masks, kept))
     columns = lanes.columns(checked, tables)
-    norms, variations, flags = lanes.verdicts(checked, columns, tables)
-    k = 0
-    for i, (mask, mirror) in enumerate(zip(masks, mirrors), base_index):
-        spot = i % _SPOT_EVERY == 0
+    norms, _, flags, runs = lanes.verdicts(checked, columns, tables)
+    norms, stop, found = list(norms), len(masks), []
+    spots = range(-base_index % _SPOT_EVERY, len(masks), _SPOT_EVERY)
+    for i in sorted({*compress(at, flags), *spots}):
+        mask, mirror = masks[i], mirrors[i]
         if mirror < mask:
-            if spot:
-                yield mask, 0, 0, d, 0, _audit_mirror(_mask_elements(positions, mask),
-                                                      _mask_elements(positions, mirror), d, quotients)
-            continue
-        blocks, norm, found = (mask & ~(mask << 1)).bit_count(), norms[k], ()
-        if spot or flags[k] or norm > 12 * blocks * d or variations[k] > 2 * blocks * d:
+            found = _audit_mirror(_mask_elements(positions, mask),
+                                  _mask_elements(positions, mirror), d, quotients)
+        else:
+            k = bisect_left(at, i)
             v = lanes.row(columns, k, mask.bit_length() + 2, tables)
-            norm, found = regularity._check_set(_mask_elements(positions, mask), blocks, d, v, spot)
-        yield mask, 1 if mirror == mask else 2, blocks, d, norm, found
-        k += 1
+            norms[k], found = regularity._check_set(_mask_elements(positions, mask), runs[k], d,
+                                                    v, (base_index + i) % _SPOT_EVERY == 0)
+        if found:
+            stop = i + 1
+            break
+    n = bisect_left(at, stop)
+    count = 2 * n - sum(map(eq, mirrors[:stop], masks[:stop]))
+    return count, checked[:n], runs[:n], repeat(d), norms[:n], found
 
 
 def _set_records(merged: _Fold) -> tuple[RatioRecord | None, dict]:

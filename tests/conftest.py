@@ -457,8 +457,8 @@ def break_pass(monkeypatch, elements: tuple[int, ...], edit):
     c2, concave flags).  The profile is recognised over any denominator, as the
     window proportional to the set's own; D is its largest value, as M chi_A = 1
     exactly on A.  In an exhaustive sweep the set's lane verdicts (``lanes.verdicts``)
-    are the edited pass's norm, variation and flags, so its lane fails the tests that
-    the edited pass fails."""
+    are the edited pass's norm, variation and flags, its four tests against the lane's
+    block count, so its lane fails the tests that the edited pass fails."""
     target = analyze(IndexSet(elements)).scaled
     mask = sum(1 << x for x in elements)
     real, real_verdicts = regularity._convexity, lanes.verdicts
@@ -476,8 +476,10 @@ def break_pass(monkeypatch, elements: tuple[int, ...], edit):
             v = lanes.row(columns, k, len(target), tables)
             norm, first, _, concave = broken(v)
             out[0][k], out[1][k] = norm, v[1] + sum(map(abs, first[1:-1])) + v[-2]
+            bound = out[3][k] * tables[0]
             out[2][k] = (first[0] < 0 or first[-1] > 0) << w - 1 | any(
-                c and x != tables[0] for c, x in zip(concave, v)) << w - 2
+                c and x != tables[0] for c, x in zip(concave, v)) << w - 2 | (
+                out[0][k] > 12 * bound) << w - 3 | (out[1][k] > 2 * bound) << w - 4
         return tuple(out)
 
     monkeypatch.setattr(regularity, "_convexity", broken)

@@ -419,12 +419,17 @@ def _record_checked_sets(monkeypatch) -> list:
     return records
 
 
-def _lane_verdict(d: int, mask: int, norm: int, variation: int, flags: int, w: int) -> tuple:
-    """The four tests of the gate as a lane of ``w`` bits gives them: (a negative tail
-    term, Theorem 1, Lemma 1, the variation), for the set of ``mask`` over D = ``d``."""
+def _lane_verdict(d: int, mask: int, norm: int, variation: int, flags: int, runs: int,
+                  w: int) -> tuple:
+    """The four tests of the gate as the flags of a lane of ``w`` bits give them: (a
+    negative tail term, Theorem 1, Lemma 1, the variation), for the set of ``mask`` over
+    D = ``d``.  The lane's block count ``runs`` is the set's, and its Theorem 1 and
+    variation flags are the lane norm and variation against 12 and 2 blocks D."""
     blocks = block_count(IndexSet.from_mask(mask))
-    return (flags >> w - 1 == 1, norm > 12 * blocks * d, flags >> w - 2 & 1 == 1,
-            variation > 2 * blocks * d)
+    assert runs == blocks, mask
+    verdict = tuple(flags >> w - bit & 1 == 1 for bit in (1, 3, 2, 4))
+    assert verdict[1::2] == (norm > 12 * blocks * d, variation > 2 * blocks * d), mask
+    return verdict
 
 
 def test_lean_gate_matches_the_fraction_battery(monkeypatch):
@@ -442,7 +447,7 @@ def test_lean_gate_matches_the_fraction_battery(monkeypatch):
     [(masks, _, verdicts)] = lane_records
     assert masks == [m for m in range(1, 1 << 14, 2) if mirror_mask(m) >= m]
     fired = []
-    for mask, norm, variation, flags in zip(masks, *verdicts):
+    for mask, norm, variation, flags, runs in zip(masks, *verdicts):
         a = IndexSet.from_mask(mask)
         an = analyze(a)
         assert Fraction(norm, d) == an.fraction(an.second_norm)
@@ -450,7 +455,7 @@ def test_lean_gate_matches_the_fraction_battery(monkeypatch):
         spot = (mask >> 1) % 512 == 0
         expected = oracle_battery(profile_window(maximal_profile(LatticeFunction.from_set(a))),
                                   a, block_count(a))
-        verdict = _lane_verdict(d, mask, norm, variation, flags, lanes.width(tables))
+        verdict = _lane_verdict(d, mask, norm, variation, flags, runs, lanes.width(tables))
         assert (spot or verdict[0], *verdict[1:]) == (spot or expected[0], *expected[1:]), mask
         if spot or any(expected):
             fired.append(a.elements)
@@ -553,14 +558,14 @@ def test_lane_verdicts_are_the_per_set_pass_and_gate():
         assert w == (32 if length <= 16 else 64)
         for chunk in _odd_mask_chunks(masks):
             columns = lanes.columns(chunk, tables)
-            for mask, v, norm, variation, flags in zip(chunk, lane_rows(chunk, columns, tables),
-                                                      *lanes.verdicts(chunk, columns, tables)):
+            for mask, v, norm, variation, flags, runs in zip(
+                    chunk, lane_rows(chunk, columns, tables), *lanes.verdicts(chunk, columns, tables)):
                 elements = IndexSet.from_mask(mask).elements
                 blocks = block_count(IndexSet(elements))
                 p = regularity._convexity(v)
                 assert regularity._check_set(elements, blocks, d, v, False) == (norm, [])
                 assert variation == regularity._variation(v, p[1])
-                assert _lane_verdict(d, mask, norm, variation, flags, w) == \
+                assert _lane_verdict(d, mask, norm, variation, flags, runs, w) == \
                     regularity._gate(False, d, v, blocks, p, variation)
                 assert flags & ~(3 << w - 2) == 0
 
@@ -601,7 +606,7 @@ def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
         search._check_mask_chunk((masks, 1, tables))         # no spot check
         [(_, _, verdicts)] = records
         fired = []
-        for mask, frame, norm, variation, flags in zip(masks, frames, *verdicts):
+        for mask, frame, norm, variation, flags, runs in zip(masks, frames, *verdicts):
             assert mirror_mask(mask) == mask
             v = frame[:mask.bit_length() + 2]
             blocks = block_count(IndexSet.from_mask(mask))
@@ -611,7 +616,7 @@ def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
             g = Window(0, tuple([Fraction(x, d) for x in v]))
             a = IndexSet.from_iterable([i for i, x in enumerate(v) if x == d])
             expected = oracle_battery(g, a, blocks)
-            assert _lane_verdict(d, mask, norm, variation, flags, 32) == expected, (v, d, mask)
+            assert _lane_verdict(d, mask, norm, variation, flags, runs, 32) == expected, (v, d, mask)
             if any(expected):
                 fired.append(v)
             met["tail fails" if expected[0] else "tail holds"] += 1
@@ -626,33 +631,30 @@ def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
 
 
 def test_lane_fold_sends_on_exactly_the_lanes_past_a_bound(monkeypatch):
-    # The chunk compares each lane's norm with 12 blocks D and its variation with
-    # 2 blocks D, strictly, and reads its two flag bits.  Lane verdicts put on each
-    # side of one bound at a time, the others held, send on to the per-set check
-    # exactly the lanes past a bound.  No class of exhaustive (9) is spot-checked
-    # from index 1.
+    # The lane verdicts flag a norm above 12 blocks D and a variation above 2 blocks D
+    # (test_lane_gate_meets_each_boundary_on_both_sides), and the chunk reads only the
+    # flags: lanes with one of the four flag bits set, and no others, go on to the
+    # per-set check with the lane's block count, even at or past a bound without a
+    # flag.  No class of exhaustive (9) is spot-checked from index 1.
     tables = search._sweep_tables(9)
-    d = tables[0]
-    cases = [(12, 0, 0, False), (12, 0, 1, True), (0, 2, 0, False), (0, 2, 1, True),
-             (0, 0, 1 << 31, True), (0, 0, 1 << 30, True), (12, 2, 0, False)]
+    d, w = tables[0], lanes.width(tables)
+    cases = [(12, 2, 0), (13, 3, 0), (0, 0, 1 << w - 1), (0, 0, 1 << w - 2),
+             (12, 0, 1 << w - 3), (0, 2, 1 << w - 4), (0, 0, 0)]
     sent, expected = [], []
 
     def verdicts(masks, columns, tables):
-        out = [], [], []
+        out = [], [], [], []
         for k, mask in enumerate(masks):
             blocks = block_count(IndexSet.from_mask(mask))
-            norm_bound, variation_bound, extra, past = cases[k % len(cases)]
-            values = (norm_bound * blocks * d, variation_bound * blocks * d, 0)
-            over = (extra if norm_bound else 0, extra if variation_bound else 0,
-                    extra if not norm_bound and not variation_bound else 0)
-            for column, value, plus in zip(out, values, over):
-                column.append(value + plus)
-            if past:
-                expected.append(mask)
+            norm, variation, flags = cases[k % len(cases)]
+            for column, value in zip(out, (norm * blocks * d, variation * blocks * d, flags, blocks)):
+                column.append(value)
+            if flags:
+                expected.append((mask, blocks))
         return out
 
     def check(elements, blocks, d, v, spot):
-        sent.append(sum(1 << x for x in elements))
+        sent.append((sum(1 << x for x in elements), blocks))
         return 0, []
 
     monkeypatch.setattr(lanes, "verdicts", verdicts)
@@ -666,7 +668,7 @@ def _lane_extremes(length: int, masks: list[int]) -> tuple[int, int, int, int, l
     flags) of ``masks`` checked in one chunk of lanes of exhaustive (``length``)."""
     tables = search._sweep_tables(length)
     columns = lanes.columns(masks, tables)
-    norms, variations, flags = lanes.verdicts(masks, columns, tables)
+    norms, variations, flags, _ = lanes.verdicts(masks, columns, tables)
     values = [x for k in range(len(masks)) for x in lanes.row(columns, k, length + 2, tables)]
     return tables[0], max(values), max(norms), max(variations), list(flags)
 
@@ -734,7 +736,7 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
 def test_sweep_tables_give_the_elements_and_the_mirror():
     # The mirrors of a chunk come in one pass, whatever the spans of its masks, and
     # the reversal reads 32 bits: seeded masks up to 2^32 mirror too.
-    d, quotients, positions, reverse = search._sweep_tables(24)
+    d, quotients, positions, reverse, _ = search._sweep_tables(24)
     assert d == 26_771_144_400 < 1 << 35                    # lcm(1, ..., 26)
     assert [n * quotients[n] for n in range(1, 27)] == [d] * 26
     rng = random.Random(22)
