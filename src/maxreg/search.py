@@ -27,9 +27,10 @@ folds their :class:`_Fold` in submission order, reports progress per chunk and
 stops at the first violation.  The fold holds integers only, winners (norm
 over D, D * source norm) compared by cross-multiplying, the earlier kept on
 ties, so summaries do not depend on the worker count.  :func:`exhaustive` (L)
-checks each chunk's sets at once, one per 32-bit lane of an int for L <= 16, else
-64-bit (:mod:`maxreg.lanes`), over D_L = lcm(1, ..., L + 2) and tables built once
-per sweep (:func:`_sweep_tables`); :func:`random_sets` profiles each set by
+checks each chunk's sets at once in the lanes of an int (:mod:`maxreg.lanes`), its
+windows compared by rank, over D_L = lcm(1, ..., L + 2) and tables built once per
+sweep (:func:`_sweep_tables`), and folds the chunk from the lane verdicts: Python
+runs only for the sets a lane flags and the audits.  :func:`random_sets` profiles each set by
 :func:`~maxreg.maximal.set_maxima` over its own lcm.  A process pool, and its
 modules, load only when the worker count, capped by the chunk and CPU counts,
 exceeds 1; :func:`random_functions` runs on one worker.
@@ -291,8 +292,9 @@ def exhaustive(length: int, workers: int = 1,
     L = 15), counting for two classes, or one for a palindrome.  Masks go in
     ascending order and the larger of a pair never beats the smaller, so the
     records, tie-breaks and first violation are those of a sweep over every
-    class.  A chunk's sets are checked in lanes (:mod:`maxreg.lanes`); only one
-    that fails a test there, or is audited, is checked alone.  The oracle
+    class.  A chunk's sets are checked in lanes (:mod:`maxreg.lanes`), and only
+    one that a lane flags, or that is audited, is checked alone; the chunk is
+    folded from the lane verdicts, in mask order to the first violation.  The oracle
     audits the classes ``mask >> 1`` = 0 mod 512, a skipped one through its
     mirror's kernel profile, reversed.
     """

@@ -511,10 +511,13 @@ def _odd_mask_chunks(masks) -> list:
 
 
 def test_lane_columns_are_the_set_kernel_scaled_by_the_quotients():
-    # Every odd mask below 2^16, and seeded chunks at L = 20 and L = 24: the row of
-    # a lane on the mask's window is set_maxima times D_L // length, point by point.
+    # Every odd mask below 2^16, and seeded chunks at L = 17 and 18, the last length
+    # with 1-byte rank lanes and the first with 2-byte ones, and at L = 20 and 24: the
+    # row of a lane on the mask's window is set_maxima times D_L // length, point by point.
     rng = random.Random(30)
     for length, masks in ((16, list(range(1, 1 << 16, 2))),
+                          (17, [rng.getrandbits(17) | 1 for _ in range(2048)]),
+                          (18, [rng.getrandbits(18) | 1 for _ in range(2048)]),
                           (20, [rng.getrandbits(20) | 1 for _ in range(2048)]),
                           (24, [rng.getrandbits(24) | 1 for _ in range(4096)])):
         tables = search._sweep_tables(length)
@@ -568,6 +571,139 @@ def test_lane_verdicts_are_the_per_set_pass_and_gate():
                 assert _lane_verdict(d, mask, norm, variation, flags, runs, w) == \
                     regularity._gate(False, d, v, blocks, p, variation)
                 assert flags & ~(3 << w - 2) == 0
+
+
+def test_lane_verdicts_are_the_per_set_pass_over_a_whole_sweep(monkeypatch):
+    # exhaustive (17) is the first sweep with 64-bit value lanes and the last with 1-byte
+    # rank lanes.  Every mask a chunk checks in lanes has the lane norm _check_set returns
+    # on the lane's row, the variation it tests, the flags of _gate and its block count;
+    # the pinned summaries alone do not see a wrong norm that no test flags.
+    records = record_lanes(monkeypatch)
+    s = exhaustive(17)
+    tables = search._sweep_tables(17)
+    d, w = tables[0], lanes.width(tables)
+    assert (w, tables[4][0]) == (64, 1)
+    seen = 0
+    for masks, columns, verdicts in records:
+        rows = zip(*[lanes.unpack(column, len(masks), w) for column in columns])
+        for mask, row, norm, variation, flags, runs in zip(masks, rows, *verdicts):
+            v = list(row[:mask.bit_length() + 2])
+            elements = IndexSet.from_mask(mask).elements
+            blocks = (mask & ~(mask << 1)).bit_count()
+            p = regularity._convexity(v)
+            assert regularity._check_set(elements, blocks, d, v, False) == (norm, []), mask
+            assert variation == regularity._variation(v, p[1]), mask
+            assert _lane_verdict(d, mask, norm, variation, flags, runs, w) == \
+                regularity._gate(False, d, v, blocks, p, variation)
+            seen += 1
+    assert seen == s.stats["sets_evaluated"] > 32_000
+
+
+def test_rank_tables_order_the_window_values():
+    # The window values c * (D_L // n), 0 <= c <= n <= L + 2, are D_L times the Farey
+    # fractions of order L + 2: the decoded ranks are those values in increasing order,
+    # every count of every length maps to the rank of its own value and 0 to 0, and a
+    # rank lane is 1 byte exactly while there are at most 128 ranks, through L = 17
+    # (|F_19| = 121), and 2 from L = 18 (|F_20| = 129).
+    sizes = []
+    for length in range(1, 25):
+        d, quotients, *_, (r, to_rank, decode) = search._sweep_tables(length)
+        farey = sorted({Fraction(c, n) for n in range(1, length + 3) for c in range(n + 1)})
+        values = [sum(decode[b][k] << 8 * b for b in range(8)) for k in range(len(farey))]
+        assert values == [x * d for x in farey]
+        assert all(x < y for x, y in zip(values, values[1:]))
+        assert len(to_rank) == length + 3 and all(len(t) == 256 and t[0] == 0 for t in to_rank)
+        for n in range(1, length + 3):
+            assert [values[to_rank[n][c]] for c in range(n + 1)] == \
+                [c * quotients[n] for c in range(n + 1)]
+        assert r == (1 if len(farey) <= 128 else 2)
+        sizes.append(len(farey))
+    assert (sizes[14], sizes[16], sizes[17], sizes[23]) == (97, 121, 129, 213)
+    assert [length for length, size in enumerate(sizes, 1) if size <= 128] == list(range(1, 18))
+
+
+def _reference_set_checks(masks, base_index):
+    """The untabled per-set checks as one generator of (mask, classes, blocks, D, norm over
+    D, violations) per set."""
+    for i, mask in enumerate(masks, base_index):
+        elements = IndexSet.from_mask(mask).elements
+        d, v = regularity._scaled(*regularity.set_maxima(elements))
+        blocks = (mask & ~(mask << 1)).bit_count()
+        yield mask, 1, blocks, d, *regularity._check_set(elements, blocks, d, v, i % 512 == 0)
+
+
+def _reference_lane_checks(masks, base_index, tables):
+    """The lane checks as one generator over the masks in order: a mask's class count, 0
+    for an audit alone, and the bounds read off each lane's norm and variation."""
+    d, quotients = tables[:2]
+    mirrors = [mirror_mask(mask) for mask in masks]
+    checked = [mask for mask, mirror in zip(masks, mirrors) if mirror >= mask]
+    columns = lanes.columns(checked, tables)
+    norms, variations, flags, _ = lanes.verdicts(checked, columns, tables)
+    k = 0
+    for i, (mask, mirror) in enumerate(zip(masks, mirrors), base_index):
+        spot = i % 512 == 0
+        elements = IndexSet.from_mask(mask).elements
+        if mirror < mask:
+            if spot:
+                yield mask, 0, 0, d, 0, regularity._audit_mirror(
+                    elements, IndexSet.from_mask(mirror).elements, d, quotients)
+            continue
+        blocks, norm, found = (mask & ~(mask << 1)).bit_count(), norms[k], ()
+        if spot or flags[k] or norm > 12 * blocks * d or variations[k] > 2 * blocks * d:
+            v = lanes.row(columns, k, mask.bit_length() + 2, tables)
+            norm, found = regularity._check_set(elements, blocks, d, v, spot)
+        yield mask, 1 if mirror == mask else 2, blocks, d, norm, found
+        k += 1
+
+
+def _reference_mask_chunk(args) -> search._Fold:
+    """_check_mask_chunk as a loop that folds each set in order up to the first violation:
+    a set can only beat the overall winner by beating its span's."""
+    masks, base_index, tables = args
+    count = evaluated = 0
+    winners, min_chi, violations = {}, None, ()
+    checks = _reference_set_checks(masks, base_index) if tables is None else \
+        _reference_lane_checks(*args)
+    for mask, classes, blocks, d, norm, found in checks:
+        if classes:
+            chi, scaled = 4 * blocks, 4 * blocks * d
+            span = mask.bit_length() - (mask & -mask).bit_length()
+            if search._beats((norm, scaled), winners.get(span)):
+                winners[span] = entry = (norm, scaled, mask)
+                if search._beats(entry, winners.get(None)):
+                    winners[None] = entry
+            count += classes
+            evaluated += 1
+            if min_chi is None or chi < min_chi:
+                min_chi = chi
+        if found:
+            violations = tuple(found)
+            break
+    return search._Fold(count, evaluated, winners, min_chi, violations)
+
+
+def test_chunk_fold_is_the_per_set_loop(monkeypatch):
+    # _check_mask_chunk folds a chunk from its lane verdicts at once; the reference folds
+    # each set in order.  They agree on every chunk of exhaustive (14), on seeded chunks
+    # at L = 20 with audits of checked and skipped masks, on chunks of random sets in
+    # draw order, and on a chunk broken mid-way, where both stop after the violating set.
+    for args in search._mask_chunks(range(1, 1 << 14, 2), search._sweep_tables(14)):
+        assert search._check_mask_chunk(args) == _reference_mask_chunk(args)
+    rng = random.Random(32)
+    tables = search._sweep_tables(20)
+    for base in (0, 2048, 4096):
+        args = (sorted(rng.getrandbits(20) | 1 for _ in range(2048)), base, tables)
+        assert search._check_mask_chunk(args) == _reference_mask_chunk(args)
+    for width in (12, 40):
+        args = ([rng.randrange(1, 1 << width) for _ in range(600)], 0, None)
+        assert search._check_mask_chunk(args) == _reference_mask_chunk(args)
+    break_pass(monkeypatch, (0, 1, 5, 7, 10), lambda p, v, d: (50 * d, *p[1:]))
+    args = (range(1, 1 << 12, 2), 0, search._sweep_tables(12))
+    fold = search._check_mask_chunk(args)
+    assert fold == _reference_mask_chunk(args)
+    assert [v.kind for v in fold.violations] == ["theorem1_ratio"]
+    assert fold.evaluated == sum(mirror_mask(m) >= m for m in range(1, 1188, 2)) < 1024
 
 
 def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
