@@ -67,8 +67,8 @@ def columns(masks: Sequence[int], tables: tuple) -> list[int]:
     A window [i, j] holds a difference of prefix counts, whose rank lanes (:func:`ranks`)
     are one translate of its count lanes by its length; each start keeps a running max
     as its end falls from L, and each point the max of those over the starts at or left
-    of it, and is decoded once.  By dilution no window leaving the frame does better at
-    a point in it (:mod:`maxreg.maximal`)."""
+    of it, decoded once.  By dilution no window leaving the frame does better at a point
+    in it (:mod:`maxreg.maximal`)."""
     n, (r, to_rank, decode), m = len(tables[1]) - 1, tables[4], len(masks)
     size, w = r * m, width(tables) // 8
     raw = _pack(f"<{m}{'IQ'[r - 1]}", *masks)      # masks below 2^32, in 4 r bytes each

@@ -213,7 +213,7 @@ def _check_mask_chunk(args: tuple) -> _Fold:
     common = lcm(*set(scaled))
     keys = list(map(mul, norms, map(floordiv, repeat(common), scaled)))
     low = map(int.bit_length, map(and_, evaluated, map(neg, evaluated)))
-    spans = list(map(sub, map(int.bit_length, evaluated), low))
+    spans = list(map(sub, map(int.bit_length, evaluated), low))  # top bit less lowest bit
     order = sorted(range(len(keys)), key=spans.__getitem__)     # stable: by span, then in order
     best = {span: max(group, key=keys.__getitem__)     # max keeps the first of equals
             for span, group in groupby(order, spans.__getitem__)}
