@@ -13,10 +13,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import index, lt, rshift, sub
-from struct import pack, unpack
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import compress
+from operator import index, lt
+from typing import Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
 
@@ -113,37 +112,6 @@ def _bit_positions(bits: int, base: int = 0) -> tuple[int, ...]:
     ``IndexSet.from_mask(bits, base).elements``, without the constructor's checks."""
     digits = bin(bits)[:1:-1].encode().translate(_BITS)    # bit i at index i
     return tuple(list(compress(range(base, base + len(digits)), digits)))
-
-
-def _mask_tables() -> tuple[tuple, bytes]:
-    """(positions, reverse), for reading masks a byte at a time: the sets of masks
-    below 2^24 (:func:`_mask_elements`) and the mirrors of masks below 2^32
-    (:func:`_mask_mirrors`).  Entry b of ``positions[k]`` holds the positions
-    8k + i of the bits i of the byte b; ``reverse[b]`` is b with its 8 bits reversed."""
-    positions, reverse = [], [0]
-    for k in range(0, 24, 8):
-        table = [()]
-        for i in range(k, k + 8):          # the bytes with bit i - k set, after those without
-            table += [t + (i,) for t in table]
-        positions.append(tuple(table))
-    for i in range(8):
-        reverse += [r | 128 >> i for r in reverse]
-    return tuple(positions), bytes(reverse)
-
-
-def _mask_elements(positions: tuple, mask: int) -> tuple[int, ...]:
-    """The elements of the set of a mask below 2^24, one lookup per byte:
-    ``IndexSet.from_mask(mask).elements``."""
-    low, mid, high = positions
-    return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
-
-
-def _mask_mirrors(reverse: bytes, masks: Sequence[int]) -> list[int]:
-    """The mask of the reflected set of each of ``masks``, odd and below 2^32: bit i goes
-    to bit span - i.  All 32 bits are reversed in one pass, each byte's by ``reverse`` and
-    the bytes by reading back big-endian; the shift drops the zeros above the span."""
-    flipped = unpack(f">{len(masks)}I", pack(f"<{len(masks)}I", *masks).translate(reverse))
-    return list(map(rshift, flipped, map(sub, repeat(32), map(int.bit_length, masks))))
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ class Analysis(NamedTuple):
     of the window lengths the profile kernel returned for this set, so it
     depends on how the kernel breaks ties and only the rationals it scales
     are fixed.  For every set of :func:`~maxreg.search.exhaustive` (L) it is
-    D_L = lcm(1, ..., L + 2) < 2^35 (:func:`~maxreg.search._sweep_tables`).
+    D_L = lcm(1, ..., L + 2) < 2^35 (:func:`~maxreg.lanes.tables`).
     ``scaled[i]`` is D * M chi_A(lo + i).  Fields marked "over D" are
     integers standing for themselves divided by D, so every sum and every
     contract comparison runs on `int`.  The indicator norms are exact counts
@@ -360,24 +360,18 @@ def _check_set(elements: Sequence[int], blocks: int, d: int, v: list[int],
                spot_check: bool) -> tuple[int, list[Violation]]:
     """(second norm over D, violations) of a swept set; its Analysis is built if _gate fires."""
     p = _convexity(v)
-    variation = v[1] + sum(map(abs, p[1][1:-1])) + v[-2]     # _variation, inlined: once per set
-    if True in _gate(spot_check, d, v, blocks, p, variation):
+    if True in _gate(spot_check, d, v, blocks, p, _variation(v, p[1])):
         return p[0], _analysis(IndexSet(elements), blocks, d, v, p).violations(spot_check)
     return p[0], []
 
 
-def _audit_mirror(elements: Sequence[int], mirror: Sequence[int], d: int,
-                  quotients: Sequence[int]) -> list[Violation]:
+def _audit_mirror(elements: Sequence[int], mirror: Sequence[int]) -> list[Violation]:
     """Oracle audit of the set of ``elements``, 0 its least, skipped by a sweep for its
-    reflection ``mirror``: the mirror's kernel profile over D = ``d`` (``quotients[n]``
-    = D // n), read backwards, must be the set's oracle profile.  This also audits the
-    reflection shortcut."""
-    nums, dens = set_maxima(mirror)
-    chi = [Fraction(0)] * (elements[-1] + 1)
-    for x in elements:
-        chi[x] = Fraction(1)
-    return audit_profile(d, list(map(mul, nums, map(quotients.__getitem__, dens)))[::-1],
-                         LatticeFunction(0, tuple(chi)), {"set": list(elements)})
+    reflection ``mirror``: the mirror's kernel profile over its own lcm, read backwards,
+    must be the set's oracle profile.  This also audits the reflection shortcut."""
+    d, v = _scaled(*set_maxima(mirror))
+    return audit_profile(d, v[::-1], LatticeFunction.from_set(IndexSet(elements)),
+                         {"set": list(elements)})
 
 
 def _integer_passes(ints: list[int]) -> tuple[tuple, int, list[int], tuple]:

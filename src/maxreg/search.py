@@ -27,13 +27,13 @@ folds their :class:`_Fold` in submission order, reports progress per chunk and
 stops at the first violation.  The fold holds integers only, winners (norm
 over D, D * source norm) compared by cross-multiplying, the earlier kept on
 ties, so summaries do not depend on the worker count.  :func:`exhaustive` (L)
-checks each chunk's sets at once in the lanes of an int (:mod:`maxreg.lanes`), its
-windows compared by rank, over D_L = lcm(1, ..., L + 2) and tables built once per
-sweep (:func:`_sweep_tables`), and folds the chunk from the lane verdicts: Python
-runs only for the sets a lane flags and the audits.  :func:`random_sets` profiles each set by
-:func:`~maxreg.maximal.set_maxima` over its own lcm.  A process pool, and its
-modules, load only when the worker count, capped by the chunk and CPU counts,
-exceeds 1; :func:`random_functions` runs on one worker.
+checks each chunk's sets at once in the lanes of an int, over the tables of
+:func:`~maxreg.lanes.tables` (D_L = lcm(1, ..., L + 2), the lane widths, the rank and
+mirror tables), built once per sweep, and folds the chunk from the lane verdicts:
+Python runs only for the sets a lane flags and the audits.  :func:`random_sets`
+profiles each set by :func:`~maxreg.maximal.set_maxima` over its own lcm.  A process
+pool, and its modules, load only when the worker count, capped by the chunk and CPU
+counts, exceeds 1; :func:`random_functions` runs on one worker.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from operator import and_, eq, floordiv, ge, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import lanes, regularity
-from .lattice import IndexSet, _bit_positions, _mask_elements, _mask_mirrors, _mask_tables
+from .lattice import IndexSet, _bit_positions
 from .maximal import _set_tails, _tail_points
 from .regularity import RatioRecord, Violation, _audit_mirror, _scaled, analyze
 
@@ -114,18 +114,6 @@ class TruncatedScan:
 # ---------------------------------------------------------------------------
 # Set sweeps: chunks folded in integers
 # ---------------------------------------------------------------------------
-
-def _sweep_tables(length: int) -> tuple:
-    """What every chunk of :func:`exhaustive` (``length``) shares: (D_L, quotients,
-    positions, reverse, ranks).  D_L = lcm(1, ..., L + 2), below 2^35 for L <= 24, is a
-    common denominator of every profile of the sweep, as a window in the frame [-1, L]
-    has at most L + 2 points; ``quotients[n]`` is D_L // n.  The mask tables
-    (:func:`~maxreg.lattice._mask_tables`) give mirrors and the sets of read-out rows,
-    and the rank tables (:func:`~maxreg.lanes.ranks`) the lanes' window values."""
-    d = lcm(*range(1, length + 3))
-    quotients = [0, *[d // n for n in range(1, length + 3)]]
-    return d, quotients, *_mask_tables(), lanes.ranks(quotients)
-
 
 def _beats(new: tuple, old: tuple | None) -> bool:
     """Whether winner ``new`` replaces ``old``.  A winner starts (norm over D,
@@ -196,7 +184,7 @@ def _ahead(pool, evaluate: Callable, chunks: Iterable[tuple], workers: int) -> I
     yield from (future.result() for future in pending)
 
 
-def _mask_chunks(masks: Sequence[int], tables: tuple | None) -> Iterator[tuple]:
+def _mask_chunks(masks: Sequence[int], tables: lanes.Tables | None) -> Iterator[tuple]:
     """The :func:`_check_mask_chunk` args of a set sweep over ``masks``."""
     return ((masks[i:i + _CHUNK], i, tables) for i in range(0, len(masks), _CHUNK))
 
@@ -238,13 +226,12 @@ def _set_checks(masks: Sequence[int], base_index: int) -> tuple:
     return len(sets), masks[:len(sets)], *zip(*sets), found
 
 
-def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> tuple:
+def _lane_checks(masks: Sequence[int], base_index: int, tables: lanes.Tables) -> tuple:
     """The masks of an exhaustive chunk whose mirror is not smaller (a palindrome one class,
     others two) checked at once in lanes (:func:`~maxreg.lanes.verdicts`).  In mask order,
     one flagged there or due for the audit goes to the per-set check, and a skipped class
     due for the audit is audited through its mirror; the first violation ends the chunk."""
-    d, quotients, positions, reverse, _ = tables
-    mirrors = _mask_mirrors(reverse, masks)
+    mirrors = lanes.mirrors(masks, tables)
     kept = list(map(ge, mirrors, masks))
     at, checked = list(compress(range(len(masks)), kept)), list(compress(masks, kept))
     columns = lanes.columns(checked, tables)
@@ -254,19 +241,18 @@ def _lane_checks(masks: Sequence[int], base_index: int, tables: tuple) -> tuple:
     for i in sorted({*compress(at, flags), *spots}):
         mask, mirror = masks[i], mirrors[i]
         if mirror < mask:
-            found = _audit_mirror(_mask_elements(positions, mask),
-                                  _mask_elements(positions, mirror), d, quotients)
+            found = _audit_mirror(_bit_positions(mask), _bit_positions(mirror))
         else:
             k = bisect_left(at, i)
             v = lanes.row(columns, k, mask.bit_length() + 2, tables)
-            norms[k], found = regularity._check_set(_mask_elements(positions, mask), runs[k], d,
+            norms[k], found = regularity._check_set(_bit_positions(mask), runs[k], tables.d,
                                                     v, (base_index + i) % _SPOT_EVERY == 0)
         if found:
             stop = i + 1
             break
     n = bisect_left(at, stop)
     count = 2 * n - sum(map(eq, mirrors[:stop], masks[:stop]))
-    return count, checked[:n], runs[:n], repeat(d), norms[:n], found
+    return count, checked[:n], runs[:n], repeat(tables.d), norms[:n], found
 
 
 def _set_records(merged: _Fold) -> tuple[RatioRecord | None, dict]:
@@ -303,7 +289,7 @@ def exhaustive(length: int, workers: int = 1,
     if workers < 1:
         raise ValueError("workers must be at least 1")
     masks = range(1, 1 << length, 2)
-    merged = _sweep(_mask_chunks(masks, _sweep_tables(length)), _check_mask_chunk,
+    merged = _sweep(_mask_chunks(masks, lanes.tables(length)), _check_mask_chunk,
                     len(masks), workers, progress)
     best, stats = _set_records(merged)
     return SearchSummary(

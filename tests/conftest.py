@@ -401,9 +401,9 @@ def edit_lanes(monkeypatch, edit):
     real = lanes.columns
 
     def edited(masks, tables):
-        columns, w = real(masks, tables), lanes.width(tables)
+        columns, w = real(masks, tables), tables.width
         rows = zip(*[lanes.unpack(column, len(masks), w) for column in columns])
-        rows = [edit(mask, list(row), tables[0]) for mask, row in zip(masks, rows)]
+        rows = [edit(mask, list(row), tables.d) for mask, row in zip(masks, rows)]
         return [lanes.pack(column, w) for column in zip(*rows)] if rows else columns
 
     monkeypatch.setattr(lanes, "columns", edited)
@@ -472,13 +472,13 @@ def break_pass(monkeypatch, elements: tuple[int, ...], edit):
     def verdicts(masks, columns, tables):
         out = [list(lane_values) for lane_values in real_verdicts(masks, columns, tables)]
         if mask in masks:
-            k, w = masks.index(mask), lanes.width(tables)
+            k, w = masks.index(mask), tables.width
             v = lanes.row(columns, k, len(target), tables)
             norm, first, _, concave = broken(v)
             out[0][k], out[1][k] = norm, v[1] + sum(map(abs, first[1:-1])) + v[-2]
-            bound = out[3][k] * tables[0]
+            bound = out[3][k] * tables.d
             out[2][k] = (first[0] < 0 or first[-1] > 0) << w - 1 | any(
-                c and x != tables[0] for c, x in zip(concave, v)) << w - 2 | (
+                c and x != tables.d for c, x in zip(concave, v)) << w - 2 | (
                 out[0][k] > 12 * bound) << w - 3 | (out[1][k] > 2 * bound) << w - 4
         return tuple(out)
 

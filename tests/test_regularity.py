@@ -1,8 +1,10 @@
 """The `Fraction` convexity decomposition of ``conftest``, on examples and
 against the lattice norms; the integer pass against its per-point
-formula; and the headline functions on index sets."""
+formula; the headline functions on index sets; and the sharp constant 1/2
+with the Lemma 1 endpoint bound behind it."""
 
 import random
+from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 
@@ -437,6 +439,85 @@ def test_theorem1_sweep_small():
         r = theorem1_report(IndexSet.from_mask(mask))
         assert r.ratio <= 3
         assert r.chi_second_norm >= 2
+
+
+# ---------------------------------------------------------------------------
+# the sharp constant 1/2
+# ---------------------------------------------------------------------------
+
+def test_second_norm_is_twice_the_deficit_at_the_set():
+    # ||(M chi_A)''||_1 = -2 sum_{n in A} c2(n) = 2 sum_{n in A} (2 - M(n-1) - M(n+1)),
+    # as M = 1 on A and, by Lemma 1, c2 >= 0 off A.  For the bound, the outer neighbour
+    # x of each run end has M(x) >= 1/2, from the window of x and the end.  M is the
+    # oracle profile, on every odd mask below 2^14 and on seeded sets of width up to 60.
+    rng = random.Random(2)
+    sets = [IndexSet.from_mask(mask) for mask in range(1, 1 << 14, 2)]
+    sets += [random_index_set(rng, 60) for _ in range(60)]
+    for a in sets:
+        g = profile_window(maximal_profile(LatticeFunction.from_set(a)))
+        an = analyze(a)
+        assert an.fraction(an.second_norm) == 2 * sum(2 - g.at(n - 1) - g.at(n + 1) for n in a)
+        ends = {x for n in a for x in (n - 1, n + 1) if x not in a}
+        assert min(map(g.at, ends), default=1) >= Fraction(1, 2), a
+
+
+def test_ratio_is_at_most_one_half_with_equality_at_gaps_of_three():
+    # On every odd mask below 2^15 the ratio ||(M chi_A)''||_1 / ||chi_A''||_1 is at most
+    # 1/2, and it is 1/2 exactly when consecutive elements differ by at least 3.  The
+    # equality sets of span L (the mask's bit length) number a(L) = a(L - 1) + a(L - 3).
+    half, counts = Fraction(1, 2), [0] * 16
+    for mask in range(1, 1 << 15, 2):
+        a = IndexSet.from_mask(mask)
+        ratio = theorem1_report(a).ratio
+        assert ratio <= half, mask
+        assert (ratio == half) == all(y - x >= 3 for x, y in zip(a.elements, a.elements[1:]))
+        counts[mask.bit_length()] += ratio == half
+    assert counts[1:] == [1, 0, 0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41]
+    assert all(counts[n] == counts[n - 1] + counts[n - 3] for n in range(4, 16))
+
+
+def _least_best_windows(a: IndexSet, points) -> dict[int, tuple[int, int, int]]:
+    """x -> (count, start, length) of the leftmost best window for M chi_A(x) of least
+    length, by brute force over the windows containing x inside the hull of A and x."""
+    elements, out = a.elements, {}
+    for x in points:
+        first, last = min(a.min(), x), max(a.max(), x)
+        best = (0, x, 1)
+        for length in range(1, last - first + 2):
+            for i in range(max(first, x - length + 1), min(x, last - length + 1) + 1):
+                count = bisect_left(elements, i + length) - bisect_left(elements, i)
+                if count * best[2] > best[0] * length:
+                    best = (count, i, length)
+        out[x] = best
+    return out
+
+
+def test_lemma1_endpoint_bound():
+    # Lemma 1's proof.  At n outside A take a best window W for M(n) of least length L.
+    # If n is inside W, then M(n +- 1) >= M(n), so c2(n) >= 0.  If n is an end, say
+    # W = [n, b], then L >= 2, M(n + 1) >= |A cap W| / (L - 1) and M(n - 1) >=
+    # |A cap W| / (L + 1), so c2(n) >= 2 M(n) / (L^2 - 1).  Checked at every point of
+    # [min A - 2, max A + 2] outside A, for every nonempty subset A of [0, 11), with W by
+    # brute force; its averages are analyze's profile on [min A - 1, max A + 1].
+    seen = {"inside": 0, "end": 0}
+    for mask in range(1, 1 << 11):
+        a = IndexSet.from_mask(mask)
+        windows = _least_best_windows(a, range(a.min() - 3, a.max() + 4))
+        m = {x: Fraction(count, length) for x, (count, _, length) in windows.items()}
+        assert [m[x] for x in range(a.min() - 1, a.max() + 2)] == \
+            list(analyze(a).profile_values()), mask
+        for n in range(a.min() - 2, a.max() + 3):
+            if n in a:
+                continue
+            _, start, length = windows[n]
+            c2 = m[n + 1] - 2 * m[n] + m[n - 1]
+            if start < n < start + length - 1:
+                seen["inside"] += 1
+                assert c2 >= 0, (mask, n)
+            else:
+                seen["end"] += 1
+                assert length >= 2 and c2 >= 2 * m[n] / (length * length - 1), (mask, n)
+    assert sum(seen.values()) == 15_369 and min(seen.values()) > 1000, seen
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxreg.lanes as lanes
-import maxreg.lattice as lattice
 import maxreg.maximal as maximal
 import maxreg.regularity as regularity
 import maxreg.reporting as reporting
@@ -346,8 +345,8 @@ def test_sweep_winners_are_masks_and_records_are_rebuilt_once(monkeypatch):
     # The fold state is integers only: (norm over D_L, D_L ||chi''||_1, mask)
     # per span and overall.  The records come from re-analysing the final
     # winners, one analysis per key, after the sweep.
-    tables = search._sweep_tables(9)
-    d = tables[0]
+    tables = lanes.tables(9)
+    d = tables.d
     assert d == 27720                   # lcm(1, ..., 11)
     chunk = search._check_mask_chunk((range(1, 1 << 9, 2), 0, tables))
     assert set(chunk.winners) == set(range(9)) | {None}
@@ -374,7 +373,7 @@ def test_shared_denominator_analysis_equals_analyze(monkeypatch):
     # own lcm: the same rationals, positions, block count and battery.  Each set
     # a chunk checks is read out of the lane columns the chunk computed, as the
     # row a lane that fails a test passes to the per-set check.
-    tables = search._sweep_tables(13)
+    tables = lanes.tables(13)
     records = record_lanes(monkeypatch)
     search._check_mask_chunk((range(1, 1 << 13, 2), 0, tables))
     [(masks, columns, _)] = records
@@ -382,11 +381,11 @@ def test_shared_denominator_analysis_equals_analyze(monkeypatch):
     for mask, v in zip(masks, lane_rows(masks, columns, tables)):
         elements = IndexSet.from_mask(mask).elements
         blocks = block_count(IndexSet(elements))
-        shared = regularity._analysis(IndexSet(elements), blocks, tables[0], v,
+        shared = regularity._analysis(IndexSet(elements), blocks, tables.d, v,
                                       regularity._convexity(v))
         an = analyze(IndexSet(elements))
         assert shared.set == an.set
-        assert shared.denominator == tables[0] == 360360       # lcm(1, ..., 15)
+        assert shared.denominator == tables.d == 360360       # lcm(1, ..., 15)
         assert shared.profile_values() == an.profile_values()
         for name in ("second_norm", "variation"):
             assert shared.fraction(getattr(shared, name)) == an.fraction(getattr(an, name))
@@ -395,7 +394,7 @@ def test_shared_denominator_analysis_equals_analyze(monkeypatch):
         assert shared.concave == an.concave
         assert shared.chi_second_norm == an.chi_second_norm == 4 * block_count(an.set)
         assert shared.violations(True) == an.violations(True) == []
-        assert regularity._check_set(elements, blocks, tables[0], v, True) == \
+        assert regularity._check_set(elements, blocks, tables.d, v, True) == \
             (shared.second_norm, [])
 
 
@@ -441,8 +440,8 @@ def test_lean_gate_matches_the_fraction_battery(monkeypatch):
     # ones.  On the untabled path: 2,000 seeded sets of hull width 40 to 300,
     # against the profile the gate read.
     lane_records, records = record_lanes(monkeypatch), _record_checked_sets(monkeypatch)
-    tables = search._sweep_tables(14)
-    d = tables[0]
+    tables = lanes.tables(14)
+    d = tables.d
     assert not search._check_mask_chunk((range(1, 1 << 14, 2), 0, tables)).violations
     [(masks, _, verdicts)] = lane_records
     assert masks == [m for m in range(1, 1 << 14, 2) if mirror_mask(m) >= m]
@@ -455,7 +454,7 @@ def test_lean_gate_matches_the_fraction_battery(monkeypatch):
         spot = (mask >> 1) % 512 == 0
         expected = oracle_battery(profile_window(maximal_profile(LatticeFunction.from_set(a))),
                                   a, block_count(a))
-        verdict = _lane_verdict(d, mask, norm, variation, flags, runs, lanes.width(tables))
+        verdict = _lane_verdict(d, mask, norm, variation, flags, runs, tables.width)
         assert (spot or verdict[0], *verdict[1:]) == (spot or expected[0], *expected[1:]), mask
         if spot or any(expected):
             fired.append(a.elements)
@@ -520,31 +519,30 @@ def test_lane_columns_are_the_set_kernel_scaled_by_the_quotients():
                           (18, [rng.getrandbits(18) | 1 for _ in range(2048)]),
                           (20, [rng.getrandbits(20) | 1 for _ in range(2048)]),
                           (24, [rng.getrandbits(24) | 1 for _ in range(4096)])):
-        tables = search._sweep_tables(length)
-        quotients = tables[1]
+        tables = lanes.tables(length)
         for chunk in _odd_mask_chunks(masks):
             for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables), tables)):
                 nums, dens = regularity.set_maxima(IndexSet.from_mask(mask).elements)
-                assert row == [n * quotients[m] for n, m in zip(nums, dens)], mask
+                assert row == [n * (tables.d // m) for n, m in zip(nums, dens)], mask
 
 
 def test_lane_columns_are_the_oracle_profile_on_the_whole_frame():
     # Every odd mask below 2^12 against the oracle profile on its window, and every
     # odd mask below 2^8 at every point of the frame [-1, 9] against maximal_at.
-    tables = search._sweep_tables(12)
-    d = tables[0]
+    tables = lanes.tables(12)
+    d = tables.d
     masks = list(range(1, 1 << 12, 2))
     for chunk in _odd_mask_chunks(masks):
         for mask, row in zip(chunk, lane_rows(chunk, lanes.columns(chunk, tables), tables)):
             oracle = maximal_profile(LatticeFunction.from_set(IndexSet.from_mask(mask))).values
             assert [Fraction(x, d) for x in row] == list(oracle), mask
-    tables = search._sweep_tables(9)
+    tables = lanes.tables(9)
     masks = list(range(1, 1 << 8, 2))
     columns = lanes.columns(masks, tables)
     for k, mask in enumerate(masks):
         chi = LatticeFunction.from_set(IndexSet.from_mask(mask))
         row = lanes.row(columns, k, 11, tables)
-        assert [Fraction(x, tables[0]) for x in row] == \
+        assert [Fraction(x, tables.d) for x in row] == \
             [maximal_at(chi, x) for x in range(-1, 10)], mask
 
 
@@ -556,8 +554,8 @@ def test_lane_verdicts_are_the_per_set_pass_and_gate():
     for length, masks in ((14, list(range(1, 1 << 14, 2))),
                           (20, [rng.getrandbits(20) | 1 for _ in range(2048)]),
                           (24, [rng.getrandbits(24) | 1 for _ in range(2048)])):
-        tables = search._sweep_tables(length)
-        d, w = tables[0], lanes.width(tables)
+        tables = lanes.tables(length)
+        d, w = tables.d, tables.width
         assert w == (32 if length <= 16 else 64)
         for chunk in _odd_mask_chunks(masks):
             columns = lanes.columns(chunk, tables)
@@ -580,9 +578,9 @@ def test_lane_verdicts_are_the_per_set_pass_over_a_whole_sweep(monkeypatch):
     # the pinned summaries alone do not see a wrong norm that no test flags.
     records = record_lanes(monkeypatch)
     s = exhaustive(17)
-    tables = search._sweep_tables(17)
-    d, w = tables[0], lanes.width(tables)
-    assert (w, tables[4][0]) == (64, 1)
+    tables = lanes.tables(17)
+    d, w = tables.d, tables.width
+    assert (w, tables.rank_bytes) == (64, 1)
     seen = 0
     for masks, columns, verdicts in records:
         rows = zip(*[lanes.unpack(column, len(masks), w) for column in columns])
@@ -607,7 +605,8 @@ def test_rank_tables_order_the_window_values():
     # (|F_19| = 121), and 2 from L = 18 (|F_20| = 129).
     sizes = []
     for length in range(1, 25):
-        d, quotients, *_, (r, to_rank, decode) = search._sweep_tables(length)
+        tables = lanes.tables(length)
+        d, r, to_rank, decode = tables.d, tables.rank_bytes, tables.to_rank, tables.decode
         farey = sorted({Fraction(c, n) for n in range(1, length + 3) for c in range(n + 1)})
         values = [sum(decode[b][k] << 8 * b for b in range(8)) for k in range(len(farey))]
         assert values == [x * d for x in farey]
@@ -615,7 +614,7 @@ def test_rank_tables_order_the_window_values():
         assert len(to_rank) == length + 3 and all(len(t) == 256 and t[0] == 0 for t in to_rank)
         for n in range(1, length + 3):
             assert [values[to_rank[n][c]] for c in range(n + 1)] == \
-                [c * quotients[n] for c in range(n + 1)]
+                [c * (d // n) for c in range(n + 1)]
         assert r == (1 if len(farey) <= 128 else 2)
         sizes.append(len(farey))
     assert (sizes[14], sizes[16], sizes[17], sizes[23]) == (97, 121, 129, 213)
@@ -635,7 +634,7 @@ def _reference_set_checks(masks, base_index):
 def _reference_lane_checks(masks, base_index, tables):
     """The lane checks as one generator over the masks in order: a mask's class count, 0
     for an audit alone, and the bounds read off each lane's norm and variation."""
-    d, quotients = tables[:2]
+    d = tables.d
     mirrors = [mirror_mask(mask) for mask in masks]
     checked = [mask for mask, mirror in zip(masks, mirrors) if mirror >= mask]
     columns = lanes.columns(checked, tables)
@@ -647,7 +646,7 @@ def _reference_lane_checks(masks, base_index, tables):
         if mirror < mask:
             if spot:
                 yield mask, 0, 0, d, 0, regularity._audit_mirror(
-                    elements, IndexSet.from_mask(mirror).elements, d, quotients)
+                    elements, IndexSet.from_mask(mirror).elements)
             continue
         blocks, norm, found = (mask & ~(mask << 1)).bit_count(), norms[k], ()
         if spot or flags[k] or norm > 12 * blocks * d or variations[k] > 2 * blocks * d:
@@ -688,10 +687,10 @@ def test_chunk_fold_is_the_per_set_loop(monkeypatch):
     # each set in order.  They agree on every chunk of exhaustive (14), on seeded chunks
     # at L = 20 with audits of checked and skipped masks, on chunks of random sets in
     # draw order, and on a chunk broken mid-way, where both stop after the violating set.
-    for args in search._mask_chunks(range(1, 1 << 14, 2), search._sweep_tables(14)):
+    for args in search._mask_chunks(range(1, 1 << 14, 2), lanes.tables(14)):
         assert search._check_mask_chunk(args) == _reference_mask_chunk(args)
     rng = random.Random(32)
-    tables = search._sweep_tables(20)
+    tables = lanes.tables(20)
     for base in (0, 2048, 4096):
         args = (sorted(rng.getrandbits(20) | 1 for _ in range(2048)), base, tables)
         assert search._check_mask_chunk(args) == _reference_mask_chunk(args)
@@ -699,7 +698,7 @@ def test_chunk_fold_is_the_per_set_loop(monkeypatch):
         args = ([rng.randrange(1, 1 << width) for _ in range(600)], 0, None)
         assert search._check_mask_chunk(args) == _reference_mask_chunk(args)
     break_pass(monkeypatch, (0, 1, 5, 7, 10), lambda p, v, d: (50 * d, *p[1:]))
-    args = (range(1, 1 << 12, 2), 0, search._sweep_tables(12))
+    args = (range(1, 1 << 12, 2), 0, lanes.tables(12))
     fold = search._check_mask_chunk(args)
     assert fold == _reference_mask_chunk(args)
     assert [v.kind for v in fold.violations] == ["theorem1_ratio"]
@@ -734,8 +733,8 @@ def test_lane_gate_meets_each_boundary_on_both_sides(monkeypatch):
             half = [True] + [rng.random() < 0.5 for _ in range(b // 2)]
             masks.append(sum(1 << i for i in range(b + 1) if half[min(i, b - i)]))
             frames.append([rng.randint(0, 2 * d) for _ in range(length + 2)])
-        tables = (d, *search._sweep_tables(length)[1:])
-        columns = [lanes.pack(column, lanes.width(tables)) for column in zip(*frames)]
+        tables = lanes.tables(length)._replace(d=d)
+        columns = [lanes.pack(column, tables.width) for column in zip(*frames)]
         monkeypatch.setattr(lanes, "columns", lambda masks, tables: columns)
         records = record_lanes(monkeypatch)
         checked.clear()
@@ -772,8 +771,8 @@ def test_lane_fold_sends_on_exactly_the_lanes_past_a_bound(monkeypatch):
     # flags: lanes with one of the four flag bits set, and no others, go on to the
     # per-set check with the lane's block count, even at or past a bound without a
     # flag.  No class of exhaustive (9) is spot-checked from index 1.
-    tables = search._sweep_tables(9)
-    d, w = tables[0], lanes.width(tables)
+    tables = lanes.tables(9)
+    d, w = tables.d, tables.width
     cases = [(12, 2, 0), (13, 3, 0), (0, 0, 1 << w - 1), (0, 0, 1 << w - 2),
              (12, 0, 1 << w - 3), (0, 2, 1 << w - 4), (0, 0, 0)]
     sent, expected = [], []
@@ -802,11 +801,11 @@ def test_lane_fold_sends_on_exactly_the_lanes_past_a_bound(monkeypatch):
 def _lane_extremes(length: int, masks: list[int]) -> tuple[int, int, int, int, list[int]]:
     """(D_L, the largest column value, the largest norm, the largest variation, the
     flags) of ``masks`` checked in one chunk of lanes of exhaustive (``length``)."""
-    tables = search._sweep_tables(length)
+    tables = lanes.tables(length)
     columns = lanes.columns(masks, tables)
     norms, variations, flags, _ = lanes.verdicts(masks, columns, tables)
     values = [x for k in range(len(masks)) for x in lanes.row(columns, k, length + 2, tables)]
-    return tables[0], max(values), max(norms), max(variations), list(flags)
+    return tables.d, max(values), max(norms), max(variations), list(flags)
 
 
 def test_lanes_stay_below_2_to_the_48_at_length_24():
@@ -814,7 +813,7 @@ def test_lanes_stay_below_2_to_the_48_at_length_24():
     # 2^48, so bit 63 of every 64-bit lane is free.  Every column and verdict of
     # seeded chunks at L = 24, with the full, the alternating and the sparsest masks,
     # stays below it, some norm is not 0, and the flags use bits 62 and 63 only.
-    assert lanes.width(search._sweep_tables(24)) == 64
+    assert lanes.tables(24).width == 64
     rng = random.Random(48)
     masks = [(1 << 24) - 1, 0x555555, 0xAAAAAB, 1, 1 | 1 << 23, 0x924925]
     masks += [rng.getrandbits(24) | 1 for _ in range(2042)]
@@ -831,7 +830,7 @@ def test_lanes_stay_below_2_to_the_31_up_to_length_16():
     # seeded chunks, with the full, the alternating and the sparsest masks, stays
     # below 2^31, so bit 31 of every lane is free, some norm of each chunk is not 0,
     # and the flags use bits 30 and 31 only.
-    assert [lanes.width(search._sweep_tables(length)) for length in range(1, 25)] == \
+    assert [lanes.tables(length).width for length in range(1, 25)] == \
         [32] * 16 + [64] * 8
     assert 4 * 18 * 12_252_240 < 1 << 31 <= 4 * 19 * 232_792_560
     rng = random.Random(31)
@@ -852,7 +851,7 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
     # are drawn, and the result is the 1-worker fold.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(search, "_CHUNK", 128)
-    masks, tables = range(1, 1 << 13, 2), search._sweep_tables(13)     # 32 chunks
+    masks, tables = range(1, 1 << 13, 2), lanes.tables(13)     # 32 chunks
     drawn, at_fold = 0, []
 
     def counted():
@@ -869,19 +868,18 @@ def test_pool_keeps_two_chunks_per_worker_in_flight(monkeypatch):
                                  len(masks), 1, None)
 
 
-def test_sweep_tables_give_the_elements_and_the_mirror():
+def test_sweep_tables_give_the_denominator_and_the_mirror():
     # The mirrors of a chunk come in one pass, whatever the spans of its masks, and
     # the reversal reads 32 bits: seeded masks up to 2^32 mirror too.
-    d, quotients, positions, reverse, _ = search._sweep_tables(24)
+    tables = lanes.tables(24)
+    d = tables.d
     assert d == 26_771_144_400 < 1 << 35                    # lcm(1, ..., 26)
-    assert [n * quotients[n] for n in range(1, 27)] == [d] * 26
+    assert [d % n for n in range(1, 27)] == [0] * 26 and tables.frame == 26
     rng = random.Random(22)
     masks = [*range(1, 1 << 16, 2), *[rng.randrange(1 << 16, 1 << 24) | 1 for _ in range(2000)]]
-    for mask in masks:
-        assert lattice._mask_elements(positions, mask) == IndexSet.from_mask(mask).elements
     masks += [rng.randrange(1 << 24, 1 << 32) | 1 for _ in range(2000)]
     for chunk in _odd_mask_chunks(masks):
-        assert lattice._mask_mirrors(reverse, chunk) == [mirror_mask(mask) for mask in chunk]
+        assert lanes.mirrors(chunk, tables) == [mirror_mask(mask) for mask in chunk]
 
 
 def test_cross_chunk_ties_match_a_translation_class_sweep(monkeypatch):
